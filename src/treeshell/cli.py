@@ -78,6 +78,12 @@ def _parse_floats(text: str, what: str) -> list[float]:
         raise ConfigError(f"cannot parse {what}: {text!r}") from None
 
 
+def _require_positive(values: dict) -> None:
+    for flag, value in values.items():
+        if not value > 0:
+            raise ConfigError(f"{flag} must be positive, got {value}")
+
+
 def _model_from_args(args) -> RcmModel:
     try:
         if args.config:
@@ -120,6 +126,7 @@ def _default_alpha(args):
 def cmd_spectra(args) -> int:
     from . import spectra
 
+    _require_positive({"--p-step": args.p_step})
     p_grid = np.arange(args.p_min, args.p_max + 1e-9, args.p_step)
     lams = _parse_floats(args.lambdas, "--lambdas")
     rows = []
@@ -208,6 +215,7 @@ def cmd_concentration(args) -> int:
 def cmd_lln(args) -> int:
     from . import dissipation
 
+    _require_positive({"--n": args.n, "--samples": args.samples})
     model = _model_from_args(args)
     rep = dissipation.lln_sample(model, args.n, args.samples, args.seed)
     config = {"model": model.to_dict(), "n": args.n, "samples": args.samples}
@@ -223,6 +231,8 @@ def cmd_lln(args) -> int:
 def cmd_simulate(args) -> int:
     from . import dynamics
 
+    _require_positive({"--dt": args.dt, "--t-end": args.t_end,
+                       "--record-every": args.record_every})
     model = _model_from_args(args)
     solution = ConstantSolution(model)
     if args.init == "zero":

@@ -56,10 +56,10 @@ class ModelParams:
     def __post_init__(self):
         if self.d < 1 or int(self.d) != self.d:
             raise ValueError("dimension d must be a positive integer")
-        if not self.alpha > 0:
-            raise ValueError("alpha must be positive")
-        if not self.forcing > 0:
-            raise ValueError("forcing must be positive")
+        if not 0 < self.alpha < math.inf:
+            raise ValueError("alpha must be positive and finite")
+        if not 0 < self.forcing < math.inf:
+            raise ValueError("forcing must be positive and finite")
 
     @property
     def N(self) -> int:
@@ -83,8 +83,8 @@ class RepeatedCoefficients:
         deltas = tuple(float(x) for x in deltas)
         if len(deltas) < 1:
             raise ValueError("need at least one coefficient")
-        if any(not x > 0 for x in deltas):
-            raise ValueError("all coefficients must be strictly positive")
+        if any(not 0 < x < math.inf for x in deltas):
+            raise ValueError("all coefficients must be strictly positive and finite")
         object.__setattr__(self, "deltas", deltas)
         object.__setattr__(self, "log2_deltas", np.log2(np.asarray(deltas)))
 
@@ -162,6 +162,8 @@ class RepeatedCoefficients:
             hi *= 2.0
         while hi - lo > tol:
             mid = 0.5 * (lo + hi)
+            if not lo < mid < hi:
+                break  # the bracket is one ulp wide: |gamma| is too large for tol
             if self.phi(mid) < a:
                 lo = mid
             else:

@@ -247,22 +247,35 @@ def measure_from_enumeration(model: RcmModel, n: int,
 # ---------------------------------------------------------------------------
 
 
-def theoretical_tail_rate(model: RcmModel, lo: float, hi: float,
-                          grid: int = 4001) -> float:
-    """inf of R(a) - D(a) over the complement of (lo, hi) in the sigma range."""
+def theoretical_tail_rate(model: RcmModel, lo: float, hi: float) -> float:
+    """inf of R(a) - D(a) over the complement of (lo, hi) in the sigma range.
+
+    R is affine and D concave, so R - D is convex with its zero at
+    phi(3/2): on each complement segment the infimum sits at the point of
+    the segment nearest phi(3/2), and is exactly 0 when the segment
+    contains it.
+    """
     cs = model.coeffs
     a_min, a_max = cs.ell_neg_inf(), cs.ell_pos_inf()
     pad = (a_max - a_min) * 1e-9
-    cands = []
+    segments = []
     if lo > a_min:
-        cands.append(np.linspace(a_min + pad, min(lo, a_max - pad), grid))
+        segments.append((a_min + pad, min(lo, a_max - pad)))
     if hi < a_max:
-        cands.append(np.linspace(max(hi, a_min + pad), a_max - pad, grid))
-    if not cands:
+        segments.append((max(hi, a_min + pad), a_max - pad))
+    if not segments:
         raise ValueError("the interval covers the whole sigma range")
-    a = np.concatenate(cands)
-    vals = rate_R(model, a) - np.array([dim_D(model, float(x)) for x in a])
-    return float(vals.min())
+    center = model.phi(1.5)
+    rates = []
+    for x0, x1 in segments:
+        # a band edge within pad of the range end reverses its segment
+        x0, x1 = min(x0, x1), max(x0, x1)
+        if x0 <= center <= x1:
+            rates.append(0.0)
+        else:
+            a = min(max(center, x0), x1)
+            rates.append(rate_R(model, a) - dim_D(model, a))
+    return float(min(rates))
 
 
 @dataclass(frozen=True)
@@ -331,6 +344,8 @@ def lln_sample(model: RcmModel, n: int, samples: int,
     so only the label counts matter; they are drawn directly from the
     multinomial law, never through float geometry.
     """
+    if n < 1 or samples < 1:
+        raise ValueError("n and samples must be >= 1")
     rng = np.random.default_rng(seed)
     counts = rng.multinomial(n, np.full(model.N, 1.0 / model.N), size=samples)
     sigma = counts @ model.coeffs.log2_deltas / n

@@ -192,6 +192,32 @@ class TestCliContract:
         rc, _ = run_cli(["solve", "--config", "/nonexistent.json"], capsys)
         assert rc == 2
 
+    @pytest.mark.parametrize("flag,value", [("--dt", "-1"), ("--t-end", "0"),
+                                            ("--record-every", "0")])
+    def test_simulate_rejects_non_positive_steps(self, capsys, flag, value):
+        rc, out = run_cli(["simulate", "--deltas", "1,2", "--dim", "1",
+                           "--alpha", "1.5", "--depth", "3", flag, value],
+                          capsys)
+        assert rc == 2 and out == ""
+
+    @pytest.mark.parametrize("flag", ["--n", "--samples"])
+    def test_lln_rejects_zero_sizes(self, capsys, flag):
+        rc, out = run_cli(["lln", "--deltas", "1,2", "--dim", "1",
+                           "--alpha", "1.5", flag, "0"], capsys)
+        assert rc == 2 and out == ""
+
+    def test_spectra_rejects_zero_p_step(self, capsys):
+        rc, out = run_cli(["spectra", "--p-step", "0"], capsys)
+        assert rc == 2 and out == ""
+
+    @pytest.mark.parametrize("model_args", [["--deltas", "1,inf"],
+                                            ["--deltas", "1,2", "--alpha", "inf"]])
+    def test_non_finite_model_values_are_config_errors(self, capsys,
+                                                       model_args):
+        rc, out = run_cli(["solve", "--dim", "1", "--depth", "3"] + model_args,
+                          capsys)
+        assert rc == 2 and out == ""
+
     def test_numeric_error_exit_code(self, capsys):
         # lattice budget blow-up: 8 distinct deltas at n = 500
         rc, _ = run_cli(["dissipation", "--dim", "3", "--alpha", "2.5",

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import mpmath as mp
 import numpy as np
@@ -149,6 +152,27 @@ class TestPhiInverse:
         for g in (-20.0, -2.0, 0.3, 8.0, 40.0):
             assert c.phi_inverse(c.phi(g)) == pytest.approx(g, abs=1e-8)
 
+    def test_one_ulp_bracket_terminates(self):
+        # near-flat multiset: the target needs gamma ~ -1.5e4, where one ulp
+        # is wider than the 1e-12 bracket; run apart so a hang fails, not stalls
+        import treeshell
+
+        code = ("from treeshell import RcmModel, spectra\n"
+                "m = RcmModel.create(1, 1.5, [1, 2**0.000292])\n"
+                "lo, hi = m.coeffs.ell_neg_inf(), m.coeffs.ell_pos_inf()\n"
+                "a = lo + (hi - lo) / 22\n"
+                "g = m.coeffs.phi_inverse(a)\n"
+                "print(repr(g), repr(m.phi(g) - a), repr(spectra.dim_D(m, a)))")
+        src = os.path.dirname(os.path.dirname(treeshell.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, timeout=30, env=env)
+        assert proc.returncode == 0, proc.stderr
+        gamma, miss, dim = (float(x) for x in proc.stdout.split())
+        assert -2e4 < gamma < -1e4
+        assert abs(miss) <= 1e-15
+        assert 0.0 < dim < 1.0
+
 
 class TestPhiDerivative:
     def test_flat_is_zero(self):
@@ -189,6 +213,15 @@ class TestModelTypes:
     def test_positive_deltas_required(self):
         with pytest.raises(ValueError):
             RepeatedCoefficients([1.0, 0.0])
+
+    @pytest.mark.parametrize("bad", [{"alpha": math.inf},
+                                     {"forcing": math.inf},
+                                     {"deltas": [1.0, math.inf]},
+                                     {"deltas": [1.0, math.nan]}])
+    def test_non_finite_values_rejected(self, bad):
+        args = {"d": 1, "alpha": 1.5, "deltas": [1.0, 2.0], **bad}
+        with pytest.raises(ValueError):
+            RcmModel.create(**args)
 
     def test_coefficient_of_uses_last_label(self):
         m = RcmModel.create(1, 1.5, [1.0, 2.0])

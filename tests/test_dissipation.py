@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import gammaln
 
-from treeshell import ConstantSolution, RcmModel, TreeIndex
+from treeshell import ConstantSolution, RcmModel, TreeIndex, lambda_family
 from treeshell import dissipation as dp
 from treeshell import spectra
 from treeshell.solution import ResourceLimitError
@@ -16,6 +16,28 @@ def lse2(a):
     a = np.asarray(a, dtype=float)
     m = a.max()
     return m + np.log2(np.exp2(a - m).sum())
+
+
+def grid_tail_rate(model, lo, hi, grid=4001):
+    """inf[R - D] over the band's complement by a dense grid: the oracle of
+    the closed form, sampling the same padded segments endpoint included."""
+    cs = model.coeffs
+    a_min, a_max = cs.ell_neg_inf(), cs.ell_pos_inf()
+    pad = (a_max - a_min) * 1e-9
+    cands = []
+    if lo > a_min:
+        cands.append(np.linspace(a_min + pad, min(lo, a_max - pad), grid))
+    if hi < a_max:
+        cands.append(np.linspace(max(hi, a_min + pad), a_max - pad, grid))
+    a = np.concatenate(cands)
+    vals = spectra.rate_R(model, a) \
+        - np.array([spectra.dim_D(model, float(x)) for x in a])
+    return float(vals.min())
+
+
+def band_around_phi32(model, below, above):
+    c = model.phi(1.5)
+    return c - below, c + above
 
 
 class TestFractions:
@@ -212,6 +234,53 @@ class TestMassAndConcentration:
             assert gap == pytest.approx(kl, abs=1e-10)
 
 
+class TestTailRateClosedForm:
+    # the full grid costs ~8000 dim_D calls; the README band keeps it, the
+    # other cases use coarser grids, which still contain the segment ends
+    @pytest.mark.parametrize("lam", [0.1, 0.2, 0.2307])
+    def test_lambda_family_matches_grid(self, lam):
+        m = lambda_family(lam, alpha=2.5)
+        band = band_around_phi32(m, 0.1, 0.1)
+        assert dp.theoretical_tail_rate(m, *band) \
+            == grid_tail_rate(m, *band, grid=401)
+
+    def test_readme_band_matches_full_grid(self, d12):
+        band = band_around_phi32(d12, 0.1, 0.1)
+        assert dp.theoretical_tail_rate(d12, *band) == grid_tail_rate(d12, *band)
+
+    @pytest.mark.parametrize("below,above", [(0.1, 0.1), (0.3, 0.25)])
+    def test_d2_matches_grid(self, below, above):
+        m = RcmModel.create(2, 2.0, [1.0, 2.0, 3.0, 5.0])
+        band = band_around_phi32(m, below, above)
+        assert dp.theoretical_tail_rate(m, *band) \
+            == grid_tail_rate(m, *band, grid=401)
+
+    def test_random_models_match_grid(self, rng):
+        from conftest import random_rcm
+        for _ in range(20):
+            m = random_rcm(rng)
+            width = m.coeffs.ell_pos_inf() - m.coeffs.ell_neg_inf()
+            band = band_around_phi32(m, rng.uniform(0.01, 0.3) * width,
+                                     rng.uniform(0.01, 0.3) * width)
+            assert dp.theoretical_tail_rate(m, *band) \
+                == grid_tail_rate(m, *band, grid=101)
+
+    @pytest.mark.parametrize("band", [
+        (PHI32_D12 - 0.1, 5.0),
+        (-5.0, PHI32_D12 + 0.1),
+        (1e-12, 5.0),  # the lower segment [pad, 1e-12] is reversed
+    ])
+    def test_one_sided_and_edge_bands_match_grid(self, d12, band):
+        assert dp.theoretical_tail_rate(d12, *band) \
+            == grid_tail_rate(d12, *band, grid=401)
+
+    @pytest.mark.parametrize("band", [(0.1, 0.3), (0.8, 5.0)])
+    def test_band_excluding_phi32_has_rate_zero(self, d12, band):
+        # the exact infimum is attained at phi(3/2); the grid only nears it
+        assert dp.theoretical_tail_rate(d12, *band) == 0.0
+        assert 0.0 <= grid_tail_rate(d12, *band) <= 1e-6
+
+
 class TestLln:
     def test_flat_is_exact(self, flat_d3):
         rep = dp.lln_sample(flat_d3, 100, 50, seed=1)
@@ -233,6 +302,11 @@ class TestLln:
         a = dp.lln_sample(d12, 1000, 100, seed=3)
         b = dp.lln_sample(d12, 1000, 100, seed=3)
         assert a == b
+
+    @pytest.mark.parametrize("n,samples", [(0, 10), (10, 0)])
+    def test_empty_sample_rejected(self, d12, n, samples):
+        with pytest.raises(ValueError):
+            dp.lln_sample(d12, n, samples)
 
 
 def generations_subtree(arity, depth):
