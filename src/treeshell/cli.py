@@ -24,9 +24,9 @@ import sys
 import numpy as np
 
 from . import __version__
-from .coefficients import RcmModel, lambda_family, model_from_dict
+from .coefficients import (GeneralCoefficients, RcmModel, lambda_family,
+                           model_from_dict)
 from .solution import ConstantSolution, pullback
-from .coefficients import GeneralCoefficients
 
 _FLOAT = "%.17g"
 
@@ -156,11 +156,13 @@ def cmd_spectra(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    _require_positive({"--depth": args.depth})
     model = _model_from_args(args)
     run = pullback(GeneralCoefficients.from_rcm(model), model.alpha, model.d,
                    depth=args.depth, seed=args.x)
     a, b = run.band
-    rows = [(g, lo, hi, mean, a, b, run.residual_max())
+    residual = run.residual_max()
+    rows = [(g, lo, hi, mean, a, b, residual)
             for g, lo, hi, mean in run.summary()]
     config = {"model": model.to_dict(), "depth": args.depth, "x": args.x}
     _write_csv(args.out, _header(model, args.seed, config),
@@ -172,13 +174,15 @@ def cmd_solve(args) -> int:
 def cmd_dissipation(args) -> int:
     from . import dissipation
 
+    _require_positive({"--n": args.n})
     model = _model_from_args(args)
+    band = None if args.band is None else _band_from_args(args, model)
     mu = dissipation.measure(model, args.n)
     rows = [(args.n, s, lm) for s, lm in zip(mu.sigma, mu.log2_mass)]
     config = {"model": model.to_dict(), "n": args.n}
     header = _header(model, args.seed, config)
-    if args.band is not None:
-        lo, hi = _band_from_args(args, model)
+    if band is not None:
+        lo, hi = band
         header.append("# band=[%s,%s] mass_in_band=%s"
                       % (_fmt(lo), _fmt(hi), _fmt(mu.mass_in(lo, hi))))
     _write_csv(args.out, header, ["n", "sigma_atom", "log2_mass"], rows)
@@ -187,11 +191,14 @@ def cmd_dissipation(args) -> int:
 
 def _band_from_args(args, model) -> tuple[float, float]:
     if args.band == "auto":
+        _require_positive({"--band-width": args.band_width})
         center = model.phi(1.5)
         return center - args.band_width, center + args.band_width
     vals = _parse_floats(args.band, "--band")
     if len(vals) != 2:
         raise ConfigError(f"--band needs 'auto' or 'lo,hi', got {args.band!r}")
+    if not vals[0] < vals[1]:
+        raise ConfigError(f"--band needs lo < hi, got {args.band!r}")
     return vals[0], vals[1]
 
 
@@ -201,6 +208,7 @@ def cmd_concentration(args) -> int:
     model = _model_from_args(args)
     band = _band_from_args(args, model)
     ns = [int(x) for x in _parse_floats(args.n_list, "--n-list")]
+    _require_positive({"--n-list entry": min(ns)})
     curve = dissipation.concentration_curve(model, band, ns)
     rows = [(n, m, 2.0**t, pr, sr, curve.theoretical_rate)
             for n, m, t, pr, sr in zip(curve.n, curve.mass_in, curve.log2_tail,
@@ -233,6 +241,8 @@ def cmd_simulate(args) -> int:
 
     _require_positive({"--dt": args.dt, "--t-end": args.t_end,
                        "--record-every": args.record_every})
+    if args.depth < 0:
+        raise ConfigError(f"--depth must be >= 0, got {args.depth}")
     model = _model_from_args(args)
     solution = ConstantSolution(model)
     if args.init == "zero":
@@ -265,16 +275,22 @@ def cmd_simulate(args) -> int:
 
 def cmd_structure(args) -> int:
     from . import field as field_mod
+    from . import spectra
 
+    _require_positive({"--depth": args.depth})
+    window = None
+    if args.fit_window:
+        window = tuple(int(x) for x in _parse_floats(args.fit_window,
+                                                     "--fit-window"))
+    try:
+        field_mod.fit_window(args.depth, window)
+    except ValueError as e:
+        raise ConfigError(str(e)) from None
     model = _model_from_args(args)
     solution = ConstantSolution(model)
     wf = field_mod.synthesize(solution, dim=model.d, depth=args.depth,
                               mother=args.mother)
     ps = _parse_floats(args.p_list, "--p-list")
-    window = None
-    if args.fit_window:
-        lo, hi = (int(x) for x in _parse_floats(args.fit_window, "--fit-window"))
-        window = (lo, hi)
     est = field_mod.structure_function(wf, ps, m_range=window)
     rows = []
     for i, p in enumerate(est.p):
@@ -288,7 +304,7 @@ def cmd_structure(args) -> int:
     if args.summary:
         payload = []
         for i, p in enumerate(est.p):
-            formula = float(min(p, field_mod.xi(solution, float(p))))
+            formula = float(min(p, spectra.zeta_raw(model, float(p))))
             zh = float(est.zeta_hat[i])
             payload.append({"p": float(p), "zeta_hat": zh,
                             "zeta_formula": formula,

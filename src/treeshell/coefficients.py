@@ -8,8 +8,9 @@ of the model reduces to two scalar functions of that multiset:
 - ``phi(gamma)``, the tilted mean of their log2, which is the derivative
   of ``s * ell(s)``.
 
-Both are evaluated through a max-shifted log-sum-exp in base 2 so that
-arguments up to a few hundred neither overflow nor lose the leading term.
+Both are evaluated through ``log2sumexp2``, the package's one log-domain
+kernel (a max-shifted log-sum-exp in base 2), so that arguments up to a few
+hundred neither overflow nor lose the leading term.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -31,6 +32,7 @@ __all__ = [
     "RcmModel",
     "lambda_family",
     "model_from_dict",
+    "log2sumexp2",
 ]
 
 # ell(s) switches to the exact s=0 formula below this threshold; the
@@ -38,11 +40,19 @@ __all__ = [
 _ELL_ZERO_SWITCH = 1e-8
 
 
-def _log2_power_sum(log2_values: np.ndarray, s: float) -> float:
-    """log2( sum_w 2**(s * log2_values_w) ), max-shifted for stability."""
-    a = s * log2_values
-    m = a.max()
-    return float(m + np.log2(np.exp2(a - m).sum()))
+def log2sumexp2(x: np.ndarray, axis: int | None = None):
+    """log2(sum 2**x), max-shifted.  ``axis=None`` reduces to a float, -inf
+    for an empty or all -inf input; along an axis every slice needs a finite
+    entry."""
+    if axis is None:
+        if x.size == 0:
+            return -math.inf
+        m = x.max()
+        if m == -math.inf:
+            return -math.inf
+        return float(m + np.log2(np.exp2(x - m).sum()))
+    m = x.max(axis=axis, keepdims=True)
+    return np.squeeze(m, axis) + np.log2(np.exp2(x - m).sum(axis=axis))
 
 
 @dataclass(frozen=True)
@@ -109,7 +119,7 @@ class RepeatedCoefficients:
             return self.ell_zero()
         if math.isinf(s):
             return self.ell_pos_inf() if s > 0 else self.ell_neg_inf()
-        return (_log2_power_sum(self.log2_deltas, s) - math.log2(self.size)) / s
+        return (log2sumexp2(s * self.log2_deltas) - math.log2(self.size)) / s
 
     def ell_zero(self) -> float:
         return float(self.log2_deltas.mean())
@@ -300,6 +310,22 @@ class RcmModel:
         if j.is_root:
             return 1.0
         return self.coeffs.deltas[j.code % self.N]
+
+    def path_log2_sum(self, j: TreeIndex) -> float:
+        """Sum of log2 d_k over the ancestor chain of j (0 at the root)."""
+        return sum(math.log2(self.coefficient_of(k)) for k in j.ancestors())
+
+    def path_sum_rows(self, x0: float, const: float, c: float,
+                      depth: int) -> Iterator[np.ndarray]:
+        """Rows 0..depth of x_j = x_parent + const + c log2 d_j from x_root = x0,
+        indexed by packed code and yielded one at a time (a caller that keeps
+        only the last row holds two rows at most)."""
+        row = np.array([float(x0)])
+        log2d = self.coeffs.log2_deltas[None, :]
+        for _ in range(depth):
+            yield row
+            row = (row[:, None] + const + c * log2d).ravel()
+        yield row
 
     def to_dict(self) -> dict:
         return {"d": self.d, "alpha": self.alpha, "f": self.forcing,

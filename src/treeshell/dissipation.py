@@ -9,7 +9,7 @@ measure mu_n puts mass F_j at the path mean sigma_j; grouping nodes by the
 composition of distinct coefficient values along their path compresses the
 2**(dn) nodes into a lattice of at most C(n + D - 1, D - 1) atoms with
 multinomial multiplicities, evaluated through log-gamma.  All masses are
-accumulated by max-shifted log-sum-exp: they span 2**(-O(n)).
+accumulated by ``log2sumexp2``: they span 2**(-O(n)).
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 from scipy.special import gammaln
 
-from .coefficients import RcmModel
+from .coefficients import RcmModel, log2sumexp2
 from .solution import ResourceLimitError, fixed_point_q
 from .spectra import dim_D, rate_R
 from .tree import TreeIndex
@@ -55,8 +55,7 @@ def _cascade_rate(model: RcmModel) -> float:
 
 def log2_F(model: RcmModel, j: TreeIndex) -> float:
     """log2 of the anomalous-dissipation fraction of the cube of j."""
-    total = sum(math.log2(model.coefficient_of(k)) for k in j.ancestors())
-    return j.generation * _cascade_rate(model) + 1.5 * total
+    return j.generation * _cascade_rate(model) + 1.5 * model.path_log2_sum(j)
 
 
 def F_of(model: RcmModel, j: TreeIndex) -> float:
@@ -67,8 +66,7 @@ def sigma_of(model: RcmModel, j: TreeIndex) -> float:
     """Path mean of log2 d over the ancestor chain; undefined at the root."""
     if j.is_root:
         raise ValueError("sigma is undefined at the root")
-    total = sum(math.log2(model.coefficient_of(k)) for k in j.ancestors())
-    return total / j.generation
+    return model.path_log2_sum(j) / j.generation
 
 
 def enumerate_log2_F(model: RcmModel, n: int,
@@ -76,11 +74,8 @@ def enumerate_log2_F(model: RcmModel, n: int,
     """log2 F over all generation-n nodes, indexed by packed code."""
     if model.N**n > max_nodes:
         raise ResourceLimitError(f"{model.N}**{n} nodes exceed the budget")
-    rate = _cascade_rate(model)
-    log2d = model.coeffs.log2_deltas
-    row = np.zeros(1)
-    for _ in range(n):
-        row = (row[:, None] + rate + 1.5 * log2d[None, :]).ravel()
+    for row in model.path_sum_rows(0.0, _cascade_rate(model), 1.5, n):
+        pass  # keep only the deepest row
     return row
 
 
@@ -131,15 +126,6 @@ def _log2_multinomial(n: int, counts: np.ndarray) -> np.ndarray:
     return (gammaln(n + 1) - gammaln(counts + 1).sum(axis=1)) / _LN2
 
 
-def _lse2(log2_terms: np.ndarray) -> float:
-    if len(log2_terms) == 0:
-        return -math.inf
-    m = log2_terms.max()
-    if m == -math.inf:
-        return -math.inf
-    return float(m + np.log2(np.exp2(log2_terms - m).sum()))
-
-
 @dataclass(frozen=True)
 class DissipationMeasure:
     """The measure mu_n as composition-weighted atoms.
@@ -164,17 +150,17 @@ class DissipationMeasure:
         return len(self.sigma)
 
     def total_mass(self) -> float:
-        return 2.0 ** _lse2(self.log2_mass)
+        return 2.0 ** log2sumexp2(self.log2_mass)
 
     def mass_in(self, lo: float, hi: float) -> float:
         """mu_n of the open interval (lo, hi); boundary atoms excluded."""
         sel = (self.sigma > lo) & (self.sigma < hi)
-        return 2.0 ** _lse2(self.log2_mass[sel])
+        return 2.0 ** log2sumexp2(self.log2_mass[sel])
 
     def tail_outside(self, lo: float, hi: float) -> float:
         """log2 mu_n of the complement of the open interval (lo, hi)."""
         sel = (self.sigma > lo) & (self.sigma < hi)
-        return _lse2(self.log2_mass[~sel])
+        return log2sumexp2(self.log2_mass[~sel])
 
     def compositions(self) -> list[Composition]:
         return [Composition(tuple(int(c) for c in row), self.n)
@@ -237,7 +223,7 @@ def measure_from_enumeration(model: RcmModel, n: int,
         sel = inverse == i
         log2_count[i] = math.log2(int(sel.sum()))
         log2_node_f[i] = log2_f_nodes[sel][0]
-        log2_mass[i] = _lse2(log2_f_nodes[sel])
+        log2_mass[i] = log2sumexp2(log2_f_nodes[sel])
     return DissipationMeasure(n, values, mults, atom_counts, sigma,
                               log2_count, log2_node_f, log2_mass)
 

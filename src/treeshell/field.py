@@ -23,14 +23,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .coefficients import log2sumexp2
 from .solution import ConstantSolution, ResourceLimitError
+from .spectra import holder_exponent, s0
 
 __all__ = [
     "WaveletField",
     "synthesize",
     "StructureFunctionEstimate",
+    "fit_window",
     "structure_function",
-    "xi",
     "xi_from_generation_sums",
     "besov_epsilon",
     "LocalHolder",
@@ -152,6 +154,17 @@ class StructureFunctionEstimate:
     degenerate: np.ndarray         # True where S vanished and no fit exists
 
 
+def fit_window(depth: int, m_range: tuple[int, int] | None = None
+               ) -> tuple[int, int]:
+    """The fit window [m_lo, m_hi] for a depth-`depth` field, checked to lie
+    in 1..depth-1; the default is [3, depth - 4] (so it needs depth >= 7)."""
+    m_lo, m_hi = (3, depth - 4) if m_range is None else m_range
+    if not 1 <= m_lo <= m_hi <= depth - 1:
+        raise ValueError(
+            f"fit window [{m_lo}, {m_hi}] empty or outside 1..{depth - 1}")
+    return m_lo, m_hi
+
+
 def structure_function(field: WaveletField, p_grid,
                        m_range: tuple[int, int] | None = None,
                        pairs: int | None = None,
@@ -166,11 +179,7 @@ def structure_function(field: WaveletField, p_grid,
     if field.dim != 1:
         raise ValueError("the two-point increment average is defined for d = 1")
     M = field.depth
-    if m_range is None:
-        m_range = (3, M - 4)
-    m_lo, m_hi = m_range
-    if not 1 <= m_lo <= m_hi <= M - 1:
-        raise ValueError(f"fit window [{m_lo}, {m_hi}] empty or outside 1..{M - 1}")
+    m_lo, m_hi = fit_window(M, m_range)
 
     p_arr = np.atleast_1d(np.asarray(p_grid, dtype=float))
     ms = np.arange(m_lo, m_hi + 1)
@@ -207,28 +216,16 @@ def structure_function(field: WaveletField, p_grid,
 # ---------------------------------------------------------------------------
 
 
-def xi(solution: ConstantSolution, p) -> np.ndarray | float:
-    """The Besov-side exponent; identically p * s0(p) for the RCM."""
-    p_arr = np.atleast_1d(np.asarray(p, dtype=float))
-    out = np.array([pi * solution.s0(pi) for pi in p_arr])
-    return out if np.ndim(p) else float(out[0])
-
-
 def xi_from_generation_sums(solution: ConstantSolution, p: float,
                             n_lo: int = 10, n_hi: int = 14) -> float:
     """xi estimated from node sums: d - pd/2 - slope of log2 sum |u_j|^p.
 
     The per-generation sums are evaluated by brute-force enumeration; their
     ratio is exactly geometric for the RCM, so consecutive generations give
-    the slope to rounding accuracy.
+    the slope of the closed form ``spectra.zeta_raw`` to rounding accuracy.
     """
     m = solution.model
-    log2_sums = []
-    for n in (n_lo, n_hi):
-        row = solution.log2_u_rows(n)[n]
-        terms = p * row
-        top = terms.max()
-        log2_sums.append(top + math.log2(np.exp2(terms - top).sum()))
+    log2_sums = [log2sumexp2(p * solution.log2_u_rows(n)[n]) for n in (n_lo, n_hi)]
     slope = (log2_sums[1] - log2_sums[0]) / (n_hi - n_lo)
     return m.d - p * m.d / 2.0 - slope
 
@@ -238,17 +235,16 @@ def besov_epsilon(solution: ConstantSolution, s: float, p: float,
     """The Besov test sequence eps_n for generations 0..n_max, closed form.
 
     eps_n = 2**(ns) 2**(dn(1/2 - 1/p)) (sum_{|j|=n} |u_j|^p)**(1/p) collapses
-    to f 2**q 2**((s - s0(p)) n); for p = inf the rate is s + d/2 + q +
-    ell_inf/2, which is <= 0 exactly when s <= h.
+    to f 2**q 2**((s - s0(p)) n); for p = inf the rate is s - h.
     """
     m = solution.model
     n = np.arange(n_max + 1, dtype=float)
     if math.isinf(p):
-        rate = s + m.d / 2.0 + solution.q + 0.5 * m.coeffs.ell_pos_inf()
+        rate = s - holder_exponent(m)
     else:
         if p <= 0:
             raise ValueError("p must be positive or inf")
-        rate = s - solution.s0(p)
+        rate = s - s0(m, p)
     return m.forcing * 2.0**solution.q * np.exp2(rate * n)
 
 

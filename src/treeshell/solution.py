@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coefficients import GeneralCoefficients, RcmModel
+from .coefficients import GeneralCoefficients, RcmModel, log2sumexp2
+from .spectra import s0
 from .tree import TreeIndex
 
 __all__ = [
@@ -53,17 +54,11 @@ class ConstantSolution:
     def log2_u(self, j: TreeIndex) -> float:
         """log2 u_j; the product of sqrt coefficients runs over the full
         ancestor chain (the root contributes nothing)."""
-        half_sum = 0.5 * sum(math.log2(self.model.coefficient_of(k))
-                             for k in j.ancestors())
-        return math.log2(self.model.forcing) + self.q * (j.generation + 1) + half_sum
+        return (math.log2(self.model.forcing) + self.q * (j.generation + 1)
+                + 0.5 * self.model.path_log2_sum(j))
 
     def u(self, j: TreeIndex) -> float:
         return 2.0 ** self.log2_u(j)
-
-    def log2_u_row(self, generation: int, max_nodes: int = 2**26) -> np.ndarray:
-        """log2 u over a whole generation, indexed by packed code."""
-        rows = self.log2_u_rows(generation, max_nodes)
-        return rows[generation]
 
     def log2_u_rows(self, depth: int, max_nodes: int = 2**26) -> list[np.ndarray]:
         """log2 u row arrays for generations 0..depth."""
@@ -71,19 +66,15 @@ class ConstantSolution:
         if model.N**depth > max_nodes:
             raise ResourceLimitError(
                 f"generation {depth} at N={model.N} exceeds {max_nodes} nodes")
-        log2d = model.coeffs.log2_deltas
-        rows = [np.array([math.log2(model.forcing) + self.q])]
-        for _ in range(depth):
-            prev = rows[-1]
-            rows.append((prev[:, None] + self.q + 0.5 * log2d[None, :]).ravel())
-        return rows
+        return list(model.path_sum_rows(math.log2(model.forcing) + self.q,
+                                        self.q, 0.5, depth))
 
     # -- recursion residuals ---------------------------------------------------
 
     def recursion_residual(self) -> float:
         """Residual of the fixed-point equation at q (should vanish)."""
         m = self.model
-        rhs = -0.5 * m.alpha - 0.5 * _log2_sum(1.5 * m.coeffs.log2_deltas + self.q)
+        rhs = -0.5 * m.alpha - 0.5 * log2sumexp2(1.5 * m.coeffs.log2_deltas + self.q)
         return abs(self.q - rhs)
 
     def stationarity_residual(self, j: TreeIndex) -> float:
@@ -97,19 +88,7 @@ class ConstantSolution:
                                  for k in j.offspring())
         return abs(lhs - rhs) / lhs
 
-    # -- regularity thresholds --------------------------------------------------
-
-    def s0(self, p: float) -> float:
-        """Critical regularity: the solution is in W^{s,p} iff s < s0(p)."""
-        m = self.model
-        return ((m.alpha - m.d / 2) / 3
-                + 0.5 * (m.ell(1.5) - m.ell(p / 2)))
-
-    def holder_exponent(self) -> float:
-        """The critical Holder exponent h = lim_p s0(p)."""
-        m = self.model
-        return ((m.alpha - m.d / 2) / 3
-                - 0.5 * (m.coeffs.ell_pos_inf() - m.ell(1.5)))
+    # -- norms -------------------------------------------------------------------
 
     def sobolev_norm(self, s: float, p: float) -> float:
         """The W^{s,p} norm, or math.inf when s >= s0(p).
@@ -117,10 +96,10 @@ class ConstantSolution:
         Evaluated from the closed-form geometric series over generations,
         never by node enumeration.
         """
-        if p < 1:
-            raise ValueError("p must be >= 1")
+        if not 1 <= p < math.inf:
+            raise ValueError("p must be finite and >= 1")
         m = self.model
-        gap = s - self.s0(p)
+        gap = s - s0(m, p)
         if gap >= 0:
             return math.inf
         # ||u||^p = f^p 2^{pq} sum_n 2^{p(s - s0) n}
@@ -137,11 +116,6 @@ class ConstantSolution:
 def fixed_point_q(model: RcmModel) -> float:
     """The constant fixed point of the backward recursion."""
     return -(model.alpha + model.d) / 3.0 - 0.5 * model.ell(1.5)
-
-
-def _log2_sum(log2_terms: np.ndarray) -> float:
-    m = log2_terms.max()
-    return float(m + np.log2(np.exp2(log2_terms - m).sum()))
 
 
 # ---------------------------------------------------------------------------
@@ -175,15 +149,8 @@ class PullbackRun:
     def residual_max(self) -> float:
         """Max residual of the interior rows against the backward recursion."""
         worst = 0.0
-        arity = self.coefficients.arity
         for g in range(self.depth):
-            children = self.rows[g + 1]
-            codes = np.arange(len(children))
-            log2d = self.coefficients.row_log2(g + 1, codes)
-            terms = (1.5 * log2d + children).reshape(-1, arity)
-            m = terms.max(axis=1, keepdims=True)
-            log2_sums = m[:, 0] + np.log2(np.exp2(terms - m).sum(axis=1))
-            expected = -0.5 * self.alpha - 0.5 * log2_sums
+            expected = _pull_row(self.coefficients, self.alpha, g, self.rows[g + 1])
             worst = max(worst, float(np.abs(self.rows[g] - expected).max()))
         return worst
 
@@ -191,6 +158,14 @@ class PullbackRun:
         """(generation, min, max, mean) per row."""
         return [(g, float(r.min()), float(r.max()), float(r.mean()))
                 for g, r in enumerate(self.rows)]
+
+
+def _pull_row(coefficients: GeneralCoefficients, alpha: float, g: int,
+              children: np.ndarray) -> np.ndarray:
+    """The generation-g row of the backward recursion from its children's."""
+    log2d = coefficients.row_log2(g + 1, np.arange(len(children)))
+    terms = (1.5 * log2d + children).reshape(-1, coefficients.arity)
+    return -0.5 * alpha - 0.5 * log2sumexp2(terms, axis=1)
 
 
 def pullback_band(coefficients: GeneralCoefficients, alpha: float,
@@ -220,13 +195,7 @@ def pullback(coefficients: GeneralCoefficients, alpha: float, dim: int,
     rows: list[np.ndarray] = [np.empty(0)] * (depth + 1)
     rows[depth] = np.full(arity**depth, float(seed))
     for g in range(depth - 1, -1, -1):
-        children = rows[g + 1]
-        codes = np.arange(len(children))
-        log2d = coefficients.row_log2(g + 1, codes)
-        terms = (1.5 * log2d + children).reshape(-1, arity)
-        m = terms.max(axis=1, keepdims=True)
-        log2_sums = m[:, 0] + np.log2(np.exp2(terms - m).sum(axis=1))
-        rows[g] = -0.5 * alpha - 0.5 * log2_sums
+        rows[g] = _pull_row(coefficients, alpha, g, rows[g + 1])
 
     return PullbackRun(coefficients, alpha, dim, depth, float(seed), rows,
                        pullback_band(coefficients, alpha, dim))

@@ -6,6 +6,8 @@ The structure-function exponent of the constant solution is
 
 concave and non-decreasing for h >= 0, with oblique asymptote of slope h
 and intercept d - log2 m (m the multiplicity of the largest coefficient).
+The raw branch is p s0(p) (s0 the critical W^{s,p} regularity, h its limit
+as p -> inf) and is also the Besov exponent xi_p.
 The companion rate/dimension pair
 
     R(a) = d + (3/2) ell(3/2) - (3/2) a,
@@ -30,6 +32,8 @@ import numpy as np
 from .coefficients import RcmModel, RepeatedCoefficients
 
 __all__ = [
+    "s0",
+    "holder_exponent",
     "zeta",
     "zeta_raw",
     "zeta_derivative",
@@ -48,10 +52,20 @@ __all__ = [
 ]
 
 
-def _warn_if_h_outside_unit(model: RcmModel) -> None:
-    from .solution import ConstantSolution  # local import, no cycle at module load
+def s0(model: RcmModel, p: float) -> float:
+    """Critical regularity: the constant solution is in W^{s,p} iff s < s0(p)."""
+    return ((model.alpha - model.d / 2) / 3
+            + 0.5 * (model.ell(1.5) - model.ell(p / 2)))
 
-    h = ConstantSolution(model).holder_exponent()
+
+def holder_exponent(model: RcmModel) -> float:
+    """The critical Holder exponent h = lim_p s0(p)."""
+    return ((model.alpha - model.d / 2) / 3
+            - 0.5 * (model.coeffs.ell_pos_inf() - model.ell(1.5)))
+
+
+def _warn_if_h_outside_unit(model: RcmModel) -> None:
+    h = holder_exponent(model)
     if not 0.0 < h < 1.0:
         warnings.warn(
             f"h = {h:.6g} outside (0, 1): the structure-function formula "
@@ -103,10 +117,7 @@ def asymptote(model: RcmModel) -> tuple[float, float]:
     Slope is the Holder exponent h; the intercept is d - log2 m with m the
     multiplicity of the largest coefficient.
     """
-    from .solution import ConstantSolution
-
-    h = ConstantSolution(model).holder_exponent()
-    return h, model.d - math.log2(max_delta_multiplicity(model))
+    return holder_exponent(model), model.d - math.log2(max_delta_multiplicity(model))
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Iterator, Sequence
 
 __all__ = ["TreeIndex", "DyadicCube", "path_of_point", "point_path"]
@@ -180,30 +181,17 @@ def path_of_point(point: Sequence[float], generation: int, dim: int) -> TreeInde
     binary float is exact, so the returned path is the exact binary
     expansion of the coordinates.
     """
+    return next(islice(point_path(point, dim), generation, None))
+
+
+def point_path(point: Sequence[float], dim: int) -> Iterator[TreeIndex]:
+    """The nested sequence x_0 < x_1 < ... of nodes whose cubes contain x."""
     coords = [float(x) for x in point]
     if len(coords) != dim:
         raise ValueError(f"expected a {dim}-vector, got {len(coords)} coordinates")
     if any(not 0.0 <= x < 1.0 for x in coords):
         raise ValueError("point must lie in [0,1)^d")
-    labels = []
-    for _ in range(generation):
-        bits = 0
-        for axis in range(dim):
-            if coords[axis] >= 0.5:
-                bits |= 1 << axis
-                coords[axis] = 2.0 * coords[axis] - 1.0
-            else:
-                coords[axis] = 2.0 * coords[axis]
-        labels.append(bits + 1)
-    return TreeIndex.from_labels(labels, 2**dim)
-
-
-def point_path(point: Sequence[float], dim: int) -> Iterator[TreeIndex]:
-    """The nested sequence x_0 < x_1 < ... of nodes whose cubes contain x."""
     node = TreeIndex.root(2**dim)
-    coords = [float(x) for x in point]
-    if any(not 0.0 <= x < 1.0 for x in coords):
-        raise ValueError("point must lie in [0,1)^d")
     while True:
         yield node
         bits = 0

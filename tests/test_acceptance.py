@@ -99,7 +99,7 @@ def test_criterion_3_lambda_root():
     c = Criterion(3, "h(lambda) = 0 at lambda = 0.2307 +- 0.001", 1.0)
 
     def h(lam):
-        return ConstantSolution(lambda_family(lam)).holder_exponent()
+        return spectra.holder_exponent(lambda_family(lam))
 
     lo, hi = 0.05, 0.5
     assert h(lo) > 0 > h(hi)
@@ -270,7 +270,8 @@ def test_criterion_10a_cross_identity():
     c = Criterion("10a", "xi_p = p * s0(p) to 1e-12", 120.0)
     for deltas in ([1.0, 1.0], [1.0, 2.0]):
         sol = ConstantSolution(RcmModel.create(1, 1.5, deltas))
-        worst = max(abs(fd.xi(sol, float(p)) - p * sol.s0(float(p)))
+        worst = max(abs(spectra.zeta_raw(sol.model, float(p))
+                        - p * spectra.s0(sol.model, float(p)))
                     for p in np.linspace(0.25, 12, 48))
         c.check(worst <= 1e-12, f"deltas={deltas}: max residual {worst:.2e}")
     c.conclude()
@@ -284,7 +285,7 @@ def test_criterion_10b_empirical_structure_exponents():
         wf = fd.synthesize(sol, 1, depth=16)
         est = fd.structure_function(wf, [1.0, 2.0, 3.0])
         for p, zhat in zip(est.p, est.zeta_hat):
-            target = min(float(p), fd.xi(sol, float(p)))
+            target = min(float(p), spectra.zeta_raw(sol.model, float(p)))
             rel = abs(zhat - target) / target
             c.check(rel <= 0.10,
                     f"deltas={deltas} p={p:g}: zeta_hat={zhat:.4f} "

@@ -71,6 +71,22 @@ class TestSolveCommand:
             assert float(r["q_max"]) <= float(r["band_hi"])
             assert float(r["residual_max"]) <= 1e-12
 
+    def test_residual_computed_once(self, capsys, monkeypatch):
+        from treeshell.solution import PullbackRun
+
+        calls = []
+        original = PullbackRun.residual_max
+
+        def counted(run):
+            calls.append(run)
+            return original(run)
+
+        monkeypatch.setattr(PullbackRun, "residual_max", counted)
+        rc, out = run_cli(["solve", "--deltas", "1,2", "--dim", "1",
+                           "--alpha", "1.5", "--depth", "6"], capsys)
+        assert rc == 0 and len(parse_csv(out)) == 7
+        assert len(calls) == 1
+
 
 class TestDissipationCommands:
     def test_measure_atoms(self, capsys):
@@ -204,6 +220,60 @@ class TestCliContract:
     def test_lln_rejects_zero_sizes(self, capsys, flag):
         rc, out = run_cli(["lln", "--deltas", "1,2", "--dim", "1",
                            "--alpha", "1.5", flag, "0"], capsys)
+        assert rc == 2 and out == ""
+
+    def test_dissipation_rejects_zero_n(self, capsys):
+        rc, out = run_cli(["dissipation", "--deltas", "1,2", "--dim", "1",
+                           "--alpha", "1.5", "--n", "0"], capsys)
+        assert rc == 2 and out == ""
+
+    @pytest.mark.parametrize("command", ["dissipation", "concentration"])
+    @pytest.mark.parametrize("width", ["0", "-0.1"])
+    def test_auto_band_rejects_non_positive_width(self, capsys, command, width):
+        rc, out = run_cli([command, "--deltas", "1,2", "--dim", "1",
+                           "--alpha", "1.5", "--band", "auto",
+                           "--band-width", width], capsys)
+        assert rc == 2 and out == ""
+
+    @pytest.mark.parametrize("command", ["dissipation", "concentration"])
+    @pytest.mark.parametrize("band", ["0.5,0.5", "0.8,0.2"])
+    def test_band_rejects_lo_not_below_hi(self, capsys, command, band):
+        rc, out = run_cli([command, "--deltas", "1,2", "--dim", "1",
+                           "--alpha", "1.5", "--band", band], capsys)
+        assert rc == 2 and out == ""
+
+    def test_concentration_rejects_n_list_entry_below_one(self, capsys):
+        rc, out = run_cli(["concentration", "--deltas", "1,2", "--dim", "1",
+                           "--alpha", "1.5", "--n-list", "20,0"], capsys)
+        assert rc == 2 and out == ""
+
+    @pytest.mark.parametrize("command,depth", [("solve", "0"), ("solve", "-1"),
+                                               ("simulate", "-1")])
+    def test_rejects_depth_out_of_range(self, capsys, command, depth):
+        rc, out = run_cli([command, "--deltas", "1,2", "--dim", "1",
+                           "--alpha", "1.5", "--depth", depth], capsys)
+        assert rc == 2 and out == ""
+
+    @pytest.mark.parametrize("depth", ["0", "-2"])
+    def test_structure_rejects_depth_below_one(self, capsys, depth):
+        rc, out = run_cli(["structure", "--deltas", "1,2", "--dim", "1",
+                           "--alpha", "1.5", "--depth", depth], capsys)
+        assert rc == 2 and out == ""
+
+    @pytest.mark.parametrize("extra", [["--depth", "6"],
+                                       ["--depth", "10", "--fit-window", "0,5"],
+                                       ["--depth", "10", "--fit-window", "5,10"],
+                                       ["--depth", "10", "--fit-window", "6,4"]])
+    def test_structure_rejects_fit_window_outside_depth(self, capsys,
+                                                        monkeypatch, extra):
+        from treeshell import field
+
+        def no_synthesis(*args, **kwargs):
+            raise AssertionError("synthesize ran before the window check")
+
+        monkeypatch.setattr(field, "synthesize", no_synthesis)
+        rc, out = run_cli(["structure", "--deltas", "1,2", "--dim", "1",
+                           "--alpha", "1.5"] + extra, capsys)
         assert rc == 2 and out == ""
 
     def test_spectra_rejects_zero_p_step(self, capsys):

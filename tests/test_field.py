@@ -5,6 +5,7 @@ import pytest
 
 from treeshell import ConstantSolution, TreeIndex, lambda_family
 from treeshell import field as fd
+from treeshell import spectra
 from treeshell.solution import ResourceLimitError
 
 H_D12 = 0.14558393181327468
@@ -133,39 +134,42 @@ class TestStructureFunction:
 class TestXi:
     def test_flat_closed_form(self, flat_d1_solution):
         for p in (0.5, 1.0, 2.0, 3.0, 7.0):
-            assert fd.xi(flat_d1_solution, p) == pytest.approx(p / 3, abs=1e-14)
+            assert spectra.zeta_raw(flat_d1_solution.model, p) == pytest.approx(
+                p / 3, abs=1e-14)
 
     def test_xi3_is_alpha_minus_half_d(self, rng):
         from conftest import random_rcm
         for _ in range(10):
             m = random_rcm(rng)
-            sol = ConstantSolution(m)
-            assert fd.xi(sol, 3.0) == pytest.approx(m.alpha - m.d / 2, abs=1e-12)
+            assert spectra.zeta_raw(m, 3.0) == pytest.approx(m.alpha - m.d / 2,
+                                                             abs=1e-12)
 
     def test_direct_generation_sums_match(self, d12_solution):
         for p in (1.0, 2.0, 3.0, 4.5):
             direct = fd.xi_from_generation_sums(d12_solution, p)
-            assert direct == pytest.approx(fd.xi(d12_solution, p), abs=1e-9)
+            assert direct == pytest.approx(
+                spectra.zeta_raw(d12_solution.model, p), abs=1e-9)
 
     def test_cross_identity_with_s0(self, d12_solution):
         for p in np.linspace(0.25, 12, 48):
-            assert fd.xi(d12_solution, float(p)) == pytest.approx(
-                p * d12_solution.s0(float(p)), abs=1e-12)
+            assert spectra.zeta_raw(d12_solution.model, float(p)) == pytest.approx(
+                p * spectra.s0(d12_solution.model, float(p)), abs=1e-12)
 
 
 class TestBesovEpsilon:
     def test_flat_ratio(self, flat_d1_solution):
         eps = fd.besov_epsilon(flat_d1_solution, 0.0, 2.0, 10)
         ratios = eps[1:] / eps[:-1]
-        assert np.allclose(ratios, 2.0 ** (-flat_d1_solution.s0(2.0)), atol=1e-12)
+        assert np.allclose(ratios, 2.0 ** (-spectra.s0(flat_d1_solution.model, 2.0)),
+                           atol=1e-12)
 
     def test_decay_below_threshold(self, d12_solution):
-        s0 = d12_solution.s0(3.0)
+        s0 = spectra.s0(d12_solution.model, 3.0)
         eps = fd.besov_epsilon(d12_solution, s0 - 0.2, 3.0, 40)
         assert eps[-1] < eps[0] * 2.0 ** (-0.2 * 40 * 0.99)
 
     def test_infinity_variant_bounded_iff_below_h(self, d12_solution):
-        h = d12_solution.holder_exponent()
+        h = spectra.holder_exponent(d12_solution.model)
         growing = fd.besov_epsilon(d12_solution, h + 1e-3, math.inf, 50)
         bounded = fd.besov_epsilon(d12_solution, h - 1e-3, math.inf, 50)
         at_h = fd.besov_epsilon(d12_solution, h, math.inf, 50)
@@ -194,7 +198,7 @@ class TestLocalHolder:
         assert res.dissipating
 
     def test_random_points_bounded_below_by_h(self, d12_solution, rng):
-        h = d12_solution.holder_exponent()
+        h = spectra.holder_exponent(d12_solution.model)
         for _ in range(30):
             res = fd.local_holder(d12_solution, [float(rng.random())], 20)
             assert res.closed_form >= h - 1e-12

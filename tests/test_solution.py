@@ -12,6 +12,7 @@ from treeshell import (
     divergence_witness,
     fixed_point_q,
     pullback,
+    spectra,
 )
 
 # high-precision values (mpmath, 50 dps) for deltas=(1,2), d=1, alpha=3/2
@@ -80,7 +81,7 @@ class TestNodeValues:
 
 class TestSobolevNorm:
     def test_infinite_at_and_above_threshold(self, d12_solution):
-        s0 = d12_solution.s0(2.0)
+        s0 = spectra.s0(d12_solution.model, 2.0)
         assert d12_solution.sobolev_norm(s0, 2.0) == math.inf
         assert d12_solution.sobolev_norm(s0 + 0.3, 2.0) == math.inf
         assert math.isfinite(d12_solution.sobolev_norm(s0 - 1e-6, 2.0))
@@ -88,7 +89,7 @@ class TestSobolevNorm:
     def test_flat_energy_closed_form(self, flat_d3):
         sol = ConstantSolution(flat_d3)
         # f^2 2^{2q} / (1 - 2^{-2 s0(2)}) with s0(2) = 1/3 (mpmath value)
-        assert sol.s0(2.0) == pytest.approx(1.0 / 3.0, abs=1e-14)
+        assert spectra.s0(flat_d3, 2.0) == pytest.approx(1.0 / 3.0, abs=1e-14)
         assert sol.energy() == pytest.approx(0.21280179798991441, abs=1e-14)
 
     def test_energy_vs_deep_generation_sum(self, flat_d3):
@@ -107,7 +108,7 @@ class TestSobolevNorm:
             brute = sum(
                 np.exp2(p * s * n + m.d * (p / 2 - 1) * n + p * rows[n]).sum()
                 for n in range(13))
-            ratio = 2.0 ** (p * (s - sol.s0(p)))
+            ratio = 2.0 ** (p * (s - spectra.s0(m, p)))
             closed = (m.forcing**p * 2.0 ** (p * sol.q)
                       * (1 - ratio**13) / (1 - ratio))
             assert brute == pytest.approx(closed, rel=1e-12)
@@ -116,23 +117,30 @@ class TestSobolevNorm:
         with pytest.raises(ValueError):
             d12_solution.sobolev_norm(0.0, 0.5)
 
+    @pytest.mark.parametrize("p", [math.inf, math.nan])
+    def test_non_finite_p_rejected(self, d12_solution, p):
+        # p = inf used to return NaN; besov_epsilon covers the Holder end
+        with pytest.raises(ValueError):
+            d12_solution.sobolev_norm(0.1, p)
+
 
 class TestRegularityThresholds:
     def test_flat_thresholds_are_constant(self, flat_d3):
         sol = ConstantSolution(flat_d3)
-        vals = [sol.s0(p) for p in (1.0, 2.0, 3.0, 7.0, 50.0)]
+        vals = [spectra.s0(flat_d3, p) for p in (1.0, 2.0, 3.0, 7.0, 50.0)]
         assert np.allclose(vals, (2.5 - 1.5) / 3, atol=1e-12)
-        assert sol.holder_exponent() == pytest.approx(vals[0], abs=1e-12)
+        assert spectra.holder_exponent(flat_d3) == pytest.approx(vals[0], abs=1e-12)
 
     def test_d12_holder(self, d12_solution):
-        assert d12_solution.holder_exponent() == pytest.approx(H_D12, abs=1e-13)
+        assert spectra.holder_exponent(d12_solution.model) == pytest.approx(
+            H_D12, abs=1e-13)
 
     def test_s0_nonincreasing_and_h_is_limit(self, d12_solution):
         ps = np.linspace(1, 400, 300)
-        vals = np.array([d12_solution.s0(p) for p in ps])
+        vals = np.array([spectra.s0(d12_solution.model, p) for p in ps])
         assert np.all(np.diff(vals) <= 1e-12)
         # s0(p) - h decays like (d - log2 m)/p; here d = 1, m = 1
-        h = d12_solution.holder_exponent()
+        h = spectra.holder_exponent(d12_solution.model)
         assert vals[-1] - h == pytest.approx(1.0 / 400.0, rel=1e-6)
 
     def test_lambda_root_location(self):
@@ -140,7 +148,7 @@ class TestRegularityThresholds:
         from treeshell import lambda_family
 
         def h(lam):
-            return ConstantSolution(lambda_family(lam)).holder_exponent()
+            return spectra.holder_exponent(lambda_family(lam))
 
         lo, hi = 0.1, 0.4
         assert h(lo) > 0 > h(hi)

@@ -146,6 +146,13 @@ def test_point_outside_cube_rejected():
         path_of_point([-0.1, 0.5], 3, 2)
 
 
+def test_point_of_wrong_dimension_rejected():
+    with pytest.raises(ValueError):
+        next(point_path([0.3, 0.4, 0.9], 2))
+    with pytest.raises(ValueError):
+        path_of_point([0.3, 0.4, 0.9], 2, 2)
+
+
 def test_bad_labels_rejected():
     with pytest.raises(ValueError):
         TreeIndex.from_labels([0], 2)
