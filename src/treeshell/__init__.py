@@ -23,9 +23,9 @@ from .solution import (
     PullbackRun,
     ResourceLimitError,
     divergence_witness,
-    fixed_point_q,
     pullback,
 )
+from .spectra import fixed_point_q
 from .tree import DyadicCube, TreeIndex, path_of_point, point_path
 
 __all__ = [

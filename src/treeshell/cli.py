@@ -19,6 +19,7 @@ if "RCM_THREADS" in os.environ:
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -76,6 +77,13 @@ def _parse_floats(text: str, what: str) -> list[float]:
         return [float(x) for x in text.split(",")]
     except ValueError:
         raise ConfigError(f"cannot parse {what}: {text!r}") from None
+
+
+def _parse_ints(text: str, what: str) -> list[int]:
+    values = _parse_floats(text, what)
+    if not all(v.is_integer() for v in values):
+        raise ConfigError(f"{what} entries must be integers, got {text!r}")
+    return [int(v) for v in values]
 
 
 def _require_positive(values: dict) -> None:
@@ -207,7 +215,7 @@ def cmd_concentration(args) -> int:
 
     model = _model_from_args(args)
     band = _band_from_args(args, model)
-    ns = [int(x) for x in _parse_floats(args.n_list, "--n-list")]
+    ns = _parse_ints(args.n_list, "--n-list")
     _require_positive({"--n-list entry": min(ns)})
     curve = dissipation.concentration_curve(model, band, ns)
     rows = [(n, m, 2.0**t, pr, sr, curve.theoretical_rate)
@@ -243,25 +251,27 @@ def cmd_simulate(args) -> int:
                        "--record-every": args.record_every})
     if args.depth < 0:
         raise ConfigError(f"--depth must be >= 0, got {args.depth}")
+    scale = 1.0
+    if args.init.startswith("perturbed:"):
+        eps = _parse_floats(args.init.split(":", 1)[1], "--init perturbed:EPS")
+        if len(eps) != 1 or not -1 <= eps[0] < math.inf:
+            raise ConfigError("--init perturbed:EPS needs one finite "
+                              f"EPS >= -1, got {args.init!r}")
+        scale = 1.0 + eps[0]
+    elif args.init not in ("zero", "constant"):
+        raise ConfigError(f"unknown init {args.init!r}")
     model = _model_from_args(args)
     solution = ConstantSolution(model)
     if args.init == "zero":
         state = dynamics.TruncatedState.zeros(model, args.depth, args.closure)
-    elif args.init == "constant":
-        state = dynamics.TruncatedState.from_constant(solution, args.depth,
-                                                      args.closure)
-    elif args.init.startswith("perturbed:"):
-        eps = float(args.init.split(":", 1)[1])
-        state = dynamics.TruncatedState.from_constant(solution, args.depth,
-                                                      args.closure,
-                                                      scale=1.0 + eps)
     else:
-        raise ConfigError(f"unknown init {args.init!r}")
+        state = dynamics.TruncatedState.from_constant(solution, args.depth,
+                                                      args.closure, scale)
 
     steps = int(round(args.t_end / args.dt))
     traj = dynamics.integrate(state, args.dt, steps,
                               record_every=args.record_every)
-    u = np.concatenate([np.exp2(r) for r in solution.log2_u_rows(args.depth)])
+    u = dynamics.constant_values(solution, args.depth)
     rows = []
     for t, v in zip(traj.times, traj.states):
         rows.append((t, float(v @ v), float(v[0]),
@@ -280,17 +290,22 @@ def cmd_structure(args) -> int:
     _require_positive({"--depth": args.depth})
     window = None
     if args.fit_window:
-        window = tuple(int(x) for x in _parse_floats(args.fit_window,
-                                                     "--fit-window"))
+        window = tuple(_parse_ints(args.fit_window, "--fit-window"))
     try:
         field_mod.fit_window(args.depth, window)
     except ValueError as e:
         raise ConfigError(str(e)) from None
+    ps = _parse_floats(args.p_list, "--p-list")
+    if not all(0 < p < math.inf for p in ps):
+        raise ConfigError(f"--p-list entries must be finite and > 0, "
+                          f"got {args.p_list!r}")
     model = _model_from_args(args)
+    if model.d != 1:
+        raise ConfigError("structure estimates increments of a d = 1 field, "
+                          f"got d = {model.d}")
     solution = ConstantSolution(model)
     wf = field_mod.synthesize(solution, dim=model.d, depth=args.depth,
                               mother=args.mother)
-    ps = _parse_floats(args.p_list, "--p-list")
     est = field_mod.structure_function(wf, ps, m_range=window)
     rows = []
     for i, p in enumerate(est.p):

@@ -23,8 +23,8 @@ import numpy as np
 from scipy.special import gammaln
 
 from .coefficients import RcmModel, log2sumexp2
-from .solution import ResourceLimitError, fixed_point_q
-from .spectra import dim_D, rate_R
+from .solution import ResourceLimitError
+from .spectra import cascade_rate, dim_D, rate_R
 from .tree import TreeIndex
 
 __all__ = [
@@ -48,14 +48,9 @@ __all__ = [
 _LN2 = math.log(2.0)
 
 
-def _cascade_rate(model: RcmModel) -> float:
-    """alpha + 3q = -d - (3/2) ell(3/2), the per-generation log2 F drift."""
-    return model.alpha + 3.0 * fixed_point_q(model)
-
-
 def log2_F(model: RcmModel, j: TreeIndex) -> float:
     """log2 of the anomalous-dissipation fraction of the cube of j."""
-    return j.generation * _cascade_rate(model) + 1.5 * model.path_log2_sum(j)
+    return j.generation * cascade_rate(model) + 1.5 * model.path_log2_sum(j)
 
 
 def F_of(model: RcmModel, j: TreeIndex) -> float:
@@ -74,7 +69,7 @@ def enumerate_log2_F(model: RcmModel, n: int,
     """log2 F over all generation-n nodes, indexed by packed code."""
     if model.N**n > max_nodes:
         raise ResourceLimitError(f"{model.N}**{n} nodes exceed the budget")
-    for row in model.path_sum_rows(0.0, _cascade_rate(model), 1.5, n):
+    for row in model.path_sum_rows(0.0, cascade_rate(model), 1.5, n):
         pass  # keep only the deepest row
     return row
 
@@ -181,7 +176,7 @@ def measure(model: RcmModel, n: int, max_atoms: int = 2**22) -> DissipationMeasu
     log2_vals = np.log2(values)
     sigma = (counts @ log2_vals) / n
     log2_count = _log2_multinomial(n, counts) + counts @ np.log2(mults)
-    log2_node_f = n * _cascade_rate(model) + 1.5 * (counts @ log2_vals)
+    log2_node_f = n * cascade_rate(model) + 1.5 * (counts @ log2_vals)
     return DissipationMeasure(n, values, mults, counts, sigma, log2_count,
                               log2_node_f, log2_count + log2_node_f)
 
@@ -375,7 +370,9 @@ def flux_terms(model: RcmModel, subtree: Iterable[TreeIndex],
     ``subtree`` must be prefix-closed and contain the root; the boundary is
     the set of nodes outside it whose father lies inside.  At the constant
     solution the input equals the boundary total, and each normalised
-    boundary flux is the dissipation fraction of its cube.
+    boundary flux is the dissipation fraction of its cube.  ``value_of`` may
+    return arrays (one value per recorded time), giving the fluxes along a
+    trajectory.
     """
     nodes = set(subtree)
     if not nodes:

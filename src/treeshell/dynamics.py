@@ -10,6 +10,11 @@ truncation generation the missing offspring sum is closed either with
 zeros (free truncation) or with the constant-solution values, which makes
 the constant solution an exact equilibrium of the truncated system.
 
+Generation-major order is a heap layout: node j sits at index
+(N**|j| - 1)/(N - 1) + code(j), the parent of index i >= 1 is (i - 1) // N
+and the children of index i are the block N i + 1 .. N i + N, so the
+right-hand side needs no loop over generations.
+
 Integration is a fixed-step classical 4-stage Runge-Kutta scheme; no
 adaptivity, so residual tables are reproducible.  Stiffness grows like
 2**(alpha n): shrink dt with depth (guideline dt <= 0.1 * 2**(-alpha n)).
@@ -29,6 +34,7 @@ from .tree import TreeIndex
 
 __all__ = [
     "TruncatedState",
+    "constant_values",
     "rhs",
     "step",
     "Trajectory",
@@ -41,12 +47,18 @@ __all__ = [
 CLOSURES = ("zero", "stationary")
 
 
-def _row_slices(N: int, depth: int) -> list[slice]:
-    out, start = [], 0
-    for g in range(depth + 1):
-        out.append(slice(start, start + N**g))
-        start += N**g
-    return out
+def _generation_start(N: int, generation: int) -> int:
+    """Index of the first node of `generation` (at depth + 1: the size)."""
+    return (N**generation - 1) // (N - 1)
+
+
+def _state_index(j: TreeIndex) -> int:
+    return _generation_start(j.arity, j.generation) + j.code
+
+
+def constant_values(solution: ConstantSolution, depth: int) -> np.ndarray:
+    """The constant solution on generations 0..depth, in the state layout."""
+    return np.concatenate([np.exp2(r) for r in solution.log2_u_rows(depth)])
 
 
 @dataclass(frozen=True)
@@ -62,7 +74,7 @@ class TruncatedState:
     def __post_init__(self):
         if self.closure not in CLOSURES:
             raise ValueError(f"closure must be one of {CLOSURES}")
-        expected = sum(self.model.N**g for g in range(self.depth + 1))
+        expected = _generation_start(self.model.N, self.depth + 1)
         if len(self.values) != expected:
             raise ValueError(f"state needs {expected} values, got {len(self.values)}")
         if np.any(self.values < 0):
@@ -70,97 +82,84 @@ class TruncatedState:
 
     @property
     def slices(self) -> list[slice]:
-        return _row_slices(self.model.N, self.depth)
-
-    def row(self, generation: int) -> np.ndarray:
-        return self.values[self.slices[generation]]
+        N = self.model.N
+        return [slice(_generation_start(N, g), _generation_start(N, g + 1))
+                for g in range(self.depth + 1)]
 
     def value_of(self, j: TreeIndex) -> float:
-        return float(self.row(j.generation)[j.code])
+        return float(self.values[_state_index(j)])
 
     def energy(self) -> float:
         return float(self.values @ self.values)
 
     @classmethod
     def zeros(cls, model: RcmModel, depth: int, closure: str = "zero"):
-        size = sum(model.N**g for g in range(depth + 1))
-        return cls(model, depth, np.zeros(size), closure)
+        return cls(model, depth, np.zeros(_generation_start(model.N, depth + 1)),
+                   closure)
 
     @classmethod
     def from_constant(cls, solution: ConstantSolution, depth: int,
                       closure: str = "stationary", scale: float = 1.0):
-        rows = solution.log2_u_rows(depth)
-        values = np.concatenate([np.exp2(r) for r in rows]) * scale
-        return cls(solution.model, depth, values, closure)
+        return cls(solution.model, depth,
+                   constant_values(solution, depth) * scale, closure)
 
 
-def _closure_weights(solution: ConstantSolution, depth: int) -> np.ndarray:
-    """sum_k c_k u_k over the truncated offspring of each boundary node.
-
-    For the constant solution the offspring sum collapses to
-    2**(alpha(depth+1) + q) * sum(delta^{3/2}) times the node's own value.
+def _system(model: RcmModel, depth: int, closure: str
+            ) -> tuple[np.ndarray, np.ndarray]:
+    """c_j of nodes 1.., and each truncation-generation node's outflow weight:
+    zero, or the stationary sum_k c_k u_k over its truncated offspring,
+    2**(alpha(depth+1) + q) * sum(delta^{3/2}) times its own u.
     """
-    m = solution.model
-    u_row = np.exp2(solution.log2_u_rows(depth)[depth])
-    factor = 2.0 ** (m.alpha * (depth + 1) + solution.q) * float(
-        np.sum(m.deltas**1.5))
-    return factor * u_row
+    N = model.N
+    gens = range(1, depth + 1)
+    c = np.repeat([2.0 ** (model.alpha * g) for g in gens],
+                  [N**g for g in gens]) \
+        * np.tile(model.deltas, _generation_start(N, depth))
+    if closure == "zero":
+        return c, np.zeros(N**depth)
+    solution = ConstantSolution(model)
+    factor = 2.0 ** (model.alpha * (depth + 1) + solution.q) * float(
+        np.sum(model.deltas**1.5))
+    return c, factor * constant_values(solution, depth)[-N**depth:]
 
 
-def _rhs_core(model: RcmModel, depth: int, closure: str, values: np.ndarray,
-              closure_weights: np.ndarray | None) -> np.ndarray:
+def _rhs_core(model: RcmModel, system: tuple[np.ndarray, np.ndarray],
+              values: np.ndarray) -> np.ndarray:
     """Right-hand side on a raw value array (RK4 stages may dip negative)."""
-    N, f = model.N, model.forcing
-    deltas = model.deltas
+    c, weights = system
+    N = model.N
+    outflow = values * np.concatenate(
+        [(c * values[1:]).reshape(-1, N).sum(axis=1), weights])
     out = np.empty_like(values)
-    sl = _row_slices(N, depth)
-    for g in range(depth + 1):
-        v = values[sl[g]]
-        if g == 0:
-            inflow = np.array([f * f])
-        else:
-            c = 2.0 ** (model.alpha * g) * np.tile(deltas, N ** (g - 1))
-            inflow = c * np.repeat(values[sl[g - 1]], N) ** 2
-        if g < depth:
-            c_child = 2.0 ** (model.alpha * (g + 1)) * np.tile(deltas, N**g)
-            child_sum = (c_child * values[sl[g + 1]]).reshape(-1, N).sum(axis=1)
-            outflow = v * child_sum
-        elif closure == "stationary":
-            outflow = v * closure_weights
-        else:
-            outflow = 0.0
-        out[sl[g]] = inflow - outflow
+    out[0] = model.forcing * model.forcing - outflow[0]
+    out[1:] = c * np.repeat(values[:-len(weights)], N) ** 2 - outflow[1:]
     return out
 
 
-def rhs(state: TruncatedState,
-        closure_weights: np.ndarray | None = None) -> np.ndarray:
+def rhs(state: TruncatedState) -> np.ndarray:
     """Exact right-hand side of the truncated system."""
-    if closure_weights is None and state.closure == "stationary":
-        closure_weights = _closure_weights(ConstantSolution(state.model),
-                                           state.depth)
-    return _rhs_core(state.model, state.depth, state.closure, state.values,
-                     closure_weights)
+    return _rhs_core(state.model,
+                     _system(state.model, state.depth, state.closure),
+                     state.values)
 
 
 def step(state: TruncatedState, dt: float,
-         closure_weights: np.ndarray | None = None
+         system: tuple[np.ndarray, np.ndarray] | None = None
          ) -> tuple[TruncatedState, float]:
     """One classical RK4 step; returns the new state and the clamp magnitude.
 
+    `system` (built here if None) is the state's precomputed coefficients.
     Negative components produced by the discrete step are clamped to zero
     (the exact dynamics cannot cross zero: v_j = 0 gives v_j' >= 0) and the
     total clamped mass is reported so runs can be rejected when it matters.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    if closure_weights is None and state.closure == "stationary":
-        closure_weights = _closure_weights(ConstantSolution(state.model),
-                                           state.depth)
+    if system is None:
+        system = _system(state.model, state.depth, state.closure)
 
     def deriv(values: np.ndarray) -> np.ndarray:
-        return _rhs_core(state.model, state.depth, state.closure, values,
-                         closure_weights)
+        return _rhs_core(state.model, system, values)
 
     v = state.values
     k1 = deriv(v)
@@ -185,9 +184,6 @@ class Trajectory:
     states: np.ndarray          # (records, nodes)
     clamp_total: float
 
-    def row(self, record: int, generation: int) -> np.ndarray:
-        return self.states[record][_row_slices(self.model.N, self.depth)[generation]]
-
 
 def integrate(state: TruncatedState, dt: float, steps: int,
               record_every: int = 1,
@@ -199,16 +195,14 @@ def integrate(state: TruncatedState, dt: float, steps: int,
     max_clamp_rate times the state scale is rejected (pass None to keep
     such a run anyway).
     """
-    weights = None
-    if state.closure == "stationary":
-        weights = _closure_weights(ConstantSolution(state.model), state.depth)
+    system = _system(state.model, state.depth, state.closure)
     times = [state.t]
     records = [state.values.copy()]
     clamp_total = 0.0
     scale = float(np.abs(state.values).max())
     current = state
     for i in range(steps):
-        current, clamp = step(current, dt, weights)
+        current, clamp = step(current, dt, system)
         clamp_total += clamp
         scale = max(scale, float(np.abs(current.values).max()))
         if (i + 1) % record_every == 0:
@@ -250,39 +244,22 @@ def energy_balance(traj: Trajectory, subtree: Iterable[TreeIndex],
     """
     if stencil not in (3, 5):
         raise ValueError("stencil must be 3 or 5")
-    m = traj.model
-    N = m.N
+    # dissipation loads scipy; keep it off the import path of this module
+    from .dissipation import flux_terms
+
     nodes = set(subtree)
-    root = TreeIndex.root(N)
-    if root not in nodes:
-        raise ValueError("T must contain the root")
-    max_gen = max(j.generation for j in nodes)
+    max_gen = max((j.generation for j in nodes), default=0)
     if max_gen > traj.depth - 1:
         raise ValueError("T must stay within depth - 1")
-    for j in nodes:
-        if not j.is_root and j.parent() not in nodes:
-            raise ValueError("T is not prefix-closed")
+    states = traj.states
+    fluxes = flux_terms(traj.model, nodes, lambda j: states[:, _state_index(j)])
     if traj.closure == "zero" and max_gen == traj.depth - 1:
         warnings.warn("T touches the truncation boundary under the zero "
                       "closure; fluxes into absent offspring are dropped",
                       RuntimeWarning, stacklevel=2)
 
-    sl = _row_slices(N, traj.depth)
-    member = [(j.generation, j.code) for j in nodes]
-    boundary = [(k.generation, k.code,
-                 m.coefficient_of(k) * 2.0 ** (m.alpha * k.generation),
-                 j.generation, j.code)
-                for j in nodes for k in j.offspring() if k not in nodes]
-
-    states = traj.states
-    energy = np.zeros(len(states))
-    for g, code in member:
-        energy += states[:, sl[g].start + code] ** 2
-    inflow = 2.0 * m.forcing**2 * states[:, 0]
-    outflow = np.zeros(len(states))
-    for g, code, c_k, gp, cp in boundary:
-        outflow += 2.0 * c_k * states[:, sl[gp].start + cp] ** 2 \
-            * states[:, sl[g].start + code]
+    energy = sum(states[:, _state_index(j)] ** 2 for j in nodes)
+    inflow, outflow = fluxes.input_term, fluxes.boundary_total
     flux = inflow - outflow
 
     dt = traj.dt
@@ -309,7 +286,6 @@ def relax_to_constant(solution: ConstantSolution, initial: TruncatedState,
     asserted here.
     """
     traj = integrate(initial, dt, steps, record_every)
-    u = np.concatenate([np.exp2(r)
-                        for r in solution.log2_u_rows(initial.depth)])
+    u = constant_values(solution, initial.depth)
     dist = ((traj.states - u[None, :]) ** 2).sum(axis=1)
     return traj.times, dist

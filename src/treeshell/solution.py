@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coefficients import GeneralCoefficients, RcmModel, log2sumexp2
-from .spectra import s0
+from .spectra import fixed_point_q, s0
 from .tree import TreeIndex
 
 __all__ = [
@@ -111,11 +111,6 @@ class ConstantSolution:
         """Total energy sum u_j^2 (square of the W^{0,2} norm)."""
         e = self.sobolev_norm(0.0, 2.0)
         return e * e if math.isfinite(e) else math.inf
-
-
-def fixed_point_q(model: RcmModel) -> float:
-    """The constant fixed point of the backward recursion."""
-    return -(model.alpha + model.d) / 3.0 - 0.5 * model.ell(1.5)
 
 
 # ---------------------------------------------------------------------------

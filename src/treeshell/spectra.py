@@ -32,6 +32,8 @@ import numpy as np
 from .coefficients import RcmModel, RepeatedCoefficients
 
 __all__ = [
+    "fixed_point_q",
+    "cascade_rate",
     "s0",
     "holder_exponent",
     "zeta",
@@ -50,6 +52,16 @@ __all__ = [
     "SpectrumReport",
     "build_report",
 ]
+
+
+def fixed_point_q(model: RcmModel) -> float:
+    """The constant fixed point of the backward recursion."""
+    return -(model.alpha + model.d) / 3.0 - 0.5 * model.ell(1.5)
+
+
+def cascade_rate(model: RcmModel) -> float:
+    """alpha + 3q = -d - (3/2) ell(3/2), the per-generation log2 F drift."""
+    return model.alpha + 3.0 * fixed_point_q(model)
 
 
 def s0(model: RcmModel, p: float) -> float:

@@ -25,6 +25,16 @@ def header_lines(text):
     return [ln for ln in text.splitlines() if ln.startswith("#")]
 
 
+@pytest.fixture
+def no_synthesis(monkeypatch):
+    from treeshell import field
+
+    def fail(*args, **kwargs):
+        raise AssertionError("synthesize ran before the config check")
+
+    monkeypatch.setattr(field, "synthesize", fail)
+
+
 class TestSpectraCommand:
     def test_default_run_emits_seven_curves(self, capsys):
         rc, out = run_cli(["spectra", "--p-max", "2", "--p-step", "1"], capsys)
@@ -247,6 +257,26 @@ class TestCliContract:
                            "--alpha", "1.5", "--n-list", "20,0"], capsys)
         assert rc == 2 and out == ""
 
+    def test_concentration_rejects_non_integer_n_list(self, capsys):
+        rc, out = run_cli(["concentration", "--deltas", "1,2", "--dim", "1",
+                           "--alpha", "1.5", "--n-list", "20.7,40.2"], capsys)
+        assert rc == 2 and out == ""
+
+    @pytest.mark.parametrize("init", ["perturbed:abc", "perturbed:-2",
+                                      "perturbed:nan", "perturbed:inf"])
+    def test_simulate_rejects_bad_perturbation(self, capsys, monkeypatch,
+                                               init):
+        from treeshell import dynamics
+
+        def no_integration(*args, **kwargs):
+            raise AssertionError("integrate ran before the init check")
+
+        monkeypatch.setattr(dynamics, "integrate", no_integration)
+        rc, out = run_cli(["simulate", "--deltas", "1,2", "--dim", "1",
+                           "--alpha", "1.5", "--depth", "3", "--init", init],
+                          capsys)
+        assert rc == 2 and out == ""
+
     @pytest.mark.parametrize("command,depth", [("solve", "0"), ("solve", "-1"),
                                                ("simulate", "-1")])
     def test_rejects_depth_out_of_range(self, capsys, command, depth):
@@ -263,17 +293,22 @@ class TestCliContract:
     @pytest.mark.parametrize("extra", [["--depth", "6"],
                                        ["--depth", "10", "--fit-window", "0,5"],
                                        ["--depth", "10", "--fit-window", "5,10"],
-                                       ["--depth", "10", "--fit-window", "6,4"]])
+                                       ["--depth", "10", "--fit-window", "6,4"],
+                                       ["--depth", "10", "--fit-window", "2.9,5.9"]])
     def test_structure_rejects_fit_window_outside_depth(self, capsys,
-                                                        monkeypatch, extra):
-        from treeshell import field
-
-        def no_synthesis(*args, **kwargs):
-            raise AssertionError("synthesize ran before the window check")
-
-        monkeypatch.setattr(field, "synthesize", no_synthesis)
+                                                        no_synthesis, extra):
         rc, out = run_cli(["structure", "--deltas", "1,2", "--dim", "1",
                            "--alpha", "1.5"] + extra, capsys)
+        assert rc == 2 and out == ""
+
+    @pytest.mark.parametrize("extra", [["--p-list", "nan"],
+                                       ["--p-list", "0,inf"],
+                                       ["--p-list=-1,2"],
+                                       ["--dim", "2", "--deltas", "1,2,3,5"]])
+    def test_structure_rejects_config_before_synthesis(self, capsys,
+                                                       no_synthesis, extra):
+        rc, out = run_cli(["structure", "--deltas", "1,2", "--dim", "1",
+                           "--alpha", "1.5", "--depth", "10"] + extra, capsys)
         assert rc == 2 and out == ""
 
     def test_spectra_rejects_zero_p_step(self, capsys):
@@ -309,6 +344,15 @@ class TestCliContract:
             capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0
         assert "model_name,p,zeta" in proc.stdout
+
+    def test_cli_and_dynamics_imports_do_not_load_scipy(self):
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, treeshell.cli, treeshell.dynamics; "
+             "print('scipy' in sys.modules)"],
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0
+        assert proc.stdout.strip() == "False"
 
     def test_rcm_threads_env_is_accepted(self):
         import os

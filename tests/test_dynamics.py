@@ -67,6 +67,62 @@ class TestRhs:
         assert np.abs(r_zero[st.slices[2]]).min() > 0
 
 
+def rhs_oracle(model, depth, closure, values):
+    """c_j v_par^2 - sum_k c_k v_j v_k node by node, in the order of gens()."""
+    nodes = gens(model.N, depth)
+    v = dict(zip(nodes, values))
+    sol = ConstantSolution(model)
+
+    def c(j):
+        return model.coefficient_of(j) * 2.0 ** (model.alpha * j.generation)
+
+    out = []
+    for j in nodes:
+        v_par = model.forcing if j.is_root else v[j.parent()]
+        inflow = c(j) * v_par**2
+        if j.generation < depth:
+            outflow = sum(c(k) * v[j] * v[k] for k in j.offspring())
+        elif closure == "stationary":
+            outflow = sum(c(k) * v[j] * sol.u(k) for k in j.offspring())
+        else:
+            outflow = 0.0
+        out.append((inflow - outflow, inflow + outflow))
+    return np.array(out).T
+
+
+class TestFlatLayout:
+    @pytest.mark.parametrize("closure", dyn.CLOSURES)
+    def test_rhs_matches_per_node_oracle(self, rng, closure):
+        from conftest import random_rcm
+
+        for _ in range(4):
+            m = random_rcm(rng)
+            for depth in range(5):
+                vals = rng.uniform(0.0, 2.0, len(gens(m.N, depth)))
+                st = dyn.TruncatedState(m, depth, vals, closure)
+                want, gross = rhs_oracle(m, depth, closure, vals)
+                assert np.all(np.abs(dyn.rhs(st) - want) <= 1e-12 * gross)
+
+    def test_integrate_builds_the_system_once(self, d12, monkeypatch):
+        calls = []
+        build = dyn._system
+
+        def counting(*args):
+            calls.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(dyn, "_system", counting)
+        st = dyn.TruncatedState.from_constant(ConstantSolution(d12), 3)
+        dyn.integrate(st, 1e-4, 25)
+        assert len(calls) == 1
+
+    def test_value_of_reads_the_heap_index(self, rng):
+        m = RcmModel.create(2, 2.0, [1.0, 2.0, 0.5, 1.5])
+        vals = rng.uniform(0.0, 1.0, 21)
+        st = dyn.TruncatedState(m, 2, vals, "zero")
+        assert [st.value_of(j) for j in gens(4, 2)] == list(vals)
+
+
 class TestStep:
     def test_fixed_point_drift(self, d12):
         sol = ConstantSolution(d12)

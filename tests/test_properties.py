@@ -8,7 +8,7 @@ import math
 
 import mpmath as mp
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -96,3 +96,33 @@ class TestModelInvariants:
     def test_zeta3(self, m):
         want = min(3.0, m.alpha - m.d / 2)
         assert abs(spectra.zeta(m, 3.0, check_h=False) - want) <= 1e-12
+
+
+def sigma_range(m):
+    return m.coeffs.ell_pos_inf() - m.coeffs.ell_neg_inf()
+
+
+class TestLegendreStructure:
+    """R - D and zeta on non-flat models (sigma range at least 1e-3)."""
+
+    @SETTINGS
+    @given(models())
+    def test_rate_meets_dimension_at_phi_three_halves(self, m):
+        assume(sigma_range(m) >= 1e-3)
+        a = m.phi(1.5)
+        assert abs(spectra.rate_R(m, a) - spectra.dim_D(m, a)) <= 1e-9
+
+    @SETTINGS
+    @given(models(), st.floats(-8.0, 8.0))
+    def test_rate_exceeds_dimension_away_from_phi_three_halves(self, m, gamma):
+        assume(sigma_range(m) >= 1e-3)
+        a = m.phi(gamma)
+        assume(abs(a - m.phi(1.5)) >= 0.05 * sigma_range(m))
+        assert spectra.rate_R(m, a) - spectra.dim_D(m, a) > 0
+
+    @SETTINGS
+    @given(models())
+    def test_zeta_is_concave(self, m):
+        assume(sigma_range(m) >= 1e-3)
+        z = spectra.zeta(m, np.linspace(0.0, 20.0, 201), check_h=False)
+        assert np.all(z[2:] - 2 * z[1:-1] + z[:-2] <= 1e-9)
