@@ -18,6 +18,7 @@ if "RCM_THREADS" in os.environ:
         os.environ.setdefault(_var, os.environ["RCM_THREADS"])
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -27,21 +28,13 @@ import numpy as np
 from . import __version__
 from .coefficients import (GeneralCoefficients, RcmModel, lambda_family,
                            model_from_dict)
-from .solution import ConstantSolution, pullback
+from .solution import ConstantSolution, ResourceLimitError, pullback
 
 _FLOAT = "%.17g"
 
 
 class ConfigError(Exception):
     pass
-
-
-def _fmt(x) -> str:
-    if isinstance(x, str):
-        return x
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return _FLOAT % float(x)
 
 
 def _header(model: RcmModel | None, seed, config: dict) -> list[str]:
@@ -53,9 +46,7 @@ def _header(model: RcmModel | None, seed, config: dict) -> list[str]:
     return lines
 
 
-def _write_csv(path, header_lines, columns, rows):
-    text = "\n".join(header_lines + [",".join(columns)]
-                     + [",".join(_fmt(x) for x in row) for row in rows]) + "\n"
+def _write_text(path, text: str) -> None:
     if path is None:
         sys.stdout.write(text)
     else:
@@ -63,13 +54,22 @@ def _write_csv(path, header_lines, columns, rows):
             fh.write(text)
 
 
-def _write_json(path, payload):
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w") as fh:
-            fh.write(text)
+def _write_csv(path, header_lines: list[str], columns: dict) -> None:
+    """Header lines, then one row per entry of the named columns (a scalar
+    column repeats on every row); floats get 17 digits, the rest ``str``."""
+    arrays = [np.asarray(col) for col in columns.values()]
+    n_rows = max((len(a) for a in arrays if a.ndim), default=1)
+    cells = []
+    for a in arrays:
+        fmt = _FLOAT.__mod__ if a.dtype.kind == "f" else str
+        cells.append([fmt(a.item())] * n_rows if a.ndim == 0
+                     else list(map(fmt, a.tolist())))
+    rows = map(",".join, zip(*cells))
+    _write_text(path, "\n".join([*header_lines, ",".join(columns), *rows]) + "\n")
+
+
+def _write_json(path, payload) -> None:
+    _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _parse_floats(text: str, what: str) -> list[float]:
@@ -92,12 +92,19 @@ def _require_positive(values: dict) -> None:
             raise ConfigError(f"{flag} must be positive, got {value}")
 
 
+def _require_finite(values: dict) -> None:
+    for flag, value in values.items():
+        if not math.isfinite(value):
+            raise ConfigError(f"{flag} must be finite, got {value}")
+
+
 def _model_from_args(args) -> RcmModel:
     try:
         if args.config:
             with open(args.config) as fh:
                 return model_from_dict(json.load(fh))
-        cfg = {"d": args.dim, "alpha": args.alpha, "f": args.forcing}
+        alpha = args.dim / 2 + 1 if args.alpha is None else args.alpha
+        cfg = {"d": args.dim, "alpha": alpha, "f": args.forcing}
         if args.deltas:
             cfg["deltas"] = _parse_floats(args.deltas, "--deltas")
         elif args.lam is not None:
@@ -121,11 +128,6 @@ def _add_model_args(sub):
     sub.add_argument("--seed", type=int, default=0)
 
 
-def _default_alpha(args):
-    if args.alpha is None:
-        args.alpha = args.dim / 2 + 1
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -135,47 +137,51 @@ def cmd_spectra(args) -> int:
     from . import spectra
 
     _require_positive({"--p-step": args.p_step})
-    p_grid = np.arange(args.p_min, args.p_max + 1e-9, args.p_step)
+    _require_finite({"--mu": args.mu, "--D": args.D, "--p-min": args.p_min,
+                     "--p-max": args.p_max})
+    if args.p_min < 0:
+        raise ConfigError(f"--p-min must be >= 0, got {args.p_min}")
     lams = _parse_floats(args.lambdas, "--lambdas")
-    rows = []
-    summary = {}
-    for lam in lams:
-        model = lambda_family(lam, d=3, alpha=2.5)
-        name = f"rcm_lambda={lam:g}"
-        z = spectra.zeta(model, p_grid, check_h=False)
-        rows += [(name, p, v) for p, v in zip(p_grid, z)]
-        slope, intercept = spectra.asymptote(model)
-        summary[name] = {
-            "h": slope,
-            "asymptote": [slope, intercept],
-            "delta": spectra.dim_delta(model),
-            "zeta3": float(spectra.zeta(model, 3.0, check_h=False)),
-        }
-    for name in spectra.REFERENCE_MODELS:
-        z = spectra.reference_zeta(name, p_grid, mu=args.mu, D=args.D)
-        rows += [(name, p, v) for p, v in zip(p_grid, z)]
+    try:
+        models = [lambda_family(lam, d=3, alpha=2.5) for lam in lams]
+    except ValueError as e:
+        raise ConfigError(str(e)) from None
+    names = [f"rcm_lambda={lam:g}" for lam in lams]
+    p_grid = np.arange(args.p_min, args.p_max + 1e-9, args.p_step)
+    curves = [spectra.zeta(model, p_grid, check_h=False) for model in models]
+    curves += [spectra.reference_zeta(name, p_grid, mu=args.mu, D=args.D)
+               for name in spectra.REFERENCE_MODELS]
+    names += spectra.REFERENCE_MODELS
     config = {"lambdas": lams, "mu": args.mu, "D": args.D,
               "p": [args.p_min, args.p_max, args.p_step]}
     _write_csv(args.out, _header(None, args.seed, config),
-               ["model_name", "p", "zeta"], rows)
+               {"model_name": np.repeat(names, len(p_grid)),
+                "p": np.tile(p_grid, len(names)),
+                "zeta": np.concatenate(curves)})
     if args.summary:
+        summary = {}
+        for name, model in zip(names, models):
+            h, intercept = spectra.asymptote(model)
+            summary[name] = {"h": h, "asymptote": [h, intercept],
+                             "delta": spectra.dim_delta(model),
+                             "zeta3": float(spectra.zeta(model, 3.0,
+                                                         check_h=False))}
         _write_json(args.summary, summary)
     return 0
 
 
 def cmd_solve(args) -> int:
     _require_positive({"--depth": args.depth})
+    _require_finite({"-x": args.x})
     model = _model_from_args(args)
     run = pullback(GeneralCoefficients.from_rcm(model), model.alpha, model.d,
                    depth=args.depth, seed=args.x)
-    a, b = run.band
-    residual = run.residual_max()
-    rows = [(g, lo, hi, mean, a, b, residual)
-            for g, lo, hi, mean in run.summary()]
+    columns = dict(zip(["generation", "q_min", "q_max", "q_mean"],
+                       zip(*run.summary())))
+    columns["band_lo"], columns["band_hi"] = run.band
+    columns["residual_max"] = run.residual_max()
     config = {"model": model.to_dict(), "depth": args.depth, "x": args.x}
-    _write_csv(args.out, _header(model, args.seed, config),
-               ["generation", "q_min", "q_max", "q_mean",
-                "band_lo", "band_hi", "residual_max"], rows)
+    _write_csv(args.out, _header(model, args.seed, config), columns)
     return 0
 
 
@@ -186,14 +192,14 @@ def cmd_dissipation(args) -> int:
     model = _model_from_args(args)
     band = None if args.band is None else _band_from_args(args, model)
     mu = dissipation.measure(model, args.n)
-    rows = [(args.n, s, lm) for s, lm in zip(mu.sigma, mu.log2_mass)]
     config = {"model": model.to_dict(), "n": args.n}
     header = _header(model, args.seed, config)
     if band is not None:
         lo, hi = band
-        header.append("# band=[%s,%s] mass_in_band=%s"
-                      % (_fmt(lo), _fmt(hi), _fmt(mu.mass_in(lo, hi))))
-    _write_csv(args.out, header, ["n", "sigma_atom", "log2_mass"], rows)
+        header.append(f"# band=[{_FLOAT % lo},{_FLOAT % hi}] "
+                      f"mass_in_band={_FLOAT % mu.mass_in(lo, hi)}")
+    _write_csv(args.out, header, {"n": args.n, "sigma_atom": mu.sigma,
+                                  "log2_mass": mu.log2_mass})
     return 0
 
 
@@ -218,13 +224,13 @@ def cmd_concentration(args) -> int:
     ns = _parse_ints(args.n_list, "--n-list")
     _require_positive({"--n-list entry": min(ns)})
     curve = dissipation.concentration_curve(model, band, ns)
-    rows = [(n, m, 2.0**t, pr, sr, curve.theoretical_rate)
-            for n, m, t, pr, sr in zip(curve.n, curve.mass_in, curve.log2_tail,
-                                       curve.point_rate, curve.slope_rate)]
     config = {"model": model.to_dict(), "band": list(band), "n_list": ns}
     _write_csv(args.out, _header(model, args.seed, config),
-               ["n", "mass_in_B", "tail", "point_rate", "slope_rate",
-                "theoretical_rate"], rows)
+               {"n": curve.n, "mass_in_B": curve.mass_in,
+                "tail": [2.0**t for t in curve.log2_tail],
+                "point_rate": curve.point_rate,
+                "slope_rate": curve.slope_rate,
+                "theoretical_rate": curve.theoretical_rate})
     return 0
 
 
@@ -236,11 +242,7 @@ def cmd_lln(args) -> int:
     rep = dissipation.lln_sample(model, args.n, args.samples, args.seed)
     config = {"model": model.to_dict(), "n": args.n, "samples": args.samples}
     _write_csv(args.out, _header(model, args.seed, config),
-               ["n", "samples", "sigma_mean", "sigma_std", "standard_error",
-                "ell_zero", "log_ratio_rate_mean", "log_ratio_rate_limit"],
-               [(rep.n, rep.samples, rep.sigma_mean, rep.sigma_std,
-                 rep.standard_error, rep.ell_zero, rep.log_ratio_rate_mean,
-                 rep.log_ratio_rate_limit)])
+               dataclasses.asdict(rep))
     return 0
 
 
@@ -272,14 +274,14 @@ def cmd_simulate(args) -> int:
     traj = dynamics.integrate(state, args.dt, steps,
                               record_every=args.record_every)
     u = dynamics.constant_values(solution, args.depth)
-    rows = []
-    for t, v in zip(traj.times, traj.states):
-        rows.append((t, float(v @ v), float(v[0]),
-                     float(((v - u) ** 2).sum()), traj.clamp_total))
     config = {"model": model.to_dict(), "depth": args.depth, "dt": args.dt,
               "t_end": args.t_end, "closure": args.closure, "init": args.init}
     _write_csv(args.out, _header(model, args.seed, config),
-               ["t", "energy", "v_root", "distance_to_u", "clamp_total"], rows)
+               {"t": traj.times,
+                "energy": [v @ v for v in traj.states],
+                "v_root": traj.states[:, 0],
+                "distance_to_u": ((traj.states - u) ** 2).sum(axis=1),
+                "clamp_total": traj.clamp_total})
     return 0
 
 
@@ -307,25 +309,20 @@ def cmd_structure(args) -> int:
     wf = field_mod.synthesize(solution, dim=model.d, depth=args.depth,
                               mother=args.mother)
     est = field_mod.structure_function(wf, ps, m_range=window)
-    rows = []
-    for i, p in enumerate(est.p):
-        for k, m in enumerate(est.m):
-            rows.append((p, m, 2.0 ** est.log2_S[i, k]))
     config = {"model": model.to_dict(), "depth": args.depth,
               "p_list": ps, "fit_window": list(est.fit_window),
               "mother": args.mother}
     _write_csv(args.out, _header(model, args.seed, config),
-               ["p", "m", "S_p"], rows)
+               {"p": np.repeat(est.p, len(est.m)),
+                "m": np.tile(est.m, len(est.p)),
+                "S_p": [2.0**x for x in est.log2_S.ravel()]})
     if args.summary:
-        payload = []
-        for i, p in enumerate(est.p):
-            formula = float(min(p, spectra.zeta_raw(model, float(p))))
-            zh = float(est.zeta_hat[i])
-            payload.append({"p": float(p), "zeta_hat": zh,
-                            "zeta_formula": formula,
-                            "rel_err": abs(zh - formula) / formula
-                            if formula else float("nan")})
-        _write_json(args.summary, payload)
+        formula = spectra.zeta(model, est.p, check_h=False)
+        _write_json(args.summary, [
+            {"p": p, "zeta_hat": zh, "zeta_formula": zf,
+             "rel_err": abs(zh - zf) / zf if zf else math.nan}
+            for p, zh, zf in zip(est.p.tolist(), est.zeta_hat.tolist(),
+                                 formula.tolist())])
     return 0
 
 
@@ -405,11 +402,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if hasattr(args, "dim") and hasattr(args, "alpha"):
-        _default_alpha(args)
     try:
         return args.func(args)
-    except (ConfigError, FileNotFoundError, KeyError, json.JSONDecodeError) as e:
+    except (ConfigError, ResourceLimitError, FileNotFoundError, KeyError,
+            json.JSONDecodeError) as e:
         print(f"configuration error: {e}", file=sys.stderr)
         return 2
     except (ValueError, ArithmeticError, RuntimeError) as e:

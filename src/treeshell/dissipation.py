@@ -31,7 +31,6 @@ __all__ = [
     "log2_F",
     "F_of",
     "sigma_of",
-    "Composition",
     "DissipationMeasure",
     "measure",
     "measure_from_enumeration",
@@ -77,26 +76,6 @@ def enumerate_log2_F(model: RcmModel, n: int,
 # ---------------------------------------------------------------------------
 # the composition lattice
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Composition:
-    """A point of the 1/n-lattice in the simplex over distinct values.
-
-    Integer counts are stored, never floats; counts[i] is how many ancestors
-    carry the i-th distinct coefficient value.
-    """
-
-    counts: tuple[int, ...]
-    n: int
-
-    def __post_init__(self):
-        if sum(self.counts) != self.n or any(c < 0 for c in self.counts):
-            raise ValueError("counts must be non-negative and sum to n")
-
-    @property
-    def frequencies(self) -> tuple[float, ...]:
-        return tuple(c / self.n for c in self.counts)
 
 
 def _compositions_matrix(n: int, parts: int) -> np.ndarray:
@@ -156,10 +135,6 @@ class DissipationMeasure:
         """log2 mu_n of the complement of the open interval (lo, hi)."""
         sel = (self.sigma > lo) & (self.sigma < hi)
         return log2sumexp2(self.log2_mass[~sel])
-
-    def compositions(self) -> list[Composition]:
-        return [Composition(tuple(int(c) for c in row), self.n)
-                for row in self.counts]
 
 
 def measure(model: RcmModel, n: int, max_atoms: int = 2**22) -> DissipationMeasure:

@@ -29,7 +29,7 @@ from typing import Iterable
 import numpy as np
 
 from .coefficients import RcmModel
-from .solution import ConstantSolution
+from .solution import ConstantSolution, ResourceLimitError
 from .tree import TreeIndex
 
 __all__ = [
@@ -94,6 +94,9 @@ class TruncatedState:
 
     @classmethod
     def zeros(cls, model: RcmModel, depth: int, closure: str = "zero"):
+        if model.N**depth > 2**26:
+            raise ResourceLimitError(
+                f"generation {depth} at N={model.N} exceeds {2**26} nodes")
         return cls(model, depth, np.zeros(_generation_start(model.N, depth + 1)),
                    closure)
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from .coefficients import log2sumexp2
 from .solution import ConstantSolution, ResourceLimitError
-from .spectra import holder_exponent, s0
+from .spectra import s0
 
 __all__ = [
     "WaveletField",
@@ -237,15 +237,11 @@ def besov_epsilon(solution: ConstantSolution, s: float, p: float,
     eps_n = 2**(ns) 2**(dn(1/2 - 1/p)) (sum_{|j|=n} |u_j|^p)**(1/p) collapses
     to f 2**q 2**((s - s0(p)) n); for p = inf the rate is s - h.
     """
+    if p <= 0:
+        raise ValueError("p must be positive or inf")
     m = solution.model
     n = np.arange(n_max + 1, dtype=float)
-    if math.isinf(p):
-        rate = s - holder_exponent(m)
-    else:
-        if p <= 0:
-            raise ValueError("p must be positive or inf")
-        rate = s - s0(m, p)
-    return m.forcing * 2.0**solution.q * np.exp2(rate * n)
+    return m.forcing * 2.0**solution.q * np.exp2((s - s0(m, p)) * n)
 
 
 @dataclass(frozen=True)

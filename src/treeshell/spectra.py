@@ -72,8 +72,7 @@ def s0(model: RcmModel, p: float) -> float:
 
 def holder_exponent(model: RcmModel) -> float:
     """The critical Holder exponent h = lim_p s0(p)."""
-    return ((model.alpha - model.d / 2) / 3
-            - 0.5 * (model.coeffs.ell_pos_inf() - model.ell(1.5)))
+    return s0(model, math.inf)
 
 
 def _warn_if_h_outside_unit(model: RcmModel) -> None:

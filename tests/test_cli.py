@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from treeshell.cli import main
+from treeshell.cli import _write_csv, main
 
 
 def run_cli(args, capsys):
@@ -67,6 +67,23 @@ class TestSpectraCommand:
         assert all(abs(v["zeta3"] - 1.0) <= 1e-12 for v in payload.values())
 
 
+    @pytest.mark.parametrize("extra", [["--mu", "nan"], ["--D", "nan"],
+                                       ["--lambdas", "nan"],
+                                       ["--p-min=-1"], ["--p-max", "nan"],
+                                       ["--p-max", "inf"]])
+    def test_rejects_bad_numbers_before_work(self, capsys, monkeypatch,
+                                             extra):
+        from treeshell import spectra
+
+        def fail(*args, **kwargs):
+            raise AssertionError("zeta ran before the config check")
+
+        monkeypatch.setattr(spectra, "zeta", fail)
+        monkeypatch.setattr(spectra, "reference_zeta", fail)
+        rc, out = run_cli(["spectra"] + extra, capsys)
+        assert rc == 2 and out == ""
+
+
 class TestSolveCommand:
     def test_summary_table(self, capsys):
         # seed inside [a, b] so the containment invariant applies to all rows
@@ -96,6 +113,19 @@ class TestSolveCommand:
                            "--alpha", "1.5", "--depth", "6"], capsys)
         assert rc == 0 and len(parse_csv(out)) == 7
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("x", ["nan", "inf", "-inf"])
+    def test_rejects_non_finite_seed_before_work(self, capsys, monkeypatch,
+                                                 x):
+        from treeshell import cli
+
+        def fail(*args, **kwargs):
+            raise AssertionError("pullback ran before the config check")
+
+        monkeypatch.setattr(cli, "pullback", fail)
+        rc, out = run_cli(["solve", "--deltas", "1,2", "--dim", "1",
+                           "--alpha", "1.5", "--depth", "4", f"-x={x}"], capsys)
+        assert rc == 2 and out == ""
 
 
 class TestDissipationCommands:
@@ -143,6 +173,16 @@ class TestDissipationCommands:
         row = parse_csv(out)[0]
         assert abs(float(row["sigma_mean"]) - 0.5) \
             <= 4 * float(row["standard_error"])
+
+    def test_lln_header_is_the_report_fields(self, capsys):
+        rc, out = run_cli(["lln", "--deltas", "1,2", "--dim", "1",
+                           "--alpha", "1.5", "--n", "10", "--samples", "5"],
+                          capsys)
+        assert rc == 0
+        lines = [ln for ln in out.splitlines() if not ln.startswith("#")]
+        assert lines[0] == ("n,samples,sigma_mean,sigma_std,standard_error,"
+                            "ell_zero,log_ratio_rate_mean,log_ratio_rate_limit")
+        assert len(lines) == 2
 
 
 class TestSimulateCommand:
@@ -324,10 +364,30 @@ class TestCliContract:
         assert rc == 2 and out == ""
 
     def test_numeric_error_exit_code(self, capsys):
-        # lattice budget blow-up: 8 distinct deltas at n = 500
-        rc, _ = run_cli(["dissipation", "--dim", "3", "--alpha", "2.5",
-                         "--lambda", "0.2", "--n", "500"], capsys)
-        assert rc == 1
+        # dt = 1 is far beyond the stability limit: the state blows up
+        with np.errstate(all="ignore"):
+            rc, out = run_cli(["simulate", "--deltas", "1,2", "--dim", "1",
+                               "--alpha", "1.5", "--depth", "3", "--dt", "1",
+                               "--t-end", "50", "--init", "perturbed:1"],
+                              capsys)
+        assert rc == 1 and out == ""
+
+    @pytest.mark.parametrize("argv", [
+        # lattice budget: 8 distinct deltas at n = 500 and at n = 100
+        "dissipation --dim 3 --alpha 2.5 --lambda 0.2 --n 500",
+        "dissipation --dim 3 --lambda 0.2 --n 100",
+        "solve --deltas 1,2 --dim 1 --alpha 1.5 --depth 40",
+        "structure --deltas 1,2 --dim 1 --alpha 1.5 --depth 30",
+        "simulate --deltas 1,2 --dim 1 --alpha 1.5 --depth 30",
+        "simulate --lambda 0.2 --dim 3 --depth 10 --init zero"])
+    def test_over_budget_sizes_are_config_errors(self, capsys, monkeypatch,
+                                                 argv):
+        def fail(*args, **kwargs):
+            raise AssertionError("allocated before the budget check")
+
+        monkeypatch.setattr(np, "zeros", fail)
+        rc, out = run_cli(argv.split(), capsys)
+        assert rc == 2 and out == ""
 
     def test_config_file_round_trip(self, capsys, tmp_path, d12):
         cfg = tmp_path / "model.json"
@@ -374,3 +434,21 @@ class TestCliContract:
         rows = parse_csv(out)
         # the printed q values parse back to the exact double
         assert float(rows[0]["q_mean"]) == fixed_point_q(d12)
+
+
+class TestCsvWriter:
+    def test_columns_format_by_type_and_scalars_repeat(self, capsys, tmp_path):
+        columns = {"n": np.arange(1, 4),
+                   "x": np.array([0.1, -0.0, np.inf]),
+                   "name": ["a", "b=1", "c"],
+                   "k": 7,
+                   "c": 1 / 3}
+        want = ("# one\n# two\nn,x,name,k,c\n"
+                "1,0.10000000000000001,a,7,0.33333333333333331\n"
+                "2,-0,b=1,7,0.33333333333333331\n"
+                "3,inf,c,7,0.33333333333333331\n")
+        path = tmp_path / "t.csv"
+        _write_csv(str(path), ["# one", "# two"], columns)
+        assert path.read_text() == want
+        _write_csv(None, ["# one", "# two"], columns)
+        assert capsys.readouterr().out == want

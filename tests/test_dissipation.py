@@ -161,14 +161,6 @@ class TestMeasure:
         assert np.array_equal(a.counts, b.counts)
         assert np.abs(a.log2_mass - b.log2_mass).max() <= 1e-12
 
-    def test_composition_validation(self):
-        comp = dp.Composition((2, 3), 5)
-        assert comp.frequencies == (0.4, 0.6)
-        with pytest.raises(ValueError):
-            dp.Composition((2, 2), 5)
-        with pytest.raises(ValueError):
-            dp.Composition((-1, 6), 5)
-
     def test_interval_covering_range_rejected(self, d12):
         with pytest.raises(ValueError):
             dp.theoretical_tail_rate(d12, -1.0, 2.0)

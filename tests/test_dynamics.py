@@ -116,6 +116,16 @@ class TestFlatLayout:
         dyn.integrate(st, 1e-4, 25)
         assert len(calls) == 1
 
+    def test_zeros_checks_the_budget_before_allocating(self, monkeypatch):
+        from treeshell import ResourceLimitError, lambda_family
+
+        def fail(*args, **kwargs):
+            raise AssertionError("allocated before the budget check")
+
+        monkeypatch.setattr(np, "zeros", fail)
+        with pytest.raises(ResourceLimitError):
+            dyn.TruncatedState.zeros(lambda_family(0.2, d=3), 10)
+
     def test_value_of_reads_the_heap_index(self, rng):
         m = RcmModel.create(2, 2.0, [1.0, 2.0, 0.5, 1.5])
         vals = rng.uniform(0.0, 1.0, 21)
