@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 
 from .coefficients import (
     GeneralCoefficients,
-    ModelParams,
     RcmModel,
     RepeatedCoefficients,
     lambda_family,
@@ -34,7 +33,6 @@ __all__ = [
     "DyadicCube",
     "path_of_point",
     "point_path",
-    "ModelParams",
     "RepeatedCoefficients",
     "GeneralCoefficients",
     "RcmModel",

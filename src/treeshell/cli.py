@@ -141,6 +141,8 @@ def cmd_spectra(args) -> int:
                      "--p-max": args.p_max})
     if args.p_min < 0:
         raise ConfigError(f"--p-min must be >= 0, got {args.p_min}")
+    if args.p_min > args.p_max:
+        raise ConfigError(f"--p-min {args.p_min} is above --p-max {args.p_max}")
     lams = _parse_floats(args.lambdas, "--lambdas")
     try:
         models = [lambda_family(lam, d=3, alpha=2.5) for lam in lams]
@@ -174,7 +176,7 @@ def cmd_solve(args) -> int:
     _require_positive({"--depth": args.depth})
     _require_finite({"-x": args.x})
     model = _model_from_args(args)
-    run = pullback(GeneralCoefficients.from_rcm(model), model.alpha, model.d,
+    run = pullback(GeneralCoefficients.from_rcm(model), model.alpha,
                    depth=args.depth, seed=args.x)
     columns = dict(zip(["generation", "q_min", "q_max", "q_mean"],
                        zip(*run.summary())))
@@ -223,6 +225,8 @@ def cmd_concentration(args) -> int:
     band = _band_from_args(args, model)
     ns = _parse_ints(args.n_list, "--n-list")
     _require_positive({"--n-list entry": min(ns)})
+    if len(set(ns)) < len(ns):
+        raise ConfigError(f"--n-list repeats an entry: {args.n_list!r}")
     curve = dissipation.concentration_curve(model, band, ns)
     config = {"model": model.to_dict(), "band": list(band), "n_list": ns}
     _write_csv(args.out, _header(model, args.seed, config),
@@ -251,6 +255,7 @@ def cmd_simulate(args) -> int:
 
     _require_positive({"--dt": args.dt, "--t-end": args.t_end,
                        "--record-every": args.record_every})
+    _require_finite({"--t-end / --dt": args.t_end / args.dt})
     if args.depth < 0:
         raise ConfigError(f"--depth must be >= 0, got {args.depth}")
     scale = 1.0
@@ -306,8 +311,7 @@ def cmd_structure(args) -> int:
         raise ConfigError("structure estimates increments of a d = 1 field, "
                           f"got d = {model.d}")
     solution = ConstantSolution(model)
-    wf = field_mod.synthesize(solution, dim=model.d, depth=args.depth,
-                              mother=args.mother)
+    wf = field_mod.synthesize(solution, depth=args.depth, mother=args.mother)
     est = field_mod.structure_function(wf, ps, m_range=window)
     config = {"model": model.to_dict(), "depth": args.depth,
               "p_list": ps, "fit_window": list(est.fit_window),

@@ -26,7 +26,6 @@ import numpy as np
 from .tree import TreeIndex
 
 __all__ = [
-    "ModelParams",
     "RepeatedCoefficients",
     "GeneralCoefficients",
     "RcmModel",
@@ -38,6 +37,8 @@ __all__ = [
 # ell(s) switches to the exact s=0 formula below this threshold; the
 # singularity at s=0 is removable.
 _ELL_ZERO_SWITCH = 1e-8
+# phi_inverse bisects down to a gamma bracket of this width.
+_PHI_INVERSE_TOL = 1e-12
 
 
 def log2sumexp2(x: np.ndarray, axis: int | None = None):
@@ -53,27 +54,6 @@ def log2sumexp2(x: np.ndarray, axis: int | None = None):
         return float(m + np.log2(np.exp2(x - m).sum()))
     m = x.max(axis=axis, keepdims=True)
     return np.squeeze(m, axis) + np.log2(np.exp2(x - m).sum(axis=axis))
-
-
-@dataclass(frozen=True)
-class ModelParams:
-    """Global scalar parameters: dimension d, cascade exponent, forcing."""
-
-    d: int
-    alpha: float
-    forcing: float = 1.0
-
-    def __post_init__(self):
-        if self.d < 1 or int(self.d) != self.d:
-            raise ValueError("dimension d must be a positive integer")
-        if not 0 < self.alpha < math.inf:
-            raise ValueError("alpha must be positive and finite")
-        if not 0 < self.forcing < math.inf:
-            raise ValueError("forcing must be positive and finite")
-
-    @property
-    def N(self) -> int:
-        return 2**self.d
 
 
 @dataclass(frozen=True)
@@ -153,7 +133,7 @@ class RepeatedCoefficients:
         m = w @ self.log2_deltas
         return float(w @ (self.log2_deltas - m) ** 2)
 
-    def phi_inverse(self, a: float, tol: float = 1e-12) -> float:
+    def phi_inverse(self, a: float) -> float:
         """The gamma with phi(gamma) = a, by bisection on a grown bracket.
 
         Requires a non-flat multiset and a strictly inside the open interval
@@ -170,10 +150,10 @@ class RepeatedCoefficients:
             lo *= 2.0
         while self.phi(hi) <= a:
             hi *= 2.0
-        while hi - lo > tol:
+        while hi - lo > _PHI_INVERSE_TOL:
             mid = 0.5 * (lo + hi)
             if not lo < mid < hi:
-                break  # the bracket is one ulp wide: |gamma| is too large for tol
+                break  # the bracket is one ulp wide: |gamma| is too large
             if self.phi(mid) < a:
                 lo = mid
             else:
@@ -185,20 +165,21 @@ class RepeatedCoefficients:
 class GeneralCoefficients:
     """A deterministic bounded coefficient map on the whole tree.
 
-    ``d_of`` maps a :class:`TreeIndex` to its positive weight, with weight 1
-    at the root.  The declared band [log2_min, log2_max] is checked on every
-    access; the band width L is the constant entering the generic existence
-    bound.  An optional vectorised hook serves whole generation rows during
-    the pull-back construction.
+    ``log2_of(generation, codes)`` returns the log2 weights of the
+    generation-g nodes with the given packed codes, as one array; the root
+    has weight 1.  Every row is checked against the declared band
+    [log2_min, log2_max]; the band width L is the constant entering the
+    generic existence bound.
     """
 
     arity: int
-    d_of: Callable[[TreeIndex], float]
+    log2_of: Callable[[int, np.ndarray], np.ndarray]
     log2_min: float
     log2_max: float
-    row_log2_hook: Callable[[int, np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
+        if self.arity < 2 or self.arity & (self.arity - 1):
+            raise ValueError(f"arity must be a power of two >= 2, got {self.arity}")
         if not self.log2_min <= self.log2_max:
             raise ValueError("empty declared band")
         if not math.isfinite(self.log2_min) or not math.isfinite(self.log2_max):
@@ -208,88 +189,60 @@ class GeneralCoefficients:
     def bound_L(self) -> float:
         return self.log2_max - self.log2_min
 
-    def _check(self, log2_values: np.ndarray) -> np.ndarray:
-        eps = 1e-12
-        if np.any(log2_values < self.log2_min - eps) or np.any(
-                log2_values > self.log2_max + eps):
-            raise ValueError("coefficient outside its declared log2 band")
-        return log2_values
-
-    def value(self, j: TreeIndex) -> float:
-        if j.is_root:
-            return 1.0
-        v = float(self.d_of(j))
-        if not v > 0:
-            raise ValueError("coefficients must be positive")
-        self._check(np.array([math.log2(v)]))
-        return v
-
     def row_log2(self, generation: int, codes: np.ndarray) -> np.ndarray:
         """log2 coefficients for the nodes with the given packed codes."""
         if generation == 0:
             return np.zeros(len(codes))
-        if self.row_log2_hook is not None:
-            return self._check(self.row_log2_hook(generation, codes))
-        vals = np.empty(len(codes))
-        for i, c in enumerate(codes):
-            vals[i] = math.log2(
-                float(self.d_of(TreeIndex(self.arity, generation, int(c)))))
-        return self._check(vals)
+        log2_values = np.asarray(self.log2_of(generation, codes), dtype=float)
+        eps = 1e-12
+        if not np.all((log2_values >= self.log2_min - eps)
+                      & (log2_values <= self.log2_max + eps)):
+            raise ValueError("coefficient outside its declared log2 band")
+        return log2_values
 
     @classmethod
     def from_rcm(cls, model: "RcmModel") -> "GeneralCoefficients":
         """The RCM as a general map: the weight of a node is the delta of
         its last label."""
         log2d = model.coeffs.log2_deltas
-
-        def d_of(j: TreeIndex) -> float:
-            return model.coeffs.deltas[(j.code % model.N)]
-
-        def row_hook(generation: int, codes: np.ndarray) -> np.ndarray:
-            return log2d[codes % model.N]
-
-        return cls(model.N, d_of, float(log2d.min()), float(log2d.max()),
-                   row_log2_hook=row_hook)
+        return cls(model.N, lambda generation, codes: log2d[codes % model.N],
+                   float(log2d.min()), float(log2d.max()))
 
 
 @dataclass(frozen=True)
 class RcmModel:
-    """Dimension, exponent, forcing and the repeated coefficient multiset.
+    """Dimension d, exponent alpha, the repeated coefficient multiset and the
+    forcing f.
 
     The single source of truth for every spectrum formula.  The node
     coefficient of a non-root node is the delta of its last label, so the
     interaction coefficient is ``c_j = delta_last(j) * 2**(alpha |j|)``.
     """
 
-    params: ModelParams
+    d: int
+    alpha: float
     coeffs: RepeatedCoefficients
+    forcing: float = 1.0
 
     def __post_init__(self):
-        if self.coeffs.size != self.params.N:
+        if self.d < 1 or int(self.d) != self.d:
+            raise ValueError("dimension d must be a positive integer")
+        if not 0 < self.alpha < math.inf:
+            raise ValueError("alpha must be positive and finite")
+        if not 0 < self.forcing < math.inf:
+            raise ValueError("forcing must be positive and finite")
+        if self.coeffs.size != self.N:
             raise ValueError(
-                f"need N = {self.params.N} coefficients, got {self.coeffs.size}")
+                f"need N = {self.N} coefficients, got {self.coeffs.size}")
 
     @classmethod
     def create(cls, d: int, alpha: float, deltas: Sequence[float],
                forcing: float = 1.0) -> "RcmModel":
-        return cls(ModelParams(d, alpha, forcing), RepeatedCoefficients(deltas))
-
-    # convenience proxies used throughout the package
-    @property
-    def d(self) -> int:
-        return self.params.d
+        return cls(d, alpha, RepeatedCoefficients(deltas), forcing)
 
     @property
     def N(self) -> int:
-        return self.params.N
-
-    @property
-    def alpha(self) -> float:
-        return self.params.alpha
-
-    @property
-    def forcing(self) -> float:
-        return self.params.forcing
+        return 2**self.d
 
     @property
     def deltas(self) -> np.ndarray:

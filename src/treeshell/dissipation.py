@@ -23,7 +23,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .coefficients import RcmModel, log2sumexp2
-from .solution import ResourceLimitError
+from .solution import MAX_NODES, ResourceLimitError
 from .spectra import cascade_rate, dim_D, rate_R
 from .tree import TreeIndex
 
@@ -45,6 +45,9 @@ __all__ = [
 ]
 
 _LN2 = math.log(2.0)
+# Budgets: atoms of the composition lattice, nodes visited by the oracle.
+_MAX_ATOMS = 2**22
+_ENUMERATION_NODES = 2**24
 
 
 def log2_F(model: RcmModel, j: TreeIndex) -> float:
@@ -63,10 +66,9 @@ def sigma_of(model: RcmModel, j: TreeIndex) -> float:
     return model.path_log2_sum(j) / j.generation
 
 
-def enumerate_log2_F(model: RcmModel, n: int,
-                     max_nodes: int = 2**26) -> np.ndarray:
+def enumerate_log2_F(model: RcmModel, n: int) -> np.ndarray:
     """log2 F over all generation-n nodes, indexed by packed code."""
-    if model.N**n > max_nodes:
+    if model.N**n > MAX_NODES:
         raise ResourceLimitError(f"{model.N}**{n} nodes exceed the budget")
     for row in model.path_sum_rows(0.0, cascade_rate(model), 1.5, n):
         pass  # keep only the deepest row
@@ -137,16 +139,16 @@ class DissipationMeasure:
         return log2sumexp2(self.log2_mass[~sel])
 
 
-def measure(model: RcmModel, n: int, max_atoms: int = 2**22) -> DissipationMeasure:
+def measure(model: RcmModel, n: int) -> DissipationMeasure:
     """Exact mu_n on the distinct-value composition lattice."""
     if n < 1:
         raise ValueError("n must be >= 1")
     values, mults = model.coeffs.distinct()
     parts = len(values)
     n_atoms = math.comb(n + parts - 1, parts - 1)
-    if n_atoms > max_atoms:
+    if n_atoms > _MAX_ATOMS:
         raise ResourceLimitError(
-            f"lattice with {n_atoms} atoms exceeds the {max_atoms} budget")
+            f"lattice with {n_atoms} atoms exceeds the {_MAX_ATOMS} budget")
     counts = _compositions_matrix(n, parts)
     log2_vals = np.log2(values)
     sigma = (counts @ log2_vals) / n
@@ -156,14 +158,13 @@ def measure(model: RcmModel, n: int, max_atoms: int = 2**22) -> DissipationMeasu
                               log2_node_f, log2_count + log2_node_f)
 
 
-def measure_from_enumeration(model: RcmModel, n: int,
-                             max_nodes: int = 2**24) -> DissipationMeasure:
+def measure_from_enumeration(model: RcmModel, n: int) -> DissipationMeasure:
     """Brute-force mu_n by visiting every generation-n node.
 
     Oracle counterpart of :func:`measure`: same atom layout, but counts,
     sigmas and masses are accumulated node by node.
     """
-    if model.N**n > max_nodes:
+    if model.N**n > _ENUMERATION_NODES:
         raise ResourceLimitError(f"{model.N}**{n} nodes exceed the budget")
     values, mults = model.coeffs.distinct()
     parts = len(values)
@@ -176,7 +177,7 @@ def measure_from_enumeration(model: RcmModel, n: int,
         idx = np.tile(label_value_idx, len(counts) // model.N)
         counts[np.arange(len(counts)), idx] += 1
 
-    log2_f_nodes = enumerate_log2_F(model, n, max_nodes)
+    log2_f_nodes = enumerate_log2_F(model, n)
     # lay the atoms out exactly like measure() so the two agree entry-wise
     atom_counts = _compositions_matrix(n, parts)
     atom_index = {tuple(row): i for i, row in enumerate(atom_counts)}
@@ -254,15 +255,16 @@ class ConcentrationCurve:
 
 
 def concentration_curve(model: RcmModel, interval: tuple[float, float],
-                        n_list: Sequence[int],
-                        max_atoms: int = 2**22) -> ConcentrationCurve:
+                        n_list: Sequence[int]) -> ConcentrationCurve:
     lo, hi = interval
     if not lo < hi:
         raise ValueError("empty interval")
     ns = np.asarray(sorted(n_list), dtype=int)
+    if np.any(ns[1:] == ns[:-1]):
+        raise ValueError(f"repeated generation in {list(n_list)}")
     masses, tails = [], []
     for n in ns:
-        mu = measure(model, int(n), max_atoms)
+        mu = measure(model, int(n))
         tails.append(mu.tail_outside(lo, hi))
         masses.append(mu.mass_in(lo, hi))
     tails_arr = np.asarray(tails)

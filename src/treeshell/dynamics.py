@@ -29,7 +29,7 @@ from typing import Iterable
 import numpy as np
 
 from .coefficients import RcmModel
-from .solution import ConstantSolution, ResourceLimitError
+from .solution import MAX_NODES, ConstantSolution, ResourceLimitError
 from .tree import TreeIndex
 
 __all__ = [
@@ -94,9 +94,9 @@ class TruncatedState:
 
     @classmethod
     def zeros(cls, model: RcmModel, depth: int, closure: str = "zero"):
-        if model.N**depth > 2**26:
+        if model.N**depth > MAX_NODES:
             raise ResourceLimitError(
-                f"generation {depth} at N={model.N} exceeds {2**26} nodes")
+                f"generation {depth} at N={model.N} exceeds {MAX_NODES} nodes")
         return cls(model, depth, np.zeros(_generation_start(model.N, depth + 1)),
                    closure)
 
@@ -193,11 +193,17 @@ def integrate(state: TruncatedState, dt: float, steps: int,
               max_clamp_rate: float | None = 1e-8) -> Trajectory:
     """Advance `steps` RK4 steps, recording every `record_every`-th state.
 
-    The exact dynamics cannot cross zero, so clamping should only mop up
-    rounding noise; a run whose clamped mass per unit time exceeds
-    max_clamp_rate times the state scale is rejected (pass None to keep
-    such a run anyway).
+    The recorded trajectory must fit the node budget; that is checked
+    before the first step.  The exact dynamics cannot cross zero, so
+    clamping should only mop up rounding noise; a run whose clamped mass
+    per unit time exceeds max_clamp_rate times the state scale is rejected
+    (pass None to keep such a run anyway).
     """
+    recorded = (steps // record_every + 1) * len(state.values)
+    if recorded > MAX_NODES:
+        raise ResourceLimitError(
+            f"{steps} steps recorded every {record_every} keep {recorded} "
+            f"values, over the {MAX_NODES} budget")
     system = _system(state.model, state.depth, state.closure)
     times = [state.t]
     records = [state.values.copy()]
@@ -235,18 +241,16 @@ class EnergyBalance:
     max_relative_residual: float
 
 
-def energy_balance(traj: Trajectory, subtree: Iterable[TreeIndex],
-                   stencil: int = 5) -> EnergyBalance:
+def energy_balance(traj: Trajectory,
+                   subtree: Iterable[TreeIndex]) -> EnergyBalance:
     """Check d/dt sum_{j in T} v_j^2 against the flux formula along a run.
 
-    The derivative is taken by a centered finite difference on the recorded
-    grid (3- or 5-point stencil; 5 keeps the differencing error at
-    O(dt^4), far below the model identity being tested).  T must stay
-    within depth-1 so its boundary is fully represented; under the zero
-    closure a T touching the truncation generation is flagged.
+    The derivative is taken by the centered 5-point finite difference on
+    the recorded grid, whose O(dt^4) error stays far below the model
+    identity being tested.  T must stay within depth-1 so its boundary is
+    fully represented; under the zero closure a T touching the truncation
+    generation is flagged.
     """
-    if stencil not in (3, 5):
-        raise ValueError("stencil must be 3 or 5")
     # dissipation loads scipy; keep it off the import path of this module
     from .dissipation import flux_terms
 
@@ -265,14 +269,9 @@ def energy_balance(traj: Trajectory, subtree: Iterable[TreeIndex],
     inflow, outflow = fluxes.input_term, fluxes.boundary_total
     flux = inflow - outflow
 
-    dt = traj.dt
-    if stencil == 3:
-        dE = (energy[2:] - energy[:-2]) / (2 * dt)
-        inner = slice(1, -1)
-    else:
-        dE = (-energy[4:] + 8 * energy[3:-1] - 8 * energy[1:-3] + energy[:-4]) \
-            / (12 * dt)
-        inner = slice(2, -2)
+    dE = (-energy[4:] + 8 * energy[3:-1] - 8 * energy[1:-3] + energy[:-4]) \
+        / (12 * traj.dt)
+    inner = slice(2, -2)
     res = np.abs(dE - flux[inner])
     # normalise by the gross throughput: the net flux vanishes at equilibrium
     scale = max(float((np.abs(inflow) + np.abs(outflow)).max()), 1e-300)

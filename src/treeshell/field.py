@@ -40,6 +40,8 @@ __all__ = [
 ]
 
 MOTHERS = ("haar", "hat")
+# Budget on the synthesis grid.
+_MAX_CELLS = 2**26
 
 
 @dataclass(frozen=True)
@@ -47,10 +49,13 @@ class WaveletField:
     """Grid samples of the recomposed constant solution."""
 
     solution: ConstantSolution
-    dim: int
     depth: int                 # generations 0..depth-1 synthesized
     mother: str
     grid: np.ndarray           # shape (2**depth,) * dim, cell-center samples
+
+    @property
+    def dim(self) -> int:
+        return self.solution.model.d
 
     @property
     def cells(self) -> int:
@@ -81,10 +86,10 @@ def _mother_pattern(dim: int, block: int, mother: str) -> np.ndarray:
     return out
 
 
-def synthesize(solution: ConstantSolution, dim: int | None = None,
-               depth: int = 16, mother: str = "haar",
-               max_cells: int = 2**26) -> WaveletField:
-    """Sample sum_{|j| < depth} u_j psi_j on the level-`depth` cell grid.
+def synthesize(solution: ConstantSolution, depth: int = 16,
+               mother: str = "haar") -> WaveletField:
+    """Sample sum_{|j| < depth} u_j psi_j on the level-`depth` cell grid of
+    the model's d-dimensional unit cube.
 
     The per-generation pass reshapes the grid so that axis 2a indexes the
     generation-g cubes along axis a and axis 2a+1 the cells inside; node
@@ -92,15 +97,12 @@ def synthesize(solution: ConstantSolution, dim: int | None = None,
     O(depth * cells).
     """
     model = solution.model
-    if dim is None:
-        dim = model.d
-    if dim != model.d:
-        raise ValueError(f"model dimension is {model.d}, requested {dim}")
+    dim = model.d
     if mother not in MOTHERS:
         raise ValueError(f"mother must be one of {MOTHERS}")
     cells = (2**depth) ** dim
-    if cells > max_cells:
-        raise ResourceLimitError(f"{cells} cells exceed the {max_cells} budget")
+    if cells > _MAX_CELLS:
+        raise ResourceLimitError(f"{cells} cells exceed the {_MAX_CELLS} budget")
 
     side = 2**depth
     grid = np.zeros((side,) * dim)
@@ -135,7 +137,7 @@ def synthesize(solution: ConstantSolution, dim: int | None = None,
             vals_e = np.expand_dims(vals_e, 2 * a + 1)
             fact_e = np.expand_dims(fact_e, 2 * a)
         vals = (vals_e * fact_e).reshape((2 ** (g + 1),) * dim)
-    return WaveletField(solution, dim, depth, mother, grid)
+    return WaveletField(solution, depth, mother, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -166,15 +168,13 @@ def fit_window(depth: int, m_range: tuple[int, int] | None = None
 
 
 def structure_function(field: WaveletField, p_grid,
-                       m_range: tuple[int, int] | None = None,
-                       pairs: int | None = None,
-                       seed: int = 0) -> StructureFunctionEstimate:
+                       m_range: tuple[int, int] | None = None
+                       ) -> StructureFunctionEstimate:
     """S_p(2**-m) tables and fitted exponents for a one-dimensional field.
 
     The default fit window is m in [3, depth - 4]: the upper end avoids the
-    synthesis cutoff, the lower end the O(1) outer scale.  `pairs` switches
-    to a Monte Carlo subsample of that many increment pairs per scale
-    (full-grid averages otherwise).
+    synthesis cutoff, the lower end the O(1) outer scale.  Each S_p is the
+    mean over every increment pair of the grid at that scale.
     """
     if field.dim != 1:
         raise ValueError("the two-point increment average is defined for d = 1")
@@ -183,14 +183,11 @@ def structure_function(field: WaveletField, p_grid,
 
     p_arr = np.atleast_1d(np.asarray(p_grid, dtype=float))
     ms = np.arange(m_lo, m_hi + 1)
-    rng = np.random.default_rng(seed)
     grid = field.grid
     log2_S = np.full((len(p_arr), len(ms)), -np.inf)
     for k, m in enumerate(ms):
         off = 2 ** (M - int(m))
         diffs = np.abs(grid[off:] - grid[:-off])
-        if pairs is not None and pairs < len(diffs):
-            diffs = diffs[rng.integers(0, len(diffs), size=pairs)]
         for i, p in enumerate(p_arr):
             s = float(np.mean(diffs**p))
             log2_S[i, k] = math.log2(s) if s > 0 else -math.inf
@@ -216,14 +213,15 @@ def structure_function(field: WaveletField, p_grid,
 # ---------------------------------------------------------------------------
 
 
-def xi_from_generation_sums(solution: ConstantSolution, p: float,
-                            n_lo: int = 10, n_hi: int = 14) -> float:
+def xi_from_generation_sums(solution: ConstantSolution, p: float) -> float:
     """xi estimated from node sums: d - pd/2 - slope of log2 sum |u_j|^p.
 
-    The per-generation sums are evaluated by brute-force enumeration; their
-    ratio is exactly geometric for the RCM, so consecutive generations give
-    the slope of the closed form ``spectra.zeta_raw`` to rounding accuracy.
+    The per-generation sums at generations 10 and 14 are evaluated by
+    brute-force enumeration; their ratio is exactly geometric for the RCM,
+    so they give the slope of the closed form ``spectra.zeta_raw`` to
+    rounding accuracy.
     """
+    n_lo, n_hi = 10, 14
     m = solution.model
     log2_sums = [log2sumexp2(p * solution.log2_u_rows(n)[n]) for n in (n_lo, n_hi)]
     slope = (log2_sums[1] - log2_sums[0]) / (n_hi - n_lo)

@@ -39,6 +39,13 @@ class ResourceLimitError(RuntimeError):
     """An enumeration would exceed the configured memory budget."""
 
 
+# Budget on the values one array of node data may hold: a generation row
+# (log2_u_rows, enumerate_log2_F), a truncated state, a recorded trajectory.
+MAX_NODES = 2**26
+# The pull-back keeps every row, so its deepest row gets a smaller budget.
+_PULLBACK_NODES = 2**24
+
+
 @dataclass(frozen=True)
 class ConstantSolution:
     """The unique finite-energy constant solution of an RCM."""
@@ -60,12 +67,12 @@ class ConstantSolution:
     def u(self, j: TreeIndex) -> float:
         return 2.0 ** self.log2_u(j)
 
-    def log2_u_rows(self, depth: int, max_nodes: int = 2**26) -> list[np.ndarray]:
+    def log2_u_rows(self, depth: int) -> list[np.ndarray]:
         """log2 u row arrays for generations 0..depth."""
         model = self.model
-        if model.N**depth > max_nodes:
+        if model.N**depth > MAX_NODES:
             raise ResourceLimitError(
-                f"generation {depth} at N={model.N} exceeds {max_nodes} nodes")
+                f"generation {depth} at N={model.N} exceeds {MAX_NODES} nodes")
         return list(model.path_sum_rows(math.log2(model.forcing) + self.q,
                                         self.q, 0.5, depth))
 
@@ -130,7 +137,6 @@ class PullbackRun:
 
     coefficients: GeneralCoefficients
     alpha: float
-    dim: int
     depth: int
     seed: float
     rows: list[np.ndarray]
@@ -163,17 +169,18 @@ def _pull_row(coefficients: GeneralCoefficients, alpha: float, g: int,
     return -0.5 * alpha - 0.5 * log2sumexp2(terms, axis=1)
 
 
-def pullback_band(coefficients: GeneralCoefficients, alpha: float,
-                  dim: int) -> tuple[float, float]:
-    """The invariant interval [a, b] of the backward recursion."""
+def pullback_band(coefficients: GeneralCoefficients,
+                  alpha: float) -> tuple[float, float]:
+    """The invariant interval [a, b] of the backward recursion; the spatial
+    dimension is log2 of the arity."""
     s, t = coefficients.log2_min, coefficients.log2_max
+    dim = coefficients.arity.bit_length() - 1
     base = -(alpha + dim) / 3.0
     return base - t + 0.5 * s, base - s + 0.5 * t
 
 
-def pullback(coefficients: GeneralCoefficients, alpha: float, dim: int,
-             depth: int, seed: float = 0.0,
-             max_nodes: int = 2**24) -> PullbackRun:
+def pullback(coefficients: GeneralCoefficients, alpha: float, depth: int,
+             seed: float = 0.0) -> PullbackRun:
     """Run the backward recursion from constant seed data at generation depth.
 
     Rows are produced children-first; each parent only reads its own N
@@ -183,17 +190,17 @@ def pullback(coefficients: GeneralCoefficients, alpha: float, dim: int,
     if depth < 1:
         raise ValueError("depth must be >= 1")
     arity = coefficients.arity
-    if arity**depth > max_nodes:
+    if arity**depth > _PULLBACK_NODES:
         raise ResourceLimitError(
-            f"depth {depth} at N={arity} exceeds the {max_nodes}-node budget")
+            f"depth {depth} at N={arity} exceeds the {_PULLBACK_NODES}-node budget")
 
     rows: list[np.ndarray] = [np.empty(0)] * (depth + 1)
     rows[depth] = np.full(arity**depth, float(seed))
     for g in range(depth - 1, -1, -1):
         rows[g] = _pull_row(coefficients, alpha, g, rows[g + 1])
 
-    return PullbackRun(coefficients, alpha, dim, depth, float(seed), rows,
-                       pullback_band(coefficients, alpha, dim))
+    return PullbackRun(coefficients, alpha, depth, float(seed), rows,
+                       pullback_band(coefficients, alpha))
 
 
 # ---------------------------------------------------------------------------
@@ -230,8 +237,9 @@ class DivergenceWitness:
         bound = np.exp2(np.maximum(n - 1, 0).astype(float)) * self.eps0
         return bool(np.all(self.partial_sums[even] >= bound[even] - 1e-9))
 
-    def violates_every_hs(self, growth_base: float = 1.5) -> bool:
-        """Check u'_{j_n} >= 2**(lambda**n) numerically for even n.
+    def violates_every_hs(self) -> bool:
+        """Check u'_{j_n} >= 2**(lambda**n) numerically for even n, with
+        lambda = 3/2 (any base in (1, 2) would do).
 
         The double-exponential wins over the chain's linear decay once
         2**n * eps0 passes lambda**n; the crossover generation depends on
@@ -240,8 +248,7 @@ class DivergenceWitness:
         """
         if self.eps0 == 0:
             return False
-        if not 1.0 < growth_base < 2.0:
-            raise ValueError("growth base must lie in (1, 2)")
+        growth_base = 1.5
         # 2**n eps0 >= lambda**n needs n (1 - log2 lambda) >= log2(1/eps0);
         # add slack for the linear-in-n terms of log2 u along the chain.
         n_cross = (math.log2(1.0 / self.eps0) + 16.0) / (1.0 - math.log2(growth_base))

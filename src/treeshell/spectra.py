@@ -116,10 +116,10 @@ def zeta_derivative_at_zero(model: RcmModel) -> float:
     return zeta_derivative(model, 0.0)
 
 
-def max_delta_multiplicity(model: RcmModel, rel_tol: float = 1e-12) -> int:
+def max_delta_multiplicity(model: RcmModel) -> int:
     """Multiplicity of the largest coefficient in the multiset."""
     log2d = model.coeffs.log2_deltas
-    return int(np.sum(log2d >= log2d.max() - rel_tol))
+    return int(np.sum(log2d >= log2d.max() - 1e-12))
 
 
 def asymptote(model: RcmModel) -> tuple[float, float]:
@@ -142,14 +142,15 @@ def rate_R(model: RcmModel, a) -> np.ndarray | float:
         if np.ndim(a) else model.d + 1.5 * model.ell(1.5) - 1.5 * float(a)
 
 
-def dim_D_of_multiset(coeffs: RepeatedCoefficients, a: float,
-                      log2_N: float) -> float:
+def dim_D_of_multiset(coeffs: RepeatedCoefficients, a: float) -> float:
     """Constrained-entropy maximum for a coefficient multiset.
 
-    log2_N is the log-size of the multiset (the spatial dimension when the
-    multiset has N = 2**d entries).  Closed endpoints map to the degenerate
-    compositions supported on the extreme value: D = log2(multiplicity).
+    The unconstrained maximum is log2 of the multiset size (the spatial
+    dimension d when the multiset has N = 2**d entries).  Closed endpoints
+    map to the degenerate compositions supported on the extreme value:
+    D = log2(multiplicity).
     """
+    log2_N = math.log2(coeffs.size)
     log2d = coeffs.log2_deltas
     lo, hi = coeffs.ell_neg_inf(), coeffs.ell_pos_inf()
     if coeffs.is_flat:
@@ -169,7 +170,7 @@ def dim_D_of_multiset(coeffs: RepeatedCoefficients, a: float,
 
 def dim_D(model: RcmModel, a: float) -> float:
     """Hausdorff dimension of the level set with path-mean log-coefficient a."""
-    return dim_D_of_multiset(model.coeffs, a, float(model.d))
+    return dim_D_of_multiset(model.coeffs, a)
 
 
 def dim_delta(model: RcmModel) -> float:
@@ -178,11 +179,10 @@ def dim_delta(model: RcmModel) -> float:
     return model.d - 1.5 * (model.phi(1.5) - model.ell(1.5))
 
 
-def entropy_max_oracle(coeffs: RepeatedCoefficients, a: float,
-                       grid: int | None = None, refinements: int = 8,
-                       log2_N: float | None = None) -> float:
+def entropy_max_oracle(coeffs: RepeatedCoefficients, a: float) -> float:
     """Brute-force companion of dim_D: maximise the entropy H(p) over the
-    simplex slice sigma(p) = a by dense grid search plus local refinement.
+    simplex slice sigma(p) = a by dense grid search plus eight rounds of
+    local refinement.
 
     Supports multisets of size up to 4 (the slice has at most 2 free
     coordinates).  Independent of the Lagrange closed form on purpose.
@@ -190,16 +190,13 @@ def entropy_max_oracle(coeffs: RepeatedCoefficients, a: float,
     n = coeffs.size
     if n > 4:
         raise ValueError("oracle restricted to multisets of size <= 4")
-    if grid is None:
-        grid = 2000 if n <= 3 else 240  # the n=4 mesh is two-dimensional
-    if log2_N is None:
-        log2_N = math.log2(n)
+    grid = 2000 if n <= 3 else 240  # the n=4 mesh is two-dimensional
     w = coeffs.log2_deltas.astype(float)
     lo, hi = w.min(), w.max()
     if lo == hi:
         if not math.isclose(a, lo, abs_tol=1e-12):
             raise ValueError("infeasible constraint for a flat multiset")
-        return log2_N  # uniform point maximises H unconditionally
+        return math.log2(n)  # uniform point maximises H unconditionally
 
     if not lo - 1e-12 <= a <= hi + 1e-12:
         raise ValueError(f"infeasible constraint a = {a}")
@@ -241,7 +238,7 @@ def entropy_max_oracle(coeffs: RepeatedCoefficients, a: float,
     lo_box = np.zeros(k)
     hi_box = np.ones(k)
     best_p, best_h = None, -np.inf
-    for _ in range(refinements):
+    for _ in range(8):
         axes = [np.linspace(lo_box[i], hi_box[i], grid) for i in range(k)]
         mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, k)
         p = solve(mesh)
@@ -258,8 +255,7 @@ def entropy_max_oracle(coeffs: RepeatedCoefficients, a: float,
         grid = max(grid // 2, 33)
     if best_h == -np.inf:
         raise ValueError(f"infeasible constraint a = {a}")
-    # entropy above is over the size-n multiset; rescale to the requested base
-    return best_h + (log2_N - math.log2(n))
+    return best_h
 
 
 # ---------------------------------------------------------------------------
@@ -320,9 +316,10 @@ class SpectrumReport:
     dim_D: np.ndarray
 
 
-def build_report(model: RcmModel, p_grid=None, a_points: int = 101,
-                 diff_tol: float = 1e-9) -> SpectrumReport:
-    """Evaluate zeta, R and D on grids; default p-grid [0, 20] step 0.1."""
+def build_report(model: RcmModel, p_grid=None) -> SpectrumReport:
+    """Evaluate zeta, R and D on grids: the default p-grid is [0, 20] step
+    0.1, the a-grid 101 points across the sigma range; concavity and
+    monotonicity are judged to 1e-9."""
     if p_grid is None:
         p_grid = np.arange(0.0, 20.0 + 1e-9, 0.1)
     p_grid = np.asarray(p_grid, dtype=float)
@@ -338,14 +335,14 @@ def build_report(model: RcmModel, p_grid=None, a_points: int = 101,
     else:
         lo, hi = model.coeffs.ell_neg_inf(), model.coeffs.ell_pos_inf()
         pad = (hi - lo) * 1e-6
-        a_grid = np.linspace(lo + pad, hi - pad, a_points)
+        a_grid = np.linspace(lo + pad, hi - pad, 101)
     return SpectrumReport(
         p=p_grid, zeta=z, zeta_raw=zr,
         h=slope, asymptote_slope=slope, asymptote_intercept=intercept,
         zeta_prime_zero=zeta_derivative_at_zero(model),
         delta=dim_delta(model),
-        concave=bool(np.all(d2 <= diff_tol)),
-        nondecreasing=bool(np.all(d1 >= -diff_tol)),
+        concave=bool(np.all(d2 <= 1e-9)),
+        nondecreasing=bool(np.all(d1 >= -1e-9)),
         a_grid=a_grid,
         rate_R=np.asarray(rate_R(model, a_grid)),
         dim_D=np.array([dim_D(model, float(a)) for a in a_grid]),

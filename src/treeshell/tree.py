@@ -137,10 +137,9 @@ class TreeIndex:
 
     # -- cube geometry -----------------------------------------------------
 
-    def cube(self, dim: int) -> "DyadicCube":
+    def cube(self) -> "DyadicCube":
         """The dyadic cube owned by this node, exact in dyadic rationals."""
-        if 2**dim != self.arity:
-            raise ValueError(f"dimension {dim} does not match arity {self.arity}")
+        dim = self.arity.bit_length() - 1
         origin = [Fraction(0)] * dim
         side = Fraction(1)
         for lab in self.labels:

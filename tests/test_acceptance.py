@@ -158,7 +158,7 @@ def test_criterion_5_dimension_formula():
         worst = 0.0
         for frac in np.linspace(0.04, 0.96, 20):
             a = lo + (hi - lo) * float(frac)
-            closed = spectra.dim_D_of_multiset(coeffs, a, math.log2(N))
+            closed = spectra.dim_D_of_multiset(coeffs, a)
             oracle = spectra.entropy_max_oracle(coeffs, a)
             worst = max(worst, abs(closed - oracle))
         c.check(worst <= 1e-5, f"N={N}: max |D - oracle| = {worst:.2e}")
@@ -282,7 +282,7 @@ def test_criterion_10b_empirical_structure_exponents():
                          "M = 16 (expected red: see README, Known limitation)", 120.0)
     for deltas in ([1.0, 1.0], [1.0, 2.0]):
         sol = ConstantSolution(RcmModel.create(1, 1.5, deltas))
-        wf = fd.synthesize(sol, 1, depth=16)
+        wf = fd.synthesize(sol, depth=16)
         est = fd.structure_function(wf, [1.0, 2.0, 3.0])
         for p, zhat in zip(est.p, est.zeta_hat):
             target = min(float(p), spectra.zeta_raw(sol.model, float(p)))

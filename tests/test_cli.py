@@ -1,12 +1,20 @@
 import csv
 import json
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import treeshell
 from treeshell.cli import _write_csv, main
+
+# Child interpreters import the package from the same source tree as this one.
+SUBPROCESS_ENV = dict(
+    os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [os.path.dirname(os.path.dirname(treeshell.__file__)),
+                      os.environ.get("PYTHONPATH")])))
 
 
 def run_cli(args, capsys):
@@ -70,7 +78,8 @@ class TestSpectraCommand:
     @pytest.mark.parametrize("extra", [["--mu", "nan"], ["--D", "nan"],
                                        ["--lambdas", "nan"],
                                        ["--p-min=-1"], ["--p-max", "nan"],
-                                       ["--p-max", "inf"]])
+                                       ["--p-max", "inf"],
+                                       ["--p-min", "5", "--p-max", "1"]])
     def test_rejects_bad_numbers_before_work(self, capsys, monkeypatch,
                                              extra):
         from treeshell import spectra
@@ -302,6 +311,34 @@ class TestCliContract:
                            "--alpha", "1.5", "--n-list", "20.7,40.2"], capsys)
         assert rc == 2 and out == ""
 
+    def test_concentration_rejects_repeated_n_before_work(self, capsys,
+                                                          monkeypatch):
+        from treeshell import dissipation
+
+        def fail(*args, **kwargs):
+            raise AssertionError("measure ran before the n-list check")
+
+        monkeypatch.setattr(dissipation, "measure", fail)
+        rc, out = run_cli(["concentration", "--deltas", "1,2", "--dim", "1",
+                           "--alpha", "1.5", "--band", "0.3,1.5",
+                           "--n-list", "20,20"], capsys)
+        assert rc == 2 and out == ""
+
+    @pytest.mark.parametrize("steps", [
+        ["--dt", "1e-12", "--t-end", "1e3", "--record-every", "1"],
+        ["--dt", "1e-308", "--t-end", "1e308"]])
+    def test_simulate_step_count_over_budget(self, capsys, monkeypatch,
+                                             steps):
+        from treeshell import dynamics
+
+        def fail(*args, **kwargs):
+            raise AssertionError("stepped before the step-count check")
+
+        monkeypatch.setattr(dynamics, "step", fail)
+        rc, out = run_cli(["simulate", "--deltas", "1,2", "--dim", "1",
+                           "--alpha", "1.5", "--depth", "2"] + steps, capsys)
+        assert rc == 2 and out == ""
+
     @pytest.mark.parametrize("init", ["perturbed:abc", "perturbed:-2",
                                       "perturbed:nan", "perturbed:inf"])
     def test_simulate_rejects_bad_perturbation(self, capsys, monkeypatch,
@@ -401,7 +438,7 @@ class TestCliContract:
         proc = subprocess.run(
             [sys.executable, "-m", "treeshell.cli", "spectra",
              "--p-max", "1", "--p-step", "1"],
-            capture_output=True, text=True, timeout=120)
+            capture_output=True, text=True, timeout=120, env=SUBPROCESS_ENV)
         assert proc.returncode == 0
         assert "model_name,p,zeta" in proc.stdout
 
@@ -410,14 +447,12 @@ class TestCliContract:
             [sys.executable, "-c",
              "import sys, treeshell.cli, treeshell.dynamics; "
              "print('scipy' in sys.modules)"],
-            capture_output=True, text=True, timeout=120)
+            capture_output=True, text=True, timeout=120, env=SUBPROCESS_ENV)
         assert proc.returncode == 0
         assert proc.stdout.strip() == "False"
 
     def test_rcm_threads_env_is_accepted(self):
-        import os
-
-        env = dict(os.environ, RCM_THREADS="1")
+        env = dict(SUBPROCESS_ENV, RCM_THREADS="1")
         proc = subprocess.run(
             [sys.executable, "-m", "treeshell.cli", "lln", "--deltas", "1,2",
              "--dim", "1", "--alpha", "1.5", "--n", "100", "--samples", "10"],

@@ -10,7 +10,6 @@ import pytest
 
 from treeshell import (
     GeneralCoefficients,
-    ModelParams,
     RcmModel,
     RepeatedCoefficients,
     TreeIndex,
@@ -196,13 +195,13 @@ class TestPhiDerivative:
 
 class TestModelTypes:
     def test_model_params_validation(self):
-        assert ModelParams(3, 2.5).N == 8
+        assert RcmModel.create(3, 2.5, [1.0] * 8).N == 8
         with pytest.raises(ValueError):
-            ModelParams(0, 2.5)
+            RcmModel.create(0, 2.5, [1.0])
         with pytest.raises(ValueError):
-            ModelParams(1, -1.0)
+            RcmModel.create(1, -1.0, [1.0, 1.0])
         with pytest.raises(ValueError):
-            ModelParams(1, 1.0, forcing=0.0)
+            RcmModel.create(1, 1.0, [1.0, 1.0], forcing=0.0)
 
     def test_rcm_requires_matching_count(self):
         with pytest.raises(ValueError):
@@ -253,19 +252,28 @@ class TestModelTypes:
 
 class TestGeneralCoefficients:
     def test_band_checked_on_access(self):
-        gc = GeneralCoefficients(2, lambda j: 4.0, log2_min=-1.0, log2_max=1.0)
+        gc = GeneralCoefficients(2, lambda g, codes: np.full(len(codes), 2.0),
+                                 log2_min=-1.0, log2_max=1.0)
+        assert gc.bound_L == 2.0
         with pytest.raises(ValueError):
-            gc.value(TreeIndex.from_labels([1], 2))
+            gc.row_log2(1, np.arange(2))
 
     def test_root_is_one(self):
-        gc = GeneralCoefficients(2, lambda j: 1.5, log2_min=-1.0, log2_max=1.0)
-        assert gc.value(TreeIndex.root(2)) == 1.0
-        assert gc.bound_L == 2.0
+        gc = GeneralCoefficients(2, lambda g, codes: np.full(len(codes), 0.5),
+                                 log2_min=-1.0, log2_max=1.0)
+        assert np.array_equal(gc.row_log2(0, np.arange(1)), [0.0])
+
+    @pytest.mark.parametrize("arity", [1, 3, 6])
+    def test_arity_is_a_power_of_two(self, arity):
+        with pytest.raises(ValueError):
+            GeneralCoefficients(arity, lambda g, codes: np.zeros(len(codes)),
+                                log2_min=-1.0, log2_max=1.0)
 
     def test_from_rcm_matches_model(self, d12):
         gc = GeneralCoefficients.from_rcm(d12)
         for labels in ([1], [2], [1, 2], [2, 1, 1]):
             j = TreeIndex.from_labels(labels, 2)
-            assert gc.value(j) == d12.coefficient_of(j)
+            got = gc.row_log2(j.generation, np.array([j.code]))
+            assert got[0] == math.log2(d12.coefficient_of(j))
         row = gc.row_log2(2, np.arange(4))
         assert np.allclose(row, [0.0, 1.0, 0.0, 1.0])

@@ -199,6 +199,14 @@ class TestMassAndConcentration:
         assert curve.mass_in[-1] > 0.9999
         assert 1 - curve.mass_in[-1] < 1 - curve.mass_in[0]
 
+    def test_repeated_n_rejected_before_measuring(self, d12, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("measured before the n-list check")
+
+        monkeypatch.setattr(dp, "measure", fail)
+        with pytest.raises(ValueError):
+            dp.concentration_curve(d12, (0.3, 1.5), [20, 20])
+
     def test_empirical_rates_against_theory(self, d12):
         # frozen behaviour measured with the exact lattice: the single-point
         # rate at n=400 overshoots inf[R-D] by ~24% (log n / n prefactor),

@@ -13,32 +13,32 @@ H_D12 = 0.14558393181327468
 
 class TestSynthesize:
     def test_root_only_field_is_the_mother_step(self, d12_solution):
-        wf = fd.synthesize(d12_solution, 1, depth=1)
+        wf = fd.synthesize(d12_solution, depth=1)
         amp = d12_solution.u(TreeIndex.root(2))
         assert np.array_equal(wf.grid, [amp, -amp])
 
     def test_zero_mean(self, d12_solution):
-        wf = fd.synthesize(d12_solution, 1, depth=12)
+        wf = fd.synthesize(d12_solution, depth=12)
         assert abs(wf.grid.mean()) <= 1e-12
 
     def test_grid_l2_matches_coefficient_sum(self, d12_solution):
         # Haar wavelets are orthonormal and piecewise constant on the grid,
         # so the match is exact, far inside the 1% contract
-        wf = fd.synthesize(d12_solution, 1, depth=14)
+        wf = fd.synthesize(d12_solution, depth=14)
         assert wf.l2_norm() == pytest.approx(wf.coefficient_l2(), rel=1e-12)
         assert wf.l2_norm() == pytest.approx(wf.coefficient_l2(), rel=0.01)
 
     def test_d3_smoke(self):
         m = lambda_family(0.2)
         sol = ConstantSolution(m)
-        wf = fd.synthesize(sol, 3, depth=7, max_cells=2**21)
+        wf = fd.synthesize(sol, depth=7)
         assert wf.grid.shape == (128, 128, 128)
         assert wf.l2_norm() == pytest.approx(wf.coefficient_l2(), rel=1e-12)
         assert abs(wf.grid.mean()) <= 1e-12
 
     def test_memory_budget(self, d12_solution):
         with pytest.raises(ResourceLimitError):
-            fd.synthesize(d12_solution, 1, depth=30)
+            fd.synthesize(d12_solution, depth=30)
 
     def test_d2_matches_per_wavelet_oracle(self):
         # slow oracle: evaluate each product-Haar wavelet from its cube
@@ -48,7 +48,7 @@ class TestSynthesize:
         m = RcmModel.create(2, 2.0, [1.0, 2.0, 0.5, 1.5])
         sol = ConstantSolution(m)
         M = 3
-        wf = fd.synthesize(sol, 2, depth=M)
+        wf = fd.synthesize(sol, depth=M)
         side = 2**M
         xs = (np.arange(side) + 0.5) / side
         X, Y = np.meshgrid(xs, xs, indexing="ij")
@@ -56,7 +56,7 @@ class TestSynthesize:
         for g in range(M):
             for code in range(4**g):
                 j = TreeIndex(4, g, code)
-                cube = j.cube(2)
+                cube = j.cube()
                 o = [float(v) for v in cube.origin]
                 s = float(cube.side)
                 inside = (X >= o[0]) & (X < o[0] + s) \
@@ -67,21 +67,21 @@ class TestSynthesize:
         assert np.abs(grid - wf.grid).max() <= 1e-12
 
     def test_hat_mother_is_continuous(self, d12_solution):
-        wf = fd.synthesize(d12_solution, 1, depth=12, mother="hat")
+        wf = fd.synthesize(d12_solution, depth=12, mother="hat")
         jumps = np.abs(np.diff(wf.grid))
         # largest cell-to-cell jump shrinks with resolution for a continuous field
-        wf2 = fd.synthesize(d12_solution, 1, depth=14, mother="hat")
+        wf2 = fd.synthesize(d12_solution, depth=14, mother="hat")
         assert np.abs(np.diff(wf2.grid)).max() < jumps.max()
 
     def test_unknown_mother(self, d12_solution):
         with pytest.raises(ValueError):
-            fd.synthesize(d12_solution, 1, depth=4, mother="daubechies")
+            fd.synthesize(d12_solution, depth=4, mother="daubechies")
 
 
 class TestStructureFunction:
     def test_zero_field_is_flagged(self, d12_solution):
-        wf = fd.synthesize(d12_solution, 1, depth=10)
-        dead = fd.WaveletField(d12_solution, 1, 10, "haar",
+        wf = fd.synthesize(d12_solution, depth=10)
+        dead = fd.WaveletField(d12_solution, 10, "haar",
                                np.zeros_like(wf.grid))
         est = fd.structure_function(dead, [2.0])
         assert est.degenerate[0]
@@ -91,7 +91,7 @@ class TestStructureFunction:
         # a smooth field has S_p(r) ~ r^p; the estimator must recover p
         M = 12
         x = (np.arange(2**M) + 0.5) / 2**M
-        field = fd.WaveletField(d12_solution, 1, M, "haar",
+        field = fd.WaveletField(d12_solution, M, "haar",
                                 np.cos(2 * np.pi * x))
         est = fd.structure_function(field, [2.0], m_range=(6, 8))
         assert est.zeta_hat[0] == pytest.approx(2.0, abs=0.01)
@@ -100,7 +100,7 @@ class TestStructureFunction:
         # measured behaviour of the default estimator (Haar, window
         # [3, M-4]); the jump-dominated transient keeps these far below
         # min(p, xi_p) -- see the README's Known limitation section
-        wf = fd.synthesize(flat_d1_solution, 1, depth=16)
+        wf = fd.synthesize(flat_d1_solution, depth=16)
         est = fd.structure_function(wf, [1.0, 2.0, 3.0])
         assert est.fit_window == (3, 12)
         assert np.allclose(est.zeta_hat, [0.2703, 0.3821, 0.3125], atol=5e-3)
@@ -108,25 +108,19 @@ class TestStructureFunction:
     def test_hat_flat_fits_within_ten_percent(self, flat_d1_solution):
         # with a continuous mother the same estimator does approach the
         # closed form: flat model within 5% at M=16 for p in {1,2,3}
-        wf = fd.synthesize(flat_d1_solution, 1, depth=16, mother="hat")
+        wf = fd.synthesize(flat_d1_solution, depth=16, mother="hat")
         est = fd.structure_function(wf, [1.0, 2.0, 3.0])
         targets = np.array([1.0 / 3, 2.0 / 3, 1.0])
         assert np.all(np.abs(est.zeta_hat - targets) / targets < 0.10)
 
-    def test_monte_carlo_close_to_full_grid(self, d12_solution):
-        wf = fd.synthesize(d12_solution, 1, depth=12)
-        full = fd.structure_function(wf, [2.0])
-        mc = fd.structure_function(wf, [2.0], pairs=40_000, seed=5)
-        assert mc.zeta_hat[0] == pytest.approx(full.zeta_hat[0], abs=0.02)
-
     def test_requires_one_dimensional_field(self):
         m = lambda_family(0.1)
-        wf = fd.synthesize(ConstantSolution(m), 3, depth=4)
+        wf = fd.synthesize(ConstantSolution(m), depth=4)
         with pytest.raises(ValueError):
             fd.structure_function(wf, [2.0])
 
     def test_empty_window_rejected(self, d12_solution):
-        wf = fd.synthesize(d12_solution, 1, depth=8)
+        wf = fd.synthesize(d12_solution, depth=8)
         with pytest.raises(ValueError):
             fd.structure_function(wf, [2.0], m_range=(5, 3))
 
@@ -231,10 +225,10 @@ class TestScalingLemmas:
         # integral of |tail field|^p vs 2^{(dp/2-d)n} sum_{|j|=n} u^p stays
         # in a narrow band (measured <= 1.12, contract <= 10) for n = 2..8
         M = 14
-        full = fd.synthesize(d12_solution, 1, M)
+        full = fd.synthesize(d12_solution, M)
         ratios = []
         for n in range(2, 9):
-            part = fd.synthesize(d12_solution, 1, n)
+            part = fd.synthesize(d12_solution, n)
             tail = full.grid - np.repeat(part.grid, 2 ** (M - n))
             num = np.mean(np.abs(tail) ** p)
             row = d12_solution.log2_u_rows(n)[n]

@@ -75,7 +75,7 @@ class TestModelInvariants:
     @given(models(), st.floats(-5.0, 5.0))
     def test_pullback_solves_the_recursion(self, m, seed):
         depth = {1: 8, 2: 4, 3: 3}[m.d]
-        run = pullback(GeneralCoefficients.from_rcm(m), m.alpha, m.d, depth,
+        run = pullback(GeneralCoefficients.from_rcm(m), m.alpha, depth,
                        seed=seed)
         assert run.residual_max() <= 1e-12
 

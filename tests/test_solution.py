@@ -163,14 +163,14 @@ class TestRegularityThresholds:
 
 class TestPullback:
     def test_flat_single_step_from_zero(self, flat_d3):
-        run = pullback(GeneralCoefficients.from_rcm(flat_d3), 2.5, 3,
+        run = pullback(GeneralCoefficients.from_rcm(flat_d3), 2.5,
                        depth=1, seed=0.0)
         assert run.rows[0][0] == pytest.approx(-(2.5 + 3) / 2, abs=1e-14)
 
     def test_flat_matches_scalar_iteration_oracle(self, flat_d3):
         # every row is constant; the backward map is x -> -(alpha+d)/2 - x/2
         depth = 6
-        run = pullback(GeneralCoefficients.from_rcm(flat_d3), 2.5, 3,
+        run = pullback(GeneralCoefficients.from_rcm(flat_d3), 2.5,
                        depth=depth, seed=0.4)
         x = 0.4
         for g in range(depth - 1, -1, -1):
@@ -186,7 +186,7 @@ class TestPullback:
 
     def test_rcm_seeded_at_q_is_exact_fixed_point(self, d12):
         sol = ConstantSolution(d12)
-        run = pullback(GeneralCoefficients.from_rcm(d12), d12.alpha, d12.d,
+        run = pullback(GeneralCoefficients.from_rcm(d12), d12.alpha,
                        depth=8, seed=sol.q)
         for g in range(8):
             assert np.abs(run.rows[g] - sol.q).max() <= 1e-12
@@ -196,12 +196,13 @@ class TestPullback:
         # a genuinely node-dependent map inside a declared band
         lo, hi = -0.7, 0.9
 
-        def d_of(j):
-            u = (hash((j.generation, j.code)) % 1000) / 1000.0
-            return 2.0 ** (lo + (hi - lo) * u)
+        def log2_of(generation, codes):
+            u = np.array([hash((generation, int(c))) % 1000
+                          for c in codes]) / 1000.0
+            return lo + (hi - lo) * u
 
-        gc = GeneralCoefficients(2, d_of, lo, hi)
-        run = pullback(gc, alpha=1.5, dim=1, depth=10, seed=0.0)
+        gc = GeneralCoefficients(2, log2_of, lo, hi)
+        run = pullback(gc, alpha=1.5, depth=10, seed=0.0)
         a, b = run.band
         assert a == pytest.approx(-(1.5 + 1) / 3 - hi + lo / 2, abs=1e-14)
         assert b == pytest.approx(-(1.5 + 1) / 3 - lo + hi / 2, abs=1e-14)
@@ -213,8 +214,7 @@ class TestPullback:
 
     def test_depth_budget(self, d12):
         with pytest.raises(ResourceLimitError):
-            pullback(GeneralCoefficients.from_rcm(d12), 1.5, 1, depth=30,
-                     max_nodes=2**20)
+            pullback(GeneralCoefficients.from_rcm(d12), 1.5, depth=30)
 
 
 class TestDivergenceWitness:

@@ -175,7 +175,7 @@ class TestEntropyOracle:
         lo, hi = c.ell_neg_inf(), c.ell_pos_inf()
         for frac in np.linspace(0.08, 0.92, 8):
             a = lo + (hi - lo) * float(frac)
-            closed = spectra.dim_D_of_multiset(c, a, math.log2(c.size))
+            closed = spectra.dim_D_of_multiset(c, a)
             grid = spectra.entropy_max_oracle(c, a)
             assert grid == pytest.approx(closed, abs=1e-5)
 

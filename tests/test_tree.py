@@ -35,7 +35,7 @@ def test_offspring(arity):
 
 
 def test_cube_of_root_is_unit_cube():
-    c = TreeIndex.root(8).cube(3)
+    c = TreeIndex.root(8).cube()
     assert c.origin == (0, 0, 0)
     assert c.side == 1
     assert c.volume == 1
@@ -43,7 +43,7 @@ def test_cube_of_root_is_unit_cube():
 
 def test_cube_side_and_volume_at_generation_three():
     j = TreeIndex.from_labels([3, 7, 2], 8)
-    c = j.cube(3)
+    c = j.cube()
     assert c.side == Fraction(1, 8)
     assert c.volume == Fraction(1, 2**9)
 
@@ -51,13 +51,13 @@ def test_cube_side_and_volume_at_generation_three():
 def test_self_similar_labeling():
     # child 1 of child 1 keeps the origin of child 1, in any dimension
     for d in (1, 2, 3):
-        one = TreeIndex.from_labels([1], 2**d).cube(d)
-        oneone = TreeIndex.from_labels([1, 1], 2**d).cube(d)
+        one = TreeIndex.from_labels([1], 2**d).cube()
+        oneone = TreeIndex.from_labels([1, 1], 2**d).cube()
         assert oneone.origin == one.origin
     # homothety consistency: cube(jk) has origin cube(j).origin + side_j * cube(k).origin
     j = TreeIndex.from_labels([2, 3], 4)
     k = TreeIndex.from_labels([4, 1], 4)
-    cj, ck, cjk = j.cube(2), k.cube(2), j.append(k).cube(2)
+    cj, ck, cjk = j.cube(), k.cube(), j.append(k).cube()
     assert cjk.side == cj.side * ck.side
     assert all(ojk == oj + cj.side * ok
                for ojk, oj, ok in zip(cjk.origin, cj.origin, ck.origin))
@@ -65,15 +65,15 @@ def test_self_similar_labeling():
 
 def test_children_tile_parent_exactly():
     j = TreeIndex.from_labels([2], 4)
-    kids = [k.cube(2) for k in j.offspring()]
-    assert sum(c.volume for c in kids) == j.cube(2).volume
+    kids = [k.cube() for k in j.offspring()]
+    assert sum(c.volume for c in kids) == j.cube().volume
     origins = {c.origin for c in kids}
     assert len(origins) == 4
 
 
 def test_generation_volumes_sum_to_one_exactly():
     for d, n in [(1, 6), (2, 4), (3, 3)]:
-        total = sum(TreeIndex(2**d, n, code).cube(d).volume
+        total = sum(TreeIndex(2**d, n, code).cube().volume
                     for code in range((2**d) ** n))
         assert total == 1
 
@@ -88,7 +88,7 @@ def test_path_of_point_center_recovers_node(rng):
         d = int(rng.choice([1, 2, 3]))
         n = int(rng.integers(1, 6))
         j = TreeIndex(2**d, n, int(rng.integers(0, (2**d) ** n)))
-        assert path_of_point(j.cube(d).center(), n, d) == j
+        assert path_of_point(j.cube().center(), n, d) == j
 
 
 def test_path_of_point_origin_is_all_ones():
