@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -81,21 +80,30 @@ def enumerate_log2_F(model: RcmModel, n: int) -> np.ndarray:
 
 
 def _compositions_matrix(n: int, parts: int) -> np.ndarray:
-    """All compositions of n into `parts` non-negative parts, as an int matrix."""
+    """All compositions of n into `parts` non-negative parts, as an int matrix.
+
+    Rows are in ascending lexicographic order of their parts (the last part
+    is the remainder), except for two parts, where the first part descends
+    from n to 0.  The lattice is built one part at a time: each row of the
+    previous level, with remainder r, spawns r + 1 rows whose new part runs
+    0..r, so each level is an ``np.repeat`` by r + 1 with no loop over rows.
+    """
     if parts == 1:
         return np.array([[n]], dtype=np.int64)
     if parts == 2:
         k = np.arange(n + 1, dtype=np.int64)
         return np.column_stack([n - k, k])
-    rows = []
-    for cuts in combinations_with_replacement(range(n + 1), parts - 1):
-        prev, row = 0, []
-        for c in cuts:
-            row.append(c - prev)
-            prev = c
-        row.append(n - prev)
-        rows.append(row)
-    return np.asarray(rows, dtype=np.int64)
+    rem = np.array([n], dtype=np.int64)
+    cols = []
+    for _ in range(parts - 1):
+        sizes = rem + 1
+        starts = np.cumsum(sizes) - sizes
+        part = np.arange(sizes.sum(), dtype=np.int64) - np.repeat(starts, sizes)
+        cols = [np.repeat(c, sizes) for c in cols]
+        cols.append(part)
+        rem = np.repeat(rem, sizes) - part
+    cols.append(rem)
+    return np.column_stack(cols)
 
 
 def _log2_multinomial(n: int, counts: np.ndarray) -> np.ndarray:

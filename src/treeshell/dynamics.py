@@ -29,7 +29,8 @@ from typing import Iterable
 import numpy as np
 
 from .coefficients import RcmModel
-from .solution import MAX_NODES, ConstantSolution, ResourceLimitError
+from .solution import (MAX_NODE_STEPS, MAX_NODES, ConstantSolution,
+                       ResourceLimitError)
 from .tree import TreeIndex
 
 __all__ = [
@@ -193,17 +194,23 @@ def integrate(state: TruncatedState, dt: float, steps: int,
               max_clamp_rate: float | None = 1e-8) -> Trajectory:
     """Advance `steps` RK4 steps, recording every `record_every`-th state.
 
-    The recorded trajectory must fit the node budget; that is checked
-    before the first step.  The exact dynamics cannot cross zero, so
-    clamping should only mop up rounding noise; a run whose clamped mass
-    per unit time exceeds max_clamp_rate times the state scale is rejected
-    (pass None to keep such a run anyway).
+    The recorded trajectory must fit the node budget, and steps times nodes
+    the node-step budget; both are checked before the first step.  The
+    exact dynamics cannot cross zero, so clamping should only mop up
+    rounding noise; a run whose clamped mass per unit time exceeds
+    max_clamp_rate times the state scale is rejected (pass None to keep
+    such a run anyway).
     """
     recorded = (steps // record_every + 1) * len(state.values)
     if recorded > MAX_NODES:
         raise ResourceLimitError(
             f"{steps} steps recorded every {record_every} keep {recorded} "
             f"values, over the {MAX_NODES} budget")
+    node_steps = steps * len(state.values)
+    if node_steps > MAX_NODE_STEPS:
+        raise ResourceLimitError(
+            f"{steps} steps of {len(state.values)} nodes are {node_steps} "
+            f"node-steps, over the {MAX_NODE_STEPS} budget")
     system = _system(state.model, state.depth, state.closure)
     times = [state.t]
     records = [state.values.copy()]

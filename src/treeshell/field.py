@@ -91,10 +91,14 @@ def synthesize(solution: ConstantSolution, depth: int = 16,
     """Sample sum_{|j| < depth} u_j psi_j on the level-`depth` cell grid of
     the model's d-dimensional unit cube.
 
-    The per-generation pass reshapes the grid so that axis 2a indexes the
+    The grid is kept at the coarsest level the wavelets added so far vary
+    on: a Haar wavelet of generation g is constant on level-(g + 1) cells,
+    so before generation g the grid is refined to that level by repeating
+    each cell, while the hat varies down to the finest level from g = 0.
+    For generation g the grid is reshaped so that axis 2a indexes the
     generation-g cubes along axis a and axis 2a+1 the cells inside; node
-    values then broadcast against the mother pattern.  Work is
-    O(depth * cells).
+    values then broadcast against the mother pattern.  With the Haar
+    mother the work is O(cells), with the hat O(depth * cells).
     """
     model = solution.model
     dim = model.d
@@ -104,9 +108,14 @@ def synthesize(solution: ConstantSolution, depth: int = 16,
     if cells > _MAX_CELLS:
         raise ResourceLimitError(f"{cells} cells exceed the {_MAX_CELLS} budget")
 
-    side = 2**depth
-    grid = np.zeros((side,) * dim)
-    log2d = model.coeffs.log2_deltas
+    # levels below its cube down to which a generation-g wavelet varies
+    below = 1 if mother == "haar" else depth
+    # with these new axes an array indexed by cube broadcasts over the cells
+    # inside each cube, and one indexed by in-cube cell over the cubes
+    cube_axes = tuple(range(1, 2 * dim, 2))
+    cell_axes = tuple(range(0, 2 * dim, 2))
+    level = min(below, depth)
+    grid = np.zeros((2**level,) * dim)
     q = solution.q
     # spatially-arranged node values, axis a of `vals` = cube index along axis a
     vals = np.full((1,) * dim, model.forcing * 2.0**q)
@@ -117,26 +126,21 @@ def synthesize(solution: ConstantSolution, depth: int = 16,
         child_factor[idx] = 2.0**q * math.sqrt(model.coeffs.deltas[bits])
 
     for g in range(depth):
-        block = side // 2**g
+        target = min(g + below, depth)
+        if target > level:
+            fine = np.empty((2**target,) * dim)
+            fine.reshape((2**level, 2 ** (target - level)) * dim)[...] = (
+                np.expand_dims(grid, cube_axes))
+            grid, level = fine, target
+        block = 2 ** (level - g)
         pattern = _mother_pattern(dim, block, mother) * 2.0 ** (dim * g / 2.0)
-        # interleave cube and in-cube axes: (n0, b0, n1, b1, ...)
-        shape = ()
-        for _ in range(dim):
-            shape += (2**g, block)
-        view = grid.reshape(shape)
-        expand_vals = vals
-        expand_pat = pattern
-        for a in range(dim):
-            expand_vals = np.expand_dims(expand_vals, 2 * a + 1)
-            expand_pat = np.expand_dims(expand_pat, 2 * a)
-        view += expand_vals * expand_pat
-        # split every cube axis in two for the next generation
-        vals_e = vals
-        fact_e = child_factor
-        for a in range(dim):
-            vals_e = np.expand_dims(vals_e, 2 * a + 1)
-            fact_e = np.expand_dims(fact_e, 2 * a)
-        vals = (vals_e * fact_e).reshape((2 ** (g + 1),) * dim)
+        view = grid.reshape((2**g, block) * dim)
+        view += np.expand_dims(vals, cube_axes) * np.expand_dims(pattern, cell_axes)
+        if g + 1 < depth:
+            # split every cube axis in two for the next generation
+            vals = (np.expand_dims(vals, cube_axes)
+                    * np.expand_dims(child_factor, cell_axes)
+                    ).reshape((2 ** (g + 1),) * dim)
     return WaveletField(solution, depth, mother, grid)
 
 
@@ -185,11 +189,24 @@ def structure_function(field: WaveletField, p_grid,
     ms = np.arange(m_lo, m_hi + 1)
     grid = field.grid
     log2_S = np.full((len(p_arr), len(ms)), -np.inf)
+    # one increments buffer and one power buffer, sized for the finest scale;
+    # p = 1 and p = 2 take the ufuncs that ``diffs**p`` dispatches to
+    size = grid.size - 2 ** (M - m_hi)
+    inc_buf, pow_buf = np.empty(size), np.empty(size)
     for k, m in enumerate(ms):
         off = 2 ** (M - int(m))
-        diffs = np.abs(grid[off:] - grid[:-off])
+        diffs = inc_buf[:grid.size - off]
+        np.subtract(grid[off:], grid[:-off], out=diffs)
+        np.abs(diffs, out=diffs)
+        powers = pow_buf[:len(diffs)]
         for i, p in enumerate(p_arr):
-            s = float(np.mean(diffs**p))
+            if p == 1.0:
+                powered = diffs
+            elif p == 2.0:
+                powered = np.square(diffs, out=powers)
+            else:
+                powered = np.power(diffs, p, out=powers)
+            s = float(np.mean(powered))
             log2_S[i, k] = math.log2(s) if s > 0 else -math.inf
 
     zeta_hat = np.full(len(p_arr), np.nan)
@@ -216,15 +233,17 @@ def structure_function(field: WaveletField, p_grid,
 def xi_from_generation_sums(solution: ConstantSolution, p: float) -> float:
     """xi estimated from node sums: d - pd/2 - slope of log2 sum |u_j|^p.
 
-    The per-generation sums at generations 10 and 14 are evaluated by
-    brute-force enumeration; their ratio is exactly geometric for the RCM,
-    so they give the slope of the closed form ``spectra.zeta_raw`` to
-    rounding accuracy.
+    The per-generation sums at generations n_hi = 14 // d (at least 1) and
+    n_lo = max(0, n_hi - 4) are evaluated by brute-force enumeration from one
+    row pass; their ratio is exactly geometric for the RCM, so they give the
+    slope of the closed form ``spectra.zeta_raw`` to rounding accuracy.
     """
-    n_lo, n_hi = 10, 14
     m = solution.model
-    log2_sums = [log2sumexp2(p * solution.log2_u_rows(n)[n]) for n in (n_lo, n_hi)]
-    slope = (log2_sums[1] - log2_sums[0]) / (n_hi - n_lo)
+    n_hi = max(1, 14 // m.d)
+    n_lo = max(0, n_hi - 4)
+    rows = solution.log2_u_rows(n_hi)
+    slope = ((log2sumexp2(p * rows[n_hi]) - log2sumexp2(p * rows[n_lo]))
+             / (n_hi - n_lo))
     return m.d - p * m.d / 2.0 - slope
 
 

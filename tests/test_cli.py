@@ -326,7 +326,8 @@ class TestCliContract:
 
     @pytest.mark.parametrize("steps", [
         ["--dt", "1e-12", "--t-end", "1e3", "--record-every", "1"],
-        ["--dt", "1e-308", "--t-end", "1e308"]])
+        ["--dt", "1e-308", "--t-end", "1e308"],
+        ["--dt", "1e-12", "--t-end", "1e3", "--record-every", "1000000000"]])
     def test_simulate_step_count_over_budget(self, capsys, monkeypatch,
                                              steps):
         from treeshell import dynamics
@@ -419,6 +420,9 @@ class TestCliContract:
         "simulate --lambda 0.2 --dim 3 --depth 10 --init zero"])
     def test_over_budget_sizes_are_config_errors(self, capsys, monkeypatch,
                                                  argv):
+        # importing scipy calls np.zeros, so load it before the patch
+        from treeshell import dissipation  # noqa: F401
+
         def fail(*args, **kwargs):
             raise AssertionError("allocated before the budget check")
 

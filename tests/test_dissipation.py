@@ -1,4 +1,5 @@
 import math
+from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
@@ -33,6 +34,25 @@ def grid_tail_rate(model, lo, hi, grid=4001):
     vals = spectra.rate_R(model, a) \
         - np.array([spectra.dim_D(model, float(x)) for x in a])
     return float(vals.min())
+
+
+def compositions_oracle(n, parts):
+    """The composition lattice by a loop over the cut positions: the
+    reference for the part-by-part build of ``_compositions_matrix``."""
+    if parts == 1:
+        return np.array([[n]], dtype=np.int64)
+    if parts == 2:
+        k = np.arange(n + 1, dtype=np.int64)
+        return np.column_stack([n - k, k])
+    rows = []
+    for cuts in combinations_with_replacement(range(n + 1), parts - 1):
+        prev, row = 0, []
+        for c in cuts:
+            row.append(c - prev)
+            prev = c
+        row.append(n - prev)
+        rows.append(row)
+    return np.asarray(rows, dtype=np.int64)
 
 
 def band_around_phi32(model, below, above):
@@ -97,6 +117,26 @@ class TestSigma:
         a = TreeIndex.from_labels([1, 2, 2, 1], 2)
         b = TreeIndex.from_labels([2, 1, 1, 2], 2)
         assert dp.sigma_of(d12, a) == dp.sigma_of(d12, b)
+
+
+class TestCompositionsMatrix:
+    @pytest.mark.parametrize("parts", range(1, 9))
+    def test_matches_cut_loop_oracle(self, parts):
+        for n in range(0, {1: 40, 2: 40, 3: 30, 4: 20}.get(parts, 10)):
+            got = dp._compositions_matrix(n, parts)
+            want = compositions_oracle(n, parts)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want), (n, parts)
+
+    def test_two_parts_first_part_descends(self):
+        assert dp._compositions_matrix(3, 2).tolist() == [
+            [3, 0], [2, 1], [1, 2], [0, 3]]
+
+    def test_bulk_sizes_match_oracle(self):
+        for n, parts in ((100, 4), (16, 8)):
+            got = dp._compositions_matrix(n, parts)
+            assert len(got) == math.comb(n + parts - 1, parts - 1)
+            assert np.array_equal(got, compositions_oracle(n, parts))
 
 
 class TestMeasure:

@@ -138,6 +138,19 @@ class TestFlatLayout:
         with pytest.raises(ResourceLimitError):
             dyn.integrate(st, 1e-12, 10**15)
 
+    def test_integrate_checks_the_node_steps_before_stepping(
+            self, d12, monkeypatch):
+        # a sparse record fits the node budget, the steps do not
+        from treeshell import ResourceLimitError
+
+        def fail(*args, **kwargs):
+            raise AssertionError("stepped before the budget check")
+
+        monkeypatch.setattr(dyn, "step", fail)
+        st = dyn.TruncatedState.from_constant(ConstantSolution(d12), 2)
+        with pytest.raises(ResourceLimitError, match="node-steps"):
+            dyn.integrate(st, 1e-12, 10**15, record_every=10**9)
+
     def test_value_of_reads_the_heap_index(self, rng):
         m = RcmModel.create(2, 2.0, [1.0, 2.0, 0.5, 1.5])
         vals = rng.uniform(0.0, 1.0, 21)

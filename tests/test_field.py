@@ -3,12 +3,49 @@ import math
 import numpy as np
 import pytest
 
-from treeshell import ConstantSolution, TreeIndex, lambda_family
+from treeshell import ConstantSolution, RcmModel, TreeIndex, lambda_family
 from treeshell import field as fd
 from treeshell import spectra
 from treeshell.solution import ResourceLimitError
 
 H_D12 = 0.14558393181327468
+
+
+def synthesize_oracle(solution, depth, mother):
+    """The wavelet sum by full-resolution accumulation, one generation at a
+    time: the reference for the level-by-level grid of ``synthesize``."""
+    model = solution.model
+    dim = model.d
+    side = 2**depth
+    grid = np.zeros((side,) * dim)
+    q = solution.q
+    vals = np.full((1,) * dim, model.forcing * 2.0**q)
+    child_factor = np.empty((2,) * dim)
+    for bits in range(model.N):
+        idx = tuple((bits >> a) & 1 for a in range(dim))
+        child_factor[idx] = 2.0**q * math.sqrt(model.coeffs.deltas[bits])
+    for g in range(depth):
+        block = side // 2**g
+        pattern = fd._mother_pattern(dim, block, mother) * 2.0 ** (dim * g / 2.0)
+        view = grid.reshape((2**g, block) * dim)
+        expand_vals, expand_pat = vals, pattern
+        for a in range(dim):
+            expand_vals = np.expand_dims(expand_vals, 2 * a + 1)
+            expand_pat = np.expand_dims(expand_pat, 2 * a)
+        view += expand_vals * expand_pat
+        vals_e, fact_e = vals, child_factor
+        for a in range(dim):
+            vals_e = np.expand_dims(vals_e, 2 * a + 1)
+            fact_e = np.expand_dims(fact_e, 2 * a)
+        vals = (vals_e * fact_e).reshape((2 ** (g + 1),) * dim)
+    return grid
+
+
+SYNTH_MODELS = [
+    ([1.0, 2.0], 1, 11),
+    ([1.0, 2.0, 0.5, 1.5], 2, 6),
+    ([1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0], 3, 4),
+]
 
 
 class TestSynthesize:
@@ -77,6 +114,17 @@ class TestSynthesize:
         with pytest.raises(ValueError):
             fd.synthesize(d12_solution, depth=4, mother="daubechies")
 
+    @pytest.mark.parametrize("mother", fd.MOTHERS)
+    @pytest.mark.parametrize("deltas,d,max_depth", SYNTH_MODELS)
+    def test_grid_bytes_match_full_resolution_oracle(self, deltas, d,
+                                                     max_depth, mother):
+        sol = ConstantSolution(RcmModel.create(d, d / 2 + 1, deltas, 0.7))
+        for depth in range(1, max_depth + 1):
+            got = fd.synthesize(sol, depth, mother).grid
+            want = synthesize_oracle(sol, depth, mother)
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes(), depth
+
 
 class TestStructureFunction:
     def test_zero_field_is_flagged(self, d12_solution):
@@ -124,6 +172,21 @@ class TestStructureFunction:
         with pytest.raises(ValueError):
             fd.structure_function(wf, [2.0], m_range=(5, 3))
 
+    @pytest.mark.parametrize("mother", fd.MOTHERS)
+    def test_matches_direct_mean_of_powers(self, d12_solution, mother):
+        # S_p is printed to 17 digits, so the buffered increments must give
+        # the bits of the direct mean for every p, integer or not
+        ps = [0.5, 1.0, 2.0, 2.5, 3.0, 4.0]
+        M = 12
+        wf = fd.synthesize(d12_solution, depth=M, mother=mother)
+        est = fd.structure_function(wf, ps, m_range=(1, M - 1))
+        for k, m in enumerate(est.m):
+            off = 2 ** (M - int(m))
+            diff = wf.grid[off:] - wf.grid[:-off]
+            for i, p in enumerate(ps):
+                assert est.log2_S[i, k] == math.log2(
+                    float(np.mean(np.abs(diff) ** p))), (p, m)
+
 
 class TestXi:
     def test_flat_closed_form(self, flat_d1_solution):
@@ -143,6 +206,14 @@ class TestXi:
             direct = fd.xi_from_generation_sums(d12_solution, p)
             assert direct == pytest.approx(
                 spectra.zeta_raw(d12_solution.model, p), abs=1e-9)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_generation_sums_match_in_higher_dimensions(self, d):
+        deltas = {2: [1.0, 2.0, 3.0, 5.0], 3: lambda_family(0.2).coeffs.deltas}
+        sol = ConstantSolution(RcmModel.create(d, d / 2 + 1, deltas[d]))
+        for p in (1.0, 2.0, 3.0, 4.5):
+            assert fd.xi_from_generation_sums(sol, p) == pytest.approx(
+                spectra.zeta_raw(sol.model, p), abs=1e-9)
 
     def test_cross_identity_with_s0(self, d12_solution):
         for p in np.linspace(0.25, 12, 48):
