@@ -190,7 +190,8 @@ def structure_function(field: WaveletField, p_grid,
     grid = field.grid
     log2_S = np.full((len(p_arr), len(ms)), -np.inf)
     # one increments buffer and one power buffer, sized for the finest scale;
-    # p = 1 and p = 2 take the ufuncs that ``diffs**p`` dispatches to
+    # p = 1 and p = 2 take the ufuncs ``diffs**p`` dispatches to, so S_p
+    # keeps the bits of the plain power
     size = grid.size - 2 ** (M - m_hi)
     inc_buf, pow_buf = np.empty(size), np.empty(size)
     for k, m in enumerate(ms):
