@@ -8,9 +8,11 @@ of the model reduces to two scalar functions of that multiset:
 - ``phi(gamma)``, the tilted mean of their log2, which is the derivative
   of ``s * ell(s)``.
 
-Both are evaluated through ``log2sumexp2``, the package's one log-domain
-kernel (a max-shifted log-sum-exp in base 2), so that arguments up to a few
-hundred neither overflow nor lose the leading term.
+``ell`` is evaluated through ``log2sumexp2``, the package's one log-domain
+kernel (a max-shifted log-sum-exp in base 2), and ``phi`` through the same
+max shift, so that arguments up to a few hundred neither overflow nor lose
+the leading term.  ``phi`` is inverted by a safeguarded Newton iteration
+whose slope is ln 2 times the tilted variance.
 """
 
 from __future__ import annotations
@@ -34,11 +36,11 @@ __all__ = [
     "log2sumexp2",
 ]
 
-# ell(s) switches to the exact s=0 formula below this threshold; the
-# singularity at s=0 is removable.
-_ELL_ZERO_SWITCH = 1e-8
-# phi_inverse bisects down to a gamma bracket of this width.
-_PHI_INVERSE_TOL = 1e-12
+# Below this |s|, ell(s) takes the centred form: the plain form loses about
+# eps/|s| to cancellation there (2e-13 at 1e-3).  At and above it the plain
+# form is kept, so every value computed there keeps its bits.
+_ELL_CENTRED_BELOW = 1e-3
+_LN2 = math.log(2.0)
 
 
 def log2sumexp2(x: np.ndarray, axis: int | None = None):
@@ -93,13 +95,45 @@ class RepeatedCoefficients:
 
     # -- the log-s-norm ell ------------------------------------------------
 
-    def ell(self, s: float) -> float:
-        """(1/s) log2( mean_w delta_w**s ); the mean of log2 delta at s=0."""
-        if abs(s) < _ELL_ZERO_SWITCH:
+    def ell(self, s: float | np.ndarray) -> float | np.ndarray:
+        """(1/s) log2( mean_w delta_w**s ); the mean of log2 delta at s=0.
+
+        ``s`` may be a float or a numpy array; an array is evaluated
+        element-wise with one log-sum-exp over all its rows, to the same
+        bits as the scalar calls.
+        """
+        if isinstance(s, np.ndarray) and s.ndim:
+            return self._ell_array(s.astype(float, copy=False))
+        if s == 0:
             return self.ell_zero()
         if math.isinf(s):
             return self.ell_pos_inf() if s > 0 else self.ell_neg_inf()
+        if abs(s) < _ELL_CENTRED_BELOW:
+            return float(self._ell_centred(np.array([s]))[0])
         return (log2sumexp2(s * self.log2_deltas) - math.log2(self.size)) / s
+
+    def _ell_array(self, s: np.ndarray) -> np.ndarray:
+        out = np.empty(s.shape)
+        zero = s == 0
+        inf = np.isinf(s)
+        small = ~zero & (np.abs(s) < _ELL_CENTRED_BELOW)
+        plain = ~(zero | inf | small)
+        out[zero] = self.ell_zero()
+        out[inf & (s > 0)] = self.ell_pos_inf()
+        out[inf & (s < 0)] = self.ell_neg_inf()
+        out[small] = self._ell_centred(s[small])
+        sp = s[plain]
+        out[plain] = (log2sumexp2(sp[:, None] * self.log2_deltas, axis=1)
+                      - math.log2(self.size)) / sp
+        return out
+
+    def _ell_centred(self, s: np.ndarray) -> np.ndarray:
+        """ell at each non-zero s, centred at mu = ell(0):
+        mu + log1p(mean(expm1(s ln2 (log2 delta - mu)))) / (s ln2)."""
+        mu = self.ell_zero()
+        t = s * _LN2
+        return mu + np.log1p(np.expm1(
+            t[:, None] * (self.log2_deltas - mu)).mean(axis=1)) / t
 
     def ell_zero(self) -> float:
         return float(self.log2_deltas.mean())
@@ -114,30 +148,44 @@ class RepeatedCoefficients:
 
     # -- the tilted mean phi -------------------------------------------------
 
-    def _tilted_weights(self, gamma: float) -> np.ndarray:
-        a = gamma * self.log2_deltas
-        w = np.exp2(a - a.max())
-        return w / w.sum()
+    def _tilted_moments(self, gamma: float) -> tuple[float, float]:
+        """Mean and variance of log2 delta under the weights proportional to
+        delta**gamma, both from one weights vector."""
+        x = self.log2_deltas
+        t = gamma * x
+        w = np.exp2(t - t.max())
+        w /= w.sum()
+        m = w @ x
+        return float(m), float(w @ (x - m) ** 2)
 
     def phi(self, gamma: float) -> float:
         """Tilted mean of log2 delta; equals d/ds (s ell_s) at s=gamma."""
-        return float(self._tilted_weights(gamma) @ self.log2_deltas)
+        return self._tilted_moments(gamma)[0]
 
     def phi_derivative(self, gamma: float) -> float:
         """Variance of log2 delta under the tilted weights; > 0 iff non-flat.
 
-        The tilt is in base 2, so the actual slope of phi is ln(2) times
-        this value; only positivity and vanishing matter downstream.
+        The tilt is in base 2, so the slope of phi is ln(2) times this
+        value: the Newton slope of :meth:`phi_inverse`.
         """
-        w = self._tilted_weights(gamma)
-        m = w @ self.log2_deltas
-        return float(w @ (self.log2_deltas - m) ** 2)
+        return self._tilted_moments(gamma)[1]
 
     def phi_inverse(self, a: float) -> float:
-        """The gamma with phi(gamma) = a, by bisection on a grown bracket.
+        """The gamma with phi(gamma) = a, by Newton's method kept inside a
+        bracket (the safeguarded step ``rtsafe`` of *Numerical Recipes*).
 
         Requires a non-flat multiset and a strictly inside the open interval
         (log2 min delta, log2 max delta); phi is strictly increasing there.
+        The bracket grows from [-1, 1] by doubling until it holds the root.
+        Each iterate tightens it by the sign of phi - a, then takes the
+        Newton step if that lands strictly inside and is at most half the
+        step before last, and bisects otherwise.  The iteration stops when
+        |phi - a| is within the rounding error of the computed tilted mean
+        (N ulps of |mean| + sqrt(variance), a bound on its mean |log2
+        delta|; below it the Newton steps only chase rounding noise), when
+        the step is within a few ulps of gamma, or when the bracket can no
+        longer be split, which happens once |gamma| passes about 8192 on
+        near-flat multisets.
         """
         if self.is_flat:
             raise ValueError("phi is constant for a flat model, not invertible")
@@ -150,15 +198,28 @@ class RepeatedCoefficients:
             lo *= 2.0
         while self.phi(hi) <= a:
             hi *= 2.0
-        while hi - lo > _PHI_INVERSE_TOL:
-            mid = 0.5 * (lo + hi)
-            if not lo < mid < hi:
-                break  # the bracket is one ulp wide: |gamma| is too large
-            if self.phi(mid) < a:
-                lo = mid
+        gamma = 0.5 * (lo + hi)
+        step = step_before = hi - lo
+        while True:
+            mean, var = self._tilted_moments(gamma)
+            miss = mean - a
+            if abs(miss) <= self.size * math.ulp(abs(mean) + math.sqrt(var)):
+                return gamma
+            if miss < 0:
+                lo = gamma
             else:
-                hi = mid
-        return 0.5 * (lo + hi)
+                hi = gamma
+            step_before_last, step_before = step_before, step
+            step = miss / (_LN2 * var) if var > 0 else math.inf
+            new = gamma - step
+            if not lo < new < hi or abs(step) > 0.5 * abs(step_before_last):
+                new = 0.5 * (lo + hi)
+                if not lo < new < hi:
+                    return gamma  # the bracket is one ulp wide
+                step = gamma - new
+            if abs(step) <= 4 * math.ulp(gamma):
+                return new
+            gamma = new
 
 
 @dataclass(frozen=True)
@@ -252,7 +313,7 @@ class RcmModel:
     def is_flat(self) -> bool:
         return self.coeffs.is_flat
 
-    def ell(self, s: float) -> float:
+    def ell(self, s: float | np.ndarray) -> float | np.ndarray:
         return self.coeffs.ell(s)
 
     def phi(self, gamma: float) -> float:

@@ -88,11 +88,8 @@ def zeta_raw(model: RcmModel, p) -> np.ndarray | float:
     p_arr = np.atleast_1d(np.asarray(p, dtype=float))
     if np.any(p_arr < 0):
         raise ValueError("p must be >= 0")
-    ell32 = model.ell(1.5)
-    out = np.empty_like(p_arr)
-    for i, pi in enumerate(p_arr):
-        out[i] = (pi / 3) * (model.alpha - model.d / 2) \
-            + (pi / 2) * (ell32 - model.ell(pi / 2))
+    out = (p_arr / 3) * (model.alpha - model.d / 2) \
+        + (p_arr / 2) * (model.ell(1.5) - model.ell(p_arr / 2))
     return out if np.ndim(p) else float(out[0])
 
 

@@ -7,6 +7,8 @@ import sys
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treeshell import (
     GeneralCoefficients,
@@ -36,11 +38,91 @@ def phi_oracle(deltas, g):
     return float(sum(wi / z * mp.log(x, 2) for wi, x in zip(w, ds)))
 
 
+def phi_inverse_bisect(c, a):
+    """The bisection phi_inverse of earlier versions, kept as the oracle of
+    the Newton iteration: it bisects a grown bracket down to 1e-12."""
+    if c.is_flat:
+        raise ValueError("phi is constant for a flat model, not invertible")
+    lo_lim, hi_lim = c.ell_neg_inf(), c.ell_pos_inf()
+    if not lo_lim < a < hi_lim:
+        raise ValueError(
+            f"target {a} outside the open range ({lo_lim}, {hi_lim}) of phi")
+    lo, hi = -1.0, 1.0
+    while c.phi(lo) >= a:
+        lo *= 2.0
+    while c.phi(hi) <= a:
+        hi *= 2.0
+    while hi - lo > 1e-12:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break  # the bracket is one ulp wide: |gamma| is too large
+        if c.phi(mid) < a:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def dim_from_gamma(c, a, gamma):
+    """D(a) = log2 N - gamma (a - ell(gamma)), the formula of spectra.dim_D."""
+    return math.log2(c.size) - gamma * (a - c.ell(gamma))
+
+
+def inversion_cases(rng):
+    """(kind, coeffs, targets) for the phi_inverse tests.
+
+    Models drawn like random_rcm, near-flat multisets (log2 delta in
+    [0, 1e-6]) and wide ones (log2 delta in [-29, 29]), at N = 2, 4, 8.
+    Targets sit at fixed fractions of the phi range (1e-3 to 1 - 1e-3) and
+    at phi of the benchmark's tilt grid, gamma = 0 included.
+    """
+    cases = []
+    for kind, draw in (
+            ("random_rcm", lambda n: np.exp(rng.uniform(-1.5, 1.5, size=n))),
+            ("near_flat", lambda n: np.exp2(rng.uniform(0.0, 1e-6, size=n))),
+            ("wide", lambda n: np.exp2(rng.uniform(-29.0, 29.0, size=n)))):
+        for i in range(12):
+            c = RepeatedCoefficients(draw(2 ** (1 + i % 3)))
+            lo, hi = c.ell_neg_inf(), c.ell_pos_inf()
+            targets = [lo + (hi - lo) * f for f in np.linspace(1e-3, 1 - 1e-3, 11)]
+            targets += [c.phi(float(g)) for g in np.linspace(-8.0, 8.0, 9)]
+            cases.append((kind, c, [float(a) for a in targets if lo < a < hi]))
+    return cases
+
+
+# ell near s = 0, where the plain form (1/s) log2 mean 2**(s log2 delta)
+# loses digits to cancellation; the switch to the centred form is at 1e-3
+NEAR_ZERO_S = (-1e-12, 1e-12, 1e-9, math.nextafter(1e-8, 0.0),
+               math.nextafter(1e-8, 1.0), 1e-7, 1e-5, 1e-4)
+
+
 class TestEll:
     def test_flat_is_zero(self):
         c = RepeatedCoefficients([1.0, 1.0, 1.0, 1.0])
-        for s in (-5.0, -0.3, 0.0, 0.7, 12.0):
+        for s in (-5.0, -0.3, -1e-12, 0.0, 1e-6, 0.7, 12.0):
             assert c.ell(s) == 0.0
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(st.sampled_from((2, 4, 8)).flatmap(
+        lambda n: st.lists(st.floats(-1.5, 1.5), min_size=n, max_size=n)))
+    def test_near_zero_matches_mpmath(self, log_deltas):
+        deltas = np.exp(log_deltas)
+        c = RepeatedCoefficients(deltas)
+        for s in NEAR_ZERO_S:
+            assert abs(c.ell(s) - ell_oracle(deltas, s)) <= 1e-15, s
+
+    def test_array_matches_scalar_calls(self, rng):
+        # zeta_raw's s = p/2 on the spectra p-grid, plus every branch
+        s = np.concatenate([np.arange(0.0, 20.0 + 1e-9, 0.1) / 2,
+                            [-0.0, 1e-12, -1e-5, 5e-4, -1e-3, 1e-3,
+                             math.inf, -math.inf, -7.3, 250.0]])
+        coeffs = [lambda_family(lam).coeffs for lam in (0.1, 0.2, 0.2307)]
+        coeffs += [RepeatedCoefficients(np.exp(rng.uniform(-1.5, 1.5, size=2**d)))
+                   for d in (1, 2, 3) for _ in range(5)]
+        for c in coeffs:
+            got = c.ell(s)
+            assert got.shape == s.shape
+            assert np.array_equal(got, [c.ell(float(v)) for v in s])
 
     def test_known_value(self):
         c = RepeatedCoefficients([1.0, 2.0])
@@ -171,6 +253,58 @@ class TestPhiInverse:
         assert -2e4 < gamma < -1e4
         assert abs(miss) <= 1e-15
         assert 0.0 < dim < 1.0
+
+    def test_dimension_matches_bisection_oracle(self, rng):
+        for kind, c, targets in inversion_cases(rng):
+            for a in targets:
+                want = dim_from_gamma(c, a, phi_inverse_bisect(c, a))
+                got = dim_from_gamma(c, a, c.phi_inverse(a))
+                assert abs(got - want) <= 1e-11, (kind, c.deltas, a)
+
+    def test_residual_on_random_rcm_models(self, rng):
+        for kind, c, _ in inversion_cases(rng):
+            if kind != "random_rcm":
+                continue
+            lo, hi = c.ell_neg_inf(), c.ell_pos_inf()
+            for f in np.linspace(1e-3, 1 - 1e-3, 101):
+                a = float(lo + (hi - lo) * f)
+                assert abs(c.phi(c.phi_inverse(a)) - a) <= 1e-14, (c.deltas, a)
+
+    def test_two_point_closed_form(self):
+        # log2 delta = (0, 1): phi(gamma) = 2**gamma / (1 + 2**gamma), so
+        # gamma = log2(a / (1 - a)).  Above a ~ 0.98 one ulp of phi moves
+        # gamma by more than 1e-14 (the slope ln2 a (1 - a) vanishes), so
+        # the grid stops there.
+        c = RepeatedCoefficients([1.0, 2.0])
+        for a in np.linspace(1e-3, 0.98, 401):
+            a = float(a)
+            want = mp.log(mp.mpf(a) / (1 - mp.mpf(a)), 2)
+            assert abs(c.phi_inverse(a) - want) <= 1e-13, a
+
+    def test_evaluation_count(self, rng, monkeypatch):
+        # every phi, phi_derivative and Newton evaluation goes through the
+        # one tilted-moment helper, so counting it counts both methods' work
+        calls = [0]
+        moments = RepeatedCoefficients._tilted_moments
+
+        def counted(self, gamma):
+            calls[0] += 1
+            return moments(self, gamma)
+
+        monkeypatch.setattr(RepeatedCoefficients, "_tilted_moments", counted)
+        per_inversion = {}
+        for kind, c, targets in inversion_cases(rng):
+            for a in targets:
+                calls[0] = 0
+                phi_inverse_bisect(c, a)
+                oracle = calls[0]
+                calls[0] = 0
+                c.phi_inverse(a)
+                assert calls[0] <= oracle, (kind, c.deltas, a)
+                per_inversion.setdefault(kind, []).append(calls[0])
+        # near-flat targets spend ~25 calls growing the bracket, as the
+        # oracle does; the mean bound is for models of the random_rcm range
+        assert np.mean(per_inversion["random_rcm"]) <= 12
 
 
 class TestPhiDerivative:
