@@ -9,14 +9,6 @@ across runs with the same seed and configuration.
 Exit codes: 0 success, 1 numeric failure, 2 configuration error.
 """
 
-import os
-
-# Cap worker pools before numpy loads; only effective as an entry point.
-if "RCM_THREADS" in os.environ:
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                 "NUMEXPR_NUM_THREADS"):
-        os.environ.setdefault(_var, os.environ["RCM_THREADS"])
-
 import argparse
 import dataclasses
 import json
@@ -25,7 +17,7 @@ import sys
 
 import numpy as np
 
-from . import __version__
+from . import __version__, dissipation, dynamics, field, spectra
 from .coefficients import (GeneralCoefficients, RcmModel, lambda_family,
                            model_from_dict)
 from .solution import ConstantSolution, ResourceLimitError, pullback
@@ -134,8 +126,6 @@ def _add_model_args(sub):
 
 
 def cmd_spectra(args) -> int:
-    from . import spectra
-
     _require_positive({"--p-step": args.p_step})
     _require_finite({"--mu": args.mu, "--D": args.D, "--p-min": args.p_min,
                      "--p-max": args.p_max})
@@ -188,8 +178,6 @@ def cmd_solve(args) -> int:
 
 
 def cmd_dissipation(args) -> int:
-    from . import dissipation
-
     _require_positive({"--n": args.n})
     model = _model_from_args(args)
     band = None if args.band is None else _band_from_args(args, model)
@@ -219,8 +207,6 @@ def _band_from_args(args, model) -> tuple[float, float]:
 
 
 def cmd_concentration(args) -> int:
-    from . import dissipation
-
     model = _model_from_args(args)
     band = _band_from_args(args, model)
     ns = _parse_ints(args.n_list, "--n-list")
@@ -239,8 +225,6 @@ def cmd_concentration(args) -> int:
 
 
 def cmd_lln(args) -> int:
-    from . import dissipation
-
     _require_positive({"--n": args.n, "--samples": args.samples})
     model = _model_from_args(args)
     rep = dissipation.lln_sample(model, args.n, args.samples, args.seed)
@@ -251,8 +235,6 @@ def cmd_lln(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    from . import dynamics
-
     _require_positive({"--dt": args.dt, "--t-end": args.t_end,
                        "--record-every": args.record_every})
     _require_finite({"--t-end / --dt": args.t_end / args.dt})
@@ -291,15 +273,12 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_structure(args) -> int:
-    from . import field as field_mod
-    from . import spectra
-
     _require_positive({"--depth": args.depth})
     window = None
     if args.fit_window:
         window = tuple(_parse_ints(args.fit_window, "--fit-window"))
     try:
-        field_mod.fit_window(args.depth, window)
+        field.fit_window(args.depth, window)
     except ValueError as e:
         raise ConfigError(str(e)) from None
     ps = _parse_floats(args.p_list, "--p-list")
@@ -311,8 +290,8 @@ def cmd_structure(args) -> int:
         raise ConfigError("structure estimates increments of a d = 1 field, "
                           f"got d = {model.d}")
     solution = ConstantSolution(model)
-    wf = field_mod.synthesize(solution, depth=args.depth, mother=args.mother)
-    est = field_mod.structure_function(wf, ps, m_range=window)
+    wf = field.synthesize(solution, depth=args.depth, mother=args.mother)
+    est = field.structure_function(wf, ps, m_range=window)
     config = {"model": model.to_dict(), "depth": args.depth,
               "p_list": ps, "fit_window": list(est.fit_window),
               "mother": args.mother}

@@ -8,11 +8,12 @@ of the model reduces to two scalar functions of that multiset:
 - ``phi(gamma)``, the tilted mean of their log2, which is the derivative
   of ``s * ell(s)``.
 
-``ell`` is evaluated through ``log2sumexp2``, the package's one log-domain
-kernel (a max-shifted log-sum-exp in base 2), and ``phi`` through the same
-max shift, so that arguments up to a few hundred neither overflow nor lose
-the leading term.  ``phi`` is inverted by a safeguarded Newton iteration
-whose slope is ln 2 times the tilted variance.
+Both are max-shifted like ``log2sumexp2``, the package's log-sum-exp in
+base 2, so that arguments up to a few hundred neither overflow nor lose
+the leading term; ``ell`` is also centred at the mean of log2 delta and
+summed through ``expm1``/``log1p``, so it keeps its digits as s -> 0.
+``phi`` is inverted by a safeguarded Newton iteration whose slope is ln 2
+times the tilted variance.
 """
 
 from __future__ import annotations
@@ -36,10 +37,6 @@ __all__ = [
     "log2sumexp2",
 ]
 
-# Below this |s|, ell(s) takes the centred form: the plain form loses about
-# eps/|s| to cancellation there (2e-13 at 1e-3).  At and above it the plain
-# form is kept, so every value computed there keeps its bits.
-_ELL_CENTRED_BELOW = 1e-3
 _LN2 = math.log(2.0)
 
 
@@ -96,11 +93,14 @@ class RepeatedCoefficients:
     # -- the log-s-norm ell ------------------------------------------------
 
     def ell(self, s: float | np.ndarray) -> float | np.ndarray:
-        """(1/s) log2( mean_w delta_w**s ); the mean of log2 delta at s=0.
+        """(1/s) log2( mean_w delta_w**s ); the mean mu of log2 delta at s=0.
 
-        ``s`` may be a float or a numpy array; an array is evaluated
-        element-wise with one log-sum-exp over all its rows, to the same
-        bits as the scalar calls.
+        At finite s != 0 it is centred at mu and max-shifted: with
+        t = s ln2, y = t (log2 delta - mu) and m = max y,
+        ell = mu + (m + log1p(mean(expm1(y - m)))) / t, which neither
+        overflows at large |s| nor cancels as s -> 0.  ``s`` may be a
+        float or a numpy array; an array is evaluated element-wise, to the
+        same bits as the scalar calls.
         """
         if isinstance(s, np.ndarray) and s.ndim:
             return self._ell_array(s.astype(float, copy=False))
@@ -108,35 +108,33 @@ class RepeatedCoefficients:
             return self.ell_zero()
         if math.isinf(s):
             return self.ell_pos_inf() if s > 0 else self.ell_neg_inf()
-        if abs(s) < _ELL_CENTRED_BELOW:
-            return float(self._ell_centred(np.array([s]))[0])
-        return (log2sumexp2(s * self.log2_deltas) - math.log2(self.size)) / s
+        # the array path's formula without its masks, which would cost a
+        # scalar call several times over; sum / size is np.mean's arithmetic
+        mu = self.ell_zero()
+        t = s * _LN2
+        y = t * (self.log2_deltas - mu)
+        m = y.max()
+        mean = np.expm1(y - m).sum() / self.size
+        return float(mu + (m + np.log1p(mean)) / t)
 
     def _ell_array(self, s: np.ndarray) -> np.ndarray:
         out = np.empty(s.shape)
         zero = s == 0
         inf = np.isinf(s)
-        small = ~zero & (np.abs(s) < _ELL_CENTRED_BELOW)
-        plain = ~(zero | inf | small)
+        finite = ~(zero | inf)
         out[zero] = self.ell_zero()
         out[inf & (s > 0)] = self.ell_pos_inf()
         out[inf & (s < 0)] = self.ell_neg_inf()
-        out[small] = self._ell_centred(s[small])
-        sp = s[plain]
-        out[plain] = (log2sumexp2(sp[:, None] * self.log2_deltas, axis=1)
-                      - math.log2(self.size)) / sp
+        mu = self.ell_zero()
+        t = s[finite] * _LN2
+        y = t[:, None] * (self.log2_deltas - mu)
+        m = y.max(axis=1)
+        out[finite] = mu + (m + np.log1p(
+            np.expm1(y - m[:, None]).sum(axis=1) / self.size)) / t
         return out
 
-    def _ell_centred(self, s: np.ndarray) -> np.ndarray:
-        """ell at each non-zero s, centred at mu = ell(0):
-        mu + log1p(mean(expm1(s ln2 (log2 delta - mu)))) / (s ln2)."""
-        mu = self.ell_zero()
-        t = s * _LN2
-        return mu + np.log1p(np.expm1(
-            t[:, None] * (self.log2_deltas - mu)).mean(axis=1)) / t
-
     def ell_zero(self) -> float:
-        return float(self.log2_deltas.mean())
+        return float(self.log2_deltas.sum() / self.size)
 
     def ell_neg_inf(self) -> float:
         """Limit of ell at -infinity: log2 of the smallest coefficient."""

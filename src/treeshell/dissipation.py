@@ -8,8 +8,8 @@ and the fractions of a generation sum to one exactly.  The generation-n
 measure mu_n puts mass F_j at the path mean sigma_j; grouping nodes by the
 composition of distinct coefficient values along their path compresses the
 2**(dn) nodes into a lattice of at most C(n + D - 1, D - 1) atoms with
-multinomial multiplicities, evaluated through log-gamma.  All masses are
-accumulated by ``log2sumexp2``: they span 2**(-O(n)).
+multinomial multiplicities, read off one table of ln k! for k = 0..n.  All
+masses are accumulated by ``log2sumexp2``: they span 2**(-O(n)).
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from scipy.special import gammaln
 
 from .coefficients import RcmModel, log2sumexp2
 from .solution import MAX_NODES, ResourceLimitError
@@ -107,7 +106,9 @@ def _compositions_matrix(n: int, parts: int) -> np.ndarray:
 
 
 def _log2_multinomial(n: int, counts: np.ndarray) -> np.ndarray:
-    return (gammaln(n + 1) - gammaln(counts + 1).sum(axis=1)) / _LN2
+    """log2 of n! / prod(counts!) per row of ``counts``."""
+    ln_factorial = np.fromiter(map(math.lgamma, range(1, n + 2)), float, n + 1)
+    return (ln_factorial[n] - ln_factorial[counts].sum(axis=1)) / _LN2
 
 
 @dataclass(frozen=True)

@@ -29,6 +29,7 @@ from typing import Iterable
 import numpy as np
 
 from .coefficients import RcmModel
+from .dissipation import flux_terms
 from .solution import (MAX_NODE_STEPS, MAX_NODES, ConstantSolution,
                        ResourceLimitError)
 from .tree import TreeIndex
@@ -258,9 +259,6 @@ def energy_balance(traj: Trajectory,
     fully represented; under the zero closure a T touching the truncation
     generation is flagged.
     """
-    # dissipation loads scipy; keep it off the import path of this module
-    from .dissipation import flux_terms
-
     nodes = set(subtree)
     max_gen = max((j.generation for j in nodes), default=0)
     if max_gen > traj.depth - 1:

@@ -24,8 +24,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coefficients import log2sumexp2
+from .dissipation import sigma_of
 from .solution import ConstantSolution, ResourceLimitError
 from .spectra import s0
+from .tree import TreeIndex, path_of_point
 
 __all__ = [
     "WaveletField",
@@ -276,9 +278,6 @@ def local_holder(solution: ConstantSolution, point, n_max: int) -> LocalHolder:
     ``point`` may be a coordinate sequence in [0,1)**d or a ready-made
     :class:`TreeIndex` of generation >= 1 (useful for extreme paths).
     """
-    from .dissipation import sigma_of
-    from .tree import TreeIndex, path_of_point
-
     m = solution.model
     if isinstance(point, TreeIndex):
         node = point

@@ -420,9 +420,6 @@ class TestCliContract:
         "simulate --lambda 0.2 --dim 3 --depth 10 --init zero"])
     def test_over_budget_sizes_are_config_errors(self, capsys, monkeypatch,
                                                  argv):
-        # importing scipy calls np.zeros, so load it before the patch
-        from treeshell import dissipation  # noqa: F401
-
         def fail(*args, **kwargs):
             raise AssertionError("allocated before the budget check")
 
@@ -447,13 +444,24 @@ class TestCliContract:
         assert "model_name,p,zeta" in proc.stdout
 
     def test_cli_and_dynamics_imports_do_not_load_scipy(self):
+        # a None entry in sys.modules makes every import of scipy fail
+        script = """
+import importlib, pkgutil, sys
+sys.modules["scipy"] = None
+import treeshell
+from treeshell.cli import main
+for mod in pkgutil.iter_modules(treeshell.__path__):
+    importlib.import_module("treeshell." + mod.name)
+model = ["--deltas", "1,2", "--dim", "1", "--alpha", "1.5"]
+assert main(["dissipation", *model, "--n", "100"]) == 0
+assert main(["concentration", *model, "--band", "auto"]) == 0
+"""
         proc = subprocess.run(
-            [sys.executable, "-c",
-             "import sys, treeshell.cli, treeshell.dynamics; "
-             "print('scipy' in sys.modules)"],
+            [sys.executable, "-c", script],
             capture_output=True, text=True, timeout=120, env=SUBPROCESS_ENV)
-        assert proc.returncode == 0
-        assert proc.stdout.strip() == "False"
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.count("sigma_atom,") == 1
+        assert proc.stdout.count("theoretical_rate") == 1
 
     def test_rcm_threads_env_is_accepted(self):
         env = dict(SUBPROCESS_ENV, RCM_THREADS="1")

@@ -91,9 +91,11 @@ def inversion_cases(rng):
 
 
 # ell near s = 0, where the plain form (1/s) log2 mean 2**(s log2 delta)
-# loses digits to cancellation; the switch to the centred form is at 1e-3
+# loses about eps/|s| to cancellation (2e-13 at 1e-3); the centred form
+# keeps every finite s to 1e-15, up to s = 0.5 and beyond
 NEAR_ZERO_S = (-1e-12, 1e-12, 1e-9, math.nextafter(1e-8, 0.0),
-               math.nextafter(1e-8, 1.0), 1e-7, 1e-5, 1e-4)
+               math.nextafter(1e-8, 1.0), 1e-7, 1e-5, 1e-4,
+               -1e-3, 1e-3, 3e-3, 1e-2, 0.05, 0.1, 0.5)
 
 
 class TestEll:

@@ -1,6 +1,7 @@
 import math
 from itertools import combinations_with_replacement
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.special import gammaln
@@ -151,6 +152,22 @@ class TestMeasure:
         # composition (2, 2): C(4, 2) = 6 nodes
         i = int(np.where((mu.counts == [2, 2]).all(axis=1))[0][0])
         assert 2.0 ** mu.log2_count[i] == pytest.approx(6.0, rel=1e-14)
+
+    @pytest.mark.parametrize("n", [16, 100, 400])
+    def test_log2_multinomial_matches_exact(self, n, rng):
+        # every two-part row, and random rows of 3, 4 and 8 parts by cut points
+        groups = [dp._compositions_matrix(n, 2)]
+        for parts in (3, 4, 8):
+            cuts = np.sort(rng.integers(0, n + 1, size=(40, parts - 1)), axis=1)
+            groups.append(np.diff(cuts, prepend=0, append=n, axis=1))
+        tol = 4 * math.ulp(math.log2(math.factorial(n)))
+        with mp.workdps(50):
+            for counts in groups:
+                got = dp._log2_multinomial(n, counts)
+                for row, value in zip(counts, got):
+                    exact = math.factorial(n) // math.prod(
+                        math.factorial(int(c)) for c in row)
+                    assert abs(value - float(mp.log(exact, 2))) <= tol, row
 
     def test_total_mass_one_up_to_400(self, d12):
         for n in (1, 7, 50, 400):
