@@ -21,18 +21,15 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .coefficients import RcmModel, log2sumexp2
-from .solution import MAX_NODES, ResourceLimitError
+from .solution import ResourceLimitError
 from .spectra import cascade_rate, dim_D, rate_R
 from .tree import TreeIndex
 
 __all__ = [
     "log2_F",
-    "F_of",
     "sigma_of",
     "DissipationMeasure",
     "measure",
-    "measure_from_enumeration",
-    "enumerate_log2_F",
     "ConcentrationCurve",
     "concentration_curve",
     "theoretical_tail_rate",
@@ -43,9 +40,8 @@ __all__ = [
 ]
 
 _LN2 = math.log(2.0)
-# Budgets: atoms of the composition lattice, nodes visited by the oracle.
+# Budget on the atoms of the composition lattice.
 _MAX_ATOMS = 2**22
-_ENUMERATION_NODES = 2**24
 
 
 def log2_F(model: RcmModel, j: TreeIndex) -> float:
@@ -53,24 +49,11 @@ def log2_F(model: RcmModel, j: TreeIndex) -> float:
     return j.generation * cascade_rate(model) + 1.5 * model.path_log2_sum(j)
 
 
-def F_of(model: RcmModel, j: TreeIndex) -> float:
-    return 2.0 ** log2_F(model, j)
-
-
 def sigma_of(model: RcmModel, j: TreeIndex) -> float:
     """Path mean of log2 d over the ancestor chain; undefined at the root."""
     if j.is_root:
         raise ValueError("sigma is undefined at the root")
     return model.path_log2_sum(j) / j.generation
-
-
-def enumerate_log2_F(model: RcmModel, n: int) -> np.ndarray:
-    """log2 F over all generation-n nodes, indexed by packed code."""
-    if model.N**n > MAX_NODES:
-        raise ResourceLimitError(f"{model.N}**{n} nodes exceed the budget")
-    for row in model.path_sum_rows(0.0, cascade_rate(model), 1.5, n):
-        pass  # keep only the deepest row
-    return row
 
 
 # ---------------------------------------------------------------------------
@@ -87,8 +70,6 @@ def _compositions_matrix(n: int, parts: int) -> np.ndarray:
     previous level, with remainder r, spawns r + 1 rows whose new part runs
     0..r, so each level is an ``np.repeat`` by r + 1 with no loop over rows.
     """
-    if parts == 1:
-        return np.array([[n]], dtype=np.int64)
     if parts == 2:
         k = np.arange(n + 1, dtype=np.int64)
         return np.column_stack([n - k, k])
@@ -167,47 +148,6 @@ def measure(model: RcmModel, n: int) -> DissipationMeasure:
                               log2_node_f, log2_count + log2_node_f)
 
 
-def measure_from_enumeration(model: RcmModel, n: int) -> DissipationMeasure:
-    """Brute-force mu_n by visiting every generation-n node.
-
-    Oracle counterpart of :func:`measure`: same atom layout, but counts,
-    sigmas and masses are accumulated node by node.
-    """
-    if model.N**n > _ENUMERATION_NODES:
-        raise ResourceLimitError(f"{model.N}**{n} nodes exceed the budget")
-    values, mults = model.coeffs.distinct()
-    parts = len(values)
-    # which distinct value each child label carries
-    label_value_idx = np.searchsorted(values, np.asarray(model.coeffs.deltas))
-
-    counts = np.zeros((1, parts), dtype=np.int64)
-    for _ in range(n):
-        counts = np.repeat(counts, model.N, axis=0)
-        idx = np.tile(label_value_idx, len(counts) // model.N)
-        counts[np.arange(len(counts)), idx] += 1
-
-    log2_f_nodes = enumerate_log2_F(model, n)
-    # lay the atoms out exactly like measure() so the two agree entry-wise
-    atom_counts = _compositions_matrix(n, parts)
-    atom_index = {tuple(row): i for i, row in enumerate(atom_counts)}
-    inverse = np.fromiter((atom_index[tuple(row)] for row in counts),
-                          dtype=np.int64, count=len(counts))
-
-    log2_vals = np.log2(values)
-    sigma = (atom_counts @ log2_vals) / n
-    n_atoms = len(atom_counts)
-    log2_count = np.empty(n_atoms)
-    log2_mass = np.empty(n_atoms)
-    log2_node_f = np.empty(n_atoms)
-    for i in range(n_atoms):
-        sel = inverse == i
-        log2_count[i] = math.log2(int(sel.sum()))
-        log2_node_f[i] = log2_f_nodes[sel][0]
-        log2_mass[i] = log2sumexp2(log2_f_nodes[sel])
-    return DissipationMeasure(n, values, mults, atom_counts, sigma,
-                              log2_count, log2_node_f, log2_mass)
-
-
 # ---------------------------------------------------------------------------
 # concentration around phi(3/2)
 # ---------------------------------------------------------------------------
@@ -274,8 +214,13 @@ def concentration_curve(model: RcmModel, interval: tuple[float, float],
     masses, tails = [], []
     for n in ns:
         mu = measure(model, int(n))
-        tails.append(mu.tail_outside(lo, hi))
-        masses.append(mu.mass_in(lo, hi))
+        mass_in = mu.mass_in(lo, hi)
+        # sum the smaller side from its atoms: a tail near 1 summed directly
+        # would carry the rounding of a total mass near 1, so it is taken
+        # as one minus the band's mass
+        tails.append(math.log1p(-mass_in) / _LN2 if mass_in <= 0.5
+                     else mu.tail_outside(lo, hi))
+        masses.append(mass_in)
     tails_arr = np.asarray(tails)
     point = -tails_arr / ns
     slope = np.full(len(ns), np.nan)

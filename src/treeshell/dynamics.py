@@ -43,7 +43,6 @@ __all__ = [
     "integrate",
     "EnergyBalance",
     "energy_balance",
-    "relax_to_constant",
 ]
 
 CLOSURES = ("zero", "stationary")
@@ -283,16 +282,3 @@ def energy_balance(traj: Trajectory,
     return EnergyBalance(traj.times[inner], dE, flux[inner],
                          float(res.max()), float(res.max()) / scale)
 
-
-def relax_to_constant(solution: ConstantSolution, initial: TruncatedState,
-                      dt: float, steps: int, record_every: int = 1
-                      ) -> tuple[np.ndarray, np.ndarray]:
-    """Distance series sum (v_j - u_j)^2 along a run; purely observational.
-
-    Whether the constant solution attracts is an open question; nothing is
-    asserted here.
-    """
-    traj = integrate(initial, dt, steps, record_every)
-    u = constant_values(solution, initial.depth)
-    dist = ((traj.states - u[None, :]) ** 2).sum(axis=1)
-    return traj.times, dist

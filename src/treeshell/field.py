@@ -23,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coefficients import log2sumexp2
 from .dissipation import sigma_of
 from .solution import ConstantSolution, ResourceLimitError
 from .spectra import s0
@@ -35,7 +34,6 @@ __all__ = [
     "StructureFunctionEstimate",
     "fit_window",
     "structure_function",
-    "xi_from_generation_sums",
     "besov_epsilon",
     "LocalHolder",
     "local_holder",
@@ -66,13 +64,6 @@ class WaveletField:
     def l2_norm(self) -> float:
         """Grid L2 norm; exact for the Haar mother."""
         return float(np.sqrt(np.mean(self.grid.astype(np.float64) ** 2)))
-
-    def coefficient_l2(self) -> float:
-        """sqrt(sum u_j^2) over the synthesized generations."""
-        total = 0.0
-        for row in self.solution.log2_u_rows(self.depth - 1):
-            total += float(np.exp2(2.0 * row).sum())
-        return math.sqrt(total)
 
 
 def _mother_pattern(dim: int, block: int, mother: str) -> np.ndarray:
@@ -229,25 +220,8 @@ def structure_function(field: WaveletField, p_grid,
 
 
 # ---------------------------------------------------------------------------
-# closed-form scaling quantities and their generation-sum cross-checks
+# closed-form scaling quantities and local regularity
 # ---------------------------------------------------------------------------
-
-
-def xi_from_generation_sums(solution: ConstantSolution, p: float) -> float:
-    """xi estimated from node sums: d - pd/2 - slope of log2 sum |u_j|^p.
-
-    The per-generation sums at generations n_hi = 14 // d (at least 1) and
-    n_lo = max(0, n_hi - 4) are evaluated by brute-force enumeration from one
-    row pass; their ratio is exactly geometric for the RCM, so they give the
-    slope of the closed form ``spectra.zeta_raw`` to rounding accuracy.
-    """
-    m = solution.model
-    n_hi = max(1, 14 // m.d)
-    n_lo = max(0, n_hi - 4)
-    rows = solution.log2_u_rows(n_hi)
-    slope = ((log2sumexp2(p * rows[n_hi]) - log2sumexp2(p * rows[n_lo]))
-             / (n_hi - n_lo))
-    return m.d - p * m.d / 2.0 - slope
 
 
 def besov_epsilon(solution: ConstantSolution, s: float, p: float,

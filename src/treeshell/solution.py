@@ -40,7 +40,7 @@ class ResourceLimitError(RuntimeError):
 
 
 # Budget on the values one array of node data may hold: a generation row
-# (log2_u_rows, enumerate_log2_F), a truncated state, a recorded trajectory.
+# (log2_u_rows), a truncated state, a recorded trajectory.
 MAX_NODES = 2**26
 # Budget on the work of one integration: time steps times state nodes.
 MAX_NODE_STEPS = 2**36

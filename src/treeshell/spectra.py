@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,18 +38,14 @@ __all__ = [
     "zeta",
     "zeta_raw",
     "zeta_derivative",
-    "zeta_derivative_at_zero",
     "asymptote",
     "max_delta_multiplicity",
     "rate_R",
     "dim_D",
     "dim_D_of_multiset",
     "dim_delta",
-    "entropy_max_oracle",
     "reference_zeta",
     "frisch_parisi_residual",
-    "SpectrumReport",
-    "build_report",
 ]
 
 
@@ -106,11 +101,6 @@ def zeta_derivative(model: RcmModel, p: float) -> float:
     """Derivative of the raw branch: (alpha - d/2)/3 + ell(3/2)/2 - phi(p/2)/2."""
     return ((model.alpha - model.d / 2) / 3 + 0.5 * model.ell(1.5)
             - 0.5 * model.phi(p / 2))
-
-
-def zeta_derivative_at_zero(model: RcmModel) -> float:
-    """Slope at p = 0: (alpha - d/2)/3 + (ell(3/2) - ell(0))/2."""
-    return zeta_derivative(model, 0.0)
 
 
 def max_delta_multiplicity(model: RcmModel) -> int:
@@ -176,85 +166,6 @@ def dim_delta(model: RcmModel) -> float:
     return model.d - 1.5 * (model.phi(1.5) - model.ell(1.5))
 
 
-def entropy_max_oracle(coeffs: RepeatedCoefficients, a: float) -> float:
-    """Brute-force companion of dim_D: maximise the entropy H(p) over the
-    simplex slice sigma(p) = a by dense grid search plus eight rounds of
-    local refinement.
-
-    Supports multisets of size up to 4 (the slice has at most 2 free
-    coordinates).  Independent of the Lagrange closed form on purpose.
-    """
-    n = coeffs.size
-    if n > 4:
-        raise ValueError("oracle restricted to multisets of size <= 4")
-    grid = 2000 if n <= 3 else 240  # the n=4 mesh is two-dimensional
-    w = coeffs.log2_deltas.astype(float)
-    lo, hi = w.min(), w.max()
-    if lo == hi:
-        if not math.isclose(a, lo, abs_tol=1e-12):
-            raise ValueError("infeasible constraint for a flat multiset")
-        return math.log2(n)  # uniform point maximises H unconditionally
-
-    if not lo - 1e-12 <= a <= hi + 1e-12:
-        raise ValueError(f"infeasible constraint a = {a}")
-
-    def entropy(p: np.ndarray) -> np.ndarray:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = np.where(p > 0, p * np.log2(np.where(p > 0, p, 1.0)), 0.0)
-        return -t.sum(axis=-1)
-
-    i_min, i_max = int(np.argmin(w)), int(np.argmax(w))
-    free = [i for i in range(n) if i not in (i_min, i_max)]
-    wa, wb = w[i_min], w[i_max]
-
-    def solve(free_vals: np.ndarray) -> np.ndarray:
-        """Fill the pinned pair from the two linear constraints; rows with
-        any negative coordinate are marked infeasible with NaN."""
-        m = free_vals.shape[0]
-        p = np.full((m, n), np.nan)
-        rest = free_vals.sum(axis=1)
-        rhs1 = 1.0 - rest
-        rhs2 = a - free_vals @ w[free]
-        # p_a + p_b = rhs1, wa p_a + wb p_b = rhs2
-        pb = (rhs2 - wa * rhs1) / (wb - wa)
-        pa = rhs1 - pb
-        ok = (pa >= -1e-15) & (pb >= -1e-15) & (rhs1 >= -1e-15)
-        p[:, free] = free_vals
-        p[:, i_min] = np.maximum(pa, 0.0)
-        p[:, i_max] = np.maximum(pb, 0.0)
-        p[~ok] = np.nan
-        return p
-
-    if not free:
-        p = solve(np.zeros((1, 0)))
-        if np.isnan(p).any():
-            raise ValueError(f"infeasible constraint a = {a}")
-        return float(entropy(p)[0])
-
-    k = len(free)  # 1 or 2
-    lo_box = np.zeros(k)
-    hi_box = np.ones(k)
-    best_p, best_h = None, -np.inf
-    for _ in range(8):
-        axes = [np.linspace(lo_box[i], hi_box[i], grid) for i in range(k)]
-        mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, k)
-        p = solve(mesh)
-        h = entropy(p)
-        h[np.isnan(p).any(axis=1)] = -np.inf
-        i_best = int(np.argmax(h))
-        if h[i_best] > best_h:
-            best_h = float(h[i_best])
-            best_p = mesh[i_best]
-        # shrink the box around the current best point
-        span = (hi_box - lo_box) / (grid - 1)
-        lo_box = np.maximum(best_p - 2 * span, 0.0)
-        hi_box = np.minimum(best_p + 2 * span, 1.0)
-        grid = max(grid // 2, 33)
-    if best_h == -np.inf:
-        raise ValueError(f"infeasible constraint a = {a}")
-    return best_h
-
-
 # ---------------------------------------------------------------------------
 # reference models
 # ---------------------------------------------------------------------------
@@ -287,60 +198,3 @@ def frisch_parisi_residual(model: RcmModel) -> float:
     """|Delta - (3 zeta'_3 + d - 1)|; vanishes when alpha = d/2 + 1."""
     return abs(dim_delta(model)
                - (3 * zeta_derivative(model, 3.0) + model.d - 1))
-
-
-# ---------------------------------------------------------------------------
-# aggregated report
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SpectrumReport:
-    """Grid evaluation of the spectrum apparatus for one model."""
-
-    p: np.ndarray
-    zeta: np.ndarray
-    zeta_raw: np.ndarray
-    h: float
-    asymptote_slope: float
-    asymptote_intercept: float
-    zeta_prime_zero: float
-    delta: float
-    concave: bool
-    nondecreasing: bool
-    a_grid: np.ndarray
-    rate_R: np.ndarray
-    dim_D: np.ndarray
-
-
-def build_report(model: RcmModel, p_grid=None) -> SpectrumReport:
-    """Evaluate zeta, R and D on grids: the default p-grid is [0, 20] step
-    0.1, the a-grid 101 points across the sigma range; concavity and
-    monotonicity are judged to 1e-9."""
-    if p_grid is None:
-        p_grid = np.arange(0.0, 20.0 + 1e-9, 0.1)
-    p_grid = np.asarray(p_grid, dtype=float)
-    z = zeta(model, p_grid, check_h=False)
-    zr = zeta_raw(model, p_grid)
-    slope, intercept = asymptote(model)
-
-    d2 = np.diff(z, 2)
-    d1 = np.diff(z)
-
-    if model.is_flat:
-        a_grid = np.array([model.coeffs.ell_zero()])
-    else:
-        lo, hi = model.coeffs.ell_neg_inf(), model.coeffs.ell_pos_inf()
-        pad = (hi - lo) * 1e-6
-        a_grid = np.linspace(lo + pad, hi - pad, 101)
-    return SpectrumReport(
-        p=p_grid, zeta=z, zeta_raw=zr,
-        h=slope, asymptote_slope=slope, asymptote_intercept=intercept,
-        zeta_prime_zero=zeta_derivative_at_zero(model),
-        delta=dim_delta(model),
-        concave=bool(np.all(d2 <= 1e-9)),
-        nondecreasing=bool(np.all(d1 >= -1e-9)),
-        a_grid=a_grid,
-        rate_R=np.asarray(rate_R(model, a_grid)),
-        dim_D=np.array([dim_D(model, float(a)) for a in a_grid]),
-    )

@@ -166,9 +166,6 @@ class DyadicCube:
     def volume(self) -> Fraction:
         return self.side**self.dim
 
-    def contains(self, point: Sequence[float]) -> bool:
-        return all(o <= x < o + self.side for o, x in zip(self.origin, point))
-
     def center(self) -> tuple[float, ...]:
         return tuple(float(o + self.side / 2) for o in self.origin)
 

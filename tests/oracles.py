@@ -1,0 +1,180 @@
+"""Brute-force reference implementations that the tests check fast paths
+against.
+
+Each oracle computes its quantity by a different route from the library
+function it checks, and calls none of them: a grid search for the
+Lagrange closed form of D(a), node-by-node enumeration for the
+composition lattice of mu_n, per-generation node sums for the closed-form
+Besov exponent, and the coefficient sum for the synthesized grid's L2
+norm.  The enumeration borrows only the lattice's atom order, so that the
+two measures can be compared atom by atom.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from treeshell.coefficients import RcmModel, RepeatedCoefficients, log2sumexp2
+from treeshell.dissipation import DissipationMeasure, _compositions_matrix
+from treeshell.solution import MAX_NODES, ConstantSolution, ResourceLimitError
+from treeshell.spectra import cascade_rate
+
+# Budget on the nodes visited by the enumeration oracle.
+_ENUMERATION_NODES = 2**24
+
+
+def entropy_max_oracle(coeffs: RepeatedCoefficients, a: float) -> float:
+    """Brute-force companion of dim_D: maximise the entropy H(p) over the
+    simplex slice sigma(p) = a by dense grid search plus eight rounds of
+    local refinement.
+
+    Supports multisets of size up to 4 (the slice has at most 2 free
+    coordinates).  Independent of the Lagrange closed form on purpose.
+    """
+    n = coeffs.size
+    if n > 4:
+        raise ValueError("oracle restricted to multisets of size <= 4")
+    grid = 2000 if n <= 3 else 240  # the n=4 mesh is two-dimensional
+    w = coeffs.log2_deltas.astype(float)
+    lo, hi = w.min(), w.max()
+    if lo == hi:
+        if not math.isclose(a, lo, abs_tol=1e-12):
+            raise ValueError("infeasible constraint for a flat multiset")
+        return math.log2(n)  # uniform point maximises H unconditionally
+
+    if not lo - 1e-12 <= a <= hi + 1e-12:
+        raise ValueError(f"infeasible constraint a = {a}")
+
+    def entropy(p: np.ndarray) -> np.ndarray:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = np.where(p > 0, p * np.log2(np.where(p > 0, p, 1.0)), 0.0)
+        return -t.sum(axis=-1)
+
+    i_min, i_max = int(np.argmin(w)), int(np.argmax(w))
+    free = [i for i in range(n) if i not in (i_min, i_max)]
+    wa, wb = w[i_min], w[i_max]
+
+    def solve(free_vals: np.ndarray) -> np.ndarray:
+        """Fill the pinned pair from the two linear constraints; rows with
+        any negative coordinate are marked infeasible with NaN."""
+        m = free_vals.shape[0]
+        p = np.full((m, n), np.nan)
+        rest = free_vals.sum(axis=1)
+        rhs1 = 1.0 - rest
+        rhs2 = a - free_vals @ w[free]
+        # p_a + p_b = rhs1, wa p_a + wb p_b = rhs2
+        pb = (rhs2 - wa * rhs1) / (wb - wa)
+        pa = rhs1 - pb
+        ok = (pa >= -1e-15) & (pb >= -1e-15) & (rhs1 >= -1e-15)
+        p[:, free] = free_vals
+        p[:, i_min] = np.maximum(pa, 0.0)
+        p[:, i_max] = np.maximum(pb, 0.0)
+        p[~ok] = np.nan
+        return p
+
+    if not free:
+        p = solve(np.zeros((1, 0)))
+        if np.isnan(p).any():
+            raise ValueError(f"infeasible constraint a = {a}")
+        return float(entropy(p)[0])
+
+    k = len(free)  # 1 or 2
+    lo_box = np.zeros(k)
+    hi_box = np.ones(k)
+    best_p, best_h = None, -np.inf
+    for _ in range(8):
+        axes = [np.linspace(lo_box[i], hi_box[i], grid) for i in range(k)]
+        mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, k)
+        p = solve(mesh)
+        h = entropy(p)
+        h[np.isnan(p).any(axis=1)] = -np.inf
+        i_best = int(np.argmax(h))
+        if h[i_best] > best_h:
+            best_h = float(h[i_best])
+            best_p = mesh[i_best]
+        # shrink the box around the current best point
+        span = (hi_box - lo_box) / (grid - 1)
+        lo_box = np.maximum(best_p - 2 * span, 0.0)
+        hi_box = np.minimum(best_p + 2 * span, 1.0)
+        grid = max(grid // 2, 33)
+    if best_h == -np.inf:
+        raise ValueError(f"infeasible constraint a = {a}")
+    return best_h
+
+
+def enumerate_log2_F(model: RcmModel, n: int) -> np.ndarray:
+    """log2 F over all generation-n nodes, indexed by packed code."""
+    if model.N**n > MAX_NODES:
+        raise ResourceLimitError(f"{model.N}**{n} nodes exceed the budget")
+    for row in model.path_sum_rows(0.0, cascade_rate(model), 1.5, n):
+        pass  # keep only the deepest row
+    return row
+
+
+def measure_from_enumeration(model: RcmModel, n: int) -> DissipationMeasure:
+    """Brute-force mu_n by visiting every generation-n node.
+
+    Oracle counterpart of :func:`measure`: same atom layout, but counts,
+    sigmas and masses are accumulated node by node.
+    """
+    if model.N**n > _ENUMERATION_NODES:
+        raise ResourceLimitError(f"{model.N}**{n} nodes exceed the budget")
+    values, mults = model.coeffs.distinct()
+    parts = len(values)
+    # which distinct value each child label carries
+    label_value_idx = np.searchsorted(values, np.asarray(model.coeffs.deltas))
+
+    counts = np.zeros((1, parts), dtype=np.int64)
+    for _ in range(n):
+        counts = np.repeat(counts, model.N, axis=0)
+        idx = np.tile(label_value_idx, len(counts) // model.N)
+        counts[np.arange(len(counts)), idx] += 1
+
+    log2_f_nodes = enumerate_log2_F(model, n)
+    # lay the atoms out exactly like measure() so the two agree entry-wise
+    atom_counts = _compositions_matrix(n, parts)
+    atom_index = {tuple(row): i for i, row in enumerate(atom_counts)}
+    inverse = np.fromiter((atom_index[tuple(row)] for row in counts),
+                          dtype=np.int64, count=len(counts))
+
+    log2_vals = np.log2(values)
+    sigma = (atom_counts @ log2_vals) / n
+    n_atoms = len(atom_counts)
+    log2_count = np.empty(n_atoms)
+    log2_mass = np.empty(n_atoms)
+    log2_node_f = np.empty(n_atoms)
+    for i in range(n_atoms):
+        sel = inverse == i
+        log2_count[i] = math.log2(int(sel.sum()))
+        log2_node_f[i] = log2_f_nodes[sel][0]
+        log2_mass[i] = log2sumexp2(log2_f_nodes[sel])
+    return DissipationMeasure(n, values, mults, atom_counts, sigma,
+                              log2_count, log2_node_f, log2_mass)
+
+
+def xi_from_generation_sums(solution: ConstantSolution, p: float) -> float:
+    """xi estimated from node sums: d - pd/2 - slope of log2 sum |u_j|^p.
+
+    The per-generation sums at generations n_hi = 14 // d (at least 1) and
+    n_lo = max(0, n_hi - 4) are evaluated by brute-force enumeration from one
+    row pass; their ratio is exactly geometric for the RCM, so they give the
+    slope of the closed form ``spectra.zeta_raw`` to rounding accuracy.
+    """
+    m = solution.model
+    n_hi = max(1, 14 // m.d)
+    n_lo = max(0, n_hi - 4)
+    rows = solution.log2_u_rows(n_hi)
+    slope = ((log2sumexp2(p * rows[n_hi]) - log2sumexp2(p * rows[n_lo]))
+             / (n_hi - n_lo))
+    return m.d - p * m.d / 2.0 - slope
+
+
+def coefficient_l2(solution: ConstantSolution, depth: int) -> float:
+    """sqrt(sum u_j^2) over generations 0..depth-1, the ones a depth-`depth`
+    field synthesizes."""
+    total = 0.0
+    for row in solution.log2_u_rows(depth - 1):
+        total += float(np.exp2(2.0 * row).sum())
+    return math.sqrt(total)

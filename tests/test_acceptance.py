@@ -9,8 +9,9 @@ empirical structure-function clause (10b) is asserted exactly as stated
 and fails -- the configured estimator cannot meet the stated tolerance at
 the stated depth.  The README's Known limitation section explains why:
 the Haar field is discontinuous (capping the exponents at 1 with
-logarithmic corrections) and the finite-depth transients decay only
-like 2**(-m/3), so the fit window cannot reach the asymptote.
+logarithmic corrections) and an outer-scale transient in m, which does
+not shrink with the depth, keeps the fit window from reaching the
+asymptote.
 """
 
 import math
@@ -31,6 +32,9 @@ from treeshell import dynamics as dyn
 from treeshell import field as fd
 from treeshell import spectra
 from treeshell.coefficients import RepeatedCoefficients
+
+from oracles import (enumerate_log2_F, entropy_max_oracle,
+                     measure_from_enumeration)
 
 PHI32_D12 = 0.7387961250362586
 
@@ -159,7 +163,7 @@ def test_criterion_5_dimension_formula():
         for frac in np.linspace(0.04, 0.96, 20):
             a = lo + (hi - lo) * float(frac)
             closed = spectra.dim_D_of_multiset(coeffs, a)
-            oracle = spectra.entropy_max_oracle(coeffs, a)
+            oracle = entropy_max_oracle(coeffs, a)
             worst = max(worst, abs(closed - oracle))
         c.check(worst <= 1e-5, f"N={N}: max |D - oracle| = {worst:.2e}")
 
@@ -183,7 +187,7 @@ def test_criterion_6_unit_mass():
     m = RcmModel.create(1, 1.5, [1.0, 2.0])
     worst_enum = 0.0
     for n in range(1, 13):
-        log2f = dp.enumerate_log2_F(m, n)
+        log2f = enumerate_log2_F(m, n)
         total = np.exp2(log2f - log2f.max()).sum()
         worst_enum = max(worst_enum,
                          abs(2.0 ** (log2f.max() + np.log2(total)) - 1.0))
@@ -196,7 +200,7 @@ def test_criterion_6_unit_mass():
     worst_atom = 0.0
     for n in range(1, 13):
         lat = dp.measure(m, n)
-        enu = dp.measure_from_enumeration(m, n)
+        enu = measure_from_enumeration(m, n)
         worst_atom = max(worst_atom,
                          float(np.abs(lat.log2_mass - enu.log2_mass).max()))
     c.check(worst_atom <= 1e-12, f"atomwise max |diff(log2 mass)| = {worst_atom:.2e}")

@@ -1,0 +1,46 @@
+"""The package's public surface, and the separation between the library and
+the brute-force oracles in ``tests/oracles.py``."""
+
+import ast
+import importlib
+import pathlib
+import pkgutil
+
+import pytest
+
+import treeshell
+
+MODULES = ["treeshell"] + [f"treeshell.{m.name}"
+                           for m in pkgutil.iter_modules(treeshell.__path__)]
+ORACLES = pathlib.Path(__file__).with_name("oracles.py")
+MOVED = ("entropy_max_oracle", "measure_from_enumeration", "enumerate_log2_F",
+         "_ENUMERATION_NODES", "xi_from_generation_sums", "coefficient_l2")
+# the fast paths the oracles check, which they must not call
+FAST_PATHS = {"measure", "dim_D", "dim_D_of_multiset", "phi_inverse",
+              "zeta_raw", "synthesize"}
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_all_names_resolve(name):
+    module = importlib.import_module(name)
+    missing = [n for n in getattr(module, "__all__", ())
+               if not hasattr(module, n)]
+    assert not missing
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_library_does_not_refer_to_the_oracles(name):
+    source = pathlib.Path(importlib.import_module(name).__file__).read_text()
+    assert [n for n in MOVED if n in source] == []
+
+
+def test_oracles_call_no_fast_path():
+    called = set()
+    for node in ast.walk(ast.parse(ORACLES.read_text())):
+        if isinstance(node, ast.Call):
+            f = node.func
+            called.add(f.id if isinstance(f, ast.Name)
+                       else f.attr if isinstance(f, ast.Attribute) else None)
+        elif isinstance(node, ast.alias):
+            called.add(node.name)  # an imported fast path could be renamed
+    assert called & FAST_PATHS == set()

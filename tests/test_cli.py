@@ -162,6 +162,21 @@ class TestDissipationCommands:
             assert float(r["tail"]) == pytest.approx(
                 1.0 - float(r["mass_in_B"]), abs=1e-12)
 
+    def test_concentration_tail_of_a_band_with_little_mass(self, capsys):
+        # phi(3/2) lies outside the band, so mass_in_B is 1e-10 to 1e-35
+        # and the tail is one minus it, not a sum of atoms near 1
+        rc, out = run_cli(["concentration", "--deltas", "1,2,3,5", "--dim",
+                           "2", "--alpha", "2", "--band", "0.1,0.3",
+                           "--n-list", "10,20,40"], capsys)
+        assert rc == 0
+        rows = parse_csv(out)
+        assert len(rows) == 3
+        for r in rows:
+            tail, mass = float(r["tail"]), float(r["mass_in_B"])
+            assert tail <= 1
+            assert float(r["point_rate"]) >= 0
+            assert abs(mass + tail - 1) <= 1e-15
+
     def test_dissipation_band_auto_reports_band_mass(self, capsys, d12):
         rc, out = run_cli(["dissipation", "--deltas", "1,2", "--dim", "1",
                            "--alpha", "1.5", "--n", "100", "--band", "auto"],

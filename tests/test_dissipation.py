@@ -11,6 +11,8 @@ from treeshell import dissipation as dp
 from treeshell import spectra
 from treeshell.solution import ResourceLimitError
 
+from oracles import enumerate_log2_F, measure_from_enumeration
+
 PHI32_D12 = 0.7387961250362586
 
 
@@ -69,14 +71,14 @@ class TestFractions:
 
     def test_unit_sum_by_enumeration(self, d12):
         for n in range(1, 13):
-            total = lse2(dp.enumerate_log2_F(d12, n))
+            total = lse2(enumerate_log2_F(d12, n))
             assert abs(total) <= 1e-10
 
     def test_unit_sum_random_models(self, rng):
         from conftest import random_rcm
         for _ in range(10):
             m = random_rcm(rng, allow_flat=True, d_choices=(1, 2))
-            total = lse2(dp.enumerate_log2_F(m, 6))
+            total = lse2(enumerate_log2_F(m, 6))
             assert abs(total) <= 1e-10
 
     def test_rate_identity(self, d12, rng):
@@ -96,7 +98,8 @@ class TestFractions:
             c_j = d12.coefficient_of(j) * 2.0 ** (d12.alpha * n)
             flux = 2 * c_j * sol.u(j.parent()) ** 2 * sol.u(j)
             denom = 2 * d12.forcing**2 * sol.u(TreeIndex.root(2))
-            assert dp.F_of(d12, j) == pytest.approx(flux / denom, rel=1e-11)
+            assert 2.0 ** dp.log2_F(d12, j) == pytest.approx(flux / denom,
+                                                             rel=1e-11)
 
 
 class TestSigma:
@@ -182,7 +185,7 @@ class TestMeasure:
     def test_lattice_matches_enumeration_atomwise(self, deltas, d, n):
         m = RcmModel.create(d, d / 2 + 1, deltas)
         lat = dp.measure(m, n)
-        enu = dp.measure_from_enumeration(m, n)
+        enu = measure_from_enumeration(m, n)
         assert lat.atoms == enu.atoms
         assert np.array_equal(lat.counts, enu.counts)
         assert np.abs(lat.sigma - enu.sigma).max() <= 1e-12
@@ -406,7 +409,7 @@ class TestFluxTerms:
             == pytest.approx(1.0, abs=1e-12)
         # partition property: boundary fractions equal the closed-form F
         for j, frac in rep.boundary_fractions:
-            assert frac == pytest.approx(dp.F_of(d12, j), rel=1e-11)
+            assert frac == pytest.approx(2.0 ** dp.log2_F(d12, j), rel=1e-11)
 
     def test_non_prefix_closed_rejected(self, d12):
         sol = ConstantSolution(d12)
@@ -427,7 +430,7 @@ class TestWideTrees:
 
         m = lambda_family(0.2, alpha=2.5)
         lat = dp.measure(m, 4)
-        enu = dp.measure_from_enumeration(m, 4)
+        enu = measure_from_enumeration(m, 4)
         assert lat.atoms == enu.atoms == 330
         assert np.array_equal(lat.counts, enu.counts)
         assert np.abs(lat.log2_mass - enu.log2_mass).max() <= 1e-12

@@ -283,17 +283,22 @@ class TestEnergyBalance:
 
 
 class TestRelax:
+    """The distance sum (v_j - u_j)^2 to the constant solution along a run,
+    formed as ``simulate`` forms its distance_to_u column."""
+
     def test_start_at_solution_stays(self, d12):
         sol = ConstantSolution(d12)
         st = dyn.TruncatedState.from_constant(sol, 4, "stationary")
-        _, dist = dyn.relax_to_constant(sol, st, 1e-4, 500, record_every=50)
+        traj = dyn.integrate(st, 1e-4, 500, record_every=50)
+        dist = ((traj.states - dyn.constant_values(sol, 4)) ** 2).sum(axis=1)
         assert dist.max() <= 1e-9
 
     def test_perturbed_run_is_observational(self, d12):
         sol = ConstantSolution(d12)
         st = dyn.TruncatedState.from_constant(sol, 4, "stationary", scale=1.1)
-        times, dist = dyn.relax_to_constant(sol, st, 1e-4, 400, record_every=100)
-        assert len(times) == len(dist) == 5
+        traj = dyn.integrate(st, 1e-4, 400, record_every=100)
+        dist = ((traj.states - dyn.constant_values(sol, 4)) ** 2).sum(axis=1)
+        assert len(traj.times) == len(dist) == 5
         assert dist[0] > 0  # no convergence asserted: conjecture-level
 
     def test_zero_start_root_rises(self, d12):

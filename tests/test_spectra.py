@@ -7,6 +7,8 @@ from treeshell import RcmModel, lambda_family
 from treeshell import spectra
 from treeshell.coefficients import RepeatedCoefficients
 
+from oracles import entropy_max_oracle
+
 # mpmath (50 dps) reference values for deltas=(1,2), d=1, alpha=3/2
 DELTA_D12 = 0.8285576078854362
 ZETA_PRIME0_D12 = 0.3955839318132747
@@ -43,7 +45,7 @@ class TestZeta:
     def test_clipping_at_small_p(self):
         # steep raw branch: zeta = p near 0 when zeta'(0) > 1
         m = RcmModel.create(1, 6.0, [1.0, 2.0])
-        assert spectra.zeta_derivative_at_zero(m) > 1
+        assert spectra.zeta_derivative(m, 0.0) > 1
         assert spectra.zeta(m, 0.05, check_h=False) == pytest.approx(0.05)
         raw = spectra.zeta_raw(m, 0.05)
         assert raw > 0.05
@@ -51,11 +53,11 @@ class TestZeta:
 
 class TestZetaDerivative:
     def test_flat_value(self, flat_d3):
-        assert spectra.zeta_derivative_at_zero(flat_d3) == pytest.approx(
+        assert spectra.zeta_derivative(flat_d3, 0.0) == pytest.approx(
             1.0 / 3.0, abs=1e-14)
 
     def test_d12_value(self, d12):
-        assert spectra.zeta_derivative_at_zero(d12) == pytest.approx(
+        assert spectra.zeta_derivative(d12, 0.0) == pytest.approx(
             ZETA_PRIME0_D12, abs=1e-13)
 
     def test_matches_finite_difference_of_raw_branch(self, d12):
@@ -154,15 +156,15 @@ class TestEntropyOracle:
     def test_unconstrained_max_when_feasible(self):
         c = RepeatedCoefficients([1.0, 2.0])
         # sigma of the uniform point is 0.5, so the constrained max is H = 1
-        assert spectra.entropy_max_oracle(c, 0.5) == pytest.approx(1.0, abs=1e-8)
+        assert entropy_max_oracle(c, 0.5) == pytest.approx(1.0, abs=1e-8)
 
     def test_matches_closed_form_at_phi32(self, d12):
-        got = spectra.entropy_max_oracle(d12.coeffs, PHI32_D12)
+        got = entropy_max_oracle(d12.coeffs, PHI32_D12)
         assert got == pytest.approx(DELTA_D12, abs=1e-5)
 
     def test_vertex_value(self):
         c = RepeatedCoefficients([1.0, 2.0])
-        assert spectra.entropy_max_oracle(c, c.ell_pos_inf()) == pytest.approx(
+        assert entropy_max_oracle(c, c.ell_pos_inf()) == pytest.approx(
             0.0, abs=1e-9)
 
     @pytest.mark.parametrize("deltas", [
@@ -176,12 +178,12 @@ class TestEntropyOracle:
         for frac in np.linspace(0.08, 0.92, 8):
             a = lo + (hi - lo) * float(frac)
             closed = spectra.dim_D_of_multiset(c, a)
-            grid = spectra.entropy_max_oracle(c, a)
+            grid = entropy_max_oracle(c, a)
             assert grid == pytest.approx(closed, abs=1e-5)
 
     def test_size_cap(self):
         with pytest.raises(ValueError):
-            spectra.entropy_max_oracle(RepeatedCoefficients([1.0] * 8), 0.0)
+            entropy_max_oracle(RepeatedCoefficients([1.0] * 8), 0.0)
 
 
 class TestReferenceModels:
@@ -234,14 +236,19 @@ class TestShapeProperties:
         assert tilted.max() / tilted.mean() < 2
         assert np.all(np.diff(z) >= -1e-9)
 
-    def test_report_flags(self, lam02):
-        rep = spectra.build_report(lam02)
-        assert rep.concave and rep.nondecreasing
-        assert rep.zeta[0] == 0.0
-        assert np.all(np.isfinite(rep.zeta))
-        assert rep.delta == pytest.approx(spectra.dim_delta(lam02), abs=1e-14)
-        assert rep.asymptote_intercept == 3.0
-        assert np.all(rep.rate_R - rep.dim_D >= -1e-9)
+    def test_lam02_shape_and_rate_gap_on_grids(self, lam02):
+        # zeta on [0, 20] step 0.1; R - D on 101 points across the sigma
+        # range, padded by 1e-6 of its width
+        p = np.arange(0.0, 20.0 + 1e-9, 0.1)
+        z = spectra.zeta(lam02, p, check_h=False)
+        assert z[0] == 0.0
+        assert np.all(np.isfinite(z))
+        assert np.all(np.diff(z, 2) <= 1e-9) and np.all(np.diff(z) >= -1e-9)
+        lo, hi = lam02.coeffs.ell_neg_inf(), lam02.coeffs.ell_pos_inf()
+        pad = (hi - lo) * 1e-6
+        a = np.linspace(lo + pad, hi - pad, 101)
+        D = np.array([spectra.dim_D(lam02, float(x)) for x in a])
+        assert np.all(spectra.rate_R(lam02, a) - D >= -1e-9)
 
     def test_relabelling_invariance(self, rng):
         # spectra depend on the multiset only, not the label assignment
@@ -263,9 +270,9 @@ def test_no_warning_inside_unit_interval(d12):
         spectra.zeta(d12, 2.0)  # h ~ 0.146, inside (0, 1): must stay silent
 
 
-def test_report_default_grid_and_flat_model(flat_d3):
-    rep = spectra.build_report(flat_d3)
-    assert len(rep.p) == 201 and rep.p[1] - rep.p[0] == pytest.approx(0.1)
-    assert rep.a_grid.tolist() == [flat_d3.coeffs.ell_zero()]
-    assert rep.dim_D[0] == 3.0
-    assert rep.concave and rep.nondecreasing
+def test_flat_d3_shape_and_dimension(flat_d3):
+    p = np.arange(0.0, 20.0 + 1e-9, 0.1)
+    z = spectra.zeta(flat_d3, p, check_h=False)
+    assert np.all(np.diff(z, 2) <= 1e-9) and np.all(np.diff(z) >= -1e-9)
+    # a flat multiset has one level set, sigma = ell_0, of full dimension
+    assert spectra.dim_D(flat_d3, flat_d3.coeffs.ell_zero()) == 3.0
