@@ -289,9 +289,8 @@ def cmd_structure(args) -> int:
     if model.d != 1:
         raise ConfigError("structure estimates increments of a d = 1 field, "
                           f"got d = {model.d}")
-    solution = ConstantSolution(model)
-    wf = field.synthesize(solution, depth=args.depth, mother=args.mother)
-    est = field.structure_function(wf, ps, m_range=window)
+    est = field.structure_function(ConstantSolution(model), args.depth, ps,
+                                   m_range=window, mother=args.mother)
     config = {"model": model.to_dict(), "depth": args.depth,
               "p_list": ps, "fit_window": list(est.fit_window),
               "mother": args.mother}

@@ -10,10 +10,22 @@ A continuous triangular mother ("hat") is also available for scaling
 studies; it keeps the supports and the common L2 norm but gives up
 orthogonality and zero mean, so use it only where increments are involved.
 
-The structure function S_p(r) at r = 2**(-m) averages |u(x) - u(y)|^p over
-the two-point stencil y = x +- r (pairs leaving the cube are discarded); a
-least-squares fit of log2 S_p against -m over the fit window estimates the
-scaling exponent.
+The structure function S_p(2**-m) of a d = 1 field is the mean of
+|u(x + 2**-m) - u(x)|^p over the 2**M - 2**(M - m) pairs of level-M cells,
+and the least-squares slope of log2 S_p against -m estimates the scaling
+exponent.  For the Haar field S_p is a sum over the tree, with no level-M
+grid.  A pair straddles the midpoint of one node j of generation m - l,
+l >= 1, across which j's ancestors are constant, and j's subtree is the
+field scaled by the product w_j of kappa_i = 2**(q + 1/2) sqrt(delta_i)
+along j's path.  Down the inner edges of j's children the increment is
+w_j (A_l + B_l G(s)), G the depth-(M - m) field and s one of its cells, so
+
+    sum_pairs |du|^p = sum_{l=1..m} (kappa_0^p + kappa_1^p)^(m-l)
+                       sum_s |A_l + B_l G(s)|^p,
+
+B_l = kappa_1 kappa_0^(l-1) - kappa_0 kappa_1^(l-1) and, with v0 = f 2**q,
+A_l = v0 (sum_{e<l-1} (kappa_1 kappa_0^e + kappa_0 kappa_1^e) - 2): j's own
+jump -2 v0 plus the wavelets of the two edges down to the pair.
 """
 
 from __future__ import annotations
@@ -79,15 +91,14 @@ def _mother_pattern(dim: int, block: int, mother: str) -> np.ndarray:
     return out
 
 
-def synthesize(solution: ConstantSolution, depth: int = 16,
-               mother: str = "haar") -> WaveletField:
-    """Sample sum_{|j| < depth} u_j psi_j on the level-`depth` cell grid of
-    the model's d-dimensional unit cube.
+def _generations(solution: ConstantSolution, depth: int, mother: str):
+    """Yield the grid after adding each generation g = 0..depth-1.
 
     The grid is kept at the coarsest level the wavelets added so far vary
     on: a Haar wavelet of generation g is constant on level-(g + 1) cells,
     so before generation g the grid is refined to that level by repeating
-    each cell, while the hat varies down to the finest level from g = 0.
+    each cell (the Haar grid yielded after g is a new array, the depth-(g+1)
+    field), while the hat varies down to the finest level from g = 0.
     For generation g the grid is reshaped so that axis 2a indexes the
     generation-g cubes along axis a and axis 2a+1 the cells inside; node
     values then broadcast against the mother pattern.  With the Haar
@@ -95,12 +106,6 @@ def synthesize(solution: ConstantSolution, depth: int = 16,
     """
     model = solution.model
     dim = model.d
-    if mother not in MOTHERS:
-        raise ValueError(f"mother must be one of {MOTHERS}")
-    cells = (2**depth) ** dim
-    if cells > _MAX_CELLS:
-        raise ResourceLimitError(f"{cells} cells exceed the {_MAX_CELLS} budget")
-
     # levels below its cube down to which a generation-g wavelet varies
     below = 1 if mother == "haar" else depth
     # with these new axes an array indexed by cube broadcasts over the cells
@@ -129,11 +134,26 @@ def synthesize(solution: ConstantSolution, depth: int = 16,
         pattern = _mother_pattern(dim, block, mother) * 2.0 ** (dim * g / 2.0)
         view = grid.reshape((2**g, block) * dim)
         view += np.expand_dims(vals, cube_axes) * np.expand_dims(pattern, cell_axes)
+        yield grid
         if g + 1 < depth:
             # split every cube axis in two for the next generation
             vals = (np.expand_dims(vals, cube_axes)
                     * np.expand_dims(child_factor, cell_axes)
                     ).reshape((2 ** (g + 1),) * dim)
+
+
+def synthesize(solution: ConstantSolution, depth: int = 16,
+               mother: str = "haar") -> WaveletField:
+    """Sample sum_{|j| < depth} u_j psi_j on the level-`depth` cell grid of
+    the model's d-dimensional unit cube, refining level by level."""
+    if mother not in MOTHERS:
+        raise ValueError(f"mother must be one of {MOTHERS}")
+    cells = (2**depth) ** solution.model.d
+    if cells > _MAX_CELLS:
+        raise ResourceLimitError(f"{cells} cells exceed the {_MAX_CELLS} budget")
+    grid = np.zeros((1,) * solution.model.d)
+    for grid in _generations(solution, depth, mother):
+        pass
     return WaveletField(solution, depth, mother, grid)
 
 
@@ -164,57 +184,77 @@ def fit_window(depth: int, m_range: tuple[int, int] | None = None
     return m_lo, m_hi
 
 
-def structure_function(field: WaveletField, p_grid,
-                       m_range: tuple[int, int] | None = None
-                       ) -> StructureFunctionEstimate:
-    """S_p(2**-m) tables and fitted exponents for a one-dimensional field.
+def structure_function(solution: ConstantSolution, depth: int, p_grid,
+                       m_range: tuple[int, int] | None = None,
+                       mother: str = "haar") -> StructureFunctionEstimate:
+    """S_p(2**-m) tables and fitted exponents of a d = 1 solution's
+    depth-`depth` field.  The default fit window [3, depth - 4] avoids the
+    synthesis cutoff and the O(1) outer scale.  The hat field's increments
+    are averaged; the Haar field's S_p is the tree sum of the module
+    docstring, each G consumed as one Haar refinement builds it."""
+    if solution.model.d != 1:
+        raise ValueError("the two-point increment average is defined for d = 1")
+    m_lo, m_hi = fit_window(depth, m_range)
+    if 2**depth > _MAX_CELLS:
+        raise ResourceLimitError(f"{2**depth} cells exceed the {_MAX_CELLS} budget")
+    if mother != "haar":
+        return _grid_structure_function(synthesize(solution, depth, mother),
+                                        p_grid, m_range)
+    p_arr = np.atleast_1d(np.asarray(p_grid, dtype=float))
+    v0 = solution.model.forcing * 2.0**solution.q
+    k0, k1 = 2.0 ** (solution.q + 0.5) * np.sqrt(solution.model.coeffs.deltas)
+    # kappa_1 kappa_0^e and kappa_0 kappa_1^e for e = l - 1 = 0..m_hi-1
+    P, Q = k1 * k0 ** np.arange(m_hi), k0 * k1 ** np.arange(m_hi)
+    A = v0 * (np.concatenate(([0.0], np.cumsum(P + Q)[:-1])) - 2.0)
+    B = P - Q
+    log2_S = np.full((len(p_arr), m_hi - m_lo + 1), -np.inf)
+    for D, G in enumerate(_generations(solution, depth - m_lo, "haar"), 1):
+        m = depth - D
+        if m > m_hi:
+            continue
+        # row l - 1 holds the increments at the nodes of generation m - l
+        incs = np.abs(A[:m, None] + B[:m, None] * G)
+        for i, p in enumerate(p_arr):
+            weights = (k0**p + k1**p) ** np.arange(m - 1, -1, -1.0)
+            s = weights @ (incs**p).sum(axis=1) / (2**depth - 2**D)
+            log2_S[i, m - m_lo] = math.log2(s) if s > 0 else -math.inf
+    return _fit(p_arr, m_lo, m_hi, log2_S)
 
-    The default fit window is m in [3, depth - 4]: the upper end avoids the
-    synthesis cutoff, the lower end the O(1) outer scale.  Each S_p is the
-    mean over every increment pair of the grid at that scale.
-    """
+
+def _grid_structure_function(field: WaveletField, p_grid,
+                             m_range: tuple[int, int] | None = None
+                             ) -> StructureFunctionEstimate:
+    """:func:`structure_function` of any one-dimensional grid, as the mean
+    over its increment pairs at each scale."""
     if field.dim != 1:
         raise ValueError("the two-point increment average is defined for d = 1")
-    M = field.depth
-    m_lo, m_hi = fit_window(M, m_range)
-
+    m_lo, m_hi = fit_window(field.depth, m_range)
     p_arr = np.atleast_1d(np.asarray(p_grid, dtype=float))
-    ms = np.arange(m_lo, m_hi + 1)
-    grid = field.grid
-    log2_S = np.full((len(p_arr), len(ms)), -np.inf)
-    # one increments buffer and one power buffer, sized for the finest scale;
-    # p = 1 and p = 2 take the ufuncs ``diffs**p`` dispatches to, so S_p
-    # keeps the bits of the plain power
-    size = grid.size - 2 ** (M - m_hi)
-    inc_buf, pow_buf = np.empty(size), np.empty(size)
-    for k, m in enumerate(ms):
-        off = 2 ** (M - int(m))
-        diffs = inc_buf[:grid.size - off]
-        np.subtract(grid[off:], grid[:-off], out=diffs)
-        np.abs(diffs, out=diffs)
-        powers = pow_buf[:len(diffs)]
+    log2_S = np.full((len(p_arr), m_hi - m_lo + 1), -np.inf)
+    for k, m in enumerate(range(m_lo, m_hi + 1)):
+        off = 2 ** (field.depth - m)
+        diffs = np.abs(field.grid[off:] - field.grid[:-off])
         for i, p in enumerate(p_arr):
-            if p == 1.0:
-                powered = diffs
-            elif p == 2.0:
-                powered = np.square(diffs, out=powers)
-            else:
-                powered = np.power(diffs, p, out=powers)
-            s = float(np.mean(powered))
+            s = float(np.mean(diffs**p))
             log2_S[i, k] = math.log2(s) if s > 0 else -math.inf
+    return _fit(p_arr, m_lo, m_hi, log2_S)
 
-    zeta_hat = np.full(len(p_arr), np.nan)
-    resid = np.full(len(p_arr), np.nan)
+
+def _fit(p_arr: np.ndarray, m_lo: int, m_hi: int, log2_S: np.ndarray
+         ) -> StructureFunctionEstimate:
+    """Least-squares slopes of log2 S_p against -m; a row with an empty or
+    zero S is degenerate and gets no fit."""
+    ms = np.arange(m_lo, m_hi + 1)
+    zeta_hat, resid = np.full((2, len(p_arr)), np.nan)
     degenerate = np.zeros(len(p_arr), dtype=bool)
-    x = ms.astype(float)
     for i in range(len(p_arr)):
         y = log2_S[i]
         if not np.all(np.isfinite(y)):
             degenerate[i] = True
             continue
-        coeffs, res = np.polyfit(x, y, 1, full=True)[:2]
+        coeffs, res = np.polyfit(ms, y, 1, full=True)[:2]
         zeta_hat[i] = -coeffs[0]
-        resid[i] = math.sqrt(res[0] / len(x)) if len(res) else 0.0
+        resid[i] = math.sqrt(res[0] / len(ms)) if len(res) else 0.0
     return StructureFunctionEstimate(p_arr, ms, log2_S, zeta_hat,
                                      (m_lo, m_hi), resid, degenerate)
 

@@ -6,8 +6,8 @@ function it checks, and calls none of them: a grid search for the
 Lagrange closed form of D(a), node-by-node enumeration for the
 composition lattice of mu_n, per-generation node sums for the closed-form
 Besov exponent, and the coefficient sum for the synthesized grid's L2
-norm.  The enumeration borrows only the lattice's atom order, so that the
-two measures can be compared atom by atom.
+norm.  The enumeration finds its atoms among the nodes themselves and
+matches them to the lattice's by composition row.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from treeshell.coefficients import RcmModel, RepeatedCoefficients, log2sumexp2
-from treeshell.dissipation import DissipationMeasure, _compositions_matrix
+from treeshell.dissipation import DissipationMeasure
 from treeshell.solution import MAX_NODES, ConstantSolution, ResourceLimitError
 from treeshell.spectra import cascade_rate
 
@@ -116,8 +116,10 @@ def enumerate_log2_F(model: RcmModel, n: int) -> np.ndarray:
 def measure_from_enumeration(model: RcmModel, n: int) -> DissipationMeasure:
     """Brute-force mu_n by visiting every generation-n node.
 
-    Oracle counterpart of :func:`measure`: same atom layout, but counts,
-    sigmas and masses are accumulated node by node.
+    Oracle counterpart of :func:`measure`: its atoms are the distinct
+    compositions the nodes carry, in ascending lexicographic order, and
+    counts, sigmas and masses are accumulated node by node.  Compare it with
+    the lattice through :func:`match_atoms`.
     """
     if model.N**n > _ENUMERATION_NODES:
         raise ResourceLimitError(f"{model.N}**{n} nodes exceed the budget")
@@ -133,11 +135,8 @@ def measure_from_enumeration(model: RcmModel, n: int) -> DissipationMeasure:
         counts[np.arange(len(counts)), idx] += 1
 
     log2_f_nodes = enumerate_log2_F(model, n)
-    # lay the atoms out exactly like measure() so the two agree entry-wise
-    atom_counts = _compositions_matrix(n, parts)
-    atom_index = {tuple(row): i for i, row in enumerate(atom_counts)}
-    inverse = np.fromiter((atom_index[tuple(row)] for row in counts),
-                          dtype=np.int64, count=len(counts))
+    atom_counts, inverse = np.unique(counts, axis=0, return_inverse=True)
+    inverse = inverse.ravel()
 
     log2_vals = np.log2(values)
     sigma = (atom_counts @ log2_vals) / n
@@ -152,6 +151,17 @@ def measure_from_enumeration(model: RcmModel, n: int) -> DissipationMeasure:
         log2_mass[i] = log2sumexp2(log2_f_nodes[sel])
     return DissipationMeasure(n, values, mults, atom_counts, sigma,
                               log2_count, log2_node_f, log2_mass)
+
+
+def match_atoms(lattice: DissipationMeasure,
+                enumerated: DissipationMeasure) -> np.ndarray:
+    """For each lattice atom, the index of the enumerated atom with the same
+    composition row; raises if the two atom sets differ."""
+    index = {tuple(row): i for i, row in enumerate(enumerated.counts.tolist())}
+    order = [index[tuple(row)] for row in lattice.counts.tolist()]
+    if sorted(order) != list(range(enumerated.atoms)):
+        raise AssertionError("the lattice and the enumeration differ in atoms")
+    return np.array(order, dtype=np.int64)
 
 
 def xi_from_generation_sums(solution: ConstantSolution, p: float) -> float:

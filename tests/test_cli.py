@@ -38,9 +38,10 @@ def no_synthesis(monkeypatch):
     from treeshell import field
 
     def fail(*args, **kwargs):
-        raise AssertionError("synthesize ran before the config check")
+        raise AssertionError("the field was built before the config check")
 
     monkeypatch.setattr(field, "synthesize", fail)
+    monkeypatch.setattr(field, "structure_function", fail)
 
 
 class TestSpectraCommand:
@@ -441,6 +442,20 @@ class TestCliContract:
         monkeypatch.setattr(np, "zeros", fail)
         rc, out = run_cli(argv.split(), capsys)
         assert rc == 2 and out == ""
+
+    def test_structure_depth_27_exceeds_the_cell_budget(self, capsys,
+                                                        monkeypatch):
+        # 2**27 cells: the budget check fails before any array exists
+        def fail(*args, **kwargs):
+            raise AssertionError("allocated before the budget check")
+
+        for name in ("zeros", "empty", "full"):
+            monkeypatch.setattr(np, name, fail)
+        rc = main(["structure", "--deltas", "1,2", "--dim", "1",
+                   "--alpha", "1.5", "--depth", "27"])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert "134217728 cells exceed the 67108864 budget" in captured.err
 
     def test_config_file_round_trip(self, capsys, tmp_path, d12):
         cfg = tmp_path / "model.json"

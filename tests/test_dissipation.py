@@ -11,7 +11,7 @@ from treeshell import dissipation as dp
 from treeshell import spectra
 from treeshell.solution import ResourceLimitError
 
-from oracles import enumerate_log2_F, measure_from_enumeration
+from oracles import enumerate_log2_F, match_atoms, measure_from_enumeration
 
 PHI32_D12 = 0.7387961250362586
 
@@ -186,11 +186,12 @@ class TestMeasure:
         m = RcmModel.create(d, d / 2 + 1, deltas)
         lat = dp.measure(m, n)
         enu = measure_from_enumeration(m, n)
+        at = match_atoms(lat, enu)
         assert lat.atoms == enu.atoms
-        assert np.array_equal(lat.counts, enu.counts)
-        assert np.abs(lat.sigma - enu.sigma).max() <= 1e-12
-        assert np.abs(lat.log2_count - enu.log2_count).max() <= 1e-12
-        assert np.abs(lat.log2_mass - enu.log2_mass).max() <= 1e-12
+        assert np.array_equal(lat.counts, enu.counts[at])
+        assert np.abs(lat.sigma - enu.sigma[at]).max() <= 1e-12
+        assert np.abs(lat.log2_count - enu.log2_count[at]).max() <= 1e-12
+        assert np.abs(lat.log2_mass - enu.log2_mass[at]).max() <= 1e-12
 
     def test_d12_measure_is_a_tilted_binomial(self, d12):
         # for deltas (1,2) the atom masses are exactly Binomial(n, phi(3/2)):
@@ -431,9 +432,10 @@ class TestWideTrees:
         m = lambda_family(0.2, alpha=2.5)
         lat = dp.measure(m, 4)
         enu = measure_from_enumeration(m, 4)
+        at = match_atoms(lat, enu)
         assert lat.atoms == enu.atoms == 330
-        assert np.array_equal(lat.counts, enu.counts)
-        assert np.abs(lat.log2_mass - enu.log2_mass).max() <= 1e-12
+        assert np.array_equal(lat.counts, enu.counts[at])
+        assert np.abs(lat.log2_mass - enu.log2_mass[at]).max() <= 1e-12
         assert lat.total_mass() == pytest.approx(1.0, abs=1e-12)
 
     def test_unit_mass_for_lambda_family(self):

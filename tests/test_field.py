@@ -11,6 +11,8 @@ from treeshell.solution import ResourceLimitError
 from oracles import coefficient_l2, xi_from_generation_sums
 
 H_D12 = 0.14558393181327468
+# log2 S_p agreement of the Haar tree sum with the grid's direct mean
+TREE_TOL = 1e-12
 
 
 def synthesize_oracle(solution, depth, mother):
@@ -129,12 +131,27 @@ class TestSynthesize:
             assert got.tobytes() == want.tobytes(), depth
 
 
+TREE_PS = [0.5, 1.0, 2.0, 2.5, 3.0, 4.0]
+
+
+def direct_log2_S(solution, depth, ps, ms, mother="haar"):
+    """log2 of the mean of |increment|^p over the synthesized grid."""
+    grid = fd.synthesize(solution, depth, mother).grid
+    out = np.empty((len(ps), len(ms)))
+    for k, m in enumerate(ms):
+        off = 2 ** (depth - int(m))
+        diff = np.abs(grid[off:] - grid[:-off])
+        for i, p in enumerate(ps):
+            out[i, k] = math.log2(float(np.mean(diff**p)))
+    return out
+
+
 class TestStructureFunction:
     def test_zero_field_is_flagged(self, d12_solution):
         wf = fd.synthesize(d12_solution, depth=10)
         dead = fd.WaveletField(d12_solution, 10, "haar",
                                np.zeros_like(wf.grid))
-        est = fd.structure_function(dead, [2.0])
+        est = fd._grid_structure_function(dead, [2.0])
         assert est.degenerate[0]
         assert math.isnan(est.zeta_hat[0])
 
@@ -144,51 +161,97 @@ class TestStructureFunction:
         x = (np.arange(2**M) + 0.5) / 2**M
         field = fd.WaveletField(d12_solution, M, "haar",
                                 np.cos(2 * np.pi * x))
-        est = fd.structure_function(field, [2.0], m_range=(6, 8))
+        est = fd._grid_structure_function(field, [2.0], m_range=(6, 8))
         assert est.zeta_hat[0] == pytest.approx(2.0, abs=0.01)
 
     def test_haar_fits_at_m16_frozen_values(self, flat_d1_solution):
         # measured behaviour of the default estimator (Haar, window
         # [3, M-4]); the jump-dominated transient keeps these far below
         # min(p, xi_p) -- see the README's Known limitation section
-        wf = fd.synthesize(flat_d1_solution, depth=16)
-        est = fd.structure_function(wf, [1.0, 2.0, 3.0])
+        est = fd.structure_function(flat_d1_solution, 16, [1.0, 2.0, 3.0])
         assert est.fit_window == (3, 12)
         assert np.allclose(est.zeta_hat, [0.2703, 0.3821, 0.3125], atol=5e-3)
 
     def test_hat_flat_fits_within_ten_percent(self, flat_d1_solution):
         # with a continuous mother the same estimator does approach the
         # closed form: flat model within 5% at M=16 for p in {1,2,3}
-        wf = fd.synthesize(flat_d1_solution, depth=16, mother="hat")
-        est = fd.structure_function(wf, [1.0, 2.0, 3.0])
+        est = fd.structure_function(flat_d1_solution, 16, [1.0, 2.0, 3.0],
+                                    mother="hat")
         targets = np.array([1.0 / 3, 2.0 / 3, 1.0])
         assert np.all(np.abs(est.zeta_hat - targets) / targets < 0.10)
 
     def test_requires_one_dimensional_field(self):
-        m = lambda_family(0.1)
-        wf = fd.synthesize(ConstantSolution(m), depth=4)
+        sol = ConstantSolution(lambda_family(0.1))
         with pytest.raises(ValueError):
-            fd.structure_function(wf, [2.0])
+            fd.structure_function(sol, 4, [2.0])
+        with pytest.raises(ValueError):
+            fd._grid_structure_function(fd.synthesize(sol, depth=4), [2.0])
 
     def test_empty_window_rejected(self, d12_solution):
-        wf = fd.synthesize(d12_solution, depth=8)
         with pytest.raises(ValueError):
-            fd.structure_function(wf, [2.0], m_range=(5, 3))
+            fd.structure_function(d12_solution, 8, [2.0], m_range=(5, 3))
+
+    def test_cell_budget_checked_before_any_grid(self, d12_solution,
+                                                 monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("built a grid before the budget check")
+
+        monkeypatch.setattr(fd, "_generations", fail)
+        with pytest.raises(ResourceLimitError, match="67108864 budget"):
+            fd.structure_function(d12_solution, 27, [2.0])
 
     @pytest.mark.parametrize("mother", fd.MOTHERS)
     def test_matches_direct_mean_of_powers(self, d12_solution, mother):
-        # S_p is printed to 17 digits, so the buffered increments must give
-        # the bits of the direct mean for every p, integer or not
-        ps = [0.5, 1.0, 2.0, 2.5, 3.0, 4.0]
+        # the hat's S_p averages the synthesized grid's increments, so it
+        # gives the bits of the direct mean for every p, integer or not; the
+        # Haar tree sum takes another route and agrees to 1e-12 in log2 S_p
         M = 12
-        wf = fd.synthesize(d12_solution, depth=M, mother=mother)
-        est = fd.structure_function(wf, ps, m_range=(1, M - 1))
-        for k, m in enumerate(est.m):
-            off = 2 ** (M - int(m))
-            diff = wf.grid[off:] - wf.grid[:-off]
-            for i, p in enumerate(ps):
-                assert est.log2_S[i, k] == math.log2(
-                    float(np.mean(np.abs(diff) ** p))), (p, m)
+        est = fd.structure_function(d12_solution, M, TREE_PS,
+                                    m_range=(1, M - 1), mother=mother)
+        want = direct_log2_S(d12_solution, M, TREE_PS, est.m, mother)
+        if mother == "hat":
+            assert np.array_equal(est.log2_S, want)
+        else:
+            assert np.abs(est.log2_S - want).max() <= TREE_TOL
+
+
+class TestHaarTreeSum:
+    """The Haar S_p summed over the tree against the direct mean of powers
+    over the synthesized depth-M grid, at TREE_TOL in log2 S_p."""
+
+    @pytest.mark.parametrize("M", [8, 12, 16])
+    @pytest.mark.parametrize("deltas", [(1.0, 1.0), (1.0, 2.0), (1.0, 5.0),
+                                        (5.0, 1.0)])
+    def test_full_window_matches_direct_mean(self, deltas, M):
+        sol = ConstantSolution(RcmModel.create(1, 1.5, list(deltas)))
+        est = fd.structure_function(sol, M, TREE_PS, m_range=(1, M - 1))
+        want = direct_log2_S(sol, M, TREE_PS, est.m)
+        assert np.abs(est.log2_S - want).max() <= TREE_TOL
+
+    def test_default_window_at_m20_matches_direct_mean(self, d12_solution):
+        est = fd.structure_function(d12_solution, 20, TREE_PS)
+        assert est.fit_window == (3, 16)
+        want = direct_log2_S(d12_solution, 20, TREE_PS, est.m)
+        assert np.abs(est.log2_S - want).max() <= TREE_TOL
+
+    def test_builds_no_depth_m_grid(self, d12_solution, monkeypatch):
+        # one refinement to depth M - m_lo feeds every scale; the depth-M
+        # synthesis is never run
+        depths = []
+        generations = fd._generations
+
+        def spy(solution, depth, mother):
+            depths.append((depth, mother))
+            return generations(solution, depth, mother)
+
+        def fail(*args, **kwargs):
+            raise AssertionError("synthesized the depth-M grid")
+
+        monkeypatch.setattr(fd, "_generations", spy)
+        monkeypatch.setattr(fd, "synthesize", fail)
+        est = fd.structure_function(d12_solution, 14, [1.0, 2.0])
+        assert depths == [(11, "haar")]
+        assert np.all(np.isfinite(est.zeta_hat))
 
 
 class TestXi:

@@ -6,7 +6,6 @@ import pytest
 from treeshell import (
     ConstantSolution,
     GeneralCoefficients,
-    RcmModel,
     ResourceLimitError,
     TreeIndex,
     divergence_witness,
