@@ -20,7 +20,8 @@ import numpy as np
 from . import __version__, dissipation, dynamics, field, spectra
 from .coefficients import (GeneralCoefficients, RcmModel, lambda_family,
                            model_from_dict)
-from .solution import ConstantSolution, ResourceLimitError, pullback
+from .solution import (ConstantSolution, ResourceLimitError, check_budget,
+                       pullback)
 
 _FLOAT = "%.17g"
 
@@ -139,11 +140,14 @@ def cmd_spectra(args) -> int:
     except ValueError as e:
         raise ConfigError(str(e)) from None
     names = [f"rcm_lambda={lam:g}" for lam in lams]
+    names += spectra.REFERENCE_MODELS
+    # np.arange's length as a float, so that an endless grid fails too
+    n_p = np.ceil((args.p_max + 1e-9 - args.p_min) / args.p_step)
+    check_budget("rows", len(names) * n_p)
     p_grid = np.arange(args.p_min, args.p_max + 1e-9, args.p_step)
     curves = [spectra.zeta(model, p_grid, check_h=False) for model in models]
     curves += [spectra.reference_zeta(name, p_grid, mu=args.mu, D=args.D)
                for name in spectra.REFERENCE_MODELS]
-    names += spectra.REFERENCE_MODELS
     config = {"lambdas": lams, "mu": args.mu, "D": args.D,
               "p": [args.p_min, args.p_max, args.p_step]}
     _write_csv(args.out, _header(None, args.seed, config),

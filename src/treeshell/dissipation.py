@@ -21,7 +21,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .coefficients import RcmModel, log2sumexp2
-from .solution import ResourceLimitError
+from .solution import check_budget
 from .spectra import cascade_rate, dim_D, rate_R
 from .tree import TreeIndex
 
@@ -40,8 +40,6 @@ __all__ = [
 ]
 
 _LN2 = math.log(2.0)
-# Budget on the atoms of the composition lattice.
-_MAX_ATOMS = 2**22
 
 
 def log2_F(model: RcmModel, j: TreeIndex) -> float:
@@ -135,10 +133,7 @@ def measure(model: RcmModel, n: int) -> DissipationMeasure:
         raise ValueError("n must be >= 1")
     values, mults = model.coeffs.distinct()
     parts = len(values)
-    n_atoms = math.comb(n + parts - 1, parts - 1)
-    if n_atoms > _MAX_ATOMS:
-        raise ResourceLimitError(
-            f"lattice with {n_atoms} atoms exceeds the {_MAX_ATOMS} budget")
+    check_budget("atoms", math.comb(n + parts - 1, parts - 1))
     counts = _compositions_matrix(n, parts)
     log2_vals = np.log2(values)
     sigma = (counts @ log2_vals) / n
@@ -258,6 +253,7 @@ def lln_sample(model: RcmModel, n: int, samples: int,
     """
     if n < 1 or samples < 1:
         raise ValueError("n and samples must be >= 1")
+    check_budget("values", samples * model.N)
     rng = np.random.default_rng(seed)
     counts = rng.multinomial(n, np.full(model.N, 1.0 / model.N), size=samples)
     sigma = counts @ model.coeffs.log2_deltas / n

@@ -30,8 +30,7 @@ import numpy as np
 
 from .coefficients import RcmModel
 from .dissipation import flux_terms
-from .solution import (MAX_NODE_STEPS, MAX_NODES, ConstantSolution,
-                       ResourceLimitError)
+from .solution import ConstantSolution, check_budget
 from .tree import TreeIndex
 
 __all__ = [
@@ -46,6 +45,7 @@ __all__ = [
 ]
 
 CLOSURES = ("zero", "stationary")
+_MAX_CLAMP_RATE = 1e-8
 
 
 def _generation_start(N: int, generation: int) -> int:
@@ -95,9 +95,7 @@ class TruncatedState:
 
     @classmethod
     def zeros(cls, model: RcmModel, depth: int, closure: str = "zero"):
-        if model.N**depth > MAX_NODES:
-            raise ResourceLimitError(
-                f"generation {depth} at N={model.N} exceeds {MAX_NODES} nodes")
+        check_budget("nodes", model.N**depth)
         return cls(model, depth, np.zeros(_generation_start(model.N, depth + 1)),
                    closure)
 
@@ -190,27 +188,17 @@ class Trajectory:
 
 
 def integrate(state: TruncatedState, dt: float, steps: int,
-              record_every: int = 1,
-              max_clamp_rate: float | None = 1e-8) -> Trajectory:
+              record_every: int = 1) -> Trajectory:
     """Advance `steps` RK4 steps, recording every `record_every`-th state.
 
-    The recorded trajectory must fit the node budget, and steps times nodes
-    the node-step budget; both are checked before the first step.  The
+    The recorded trajectory must fit the values budget, and steps times
+    nodes the node-steps budget; both are checked before the first step.  The
     exact dynamics cannot cross zero, so clamping should only mop up
     rounding noise; a run whose clamped mass per unit time exceeds
-    max_clamp_rate times the state scale is rejected (pass None to keep
-    such a run anyway).
+    _MAX_CLAMP_RATE times the state scale is rejected.
     """
-    recorded = (steps // record_every + 1) * len(state.values)
-    if recorded > MAX_NODES:
-        raise ResourceLimitError(
-            f"{steps} steps recorded every {record_every} keep {recorded} "
-            f"values, over the {MAX_NODES} budget")
-    node_steps = steps * len(state.values)
-    if node_steps > MAX_NODE_STEPS:
-        raise ResourceLimitError(
-            f"{steps} steps of {len(state.values)} nodes are {node_steps} "
-            f"node-steps, over the {MAX_NODE_STEPS} budget")
+    check_budget("values", (steps // record_every + 1) * len(state.values))
+    check_budget("node-steps", steps * len(state.values))
     system = _system(state.model, state.depth, state.closure)
     times = [state.t]
     records = [state.values.copy()]
@@ -224,11 +212,11 @@ def integrate(state: TruncatedState, dt: float, steps: int,
         if (i + 1) % record_every == 0:
             times.append(current.t)
             records.append(current.values.copy())
-    if max_clamp_rate is not None and steps > 0 and scale > 0:
+    if steps > 0 and scale > 0:
         rate = clamp_total / (steps * dt)
-        if rate > max_clamp_rate * scale:
+        if rate > _MAX_CLAMP_RATE * scale:
             raise RuntimeError(
-                f"clamped mass rate {rate:.3e} exceeds {max_clamp_rate:.1e} "
+                f"clamped mass rate {rate:.3e} exceeds {_MAX_CLAMP_RATE:.1e} "
                 f"x state scale {scale:.3e}; decrease dt")
     return Trajectory(state.model, state.depth, state.closure, dt * record_every,
                       np.asarray(times), np.asarray(records), clamp_total)

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dissipation import sigma_of
-from .solution import ConstantSolution, ResourceLimitError
+from .solution import ConstantSolution, check_budget
 from .spectra import s0
 from .tree import TreeIndex, path_of_point
 
@@ -52,8 +52,6 @@ __all__ = [
 ]
 
 MOTHERS = ("haar", "hat")
-# Budget on the synthesis grid.
-_MAX_CELLS = 2**26
 
 
 @dataclass(frozen=True)
@@ -148,9 +146,7 @@ def synthesize(solution: ConstantSolution, depth: int = 16,
     the model's d-dimensional unit cube, refining level by level."""
     if mother not in MOTHERS:
         raise ValueError(f"mother must be one of {MOTHERS}")
-    cells = (2**depth) ** solution.model.d
-    if cells > _MAX_CELLS:
-        raise ResourceLimitError(f"{cells} cells exceed the {_MAX_CELLS} budget")
+    check_budget("cells", (2**depth) ** solution.model.d)
     grid = np.zeros((1,) * solution.model.d)
     for grid in _generations(solution, depth, mother):
         pass
@@ -195,8 +191,7 @@ def structure_function(solution: ConstantSolution, depth: int, p_grid,
     if solution.model.d != 1:
         raise ValueError("the two-point increment average is defined for d = 1")
     m_lo, m_hi = fit_window(depth, m_range)
-    if 2**depth > _MAX_CELLS:
-        raise ResourceLimitError(f"{2**depth} cells exceed the {_MAX_CELLS} budget")
+    check_budget("cells", 2**depth)
     if mother != "haar":
         return _grid_structure_function(synthesize(solution, depth, mother),
                                         p_grid, m_range)

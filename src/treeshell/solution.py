@@ -36,16 +36,21 @@ __all__ = [
 
 
 class ResourceLimitError(RuntimeError):
-    """An enumeration would exceed the configured memory budget."""
+    """A size would exceed its fixed memory or work budget."""
 
 
-# Budget on the values one array of node data may hold: a generation row
-# (log2_u_rows), a truncated state, a recorded trajectory.
-MAX_NODES = 2**26
-# Budget on the work of one integration: time steps times state nodes.
-MAX_NODE_STEPS = 2**36
-# The pull-back keeps every row, so its deepest row gets a smaller budget.
-_PULLBACK_NODES = 2**24
+# Budgets by kind: generation rows and states ("nodes"), trajectories and lln
+# label counts ("values"), fields, the lattice, the spectra table, the deepest
+# pull-back row (all rows are kept) and one integration's steps times nodes.
+_BUDGETS = {**dict.fromkeys(("nodes", "values", "cells"), 2**26),
+            **dict.fromkeys(("atoms", "rows"), 2**22),
+            "pull-back nodes": 2**24, "node-steps": 2**36}
+
+
+def check_budget(kind: str, size: float) -> None:
+    """Raise ResourceLimitError if `size` items of `kind` exceed their budget."""
+    if size > _BUDGETS[kind]:
+        raise ResourceLimitError(f"{size} {kind} exceed the {_BUDGETS[kind]} budget")
 
 
 @dataclass(frozen=True)
@@ -72,9 +77,7 @@ class ConstantSolution:
     def log2_u_rows(self, depth: int) -> list[np.ndarray]:
         """log2 u row arrays for generations 0..depth."""
         model = self.model
-        if model.N**depth > MAX_NODES:
-            raise ResourceLimitError(
-                f"generation {depth} at N={model.N} exceeds {MAX_NODES} nodes")
+        check_budget("nodes", model.N**depth)
         return list(model.path_sum_rows(math.log2(model.forcing) + self.q,
                                         self.q, 0.5, depth))
 
@@ -150,11 +153,16 @@ class PullbackRun:
                    for row in self.rows)
 
     def residual_max(self) -> float:
-        """Max residual of the interior rows against the backward recursion."""
+        """Max |log2| of sum_k d_k**(3/2) 2**(x_k + 2 x_g + alpha) over the
+        children k of every interior node g: the forward identity
+        2**(-2 x_g - alpha) = sum_k d_k**(3/2) 2**x_k makes each sum one."""
         worst = 0.0
-        for g in range(self.depth):
-            expected = _pull_row(self.coefficients, self.alpha, g, self.rows[g + 1])
-            worst = max(worst, float(np.abs(self.rows[g] - expected).max()))
+        for g, children in enumerate(self.rows[1:]):
+            log2d = self.coefficients.row_log2(g + 1, np.arange(len(children)))
+            terms = (1.5 * log2d + children).reshape(-1, self.coefficients.arity)
+            shifted = terms + (2.0 * self.rows[g] + self.alpha)[:, None]
+            residual = np.log2(np.exp2(shifted).sum(axis=1))
+            worst = max(worst, float(np.abs(residual).max()))
         return worst
 
     def summary(self) -> list[tuple[int, float, float, float]]:
@@ -192,9 +200,7 @@ def pullback(coefficients: GeneralCoefficients, alpha: float, depth: int,
     if depth < 1:
         raise ValueError("depth must be >= 1")
     arity = coefficients.arity
-    if arity**depth > _PULLBACK_NODES:
-        raise ResourceLimitError(
-            f"depth {depth} at N={arity} exceeds the {_PULLBACK_NODES}-node budget")
+    check_budget("pull-back nodes", arity**depth)
 
     rows: list[np.ndarray] = [np.empty(0)] * (depth + 1)
     rows[depth] = np.full(arity**depth, float(seed))

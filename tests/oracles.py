@@ -18,7 +18,7 @@ import numpy as np
 
 from treeshell.coefficients import RcmModel, RepeatedCoefficients, log2sumexp2
 from treeshell.dissipation import DissipationMeasure
-from treeshell.solution import MAX_NODES, ConstantSolution, ResourceLimitError
+from treeshell.solution import ConstantSolution, ResourceLimitError, check_budget
 from treeshell.spectra import cascade_rate
 
 # Budget on the nodes visited by the enumeration oracle.
@@ -106,8 +106,7 @@ def entropy_max_oracle(coeffs: RepeatedCoefficients, a: float) -> float:
 
 def enumerate_log2_F(model: RcmModel, n: int) -> np.ndarray:
     """log2 F over all generation-n nodes, indexed by packed code."""
-    if model.N**n > MAX_NODES:
-        raise ResourceLimitError(f"{model.N}**{n} nodes exceed the budget")
+    check_budget("nodes", model.N**n)
     for row in model.path_sum_rows(0.0, cascade_rate(model), 1.5, n):
         pass  # keep only the deepest row
     return row

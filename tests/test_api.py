@@ -44,3 +44,23 @@ def test_oracles_call_no_fast_path():
         elif isinstance(node, ast.alias):
             called.add(node.name)  # an imported fast path could be renamed
     assert called & FAST_PATHS == set()
+
+
+def _budget_raises(node) -> list:
+    """The ``raise ResourceLimitError(...)`` statements under node."""
+    return [r for r in ast.walk(node) if isinstance(r, ast.Raise)
+            and getattr(getattr(r.exc, "func", r.exc), "id", None)
+            == "ResourceLimitError"]
+
+
+def test_only_check_budget_raises_resource_limit_error():
+    # one home for the budget policy: every size meets its budget there
+    sites = []
+    for name in MODULES:
+        tree = ast.parse(pathlib.Path(
+            importlib.import_module(name).__file__).read_text())
+        home = {id(r) for f in ast.walk(tree)
+                if isinstance(f, ast.FunctionDef) and f.name == "check_budget"
+                for r in _budget_raises(f)}
+        sites += [(name, id(r) in home) for r in _budget_raises(tree)]
+    assert sites == [("treeshell.solution", True)]

@@ -443,6 +443,32 @@ class TestCliContract:
         rc, out = run_cli(argv.split(), capsys)
         assert rc == 2 and out == ""
 
+    @pytest.mark.parametrize("argv", [
+        # 7 models times about 10**301 p values, and a grid whose length
+        # overflows to inf
+        "spectra --p-max 1e300",
+        "spectra --p-max 1e300 --p-step 1e-300",
+        # 2**24 samples of N = 8 label counts
+        "lln --lambda 0.2 --dim 3 --samples 16777216"])
+    def test_p_grid_and_lln_samples_are_config_errors(self, capsys,
+                                                      monkeypatch, argv):
+        def fail(*args, **kwargs):
+            raise AssertionError("allocated before the budget check")
+
+        def arange(*args, **kwargs):
+            # the models take integer ranges; only the p grid has float ends
+            if any(isinstance(a, float) for a in args):
+                fail()
+            return real_arange(*args, **kwargs)
+
+        real_arange = np.arange
+        monkeypatch.setattr(np, "arange", arange)
+        monkeypatch.setattr(np.random, "default_rng", fail)
+        rc = main(argv.split())
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert "budget" in captured.err
+
     def test_structure_depth_27_exceeds_the_cell_budget(self, capsys,
                                                         monkeypatch):
         # 2**27 cells: the budget check fails before any array exists

@@ -369,6 +369,16 @@ class TestLln:
         with pytest.raises(ValueError):
             dp.lln_sample(d12, n, samples)
 
+    def test_label_counts_are_checked_before_sampling(self, d12, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("sampled before the budget check")
+
+        monkeypatch.setattr(np.random, "default_rng", fail)
+        # 2**25 + 1 samples of N = 2 labels: one count over 2**26
+        with pytest.raises(ResourceLimitError,
+                           match="67108866 values exceed the 67108864 budget"):
+            dp.lln_sample(d12, 10, 2**25 + 1)
+
 
 def generations_subtree(arity, depth):
     nodes = [TreeIndex.root(arity)]

@@ -215,6 +215,23 @@ class TestPullback:
         with pytest.raises(ResourceLimitError):
             pullback(GeneralCoefficients.from_rcm(d12), 1.5, depth=30)
 
+    @pytest.mark.parametrize("x", [-1000.0, 1000.0])
+    def test_residual_stays_small_far_from_the_band(self, d12, x):
+        run = pullback(GeneralCoefficients.from_rcm(d12), d12.alpha,
+                       depth=8, seed=x)
+        assert run.residual_max() <= 1e-12
+
+    def test_residual_sees_a_faulty_row_step(self, d12, monkeypatch):
+        # the residual checks the forward identity, not the backward row
+        # step that built the rows, so a shifted log-sum-exp shows in it
+        from treeshell import solution
+
+        exact = solution.log2sumexp2
+        monkeypatch.setattr(solution, "log2sumexp2",
+                            lambda x, axis=None: exact(x, axis) + 1e-9)
+        run = pullback(GeneralCoefficients.from_rcm(d12), d12.alpha, depth=6)
+        assert run.residual_max() > 1e-10
+
 
 class TestDivergenceWitness:
     def test_zero_perturbation_is_the_constant_solution(self, d12_solution):
