@@ -4,7 +4,8 @@ Subcommands: spectra, solve, dissipation, concentration, simulate,
 structure, lln.  Every output file starts with comment lines carrying the
 model hash, seed, package version and the echoed configuration, and floats
 are printed with 17 significant digits, so outputs are byte-identical
-across runs with the same seed and configuration.
+across runs with the same seed and configuration.  CSV rows are formatted
+and written in chunks, so only one chunk's text is in memory at a time.
 
 Exit codes: 0 success, 1 numeric failure, 2 configuration error.
 """
@@ -24,6 +25,7 @@ from .solution import (ConstantSolution, ResourceLimitError, check_budget,
                        pullback)
 
 _FLOAT = "%.17g"
+_CHUNK_ROWS = 2**15  # rows per formatted chunk: bounds the live text
 
 
 class ConfigError(Exception):
@@ -39,30 +41,47 @@ def _header(model: RcmModel | None, seed, config: dict) -> list[str]:
     return lines
 
 
-def _write_text(path, text: str) -> None:
+def _write_text(path, chunks) -> None:
+    """Write the text chunks in order, to path or, if it is None, to stdout."""
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
         with open(path, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
 
 
 def _write_csv(path, header_lines: list[str], columns: dict) -> None:
     """Header lines, then one row per entry of the named columns (a scalar
     column repeats on every row); floats get 17 digits, the rest ``str``."""
+    _write_text(path, _csv_chunks(header_lines, columns))
+
+
+def _csv_chunks(header_lines: list[str], columns: dict):
+    """The CSV text in chunks of _CHUNK_ROWS rows, each formatted by one
+    ``%`` call on a row template; a scalar column is literal template text."""
     arrays = [np.asarray(col) for col in columns.values()]
     n_rows = max((len(a) for a in arrays if a.ndim), default=1)
-    cells = []
+    cells, vectors = [], []
     for a in arrays:
-        fmt = _FLOAT.__mod__ if a.dtype.kind == "f" else str
-        cells.append([fmt(a.item())] * n_rows if a.ndim == 0
-                     else list(map(fmt, a.tolist())))
-    rows = map(",".join, zip(*cells))
-    _write_text(path, "\n".join([*header_lines, ",".join(columns), *rows]) + "\n")
+        fmt = _FLOAT if a.dtype.kind == "f" else "%s"
+        if a.ndim:
+            cells.append(fmt)
+            vectors.append(a)
+        else:
+            cells.append((fmt % a.item()).replace("%", "%%"))
+    row = ",".join(cells) + "\n"
+    yield "\n".join([*header_lines, ",".join(columns)]) + "\n"
+    m = len(vectors)
+    for start in range(0, n_rows, _CHUNK_ROWS):
+        k = min(_CHUNK_ROWS, n_rows - start)
+        values = [None] * (k * m)  # the chunk's cells, row by row
+        for i, a in enumerate(vectors):
+            values[i::m] = a[start:start + k].tolist()
+        yield row * k % tuple(values)
 
 
 def _write_json(path, payload) -> None:
-    _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _write_text(path, [json.dumps(payload, indent=2, sort_keys=True) + "\n"])
 
 
 def _parse_floats(text: str, what: str) -> list[float]:

@@ -95,9 +95,9 @@ class TruncatedState:
 
     @classmethod
     def zeros(cls, model: RcmModel, depth: int, closure: str = "zero"):
-        check_budget("nodes", model.N**depth)
-        return cls(model, depth, np.zeros(_generation_start(model.N, depth + 1)),
-                   closure)
+        size = _generation_start(model.N, depth + 1)
+        check_budget("nodes", size)
+        return cls(model, depth, np.zeros(size), closure)
 
     @classmethod
     def from_constant(cls, solution: ConstantSolution, depth: int,

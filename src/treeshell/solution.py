@@ -77,7 +77,7 @@ class ConstantSolution:
     def log2_u_rows(self, depth: int) -> list[np.ndarray]:
         """log2 u row arrays for generations 0..depth."""
         model = self.model
-        check_budget("nodes", model.N**depth)
+        check_budget("nodes", (model.N**(depth + 1) - 1) // (model.N - 1))
         return list(model.path_sum_rows(math.log2(model.forcing) + self.q,
                                         self.q, 0.5, depth))
 

@@ -7,7 +7,9 @@ Lagrange closed form of D(a), node-by-node enumeration for the
 composition lattice of mu_n, per-generation node sums for the closed-form
 Besov exponent, and the coefficient sum for the synthesized grid's L2
 norm.  The enumeration finds its atoms among the nodes themselves and
-matches them to the lattice's by composition row.
+matches them to the lattice's by composition row.  The CSV text oracle
+formats one ``str`` per cell and joins whole rows, where the CLI formats a
+chunk of rows with one ``%`` template.
 """
 
 from __future__ import annotations
@@ -23,6 +25,8 @@ from treeshell.spectra import cascade_rate
 
 # Budget on the nodes visited by the enumeration oracle.
 _ENUMERATION_NODES = 2**24
+
+_FLOAT = "%.17g"  # the CLI's 17 significant digits
 
 
 def entropy_max_oracle(coeffs: RepeatedCoefficients, a: float) -> float:
@@ -187,3 +191,18 @@ def coefficient_l2(solution: ConstantSolution, depth: int) -> float:
     for row in solution.log2_u_rows(depth - 1):
         total += float(np.exp2(2.0 * row).sum())
     return math.sqrt(total)
+
+
+def csv_text_oracle(header_lines: list[str], columns: dict) -> str:
+    """The text ``cli._write_csv`` writes: header lines, then one row per
+    entry of the named columns (a scalar column repeats on every row);
+    floats get 17 digits, the rest ``str``."""
+    arrays = [np.asarray(col) for col in columns.values()]
+    n_rows = max((len(a) for a in arrays if a.ndim), default=1)
+    cells = []
+    for a in arrays:
+        fmt = _FLOAT.__mod__ if a.dtype.kind == "f" else str
+        cells.append([fmt(a.item())] * n_rows if a.ndim == 0
+                     else list(map(fmt, a.tolist())))
+    rows = map(",".join, zip(*cells))
+    return "\n".join([*header_lines, ",".join(columns), *rows]) + "\n"

@@ -1,13 +1,22 @@
+import contextlib
 import csv
+import io
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import treeshell
+from oracles import csv_text_oracle
+from treeshell import cli
 from treeshell.cli import _write_csv, main
 
 # Child interpreters import the package from the same source tree as this one.
@@ -444,6 +453,26 @@ class TestCliContract:
         assert rc == 2 and out == ""
 
     @pytest.mark.parametrize("argv", [
+        # N**depth fits the 2**26 nodes budget; generations 0..depth do not
+        "simulate --deltas 1,2 --dim 1 --alpha 1.5 --depth 26",
+        "simulate --deltas 1,2 --dim 1 --alpha 1.5 --depth 26 --init zero",
+        "simulate --deltas 1,2,3,5 --dim 2 --alpha 2 --depth 13",
+        "simulate --deltas 1,2,3,5 --dim 2 --alpha 2 --depth 13 --init zero"])
+    def test_simulate_state_budget_counts_every_generation(
+            self, capsys, monkeypatch, argv):
+        from treeshell import RcmModel
+
+        def fail(*args, **kwargs):
+            raise AssertionError("allocated before the budget check")
+
+        for name in ("zeros", "empty", "full"):
+            monkeypatch.setattr(np, name, fail)
+        monkeypatch.setattr(RcmModel, "path_sum_rows", fail)
+        assert main(argv.split()) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "67108864 budget" in captured.err
+
+    @pytest.mark.parametrize("argv", [
         # 7 models times about 10**301 p values, and a grid whose length
         # overflows to inf
         "spectra --p-max 1e300",
@@ -555,3 +584,82 @@ class TestCsvWriter:
         assert path.read_text() == want
         _write_csv(None, ["# one", "# two"], columns)
         assert capsys.readouterr().out == want
+
+
+CHUNK = cli._CHUNK_ROWS
+# cell values the writer must render as str or '%.17g' does, '%' included
+CELLS = {"float": st.floats(allow_nan=True, allow_infinity=True)
+         | st.sampled_from([-0.0, math.inf, -math.inf, math.nan]),
+         "int": st.integers(-2**63, 2**63 - 1),
+         "bool": st.booleans(),
+         "str": st.text(alphabet="a%s.,= ")}
+
+
+def written_bytes(header, columns) -> tuple[bytes, bytes]:
+    """What _write_csv writes to a file and to stdout."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "t.csv")
+        _write_csv(path, header, columns)
+        with open(path, "rb") as fh:
+            to_file = fh.read()
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        _write_csv(None, header, columns)
+    return to_file, out.getvalue().encode()
+
+
+@st.composite
+def tables(draw):
+    """A chunk size, and columns of every kind, scalar or not, whose row
+    count sits on a chunk boundary or anywhere up to three chunks."""
+    chunk = draw(st.integers(1, 4))
+    n_rows = draw(st.sampled_from([0, 1, chunk - 1, chunk, chunk + 1,
+                                   2 * chunk + 1]) | st.integers(0, 3 * chunk))
+    names = draw(st.lists(st.text(alphabet="xy%,", min_size=1), min_size=1,
+                          max_size=5, unique=True))
+    columns = {}
+    for name in names:
+        cells = CELLS[draw(st.sampled_from(sorted(CELLS)))]
+        columns[name] = (draw(cells) if draw(st.booleans())
+                         else draw(st.lists(cells, min_size=n_rows,
+                                            max_size=n_rows)))
+    return chunk, columns
+
+
+class TestChunkedCsvWriter:
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              database=None)
+    @given(tables(), st.lists(st.text(alphabet="# %s"), max_size=2))
+    def test_bytes_match_the_oracle(self, table, header):
+        chunk, columns = table
+        with mock.patch.object(cli, "_CHUNK_ROWS", chunk):
+            to_file, to_stdout = written_bytes(header, columns)
+        want = csv_text_oracle(header, columns).encode()
+        assert to_file == want and to_stdout == want
+
+    @pytest.mark.parametrize("n_rows", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1,
+                                        2 * CHUNK + 1])
+    def test_bytes_match_the_oracle_at_the_chunk_size(self, n_rows):
+        rng = np.random.default_rng(n_rows)
+        special = np.array([-0.0, math.inf, -math.inf, math.nan, 0.1])
+        columns = {"x": rng.standard_normal(n_rows) * 1e3,
+                   "edge": np.resize(special, n_rows),
+                   "k": rng.integers(-10**12, 10**12, n_rows),
+                   "b": rng.random(n_rows) < 0.5,
+                   "s": np.resize(["a%s", "100%", "%%"], n_rows),
+                   "scalar": -0.0, "pct": "50% of %s %(x)d", "one": 1 / 3}
+        to_file, to_stdout = written_bytes(["# h %s"], columns)
+        want = csv_text_oracle(["# h %s"], columns).encode()
+        assert to_file == want and to_stdout == want
+
+    def test_dissipation_rows_span_chunks(self, tmp_path, capsys):
+        # 4 distinct deltas at n = 57: C(60, 3) = 34,220 atoms, two chunks
+        argv = ["dissipation", "--deltas", "1,2,3,5", "--dim", "2", "--n", "57"]
+        atoms = math.comb(60, 3)
+        assert CHUNK < atoms < 2 * CHUNK
+        path = tmp_path / "mu.csv"
+        assert main(argv + ["--out", str(path)]) == 0
+        rc, out = run_cli(argv, capsys)
+        assert rc == 0 and path.read_bytes() == out.encode()
+        rows = parse_csv(out)
+        assert len(rows) == atoms
+        assert {r["n"] for r in rows} == {"57"}

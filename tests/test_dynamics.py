@@ -126,6 +126,25 @@ class TestFlatLayout:
         with pytest.raises(ResourceLimitError):
             dyn.TruncatedState.zeros(lambda_family(0.2, d=3), 10)
 
+    @pytest.mark.parametrize("d, depth, fits", [
+        (1, 25, True), (1, 26, False), (2, 12, True), (2, 13, False),
+        (3, 8, True), (3, 9, False)])
+    def test_zeros_budget_counts_every_generation(self, monkeypatch, d, depth,
+                                                  fits):
+        # the state holds (N**(depth+1) - 1)/(N - 1) values, not N**depth
+        from treeshell import ResourceLimitError
+
+        class Allocated(Exception):
+            pass
+
+        def allocate(*args, **kwargs):
+            raise Allocated
+
+        monkeypatch.setattr(np, "zeros", allocate)
+        model = RcmModel.create(d, 1.5, [1.0] * 2**d)
+        with pytest.raises(Allocated if fits else ResourceLimitError):
+            dyn.TruncatedState.zeros(model, depth)
+
     def test_integrate_checks_the_recorded_size_before_stepping(
             self, d12, monkeypatch):
         from treeshell import ResourceLimitError

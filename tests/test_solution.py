@@ -66,6 +66,26 @@ class TestNodeValues:
             assert rows[j.generation][j.code] == pytest.approx(
                 d12_solution.log2_u(j), abs=1e-12)
 
+    @pytest.mark.parametrize("d, depth, fits", [
+        (1, 25, True), (1, 26, False), (2, 12, True), (2, 13, False),
+        (3, 8, True), (3, 9, False)])
+    def test_rows_budget_counts_every_generation(self, monkeypatch, d, depth,
+                                                 fits):
+        # at d = 1 depth 26 and d = 2 depth 13 the last row alone fits the
+        # 2**26 nodes budget and the whole (N**(depth+1) - 1)/(N - 1) does not
+        from treeshell import RcmModel
+
+        class Built(Exception):
+            pass
+
+        def build(*args, **kwargs):
+            raise Built
+
+        monkeypatch.setattr(RcmModel, "path_sum_rows", build)
+        sol = ConstantSolution(RcmModel.create(d, 1.5, [1.0] * 2**d))
+        with pytest.raises(Built if fits else ResourceLimitError):
+            sol.log2_u_rows(depth)
+
     def test_exact_autosimilarity(self, d12_solution, rng):
         # with the repeated multiset, u_{jk} u_root = u_j u_k exactly
         sol = d12_solution
