@@ -16,12 +16,15 @@ and the children of index i are the block N i + 1 .. N i + N, so the
 right-hand side needs no loop over generations.
 
 Integration is a fixed-step classical 4-stage Runge-Kutta scheme; no
-adaptivity, so residual tables are reproducible.  Stiffness grows like
+adaptivity, so residual tables are reproducible.  A run preallocates its
+stage buffers once, and every step writes its stages into them in place,
+on the bare value array.  Stiffness grows like
 2**(alpha n): shrink dt with depth (guideline dt <= 0.1 * 2**(-alpha n)).
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, replace
 from typing import Iterable
@@ -78,7 +81,7 @@ class TruncatedState:
         expected = _generation_start(self.model.N, self.depth + 1)
         if len(self.values) != expected:
             raise ValueError(f"state needs {expected} values, got {len(self.values)}")
-        if np.any(self.values < 0):
+        if not np.all(self.values >= 0):
             raise ValueError("componentwise states are non-negative")
 
     @property
@@ -125,55 +128,107 @@ def _system(model: RcmModel, depth: int, closure: str
     return c, factor * constant_values(solution, depth)[-N**depth:]
 
 
-def _rhs_core(model: RcmModel, system: tuple[np.ndarray, np.ndarray],
-              values: np.ndarray) -> np.ndarray:
-    """Right-hand side on a raw value array (RK4 stages may dip negative)."""
-    c, weights = system
-    N = model.N
-    outflow = values * np.concatenate(
-        [(c * values[1:]).reshape(-1, N).sum(axis=1), weights])
-    out = np.empty_like(values)
-    out[0] = model.forcing * model.forcing - outflow[0]
-    out[1:] = c * np.repeat(values[:-len(weights)], N) ** 2 - outflow[1:]
-    return out
+class _Rk4:
+    """One run's RK4 stepper: the system and every buffer, built once.
+
+    A stage reads its input buffer `x` through fixed views, the children as
+    (parents, N) rows and the parents as a column, so the right-hand side
+    is six ufunc calls and a step allocates nothing.  The closure weights
+    sit in the tail of `sums` and f^2 in `inflow[0]` for the whole run.
+    """
+
+    def __init__(self, model: RcmModel, depth: int, closure: str):
+        c, weights = _system(model, depth, closure)
+        N, size = model.N, len(c) + 1
+        parents = size - len(weights)
+        self.coef = c.reshape(parents, N)
+        self.sums = np.empty(size)
+        self.sums[parents:] = weights
+        self.inflow = np.empty(size)
+        self.inflow[0] = model.forcing * model.forcing
+        self.x = np.empty(size)
+        self.children = self.x[1:].reshape(parents, N)
+        self.parents = self.x[:parents, None]
+        self.child_terms = self.inflow[1:].reshape(parents, N)
+        self.child_sums = self.sums[:parents]
+        self.square = np.empty((parents, 1))
+        self.k = [np.empty(size) for _ in range(4)]
+        self.out = np.empty(size)
+
+    def _stage(self, k: np.ndarray) -> None:
+        """k = the right-hand side at x (an RK4 stage may dip negative)."""
+        terms = self.child_terms
+        np.multiply(self.coef, self.children, terms)
+        np.add.reduce(terms, 1, None, self.child_sums)
+        np.multiply(self.x, self.sums, k)
+        np.multiply(self.parents, self.parents, self.square)
+        np.multiply(self.coef, self.square, terms)
+        np.subtract(self.inflow, k, k)
+
+    def derivative(self, v: np.ndarray) -> np.ndarray:
+        """The right-hand side at v, in the first stage buffer."""
+        self.x[:] = v
+        self._stage(self.k[0])
+        return self.k[0]
+
+    def advance(self, v: np.ndarray, dt: float, t: float
+                ) -> tuple[np.ndarray, float, float]:
+        """One classical RK4 step from v at time t.
+
+        Returns the new values (in `out`, which v may be), the clamped
+        mass and the largest new value before the clamp.  Negative
+        components produced by the discrete step are clamped to zero (the
+        exact dynamics cannot cross zero: v_j = 0 gives v_j' >= 0).
+        """
+        x, (k1, k2, k3, k4), out = self.x, self.k, self.out
+        self.derivative(v)
+        # numpy scalars: a Python float is converted again on every call
+        half, whole = np.float64(0.5 * dt), np.float64(dt)
+        np.multiply(k1, half, x)
+        np.add(v, x, x)
+        self._stage(k2)
+        np.multiply(k2, half, x)
+        np.add(v, x, x)
+        self._stage(k3)
+        np.multiply(k3, whole, x)
+        np.add(v, x, x)
+        self._stage(k4)
+        # k1 + 2 k2 + 2 k3 + k4, summed left to right
+        np.add(k2, k2, k2)
+        np.add(k1, k2, k1)
+        np.add(k3, k3, k3)
+        np.add(k1, k3, k1)
+        np.add(k1, k4, k1)
+        np.multiply(k1, np.float64(dt / 6.0), k1)
+        np.add(v, k1, out)
+        lo, hi = np.minimum.reduce(out), np.maximum.reduce(out)
+        if not -math.inf < lo <= hi < math.inf:
+            raise FloatingPointError(f"non-finite state at t = {t + dt}")
+        clamp = 0.0
+        if lo <= 0:
+            if lo < 0:
+                clamp = float(-out[out < 0].sum())
+            np.maximum(out, 0.0, out=out)  # also turns -0.0 into +0.0
+        return out, clamp, float(hi)
 
 
 def rhs(state: TruncatedState) -> np.ndarray:
     """Exact right-hand side of the truncated system."""
-    return _rhs_core(state.model,
-                     _system(state.model, state.depth, state.closure),
-                     state.values)
+    return _Rk4(state.model, state.depth, state.closure).derivative(
+        state.values)
 
 
-def step(state: TruncatedState, dt: float,
-         system: tuple[np.ndarray, np.ndarray] | None = None
-         ) -> tuple[TruncatedState, float]:
+def step(state: TruncatedState, dt: float) -> tuple[TruncatedState, float]:
     """One classical RK4 step; returns the new state and the clamp magnitude.
 
-    `system` (built here if None) is the state's precomputed coefficients.
-    Negative components produced by the discrete step are clamped to zero
-    (the exact dynamics cannot cross zero: v_j = 0 gives v_j' >= 0) and the
-    total clamped mass is reported so runs can be rejected when it matters.
+    The total clamped mass is reported so runs can be rejected when it
+    matters.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    if system is None:
-        system = _system(state.model, state.depth, state.closure)
-
-    def deriv(values: np.ndarray) -> np.ndarray:
-        return _rhs_core(state.model, system, values)
-
-    v = state.values
-    k1 = deriv(v)
-    k2 = deriv(v + 0.5 * dt * k1)
-    k3 = deriv(v + 0.5 * dt * k2)
-    k4 = deriv(v + dt * k3)
-    new = v + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    if not np.all(np.isfinite(new)):
-        raise FloatingPointError(f"non-finite state at t = {state.t + dt}")
-    negative = new < 0
-    clamp = float(-new[negative].sum()) if negative.any() else 0.0
-    return replace(state, values=np.maximum(new, 0.0), t=state.t + dt), clamp
+    if not dt > 0:
+        raise ValueError(f"dt must be positive, got {dt}")
+    new, clamp, _ = _Rk4(state.model, state.depth, state.closure).advance(
+        state.values, dt, state.t)
+    return replace(state, values=new, t=state.t + dt), clamp
 
 
 @dataclass(frozen=True)
@@ -197,21 +252,28 @@ def integrate(state: TruncatedState, dt: float, steps: int,
     rounding noise; a run whose clamped mass per unit time exceeds
     _MAX_CLAMP_RATE times the state scale is rejected.
     """
-    check_budget("values", (steps // record_every + 1) * len(state.values))
-    check_budget("node-steps", steps * len(state.values))
-    system = _system(state.model, state.depth, state.closure)
-    times = [state.t]
-    records = [state.values.copy()]
+    if not dt > 0:
+        raise ValueError(f"dt must be positive, got {dt}")
+    if steps < 0:
+        raise ValueError(f"steps must be >= 0, got {steps}")
+    if record_every < 1:
+        raise ValueError(f"record_every must be >= 1, got {record_every}")
+    rows, nodes = steps // record_every + 1, len(state.values)
+    check_budget("values", rows * nodes)
+    check_budget("node-steps", steps * nodes)
+    kernel = _Rk4(state.model, state.depth, state.closure)
+    times, records = np.empty(rows), np.empty((rows, nodes))
+    v, t = state.values, state.t
+    times[0], records[0] = t, v
     clamp_total = 0.0
-    scale = float(np.abs(state.values).max())
-    current = state
-    for i in range(steps):
-        current, clamp = step(current, dt, system)
+    scale = float(np.abs(v).max())
+    for i in range(1, steps + 1):
+        v, clamp, top = kernel.advance(v, dt, t)
+        t += dt
         clamp_total += clamp
-        scale = max(scale, float(np.abs(current.values).max()))
-        if (i + 1) % record_every == 0:
-            times.append(current.t)
-            records.append(current.values.copy())
+        scale = max(scale, top)
+        if i % record_every == 0:
+            times[i // record_every], records[i // record_every] = t, v
     if steps > 0 and scale > 0:
         rate = clamp_total / (steps * dt)
         if rate > _MAX_CLAMP_RATE * scale:
@@ -219,7 +281,7 @@ def integrate(state: TruncatedState, dt: float, steps: int,
                 f"clamped mass rate {rate:.3e} exceeds {_MAX_CLAMP_RATE:.1e} "
                 f"x state scale {scale:.3e}; decrease dt")
     return Trajectory(state.model, state.depth, state.closure, dt * record_every,
-                      np.asarray(times), np.asarray(records), clamp_total)
+                      times, records, clamp_total)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,10 @@ Besov exponent, and the coefficient sum for the synthesized grid's L2
 norm.  The enumeration finds its atoms among the nodes themselves and
 matches them to the lattice's by composition row.  The CSV text oracle
 formats one ``str`` per cell and joins whole rows, where the CLI formats a
-chunk of rows with one ``%`` template.
+chunk of rows with one ``%`` template.  The RK4 step oracle builds every
+stage from whole-array expressions, with ``np.repeat`` for the parents and
+``np.concatenate`` for the outflow, where the dynamics kernel writes each
+stage into buffers it allocated once.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import numpy as np
 
 from treeshell.coefficients import RcmModel, RepeatedCoefficients, log2sumexp2
 from treeshell.dissipation import DissipationMeasure
+from treeshell.dynamics import TruncatedState, _system
 from treeshell.solution import ConstantSolution, ResourceLimitError, check_budget
 from treeshell.spectra import cascade_rate
 
@@ -206,3 +210,38 @@ def csv_text_oracle(header_lines: list[str], columns: dict) -> str:
                      else list(map(fmt, a.tolist())))
     rows = map(",".join, zip(*cells))
     return "\n".join([*header_lines, ",".join(columns), *rows]) + "\n"
+
+
+def _rhs_core(model: RcmModel, system: tuple[np.ndarray, np.ndarray],
+              values: np.ndarray) -> np.ndarray:
+    """Right-hand side on a raw value array (RK4 stages may dip negative)."""
+    c, weights = system
+    N = model.N
+    outflow = values * np.concatenate(
+        [(c * values[1:]).reshape(-1, N).sum(axis=1), weights])
+    out = np.empty_like(values)
+    out[0] = model.forcing * model.forcing - outflow[0]
+    out[1:] = c * np.repeat(values[:-len(weights)], N) ** 2 - outflow[1:]
+    return out
+
+
+def rk4_step_oracle(state: TruncatedState, dt: float
+                    ) -> tuple[np.ndarray, float]:
+    """One classical RK4 step from the state: the new values, with negative
+    components clamped to zero, and the clamped mass."""
+    system = _system(state.model, state.depth, state.closure)
+
+    def deriv(values: np.ndarray) -> np.ndarray:
+        return _rhs_core(state.model, system, values)
+
+    v = state.values
+    k1 = deriv(v)
+    k2 = deriv(v + 0.5 * dt * k1)
+    k3 = deriv(v + 0.5 * dt * k2)
+    k4 = deriv(v + dt * k3)
+    new = v + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    if not np.all(np.isfinite(new)):
+        raise FloatingPointError(f"non-finite state at t = {state.t + dt}")
+    negative = new < 0
+    clamp = float(-new[negative].sum()) if negative.any() else 0.0
+    return np.maximum(new, 0.0), clamp

@@ -15,10 +15,11 @@ MODULES = ["treeshell"] + [f"treeshell.{m.name}"
 ORACLES = pathlib.Path(__file__).with_name("oracles.py")
 MOVED = ("entropy_max_oracle", "measure_from_enumeration", "enumerate_log2_F",
          "_ENUMERATION_NODES", "xi_from_generation_sums", "coefficient_l2",
-         "csv_text_oracle")
+         "csv_text_oracle", "rk4_step_oracle", "_rhs_core")
 # the fast paths the oracles check, which they must not call
 FAST_PATHS = {"measure", "dim_D", "dim_D_of_multiset", "phi_inverse",
-              "zeta_raw", "synthesize", "_write_csv"}
+              "zeta_raw", "synthesize", "_write_csv", "_Rk4", "advance",
+              "step", "rhs", "integrate"}
 
 
 @pytest.mark.parametrize("name", MODULES)

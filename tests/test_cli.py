@@ -360,7 +360,7 @@ class TestCliContract:
         def fail(*args, **kwargs):
             raise AssertionError("stepped before the step-count check")
 
-        monkeypatch.setattr(dynamics, "step", fail)
+        monkeypatch.setattr(dynamics, "_Rk4", fail)
         rc, out = run_cli(["simulate", "--deltas", "1,2", "--dim", "1",
                            "--alpha", "1.5", "--depth", "2"] + steps, capsys)
         assert rc == 2 and out == ""

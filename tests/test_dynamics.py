@@ -1,6 +1,12 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as hs
 
+from conftest import random_rcm
+from oracles import rk4_step_oracle
 from treeshell import ConstantSolution, RcmModel, TreeIndex
 from treeshell import dynamics as dyn
 
@@ -152,7 +158,7 @@ class TestFlatLayout:
         def fail(*args, **kwargs):
             raise AssertionError("stepped before the budget check")
 
-        monkeypatch.setattr(dyn, "step", fail)
+        monkeypatch.setattr(dyn, "_Rk4", fail)
         st = dyn.TruncatedState.from_constant(ConstantSolution(d12), 2)
         with pytest.raises(ResourceLimitError):
             dyn.integrate(st, 1e-12, 10**15)
@@ -165,7 +171,7 @@ class TestFlatLayout:
         def fail(*args, **kwargs):
             raise AssertionError("stepped before the budget check")
 
-        monkeypatch.setattr(dyn, "step", fail)
+        monkeypatch.setattr(dyn, "_Rk4", fail)
         st = dyn.TruncatedState.from_constant(ConstantSolution(d12), 2)
         with pytest.raises(ResourceLimitError, match="node-steps"):
             dyn.integrate(st, 1e-12, 10**15, record_every=10**9)
@@ -252,11 +258,137 @@ class TestStep:
         with pytest.raises(ValueError):
             dyn.step(st, 0.0)
         with pytest.raises(ValueError):
+            dyn.step(st, math.nan)
+        with pytest.raises(ValueError):
+            dyn.TruncatedState(d12, 2, np.array([1.0] * 6 + [math.nan]))
+        with pytest.raises(ValueError):
             dyn.TruncatedState(d12, 2, np.full(7, -1.0), "zero")
         with pytest.raises(ValueError):
             dyn.TruncatedState(d12, 2, np.zeros(5), "zero")
         with pytest.raises(ValueError):
             dyn.TruncatedState.zeros(d12, 2, closure="reflect")
+
+    @pytest.mark.parametrize("dt, steps, record_every", [
+        (1e-4, 10, 0), (1e-4, 10, -2), (1e-4, -1, 1), (0.0, 0, 1),
+        (-1e-4, 0, 1), (math.nan, 10, 1), (math.nan, 0, 1)])
+    def test_integrate_rejects_bad_arguments_first(self, d12, monkeypatch,
+                                                   dt, steps, record_every):
+        def fail(*args, **kwargs):
+            raise AssertionError("sized or stepped before the argument check")
+
+        st = dyn.TruncatedState.zeros(d12, 2)
+        monkeypatch.setattr(dyn, "check_budget", fail)
+        monkeypatch.setattr(dyn, "_Rk4", fail)
+        with pytest.raises(ValueError):
+            dyn.integrate(st, dt, steps, record_every)
+
+
+def same_bits(a, b) -> bool:
+    """Equal arrays, down to the sign of every zero."""
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.shape == b.shape and np.array_equal(a, b)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+def oracle_run(state, dt, steps, record_every):
+    """integrate's times, records and clamp total from a loop of oracle
+    steps; raises what integrate must raise."""
+    times, records, clamp_total = [state.t], [state.values], 0.0
+    scale = float(np.abs(state.values).max())
+    current = state
+    for i in range(1, steps + 1):
+        values, clamp = rk4_step_oracle(current, dt)
+        current = dyn.TruncatedState(state.model, state.depth, values,
+                                     state.closure, current.t + dt)
+        clamp_total += clamp
+        scale = max(scale, float(values.max()))
+        if i % record_every == 0:
+            times.append(current.t)
+            records.append(values)
+    if steps > 0 and scale > 0:
+        rate = clamp_total / (steps * dt)
+        if rate > dyn._MAX_CLAMP_RATE * scale:
+            raise RuntimeError(f"clamped mass rate {rate:.3e} exceeds "
+                               f"{dyn._MAX_CLAMP_RATE:.1e} x state scale "
+                               f"{scale:.3e}; decrease dt")
+    return np.array(times), np.array(records), clamp_total
+
+
+def start_state(seed, d, depth, closure, start):
+    rng = np.random.default_rng(seed)
+    model = random_rcm(rng, d_choices=(d,))
+    if start == "zero":
+        return model, dyn.TruncatedState.zeros(model, depth, closure)
+    sol = ConstantSolution(model)
+    if start == "random":
+        base = dyn.constant_values(sol, depth)
+        values = (base * rng.uniform(0.0, 2.0, base.size)
+                  * (rng.random(base.size) < 0.7))
+        return model, dyn.TruncatedState(model, depth, values, closure)
+    scale = 1.0 if start == "constant" else float(rng.uniform(0.0, 2.0))
+    return model, dyn.TruncatedState.from_constant(sol, depth, closure, scale)
+
+
+class TestKernelAgainstOracle:
+    """The RK4 kernel, step by step and over whole runs, gives the bits of
+    the oracle step: same records, times and clamp total, or the same
+    error."""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @settings(max_examples=80, deadline=None, derandomize=True,
+              database=None)
+    @given(seed=hs.integers(0, 2**16), d=hs.sampled_from((1, 2, 3)),
+           depth=hs.integers(0, 4), closure=hs.sampled_from(dyn.CLOSURES),
+           start=hs.sampled_from(("zero", "constant", "perturbed", "random")),
+           steps=hs.integers(1, 12),
+           record_every=hs.sampled_from((1, 2, 3, 7)),
+           log2_dt=hs.floats(-10.0, 1.5))
+    @example(seed=0, d=1, depth=3, closure="stationary", start="random",
+             steps=0, record_every=1, log2_dt=-4.0)
+    @example(seed=0, d=2, depth=3, closure="stationary", start="constant",
+             steps=12, record_every=1, log2_dt=-4.0)
+    # dt large enough to clamp: within the rate bound, over it, non-finite
+    @example(seed=29, d=2, depth=2, closure="zero", start="perturbed",
+             steps=9, record_every=2, log2_dt=1.25)
+    @example(seed=1, d=3, depth=0, closure="stationary", start="zero",
+             steps=9, record_every=2, log2_dt=1.0)
+    @example(seed=11, d=2, depth=2, closure="zero", start="random",
+             steps=9, record_every=2, log2_dt=1.25)
+    @example(seed=11, d=1, depth=2, closure="zero", start="random",
+             steps=9, record_every=2, log2_dt=1.5)
+    def test_integrate_matches_oracle_steps(self, seed, d, depth, closure,
+                                            start, steps, record_every,
+                                            log2_dt):
+        model, state = start_state(seed, d, depth, closure, start)
+        # log2_dt is relative to the stiffness scale 2**(-alpha (depth + 1))
+        dt = 2.0 ** (log2_dt - model.alpha * (depth + 1))
+        try:
+            times, records, clamp_total = oracle_run(state, dt, steps,
+                                                     record_every)
+        except (FloatingPointError, RuntimeError) as e:
+            with pytest.raises(type(e)) as got:
+                dyn.integrate(state, dt, steps, record_every)
+            assert str(got.value) == str(e)
+            return
+        traj = dyn.integrate(state, dt, steps, record_every)
+        assert same_bits(traj.states, records)
+        assert same_bits(traj.times, times)
+        assert same_bits(traj.clamp_total, clamp_total)
+        assert traj.dt == dt * record_every
+
+    def test_clamping_steps_match_oracle(self):
+        # the oversized steps of test_excessive_clamping_rejects_the_run
+        m = RcmModel.create(1, 1.5, [1.0, 2.0], forcing=1e-2)
+        cur = dyn.TruncatedState(m, 1, np.array([1.08, 0.0575, 0.133]),
+                                 "zero")
+        clamps = []
+        for _ in range(5):
+            want, want_clamp = rk4_step_oracle(cur, 0.45)
+            cur, clamp = dyn.step(cur, 0.45)
+            assert same_bits(cur.values, want)
+            assert same_bits(clamp, want_clamp)
+            clamps.append(clamp)
+        assert any(c > 0 for c in clamps)
 
 
 class TestEnergyBalance:
