@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -35,8 +35,6 @@ __all__ = [
     "theoretical_tail_rate",
     "LlnReport",
     "lln_sample",
-    "FluxReport",
-    "flux_terms",
 ]
 
 _LN2 = math.log(2.0)
@@ -268,56 +266,3 @@ def lln_sample(model: RcmModel, n: int, samples: int,
         log_ratio_rate_mean=float(rates.mean()),
         log_ratio_rate_limit=-1.5 * (ell32 - model.coeffs.ell_zero()),
     )
-
-
-# ---------------------------------------------------------------------------
-# energy flow through a finite subtree
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FluxReport:
-    input_term: float
-    boundary: list[tuple[TreeIndex, float]]
-
-    @property
-    def boundary_total(self) -> float:
-        return sum(f for _, f in self.boundary)
-
-    @property
-    def boundary_fractions(self) -> list[tuple[TreeIndex, float]]:
-        """Each boundary flux normalised by the input term."""
-        return [(j, f / self.input_term) for j, f in self.boundary]
-
-
-def flux_terms(model: RcmModel, subtree: Iterable[TreeIndex],
-               value_of: Callable[[TreeIndex], float]) -> FluxReport:
-    """Input and boundary fluxes of a finite rooted subtree.
-
-    ``subtree`` must be prefix-closed and contain the root; the boundary is
-    the set of nodes outside it whose father lies inside.  At the constant
-    solution the input equals the boundary total, and each normalised
-    boundary flux is the dissipation fraction of its cube.  ``value_of`` may
-    return arrays (one value per recorded time), giving the fluxes along a
-    trajectory.
-    """
-    nodes = set(subtree)
-    if not nodes:
-        raise ValueError("the subtree is empty")
-    root = next(iter(nodes))
-    root = TreeIndex.root(root.arity)
-    if root not in nodes:
-        raise ValueError("the subtree must contain the root")
-    for j in nodes:
-        if not j.is_root and j.parent() not in nodes:
-            raise ValueError(f"subtree is not prefix-closed at {j}")
-
-    f = model.forcing
-    input_term = 2.0 * f * f * value_of(root)
-    boundary = []
-    for j in nodes:
-        for k in j.offspring():
-            if k not in nodes:
-                c_k = model.coefficient_of(k) * 2.0 ** (model.alpha * k.generation)
-                boundary.append((k, 2.0 * c_k * value_of(j) ** 2 * value_of(k)))
-    return FluxReport(input_term, boundary)

@@ -13,7 +13,10 @@ the constant solution an exact equilibrium of the truncated system.
 Generation-major order is a heap layout: node j sits at index
 (N**|j| - 1)/(N - 1) + code(j), the parent of index i >= 1 is (i - 1) // N
 and the children of index i are the block N i + 1 .. N i + N, so the
-right-hand side needs no loop over generations.
+right-hand side needs no loop over generations.  A finite rooted subtree
+is a boolean mask over the same layout; it is prefix-closed when every
+node in it has its parent in it, and its boundary is the nodes outside it
+whose parent lies inside.
 
 Integration is a fixed-step classical 4-stage Runge-Kutta scheme; no
 adaptivity, so residual tables are reproducible.  A run preallocates its
@@ -27,14 +30,11 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
-from typing import Iterable
 
 import numpy as np
 
 from .coefficients import RcmModel
-from .dissipation import flux_terms
 from .solution import ConstantSolution, check_budget
-from .tree import TreeIndex
 
 __all__ = [
     "TruncatedState",
@@ -43,6 +43,7 @@ __all__ = [
     "step",
     "Trajectory",
     "integrate",
+    "flux_terms",
     "EnergyBalance",
     "energy_balance",
 ]
@@ -54,10 +55,6 @@ _MAX_CLAMP_RATE = 1e-8
 def _generation_start(N: int, generation: int) -> int:
     """Index of the first node of `generation` (at depth + 1: the size)."""
     return (N**generation - 1) // (N - 1)
-
-
-def _state_index(j: TreeIndex) -> int:
-    return _generation_start(j.arity, j.generation) + j.code
 
 
 def constant_values(solution: ConstantSolution, depth: int) -> np.ndarray:
@@ -89,9 +86,6 @@ class TruncatedState:
         N = self.model.N
         return [slice(_generation_start(N, g), _generation_start(N, g + 1))
                 for g in range(self.depth + 1)]
-
-    def value_of(self, j: TreeIndex) -> float:
-        return float(self.values[_state_index(j)])
 
     def energy(self) -> float:
         return float(self.values @ self.values)
@@ -226,8 +220,9 @@ def step(state: TruncatedState, dt: float) -> tuple[TruncatedState, float]:
     """
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    new, clamp, _ = _Rk4(state.model, state.depth, state.closure).advance(
-        state.values, dt, state.t)
+    with np.errstate(over="ignore", invalid="ignore"):  # as in integrate
+        new, clamp, _ = _Rk4(state.model, state.depth, state.closure).advance(
+            state.values, dt, state.t)
     return replace(state, values=new, t=state.t + dt), clamp
 
 
@@ -267,13 +262,16 @@ def integrate(state: TruncatedState, dt: float, steps: int,
     times[0], records[0] = t, v
     clamp_total = 0.0
     scale = float(np.abs(v).max())
-    for i in range(1, steps + 1):
-        v, clamp, top = kernel.advance(v, dt, t)
-        t += dt
-        clamp_total += clamp
-        scale = max(scale, top)
-        if i % record_every == 0:
-            times[i // record_every], records[i // record_every] = t, v
+    # `advance` raises on a non-finite step, so numpy's warnings about the
+    # overflow that led there are noise; entered once per run, not per step
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(1, steps + 1):
+            v, clamp, top = kernel.advance(v, dt, t)
+            t += dt
+            clamp_total += clamp
+            scale = max(scale, top)
+            if i % record_every == 0:
+                times[i // record_every], records[i // record_every] = t, v
     if steps > 0 and scale > 0:
         rate = clamp_total / (steps * dt)
         if rate > _MAX_CLAMP_RATE * scale:
@@ -289,6 +287,38 @@ def integrate(state: TruncatedState, dt: float, steps: int,
 # ---------------------------------------------------------------------------
 
 
+def flux_terms(model: RcmModel, depth: int, values: np.ndarray,
+               subtree: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Input and boundary outflows of a finite rooted subtree.
+
+    ``subtree`` is a boolean mask over the state layout of generations
+    0..depth; it must contain the root and be prefix-closed.  Returns the
+    input 2 f^2 v_root and the outflow 2 c_k v_par^2 v_k of every boundary
+    node k, at k's index and zero elsewhere.  A node of generation depth
+    has no offspring in the layout, so its outflow is not counted.  At the
+    constant solution the input equals the total outflow, and each
+    normalised outflow is the dissipation fraction of its cube.  ``values``
+    may carry a leading time axis, giving the fluxes along a trajectory.
+    """
+    mask = np.asarray(subtree)
+    size = _generation_start(model.N, depth + 1)
+    if mask.dtype != bool or mask.shape != (size,):
+        raise ValueError(f"the subtree must be a boolean mask of {size} "
+                         f"nodes, got {mask.dtype} of shape {mask.shape}")
+    if not mask[0]:
+        raise ValueError("the subtree must contain the root")
+    parent = np.arange(size - 1) // model.N
+    if np.any(mask[1:] & ~mask[parent]):
+        raise ValueError("the subtree is not prefix-closed")
+    c, _ = _system(model, depth, "zero")
+    edge = np.flatnonzero(~mask[1:] & mask[parent])
+    outflow = np.zeros(np.shape(values))
+    outflow[..., edge + 1] = (2.0 * c[edge] * values[..., parent[edge]] ** 2
+                              * values[..., edge + 1])
+    f = model.forcing
+    return 2.0 * f * f * values[..., 0], outflow
+
+
 @dataclass(frozen=True)
 class EnergyBalance:
     times: np.ndarray
@@ -298,29 +328,33 @@ class EnergyBalance:
     max_relative_residual: float
 
 
-def energy_balance(traj: Trajectory,
-                   subtree: Iterable[TreeIndex]) -> EnergyBalance:
+def energy_balance(traj: Trajectory, subtree: np.ndarray) -> EnergyBalance:
     """Check d/dt sum_{j in T} v_j^2 against the flux formula along a run.
 
-    The derivative is taken by the centered 5-point finite difference on
-    the recorded grid, whose O(dt^4) error stays far below the model
-    identity being tested.  T must stay within depth-1 so its boundary is
-    fully represented; under the zero closure a T touching the truncation
-    generation is flagged.
+    T is a subtree mask as in `flux_terms`.  The derivative is taken by the
+    centered 5-point finite difference on the recorded grid, whose O(dt^4)
+    error stays far below the model identity being tested, so the run needs
+    at least 5 records.  T must stay within depth-1 so its boundary is
+    fully represented; under the zero closure a T whose boundary reaches
+    the truncation generation is flagged.
     """
-    nodes = set(subtree)
-    max_gen = max((j.generation for j in nodes), default=0)
-    if max_gen > traj.depth - 1:
-        raise ValueError("T must stay within depth - 1")
     states = traj.states
-    fluxes = flux_terms(traj.model, nodes, lambda j: states[:, _state_index(j)])
-    if traj.closure == "zero" and max_gen == traj.depth - 1:
+    if len(states) < 5:
+        raise ValueError("the 5-point derivative needs at least 5 records, "
+                         f"got {len(states)}")
+    inflow, outflow = flux_terms(traj.model, traj.depth, states, subtree)
+    mask = np.asarray(subtree)
+    last = _generation_start(traj.model.N, traj.depth)
+    if mask[last:].any():
+        raise ValueError("T must stay within depth - 1")
+    if traj.closure == "zero" and mask[
+            _generation_start(traj.model.N, traj.depth - 1):last].any():
         warnings.warn("T touches the truncation boundary under the zero "
                       "closure; fluxes into absent offspring are dropped",
                       RuntimeWarning, stacklevel=2)
 
-    energy = sum(states[:, _state_index(j)] ** 2 for j in nodes)
-    inflow, outflow = fluxes.input_term, fluxes.boundary_total
+    energy = (states[:, mask] ** 2).sum(axis=1)
+    outflow = outflow.sum(axis=1)
     flux = inflow - outflow
 
     dE = (-energy[4:] + 8 * energy[3:-1] - 8 * energy[1:-3] + energy[:-4]) \
@@ -331,4 +365,3 @@ def energy_balance(traj: Trajectory,
     scale = max(float((np.abs(inflow) + np.abs(outflow)).max()), 1e-300)
     return EnergyBalance(traj.times[inner], dE, flux[inner],
                          float(res.max()), float(res.max()) / scale)
-

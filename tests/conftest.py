@@ -49,3 +49,17 @@ def random_rcm(rng, allow_flat=False, d_choices=(1, 2, 3)):
     if allow_flat and rng.random() < 0.2:
         deltas[:] = deltas[0]
     return RcmModel.create(d, alpha, deltas, forcing)
+
+
+def heap_index(j):
+    """Index of node j in the generation-major state layout of the dynamics."""
+    return (j.arity**j.generation - 1) // (j.arity - 1) + j.code
+
+
+def subtree_mask(nodes, depth):
+    """The nodes as a boolean mask over the state of generations 0..depth."""
+    index = [heap_index(j) for j in nodes]
+    arity = next(iter(nodes)).arity
+    mask = np.zeros((arity ** (depth + 1) - 1) // (arity - 1), dtype=bool)
+    mask[index] = True
+    return mask

@@ -12,12 +12,17 @@ formats one ``str`` per cell and joins whole rows, where the CLI formats a
 chunk of rows with one ``%`` template.  The RK4 step oracle builds every
 stage from whole-array expressions, with ``np.repeat`` for the parents and
 ``np.concatenate`` for the outflow, where the dynamics kernel writes each
-stage into buffers it allocated once.
+stage into buffers it allocated once.  The flux oracle walks a ``set`` of
+``TreeIndex`` nodes, checks prefix-closure node by node and forms each
+boundary coefficient c_k from ``coefficient_of`` and 2^(alpha |k|), where
+the dynamics reads c_k off its own coefficient array and takes the
+subtree as a boolean mask over the state layout.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -26,6 +31,7 @@ from treeshell.dissipation import DissipationMeasure
 from treeshell.dynamics import TruncatedState, _system
 from treeshell.solution import ConstantSolution, ResourceLimitError, check_budget
 from treeshell.spectra import cascade_rate
+from treeshell.tree import TreeIndex
 
 # Budget on the nodes visited by the enumeration oracle.
 _ENUMERATION_NODES = 2**24
@@ -245,3 +251,36 @@ def rk4_step_oracle(state: TruncatedState, dt: float
     negative = new < 0
     clamp = float(-new[negative].sum()) if negative.any() else 0.0
     return np.maximum(new, 0.0), clamp
+
+
+def flux_terms_oracle(model: RcmModel, subtree: Iterable[TreeIndex],
+                      value_of: Callable[[TreeIndex], float]
+                      ) -> tuple[float, list[tuple[TreeIndex, float]]]:
+    """Input and boundary fluxes of a finite rooted subtree.
+
+    ``subtree`` must be prefix-closed and contain the root; the boundary is
+    the set of nodes outside it whose father lies inside.  Returns the input
+    term and one ``(node, flux)`` pair per boundary node.  ``value_of`` may
+    return arrays (one value per recorded time), giving the fluxes along a
+    trajectory.
+    """
+    nodes = set(subtree)
+    if not nodes:
+        raise ValueError("the subtree is empty")
+    root = next(iter(nodes))
+    root = TreeIndex.root(root.arity)
+    if root not in nodes:
+        raise ValueError("the subtree must contain the root")
+    for j in nodes:
+        if not j.is_root and j.parent() not in nodes:
+            raise ValueError(f"subtree is not prefix-closed at {j}")
+
+    f = model.forcing
+    input_term = 2.0 * f * f * value_of(root)
+    boundary = []
+    for j in nodes:
+        for k in j.offspring():
+            if k not in nodes:
+                c_k = model.coefficient_of(k) * 2.0 ** (model.alpha * k.generation)
+                boundary.append((k, 2.0 * c_k * value_of(j) ** 2 * value_of(k)))
+    return input_term, boundary

@@ -31,6 +31,7 @@ from treeshell import field as fd
 from treeshell import spectra
 from treeshell.coefficients import RepeatedCoefficients
 
+from conftest import subtree_mask
 from oracles import (enumerate_log2_F, entropy_max_oracle, match_atoms,
                      measure_from_enumeration)
 
@@ -263,7 +264,7 @@ def test_criterion_9_dynamics():
             noisy = base.values * (1 + rng.uniform(-0.5, 0.5, base.values.size))
             traj = dyn.integrate(dyn.TruncatedState(m, 5, noisy, "zero"),
                                  1e-4, 300)
-            eb = dyn.energy_balance(traj, T)
+            eb = dyn.energy_balance(traj, subtree_mask(T, 5))
             c.check(eb.max_relative_residual <= 1e-6,
                     f"deltas={deltas}: residual {eb.max_relative_residual:.2e}")
     c.conclude()

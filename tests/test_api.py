@@ -15,11 +15,12 @@ MODULES = ["treeshell"] + [f"treeshell.{m.name}"
 ORACLES = pathlib.Path(__file__).with_name("oracles.py")
 MOVED = ("entropy_max_oracle", "measure_from_enumeration", "enumerate_log2_F",
          "_ENUMERATION_NODES", "xi_from_generation_sums", "coefficient_l2",
-         "csv_text_oracle", "rk4_step_oracle", "_rhs_core")
+         "csv_text_oracle", "rk4_step_oracle", "_rhs_core",
+         "flux_terms_oracle")
 # the fast paths the oracles check, which they must not call
 FAST_PATHS = {"measure", "dim_D", "dim_D_of_multiset", "phi_inverse",
               "zeta_raw", "synthesize", "_write_csv", "_Rk4", "advance",
-              "step", "rhs", "integrate"}
+              "step", "rhs", "integrate", "flux_terms", "energy_balance"}
 
 
 @pytest.mark.parametrize("name", MODULES)

@@ -349,21 +349,38 @@ class TestCliContract:
                            "--n-list", "20,20"], capsys)
         assert rc == 2 and out == ""
 
-    @pytest.mark.parametrize("steps", [
-        ["--dt", "1e-12", "--t-end", "1e3", "--record-every", "1"],
-        ["--dt", "1e-308", "--t-end", "1e308"],
-        ["--dt", "1e-12", "--t-end", "1e3", "--record-every", "1000000000"]])
+    @pytest.mark.parametrize("steps, budget", [
+        (["--dt", "1e-12", "--t-end", "1e3", "--record-every", "1"],
+         "values"),
+        # about 1e20 steps, beyond int64, in two records
+        (["--dt", "1e-300", "--t-end", "1e-280",
+          "--record-every", "100000000000000000000"], "node-steps"),
+        (["--dt", "1e-12", "--t-end", "1e3", "--record-every", "1000000000"],
+         "node-steps")], ids=["steps0", "steps1", "steps2"])
     def test_simulate_step_count_over_budget(self, capsys, monkeypatch,
-                                             steps):
+                                             steps, budget):
         from treeshell import dynamics
 
         def fail(*args, **kwargs):
             raise AssertionError("stepped before the step-count check")
 
         monkeypatch.setattr(dynamics, "_Rk4", fail)
-        rc, out = run_cli(["simulate", "--deltas", "1,2", "--dim", "1",
-                           "--alpha", "1.5", "--depth", "2"] + steps, capsys)
+        rc = main(["simulate", "--deltas", "1,2", "--dim", "1",
+                   "--alpha", "1.5", "--depth", "2"] + steps)
+        out, err = capsys.readouterr()
         assert rc == 2 and out == ""
+        assert err.startswith("configuration error: ")
+        assert f" {budget} exceed the " in err
+
+    def test_simulate_blow_up_prints_one_line(self):
+        # a subprocess: pytest would capture numpy's warnings off stderr
+        proc = subprocess.run(
+            [sys.executable, "-m", "treeshell.cli", "simulate", "--deltas",
+             "1,2", "--dim", "1", "--alpha", "1.5", "--depth", "6", "--dt",
+             "0.5", "--t-end", "5", "--closure", "zero", "--init", "constant"],
+            capture_output=True, text=True, timeout=120, env=SUBPROCESS_ENV)
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr == "numeric failure: non-finite state at t = 2.0\n"
 
     @pytest.mark.parametrize("init", ["perturbed:abc", "perturbed:-2",
                                       "perturbed:nan", "perturbed:inf"])

@@ -8,9 +8,11 @@ from scipy.special import gammaln
 
 from treeshell import ConstantSolution, RcmModel, TreeIndex, lambda_family
 from treeshell import dissipation as dp
+from treeshell import dynamics as dyn
 from treeshell import spectra
 from treeshell.solution import ResourceLimitError
 
+from conftest import heap_index, subtree_mask
 from oracles import enumerate_log2_F, match_atoms, measure_from_enumeration
 
 PHI32_D12 = 0.7387961250362586
@@ -390,23 +392,26 @@ def generations_subtree(arity, depth):
 
 
 class TestFluxTerms:
+    """Boundary fluxes of subtree masks at the constant solution."""
+
+    @staticmethod
+    def fluxes(model, nodes, depth):
+        u = dyn.constant_values(ConstantSolution(model), depth)
+        return dyn.flux_terms(model, depth, u, subtree_mask(nodes, depth))
+
     def test_root_subtree_recovers_generation_one(self, d12):
-        sol = ConstantSolution(d12)
-        rep = dp.flux_terms(d12, [TreeIndex.root(2)], sol.u)
-        assert len(rep.boundary) == 2
-        assert rep.boundary_total == pytest.approx(rep.input_term, rel=1e-12)
-        fracs = sum(f for _, f in rep.boundary_fractions)
-        assert fracs == pytest.approx(1.0, abs=1e-12)
+        inflow, outflow = self.fluxes(d12, [TreeIndex.root(2)], 1)
+        assert np.count_nonzero(outflow) == 2
+        assert outflow.sum() == pytest.approx(inflow, rel=1e-12)
+        assert (outflow / inflow).sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_full_generations(self, d12):
-        sol = ConstantSolution(d12)
         for depth in (1, 3, 5):
-            rep = dp.flux_terms(d12, generations_subtree(2, depth), sol.u)
-            assert sum(f for _, f in rep.boundary_fractions) \
-                == pytest.approx(1.0, abs=1e-12)
+            inflow, outflow = self.fluxes(d12, generations_subtree(2, depth),
+                                          depth + 1)
+            assert (outflow / inflow).sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_ragged_random_subtree(self, d12, rng):
-        sol = ConstantSolution(d12)
         nodes = {TreeIndex.root(2)}
         frontier = list(nodes)
         while len(nodes) < 100 and frontier:
@@ -415,23 +420,25 @@ class TestFluxTerms:
                 kids = j.offspring()
                 nodes.update(kids)
                 frontier.extend(kids)
-        rep = dp.flux_terms(d12, nodes, sol.u)
-        assert sum(f for _, f in rep.boundary_fractions) \
-            == pytest.approx(1.0, abs=1e-12)
+        depth = max(j.generation for j in nodes) + 1
+        inflow, outflow = self.fluxes(d12, nodes, depth)
+        fractions = outflow / inflow
+        assert fractions.sum() == pytest.approx(1.0, abs=1e-12)
         # partition property: boundary fractions equal the closed-form F
-        for j, frac in rep.boundary_fractions:
-            assert frac == pytest.approx(2.0 ** dp.log2_F(d12, j), rel=1e-11)
+        boundary = [k for j in nodes for k in j.offspring() if k not in nodes]
+        assert np.count_nonzero(outflow) == len(boundary)
+        for k in boundary:
+            assert fractions[heap_index(k)] == pytest.approx(
+                2.0 ** dp.log2_F(d12, k), rel=1e-11)
 
     def test_non_prefix_closed_rejected(self, d12):
-        sol = ConstantSolution(d12)
         bad = [TreeIndex.root(2), TreeIndex.from_labels([1, 2], 2)]
-        with pytest.raises(ValueError):
-            dp.flux_terms(d12, bad, sol.u)
+        with pytest.raises(ValueError, match="not prefix-closed"):
+            self.fluxes(d12, bad, 3)
 
     def test_missing_root_rejected(self, d12):
-        sol = ConstantSolution(d12)
-        with pytest.raises(ValueError):
-            dp.flux_terms(d12, [TreeIndex.from_labels([1], 2)], sol.u)
+        with pytest.raises(ValueError, match="must contain the root"):
+            self.fluxes(d12, [TreeIndex.from_labels([1], 2)], 2)
 
 
 class TestWideTrees:

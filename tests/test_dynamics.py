@@ -1,12 +1,13 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as hs
 
-from conftest import random_rcm
-from oracles import rk4_step_oracle
+from conftest import heap_index, random_rcm, subtree_mask
+from oracles import flux_terms_oracle, rk4_step_oracle
 from treeshell import ConstantSolution, RcmModel, TreeIndex
 from treeshell import dynamics as dyn
 
@@ -177,10 +178,15 @@ class TestFlatLayout:
             dyn.integrate(st, 1e-12, 10**15, record_every=10**9)
 
     def test_value_of_reads_the_heap_index(self, rng):
+        # the tests' mask helper puts every node where the state holds it
         m = RcmModel.create(2, 2.0, [1.0, 2.0, 0.5, 1.5])
         vals = rng.uniform(0.0, 1.0, 21)
-        st = dyn.TruncatedState(m, 2, vals, "zero")
-        assert [st.value_of(j) for j in gens(4, 2)] == list(vals)
+        assert [vals[heap_index(j)] for j in gens(4, 2)] == list(vals)
+        sol = ConstantSolution(m)
+        u = dyn.constant_values(sol, 2)
+        for j in gens(4, 2):
+            assert u[heap_index(j)] == pytest.approx(sol.u(j), rel=1e-12)
+        assert np.array_equal(subtree_mask(gens(4, 1), 2), np.arange(21) < 5)
 
 
 class TestStep:
@@ -196,8 +202,18 @@ class TestStep:
         st = dyn.TruncatedState.zeros(flat_d1, 3)
         dt = 1e-5
         new, _ = dyn.step(st, dt)
-        assert new.value_of(TreeIndex.root(2)) == pytest.approx(
+        assert new.values[0] == pytest.approx(
             flat_d1.forcing**2 * dt, rel=1e-4)
+
+    def test_blow_up_raises_without_numpy_warnings(self, d12):
+        st = dyn.TruncatedState.from_constant(ConstantSolution(d12), 3,
+                                              "zero", scale=1e200)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FloatingPointError, match="non-finite"):
+                dyn.step(st, 1.0)
+            with pytest.raises(FloatingPointError, match="non-finite"):
+                dyn.integrate(st, 1.0, 3)
 
     def test_fourth_order_convergence(self, d12):
         sol = ConstantSolution(d12)
@@ -396,7 +412,7 @@ class TestEnergyBalance:
         sol = ConstantSolution(d12)
         st = dyn.TruncatedState.from_constant(sol, 5, "stationary")
         traj = dyn.integrate(st, 1e-4, 200)
-        eb = dyn.energy_balance(traj, gens(2, 3))
+        eb = dyn.energy_balance(traj, subtree_mask(gens(2, 3), 5))
         assert eb.max_relative_residual <= 1e-9
 
     def test_random_state_balance(self, flat_d1, rng):
@@ -405,10 +421,10 @@ class TestEnergyBalance:
         noisy = st.values * (1 + rng.uniform(-0.5, 0.5, st.values.size))
         traj = dyn.integrate(dyn.TruncatedState(flat_d1, 5, noisy, "zero"),
                              1e-4, 300)
-        eb = dyn.energy_balance(traj, gens(2, 3))
+        eb = dyn.energy_balance(traj, subtree_mask(gens(2, 3), 5))
         assert eb.max_relative_residual <= 1e-6
         # the root alone satisfies the same identity
-        eb_root = dyn.energy_balance(traj, [TreeIndex.root(2)])
+        eb_root = dyn.energy_balance(traj, subtree_mask([TreeIndex.root(2)], 5))
         assert eb_root.max_relative_residual <= 1e-6
 
     def test_partition_independence_at_constant_solution(self, d12, rng):
@@ -419,21 +435,71 @@ class TestEnergyBalance:
         ragged.update(TreeIndex.root(2).offspring())
         ragged.update(TreeIndex.from_labels([1], 2).offspring())
         for T in (gens(2, 2), sorted(ragged, key=lambda j: j.code)):
-            eb = dyn.energy_balance(traj, T)
+            eb = dyn.energy_balance(traj, subtree_mask(T, 5))
             assert eb.max_relative_residual <= 1e-9
 
     def test_boundary_touching_flagged_under_zero_closure(self, d12):
         st = dyn.TruncatedState.from_constant(ConstantSolution(d12), 3, "zero")
         traj = dyn.integrate(st, 1e-4, 20)
         with pytest.warns(RuntimeWarning):
-            dyn.energy_balance(traj, gens(2, 2))
+            dyn.energy_balance(traj, subtree_mask(gens(2, 2), 3))
 
     def test_deep_subtree_rejected(self, d12):
         st = dyn.TruncatedState.from_constant(ConstantSolution(d12), 3,
                                               "stationary")
         traj = dyn.integrate(st, 1e-4, 20)
         with pytest.raises(ValueError):
-            dyn.energy_balance(traj, gens(2, 3))
+            dyn.energy_balance(traj, subtree_mask(gens(2, 3), 3))
+
+
+    def test_short_trajectory_rejected(self, d12):
+        st = dyn.TruncatedState.from_constant(ConstantSolution(d12), 3,
+                                              "stationary")
+        traj = dyn.integrate(st, 1e-4, 3)
+        with pytest.raises(ValueError, match="at least 5 records, got 4"):
+            dyn.energy_balance(traj, subtree_mask(gens(2, 1), 3))
+
+
+def random_subtree(rng, arity, depth):
+    """A random prefix-closed mask over generations 0..depth whose nodes
+    stay within depth - 1, so that its whole boundary is in the state."""
+    size = (arity ** (depth + 1) - 1) // (arity - 1)
+    mask = np.zeros(size, dtype=bool)
+    mask[0] = True
+    for i in range(1, (arity**depth - 1) // (arity - 1)):
+        mask[i] = mask[(i - 1) // arity] and rng.random() < 0.6
+    return mask
+
+
+class TestFluxTerms:
+    """The masked reductions against the set walk of ``flux_terms_oracle``."""
+
+    @pytest.mark.parametrize("d, depth", [(1, 6), (2, 3), (3, 2)])
+    def test_matches_the_set_walk(self, rng, d, depth):
+        for trial in range(8):
+            m = random_rcm(rng, d_choices=(d,))
+            mask = random_subtree(rng, m.N, depth)
+            size = len(mask)
+            if trial % 2:
+                values = dyn.constant_values(ConstantSolution(m), depth)
+            else:  # a leading time axis of three records
+                values = rng.uniform(0.1, 2.0, (3, size))
+            inflow, outflow = dyn.flux_terms(m, depth, values, mask)
+            nodes = [j for j in gens(m.N, depth) if mask[heap_index(j)]]
+            want_in, boundary = flux_terms_oracle(
+                m, nodes, lambda j: values[..., heap_index(j)])
+            want = np.zeros(values.shape)
+            for k, flux in boundary:
+                want[..., heap_index(k)] = flux
+            np.testing.assert_allclose(inflow, want_in, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(outflow, want, rtol=1e-12, atol=0)
+
+    def test_mask_shape_and_dtype_rejected(self, d12):
+        u = dyn.constant_values(ConstantSolution(d12), 3)
+        mask = subtree_mask(gens(2, 1), 3)
+        for bad in (mask[:-1], mask.astype(int), mask[None]):
+            with pytest.raises(ValueError, match="boolean mask of 15 nodes"):
+                dyn.flux_terms(d12, 3, u, bad)
 
 
 class TestRelax:
