@@ -7,7 +7,11 @@ are printed with 17 significant digits, so outputs are byte-identical
 across runs with the same seed and configuration.  CSV rows are formatted
 and written in chunks, so only one chunk's text is in memory at a time.
 
-Exit codes: 0 success, 1 numeric failure, 2 configuration error.
+Exit codes: 0 success, 1 numeric failure, 2 configuration error.  The
+exception type decides which: every ``ValueError`` the library or the flag
+parsing raises is an input check, as are ``KeyError``, ``OSError`` and
+``ResourceLimitError``; a computation that fails raises ``ArithmeticError``
+or ``RuntimeError``.
 """
 
 import argparse
@@ -26,10 +30,6 @@ from .solution import (ConstantSolution, ResourceLimitError, check_budget,
 
 _FLOAT = "%.17g"
 _CHUNK_ROWS = 2**15  # rows per formatted chunk: bounds the live text
-
-
-class ConfigError(Exception):
-    pass
 
 
 def _header(model: RcmModel | None, seed, config: dict) -> list[str]:
@@ -88,33 +88,33 @@ def _parse_floats(text: str, what: str) -> list[float]:
     try:
         return [float(x) for x in text.split(",")]
     except ValueError:
-        raise ConfigError(f"cannot parse {what}: {text!r}") from None
+        raise ValueError(f"cannot parse {what}: {text!r}") from None
 
 
 def _parse_ints(text: str, what: str) -> list[int]:
     values = _parse_floats(text, what)
     if not all(v.is_integer() for v in values):
-        raise ConfigError(f"{what} entries must be integers, got {text!r}")
+        raise ValueError(f"{what} entries must be integers, got {text!r}")
     return [int(v) for v in values]
 
 
 def _require_positive(values: dict) -> None:
     for flag, value in values.items():
         if not value > 0:
-            raise ConfigError(f"{flag} must be positive, got {value}")
+            raise ValueError(f"{flag} must be positive, got {value}")
 
 
 def _require_finite(values: dict) -> None:
     for flag, value in values.items():
         if not math.isfinite(value):
-            raise ConfigError(f"{flag} must be finite, got {value}")
+            raise ValueError(f"{flag} must be finite, got {value}")
 
 
 def _model_from_args(args) -> RcmModel:
-    try:
-        if args.config:
-            with open(args.config) as fh:
-                return model_from_dict(json.load(fh))
+    if args.config:
+        with open(args.config) as fh:
+            cfg = json.load(fh)
+    else:
         alpha = args.dim / 2 + 1 if args.alpha is None else args.alpha
         cfg = {"d": args.dim, "alpha": alpha, "f": args.forcing}
         if args.deltas:
@@ -122,10 +122,11 @@ def _model_from_args(args) -> RcmModel:
         elif args.lam is not None:
             cfg["lambda"] = args.lam
         else:
-            raise ConfigError("provide --deltas, --lambda or --config")
+            raise ValueError("provide --deltas, --lambda or --config")
+    try:
         return model_from_dict(cfg)
-    except (ValueError, TypeError) as e:
-        raise ConfigError(str(e)) from None
+    except TypeError as e:  # a config file value of the wrong JSON type
+        raise ValueError(str(e)) from None
 
 
 def _add_model_args(sub):
@@ -150,14 +151,11 @@ def cmd_spectra(args) -> int:
     _require_finite({"--mu": args.mu, "--D": args.D, "--p-min": args.p_min,
                      "--p-max": args.p_max})
     if args.p_min < 0:
-        raise ConfigError(f"--p-min must be >= 0, got {args.p_min}")
+        raise ValueError(f"--p-min must be >= 0, got {args.p_min}")
     if args.p_min > args.p_max:
-        raise ConfigError(f"--p-min {args.p_min} is above --p-max {args.p_max}")
+        raise ValueError(f"--p-min {args.p_min} is above --p-max {args.p_max}")
     lams = _parse_floats(args.lambdas, "--lambdas")
-    try:
-        models = [lambda_family(lam, d=3, alpha=2.5) for lam in lams]
-    except ValueError as e:
-        raise ConfigError(str(e)) from None
+    models = [lambda_family(lam, d=3, alpha=2.5) for lam in lams]
     names = [f"rcm_lambda={lam:g}" for lam in lams]
     names += spectra.REFERENCE_MODELS
     # np.arange's length as a float, so that an endless grid fails too
@@ -186,8 +184,6 @@ def cmd_spectra(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    _require_positive({"--depth": args.depth})
-    _require_finite({"-x": args.x})
     model = _model_from_args(args)
     run = pullback(GeneralCoefficients.from_rcm(model), model.alpha,
                    depth=args.depth, seed=args.x)
@@ -201,7 +197,6 @@ def cmd_solve(args) -> int:
 
 
 def cmd_dissipation(args) -> int:
-    _require_positive({"--n": args.n})
     model = _model_from_args(args)
     band = None if args.band is None else _band_from_args(args, model)
     mu = dissipation.measure(model, args.n)
@@ -223,9 +218,9 @@ def _band_from_args(args, model) -> tuple[float, float]:
         return center - args.band_width, center + args.band_width
     vals = _parse_floats(args.band, "--band")
     if len(vals) != 2:
-        raise ConfigError(f"--band needs 'auto' or 'lo,hi', got {args.band!r}")
+        raise ValueError(f"--band needs 'auto' or 'lo,hi', got {args.band!r}")
     if not vals[0] < vals[1]:
-        raise ConfigError(f"--band needs lo < hi, got {args.band!r}")
+        raise ValueError(f"--band needs lo < hi, got {args.band!r}")
     return vals[0], vals[1]
 
 
@@ -233,9 +228,6 @@ def cmd_concentration(args) -> int:
     model = _model_from_args(args)
     band = _band_from_args(args, model)
     ns = _parse_ints(args.n_list, "--n-list")
-    _require_positive({"--n-list entry": min(ns)})
-    if len(set(ns)) < len(ns):
-        raise ConfigError(f"--n-list repeats an entry: {args.n_list!r}")
     curve = dissipation.concentration_curve(model, band, ns)
     config = {"model": model.to_dict(), "band": list(band), "n_list": ns}
     _write_csv(args.out, _header(model, args.seed, config),
@@ -248,7 +240,6 @@ def cmd_concentration(args) -> int:
 
 
 def cmd_lln(args) -> int:
-    _require_positive({"--n": args.n, "--samples": args.samples})
     model = _model_from_args(args)
     rep = dissipation.lln_sample(model, args.n, args.samples, args.seed)
     config = {"model": model.to_dict(), "n": args.n, "samples": args.samples}
@@ -262,16 +253,16 @@ def cmd_simulate(args) -> int:
                        "--record-every": args.record_every})
     _require_finite({"--t-end / --dt": args.t_end / args.dt})
     if args.depth < 0:
-        raise ConfigError(f"--depth must be >= 0, got {args.depth}")
+        raise ValueError(f"--depth must be >= 0, got {args.depth}")
     scale = 1.0
     if args.init.startswith("perturbed:"):
         eps = _parse_floats(args.init.split(":", 1)[1], "--init perturbed:EPS")
         if len(eps) != 1 or not -1 <= eps[0] < math.inf:
-            raise ConfigError("--init perturbed:EPS needs one finite "
-                              f"EPS >= -1, got {args.init!r}")
+            raise ValueError("--init perturbed:EPS needs one finite "
+                             f"EPS >= -1, got {args.init!r}")
         scale = 1.0 + eps[0]
     elif args.init not in ("zero", "constant"):
-        raise ConfigError(f"unknown init {args.init!r}")
+        raise ValueError(f"unknown init {args.init!r}")
     model = _model_from_args(args)
     solution = ConstantSolution(model)
     if args.init == "zero":
@@ -296,22 +287,11 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_structure(args) -> int:
-    _require_positive({"--depth": args.depth})
     window = None
     if args.fit_window:
         window = tuple(_parse_ints(args.fit_window, "--fit-window"))
-    try:
-        field.fit_window(args.depth, window)
-    except ValueError as e:
-        raise ConfigError(str(e)) from None
     ps = _parse_floats(args.p_list, "--p-list")
-    if not all(0 < p < math.inf for p in ps):
-        raise ConfigError(f"--p-list entries must be finite and > 0, "
-                          f"got {args.p_list!r}")
     model = _model_from_args(args)
-    if model.d != 1:
-        raise ConfigError("structure estimates increments of a d = 1 field, "
-                          f"got d = {model.d}")
     est = field.structure_function(ConstantSolution(model), args.depth, ps,
                                    m_range=window, mother=args.mother)
     config = {"model": model.to_dict(), "depth": args.depth,
@@ -409,11 +389,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ResourceLimitError, FileNotFoundError, KeyError,
-            json.JSONDecodeError) as e:
+    except (ValueError, KeyError, OSError, ResourceLimitError) as e:
         print(f"configuration error: {e}", file=sys.stderr)
         return 2
-    except (ValueError, ArithmeticError, RuntimeError) as e:
+    except (ArithmeticError, RuntimeError) as e:
         print(f"numeric failure: {e}", file=sys.stderr)
         return 1
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
 
@@ -359,7 +360,9 @@ def lambda_family(lam: float, d: int = 3, alpha: float | None = None,
     """
     if alpha is None:
         alpha = d / 2 + 1
-    deltas = np.exp2(lam * np.arange(2**d))
+    # a lam that overflows gives inf or NaN deltas, which create() rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        deltas = np.exp2(lam * np.arange(2**d))
     return RcmModel.create(d, alpha, deltas, forcing)
 
 
@@ -373,7 +376,12 @@ def model_from_dict(cfg: dict) -> RcmModel:
     alpha = float(cfg["alpha"])
     forcing = float(cfg.get("f", 1.0))
     if "deltas" in cfg:
-        return RcmModel.create(d, alpha, cfg["deltas"], forcing)
+        deltas = cfg["deltas"]
+        if isinstance(deltas, str) or not isinstance(deltas, Sequence) or any(
+                isinstance(x, bool) or not isinstance(x, numbers.Real)
+                for x in deltas):
+            raise ValueError(f"'deltas' must be a list of numbers, got {deltas!r}")
+        return RcmModel.create(d, alpha, deltas, forcing)
     if "lambda" in cfg:
         return lambda_family(float(cfg["lambda"]), d=d, alpha=alpha,
                              forcing=forcing)

@@ -204,6 +204,8 @@ def concentration_curve(model: RcmModel, interval: tuple[float, float],
     ns = np.asarray(sorted(n_list), dtype=int)
     if np.any(ns[1:] == ns[:-1]):
         raise ValueError(f"repeated generation in {list(n_list)}")
+    # before any lattice: it rejects a band that leaves no sigma outside
+    rate = theoretical_tail_rate(model, lo, hi)
     masses, tails = [], []
     for n in ns:
         mu = measure(model, int(n))
@@ -220,8 +222,7 @@ def concentration_curve(model: RcmModel, interval: tuple[float, float],
     if len(ns) > 1:
         slope[1:] = -(tails_arr[1:] - tails_arr[:-1]) / (ns[1:] - ns[:-1])
     return ConcentrationCurve((lo, hi), ns, np.asarray(masses), tails_arr,
-                              point, slope,
-                              theoretical_tail_rate(model, lo, hi))
+                              point, slope, rate)
 
 
 # ---------------------------------------------------------------------------

@@ -191,11 +191,13 @@ def structure_function(solution: ConstantSolution, depth: int, p_grid,
     if solution.model.d != 1:
         raise ValueError("the two-point increment average is defined for d = 1")
     m_lo, m_hi = fit_window(depth, m_range)
+    p_arr = np.atleast_1d(np.asarray(p_grid, dtype=float))
+    if not np.all((p_arr > 0) & (p_arr < math.inf)):
+        raise ValueError(f"p must be finite and > 0, got {p_arr.tolist()}")
     check_budget("cells", 2**depth)
     if mother != "haar":
         return _grid_structure_function(synthesize(solution, depth, mother),
-                                        p_grid, m_range)
-    p_arr = np.atleast_1d(np.asarray(p_grid, dtype=float))
+                                        p_arr, m_range)
     v0 = solution.model.forcing * 2.0**solution.q
     k0, k1 = 2.0 ** (solution.q + 0.5) * np.sqrt(solution.model.coeffs.deltas)
     # kappa_1 kappa_0^e and kappa_0 kappa_1^e for e = l - 1 = 0..m_hi-1

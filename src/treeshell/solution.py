@@ -199,6 +199,8 @@ def pullback(coefficients: GeneralCoefficients, alpha: float, depth: int,
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
+    if not math.isfinite(seed):
+        raise ValueError(f"seed must be finite, got {seed}")
     arity = coefficients.arity
     check_budget("pull-back nodes", arity**depth)
 

@@ -67,3 +67,29 @@ def test_only_check_budget_raises_resource_limit_error():
                 for r in _budget_raises(f)}
         sites += [(name, id(r) in home) for r in _budget_raises(tree)]
     assert sites == [("treeshell.solution", True)]
+
+
+def _raises(node, scope=()):
+    """(qualified scope, exception name) of every ``raise`` under node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Raise):
+            exc = getattr(child.exc, "func", child.exc)
+            yield ".".join(scope), getattr(exc, "id", None)
+        inner = scope + ((child.name,) if isinstance(
+            child, (ast.FunctionDef, ast.ClassDef)) else ())
+        yield from _raises(child, inner)
+
+
+def test_every_library_raise_outside_three_sites_is_a_value_error():
+    # the exception type sets the CLI exit code: a ValueError is an input
+    # check (exit 2), a numeric failure is one of the two sites below (exit 1)
+    others = []
+    for name in MODULES:
+        tree = ast.parse(pathlib.Path(
+            importlib.import_module(name).__file__).read_text())
+        others += [(name, scope, exc) for scope, exc in _raises(tree)
+                   if exc != "ValueError"]
+    assert sorted(others) == [
+        ("treeshell.dynamics", "_Rk4.advance", "FloatingPointError"),
+        ("treeshell.dynamics", "integrate", "RuntimeError"),
+        ("treeshell.solution", "check_budget", "ResourceLimitError")]

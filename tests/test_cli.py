@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 import treeshell
 from oracles import csv_text_oracle
-from treeshell import cli
+from treeshell import GeneralCoefficients, cli
 from treeshell.cli import _write_csv, main
 
 # Child interpreters import the package from the same source tree as this one.
@@ -49,8 +50,8 @@ def no_synthesis(monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("the field was built before the config check")
 
+    monkeypatch.setattr(field, "_generations", fail)
     monkeypatch.setattr(field, "synthesize", fail)
-    monkeypatch.setattr(field, "structure_function", fail)
 
 
 class TestSpectraCommand:
@@ -136,12 +137,12 @@ class TestSolveCommand:
     @pytest.mark.parametrize("x", ["nan", "inf", "-inf"])
     def test_rejects_non_finite_seed_before_work(self, capsys, monkeypatch,
                                                  x):
-        from treeshell import cli
+        from treeshell import solution
 
         def fail(*args, **kwargs):
             raise AssertionError("pullback ran before the config check")
 
-        monkeypatch.setattr(cli, "pullback", fail)
+        monkeypatch.setattr(solution, "_pull_row", fail)
         rc, out = run_cli(["solve", "--deltas", "1,2", "--dim", "1",
                            "--alpha", "1.5", "--depth", "4", f"-x={x}"], capsys)
         assert rc == 2 and out == ""
@@ -291,6 +292,79 @@ class TestCliContract:
     def test_missing_config_file(self, capsys):
         rc, _ = run_cli(["solve", "--config", "/nonexistent.json"], capsys)
         assert rc == 2
+
+    @pytest.mark.parametrize("argv", [
+        "solve --deltas 1,2 --dim 1 --alpha 1.5 --depth 3 --out",
+        "spectra --p-max 1 --p-step 1 --summary",
+        "solve --depth 3 --config"])
+    @pytest.mark.parametrize("target", ["directory", "missing parent"])
+    def test_unusable_paths_are_config_errors(self, capsys, tmp_path, argv,
+                                              target):
+        path = tmp_path if target == "directory" else tmp_path / "no" / "f"
+        rc = main(argv.split() + [str(path)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("configuration error: ") and err.count("\n") == 1
+
+    def test_config_deltas_must_be_a_list(self, capsys, tmp_path):
+        cfg = tmp_path / "model.json"
+        cfg.write_text('{"d": 1, "alpha": 1.5, "deltas": "12"}')
+        rc, out = run_cli(["solve", "--config", str(cfg)], capsys)
+        assert rc == 2 and out == ""
+
+    @pytest.mark.parametrize("argv", ["spectra --lambdas 400",
+                                      "spectra --lambdas inf",
+                                      "solve --lambda 400 --dim 3"])
+    def test_overflowing_lambda_prints_one_line(self, argv):
+        # a subprocess: pytest would capture numpy's warnings off stderr
+        proc = subprocess.run(
+            [sys.executable, "-m", "treeshell.cli"] + argv.split(),
+            capture_output=True, text=True, timeout=120, env=SUBPROCESS_ENV)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == ("configuration error: all coefficients must "
+                               "be strictly positive and finite\n")
+
+    @pytest.mark.parametrize("argv", [
+        # the band covers the whole sigma range [0, 1]
+        "concentration --deltas 1,2 --band 0,1 --n-list 10",
+        # a flat model's sigma range is the one point the band covers
+        "concentration --deltas 1,1 --band auto --n-list 10,20",
+        "lln --deltas 1,2 --seed -1"])
+    def test_library_input_checks_are_config_errors(self, capsys, monkeypatch,
+                                                    argv):
+        from treeshell import dissipation
+
+        def fail(*args, **kwargs):
+            raise AssertionError("measure ran before the input check")
+
+        monkeypatch.setattr(dissipation, "measure", fail)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(argv.split() + ["--dim", "1", "--alpha", "1.5"])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert captured.err.startswith("configuration error: ")
+
+    @pytest.mark.parametrize("call,value", [
+        ("pullback", math.nan), ("pullback", math.inf),
+        ("structure_function", -1.0), ("structure_function", 0.0),
+        ("structure_function", math.nan), ("structure_function", math.inf)])
+    def test_library_rejects_non_finite_seed_and_p(self, d12_solution,
+                                                   monkeypatch, call, value):
+        from treeshell import field, solution
+
+        def fail(*args, **kwargs):
+            raise AssertionError("work started before the input check")
+
+        monkeypatch.setattr(solution, "_pull_row", fail)
+        monkeypatch.setattr(field, "_generations", fail)
+        with pytest.raises(ValueError):
+            if call == "pullback":
+                solution.pullback(
+                    GeneralCoefficients.from_rcm(d12_solution.model), 1.5, 4,
+                    seed=value)
+            else:
+                field.structure_function(d12_solution, 10, [1.0, value])
 
     @pytest.mark.parametrize("flag,value", [("--dt", "-1"), ("--t-end", "0"),
                                             ("--record-every", "0")])

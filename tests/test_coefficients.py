@@ -378,6 +378,15 @@ class TestModelTypes:
         with pytest.raises(ValueError):
             model_from_dict({"d": 1, "alpha": 1.5})
 
+    @pytest.mark.parametrize("deltas", ["12", {"1": 0, "2": 0}, 12,
+                                        ["1", "2"], [True, 2], None],
+                             ids=["str", "dict", "int", "str-items",
+                                  "bool-item", "null"])
+    def test_model_from_dict_needs_a_list_of_numbers(self, deltas):
+        # a string would be read digit by digit, a mapping by its keys
+        with pytest.raises(ValueError, match="'deltas' must be a list"):
+            model_from_dict({"d": 1, "alpha": 1.5, "deltas": deltas})
+
     def test_hash_is_stable_and_config_sensitive(self):
         a = RcmModel.create(1, 1.5, [1.0, 2.0]).hash()
         b = RcmModel.create(1, 1.5, [1.0, 2.0]).hash()
