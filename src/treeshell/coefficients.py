@@ -43,8 +43,11 @@ _LN2 = math.log(2.0)
 
 def log2sumexp2(x: np.ndarray, axis: int | None = None):
     """log2(sum 2**x), max-shifted.  ``axis=None`` reduces to a float, -inf
-    for an empty or all -inf input; along an axis every slice needs a finite
-    entry."""
+    for an empty or all -inf input.  ``axis`` may also name the last axis,
+    along which every slice needs a finite entry; its rows are reduced
+    column by column (``_row_reduction``), in numpy's own pairwise order,
+    so the result has the bits of ``x.max(axis)`` and ``.sum(axis)``
+    without their per-row loop overhead."""
     if axis is None:
         if x.size == 0:
             return -math.inf
@@ -52,8 +55,53 @@ def log2sumexp2(x: np.ndarray, axis: int | None = None):
         if m == -math.inf:
             return -math.inf
         return float(m + np.log2(np.exp2(x - m).sum()))
-    m = x.max(axis=axis, keepdims=True)
-    return np.squeeze(m, axis) + np.log2(np.exp2(x - m).sum(axis=axis))
+    if axis not in (-1, x.ndim - 1):
+        raise ValueError(f"log2sumexp2 reduces the last axis, got axis={axis}")
+    rows = x.reshape(-1, x.shape[-1])
+    m = _reduce_rows(np.maximum, rows)
+    shifted = rows - m[:, None]
+    np.exp2(shifted, out=shifted)
+    return (m + np.log2(_reduce_rows(np.add, shifted))).reshape(x.shape[:-1])
+
+
+def _row_reduction(ufunc: np.ufunc, rows: np.ndarray, out: np.ndarray
+                   ) -> list[tuple]:
+    """The calls ``f(a, b, out=o)``, as tuples (f, a, b, o), that reduce the
+    (P, N) array `rows` over its last axis into `out` (P,), with the bits of
+    ``ufunc.reduce(rows, axis=1)``; `ufunc` is np.add or np.maximum, and
+    `out` must not overlap `rows`.
+
+    numpy's reduce runs one inner loop per row, about 20 ns each, which
+    dominates at the tree's small N.  Here each step is one flat ufunc over
+    whole columns, N - 1 of them, in numpy's own pairwise order: left to
+    right for N < 8, ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)) for N = 8.  A sum
+    ends with + 0.0, since numpy's starts from it (an all -0.0 row sums to
+    +0.0).  Rows of one entry, or of more than 8, keep ``ufunc.reduce``:
+    the one has nothing to combine, the other's inner loop is no longer
+    overhead-bound.  Building the calls once lets a kernel rerun them.
+    """
+    P, N = rows.shape
+    if not 2 <= N <= 8:
+        return [(ufunc.reduce, rows, 1, out)]
+    col = [rows[:, k] for k in range(N)]
+    if N == 8:
+        t, u = np.empty(P), np.empty(P)
+        steps = [(col[0], col[1], out), (col[2], col[3], t), (out, t, out),
+                 (col[4], col[5], t), (col[6], col[7], u), (t, u, t),
+                 (out, t, out)]
+    else:
+        steps = [(col[0], col[1], out)] + [(out, c, out) for c in col[2:]]
+    if ufunc is np.add:
+        steps.append((out, 0.0, out))
+    return [(ufunc, a, b, o) for a, b, o in steps]
+
+
+def _reduce_rows(ufunc: np.ufunc, rows: np.ndarray) -> np.ndarray:
+    """``ufunc.reduce(rows, axis=1)`` of a 2-D array, by ``_row_reduction``."""
+    out = np.empty(len(rows))
+    for f, a, b, o in _row_reduction(ufunc, rows, out):
+        f(a, b, out=o)
+    return out
 
 
 @dataclass(frozen=True)
@@ -366,20 +414,27 @@ def lambda_family(lam: float, d: int = 3, alpha: float | None = None,
     return RcmModel.create(d, alpha, deltas, forcing)
 
 
+def _is_number(x) -> bool:
+    """A real number from a config file; JSON's true and false are not."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
 def model_from_dict(cfg: dict) -> RcmModel:
     """Build a model from a config mapping.
 
     Accepts either ``{"d", "alpha", "f", "deltas": [...]}`` or
     ``{"d", "alpha", "f", "lambda": x}`` for the lambda family.
     """
-    d = int(cfg["d"])
+    d = cfg["d"]
+    if not _is_number(d) or not float(d).is_integer():
+        raise ValueError(f"'d' must be an integer, got {d!r}")
+    d = int(d)
     alpha = float(cfg["alpha"])
     forcing = float(cfg.get("f", 1.0))
     if "deltas" in cfg:
         deltas = cfg["deltas"]
         if isinstance(deltas, str) or not isinstance(deltas, Sequence) or any(
-                isinstance(x, bool) or not isinstance(x, numbers.Real)
-                for x in deltas):
+                not _is_number(x) for x in deltas):
             raise ValueError(f"'deltas' must be a list of numbers, got {deltas!r}")
         return RcmModel.create(d, alpha, deltas, forcing)
     if "lambda" in cfg:

@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coefficients import GeneralCoefficients, RcmModel, log2sumexp2
+from .coefficients import (_LN2, GeneralCoefficients, RcmModel, _reduce_rows,
+                           log2sumexp2)
 from .spectra import fixed_point_q, s0
 from .tree import TreeIndex
 
@@ -114,9 +115,10 @@ class ConstantSolution:
         gap = s - s0(m, p)
         if gap >= 0:
             return math.inf
-        # ||u||^p = f^p 2^{pq} sum_n 2^{p(s - s0) n}
+        # ||u||^p = f^p 2^{pq} sum_n 2^{p(s - s0) n}; expm1 keeps the
+        # digits of 1 - 2^{p gap} as s -> s0(p)
         log2_norm_p = (p * math.log2(m.forcing) + p * self.q
-                       - math.log2(1.0 - 2.0 ** (p * gap)))
+                       - math.log2(-math.expm1(p * gap * _LN2)))
         return 2.0 ** (log2_norm_p / p)
 
     def energy(self) -> float:
@@ -158,10 +160,10 @@ class PullbackRun:
         2**(-2 x_g - alpha) = sum_k d_k**(3/2) 2**x_k makes each sum one."""
         worst = 0.0
         for g, children in enumerate(self.rows[1:]):
-            log2d = self.coefficients.row_log2(g + 1, np.arange(len(children)))
-            terms = (1.5 * log2d + children).reshape(-1, self.coefficients.arity)
-            shifted = terms + (2.0 * self.rows[g] + self.alpha)[:, None]
-            residual = np.log2(np.exp2(shifted).sum(axis=1))
+            shifted = (_child_terms(self.coefficients, g, children)
+                       + (2.0 * self.rows[g] + self.alpha)[:, None])
+            np.exp2(shifted, out=shifted)
+            residual = np.log2(_reduce_rows(np.add, shifted))
             worst = max(worst, float(np.abs(residual).max()))
         return worst
 
@@ -171,11 +173,18 @@ class PullbackRun:
                 for g, r in enumerate(self.rows)]
 
 
+def _child_terms(coefficients: GeneralCoefficients, g: int,
+                 children: np.ndarray) -> np.ndarray:
+    """1.5 log2 d_k + x_k over the generation-(g + 1) row, one row of N
+    children per generation-g parent."""
+    log2d = coefficients.row_log2(g + 1, np.arange(len(children)))
+    return (1.5 * log2d + children).reshape(-1, coefficients.arity)
+
+
 def _pull_row(coefficients: GeneralCoefficients, alpha: float, g: int,
               children: np.ndarray) -> np.ndarray:
     """The generation-g row of the backward recursion from its children's."""
-    log2d = coefficients.row_log2(g + 1, np.arange(len(children)))
-    terms = (1.5 * log2d + children).reshape(-1, coefficients.arity)
+    terms = _child_terms(coefficients, g, children)
     return -0.5 * alpha - 0.5 * log2sumexp2(terms, axis=1)
 
 
@@ -195,7 +204,10 @@ def pullback(coefficients: GeneralCoefficients, alpha: float, depth: int,
 
     Rows are produced children-first; each parent only reads its own N
     children, so generation g costs one pass over N**(g+1) values and the
-    peak memory is the deepest row.
+    peak memory is the deepest row.  A parent's log-sum-exp over its
+    children runs column by column, one flat ufunc per child label in
+    numpy's own pairwise order (``log2sumexp2``): the bits of a per-row
+    reduce, without its per-parent loop overhead at small N.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")

@@ -63,3 +63,10 @@ def subtree_mask(nodes, depth):
     mask = np.zeros((arity ** (depth + 1) - 1) // (arity - 1), dtype=bool)
     mask[index] = True
     return mask
+
+
+def same_bits(a, b) -> bool:
+    """Equal arrays, down to the sign of every zero."""
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.shape == b.shape and np.array_equal(a, b)
+            and np.array_equal(np.signbit(a), np.signbit(b)))

@@ -16,7 +16,10 @@ stage into buffers it allocated once.  The flux oracle walks a ``set`` of
 ``TreeIndex`` nodes, checks prefix-closure node by node and forms each
 boundary coefficient c_k from ``coefficient_of`` and 2^(alpha |k|), where
 the dynamics reads c_k off its own coefficient array and takes the
-subtree as a boolean mask over the state layout.
+subtree as a boolean mask over the state layout.  The pull-back row and
+residual oracles reduce each parent's children with numpy's per-row
+``max(axis=1)`` and ``sum(axis=1)``, where the library reduces whole
+columns in the same pairwise order.
 """
 
 from __future__ import annotations
@@ -26,10 +29,12 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from treeshell.coefficients import RcmModel, RepeatedCoefficients, log2sumexp2
+from treeshell.coefficients import (GeneralCoefficients, RcmModel,
+                                    RepeatedCoefficients, log2sumexp2)
 from treeshell.dissipation import DissipationMeasure
 from treeshell.dynamics import TruncatedState, _system
-from treeshell.solution import ConstantSolution, ResourceLimitError, check_budget
+from treeshell.solution import (ConstantSolution, PullbackRun,
+                                ResourceLimitError, check_budget)
 from treeshell.spectra import cascade_rate
 from treeshell.tree import TreeIndex
 
@@ -284,3 +289,26 @@ def flux_terms_oracle(model: RcmModel, subtree: Iterable[TreeIndex],
                 c_k = model.coefficient_of(k) * 2.0 ** (model.alpha * k.generation)
                 boundary.append((k, 2.0 * c_k * value_of(j) ** 2 * value_of(k)))
     return input_term, boundary
+
+
+def pull_row_oracle(coefficients: GeneralCoefficients, alpha: float, g: int,
+                    children: np.ndarray) -> np.ndarray:
+    """The generation-g row of the backward recursion from its children's."""
+    log2d = coefficients.row_log2(g + 1, np.arange(len(children)))
+    terms = (1.5 * log2d + children).reshape(-1, coefficients.arity)
+    m = terms.max(axis=1, keepdims=True)
+    lse = np.squeeze(m, 1) + np.log2(np.exp2(terms - m).sum(axis=1))
+    return -0.5 * alpha - 0.5 * lse
+
+
+def residual_max_oracle(run: PullbackRun) -> float:
+    """Max |log2| of sum_k d_k**(3/2) 2**(x_k + 2 x_g + alpha) over the
+    children k of every interior node g of the run."""
+    worst = 0.0
+    for g, children in enumerate(run.rows[1:]):
+        log2d = run.coefficients.row_log2(g + 1, np.arange(len(children)))
+        terms = (1.5 * log2d + children).reshape(-1, run.coefficients.arity)
+        shifted = terms + (2.0 * run.rows[g] + run.alpha)[:, None]
+        residual = np.log2(np.exp2(shifted).sum(axis=1))
+        worst = max(worst, float(np.abs(residual).max()))
+    return worst

@@ -16,11 +16,13 @@ ORACLES = pathlib.Path(__file__).with_name("oracles.py")
 MOVED = ("entropy_max_oracle", "measure_from_enumeration", "enumerate_log2_F",
          "_ENUMERATION_NODES", "xi_from_generation_sums", "coefficient_l2",
          "csv_text_oracle", "rk4_step_oracle", "_rhs_core",
-         "flux_terms_oracle")
+         "flux_terms_oracle", "pull_row_oracle", "residual_max_oracle")
 # the fast paths the oracles check, which they must not call
 FAST_PATHS = {"measure", "dim_D", "dim_D_of_multiset", "phi_inverse",
               "zeta_raw", "synthesize", "_write_csv", "_Rk4", "advance",
-              "step", "rhs", "integrate", "flux_terms", "energy_balance"}
+              "step", "rhs", "integrate", "flux_terms", "energy_balance",
+              "pullback", "_pull_row", "_child_terms", "residual_max",
+              "_row_reduction", "_reduce_rows"}
 
 
 @pytest.mark.parametrize("name", MODULES)

@@ -312,6 +312,12 @@ class TestCliContract:
         rc, out = run_cli(["solve", "--config", str(cfg)], capsys)
         assert rc == 2 and out == ""
 
+    def test_config_d_must_be_an_integer(self, capsys, tmp_path):
+        cfg = tmp_path / "model.json"
+        cfg.write_text('{"d": 1.7, "alpha": 1.5, "deltas": [1, 2]}')
+        rc, out = run_cli(["solve", "--config", str(cfg)], capsys)
+        assert rc == 2 and out == ""
+
     @pytest.mark.parametrize("argv", ["spectra --lambdas 400",
                                       "spectra --lambdas inf",
                                       "solve --lambda 400 --dim 3"])

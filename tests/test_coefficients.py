@@ -10,6 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import same_bits
+
 from treeshell import (
     GeneralCoefficients,
     RcmModel,
@@ -18,6 +20,7 @@ from treeshell import (
     lambda_family,
     model_from_dict,
 )
+from treeshell.coefficients import _row_reduction, log2sumexp2
 
 mp.mp.dps = 50
 
@@ -387,6 +390,17 @@ class TestModelTypes:
         with pytest.raises(ValueError, match="'deltas' must be a list"):
             model_from_dict({"d": 1, "alpha": 1.5, "deltas": deltas})
 
+    @pytest.mark.parametrize("d", [1.7, True, "2", None, math.nan, math.inf])
+    def test_model_from_dict_needs_an_integer_d(self, d):
+        # int() would run 1.7 as d = 1
+        with pytest.raises(ValueError, match="'d' must be an integer"):
+            model_from_dict({"d": d, "alpha": 2.0, "deltas": [1, 2, 3, 5]})
+
+    @pytest.mark.parametrize("d", [2, 2.0])
+    def test_model_from_dict_accepts_an_integral_d(self, d):
+        m = model_from_dict({"d": d, "alpha": 2.0, "deltas": [1, 2, 3, 5]})
+        assert m.d == 2 and type(m.d) is int
+
     def test_hash_is_stable_and_config_sensitive(self):
         a = RcmModel.create(1, 1.5, [1.0, 2.0]).hash()
         b = RcmModel.create(1, 1.5, [1.0, 2.0]).hash()
@@ -422,3 +436,42 @@ class TestGeneralCoefficients:
             assert got[0] == math.log2(d12.coefficient_of(j))
         row = gc.row_log2(2, np.arange(4))
         assert np.allclose(row, [0.0, 1.0, 0.0, 1.0])
+
+
+class TestRowReduction:
+    """The column-by-column reduction has the bits of numpy's per-row
+    reduce at every width, signed zeros included."""
+
+    @staticmethod
+    def rows(rng, width):
+        # magnitudes over 40 binades, so the summation order shows in the
+        # last bits; then rows of -0.0, of mixed zeros and of a zero sum
+        x = rng.standard_normal((64, width)) * np.exp2(
+            rng.integers(-20, 20, (64, width)))
+        x[0] = -0.0
+        x[1] = rng.choice([0.0, -0.0], width)
+        x[2, ::2] = 1.5
+        x[2, 1::2] = -1.5
+        return x
+
+    @pytest.mark.parametrize("ufunc", [np.add, np.maximum],
+                             ids=["add", "maximum"])
+    @pytest.mark.parametrize("width", range(1, 17))
+    def test_bits_of_numpy_reduce(self, rng, width, ufunc):
+        x = self.rows(rng, width)
+        out = np.empty(len(x))
+        calls = _row_reduction(ufunc, x, out)
+        for f, a, b, o in calls:
+            f(a, b, out=o)
+        assert same_bits(out, ufunc.reduce(x, axis=1))
+        # built once, the calls read the rows as they are when rerun
+        x[3:] = self.rows(rng, width)[3:]
+        for f, a, b, o in calls:
+            f(a, b, out=o)
+        assert same_bits(out, ufunc.reduce(x, axis=1))
+
+    def test_log2sumexp2_reduces_the_last_axis_only(self):
+        x = np.zeros((2, 3))
+        assert same_bits(log2sumexp2(x, axis=-1), np.full(2, np.log2(3.0)))
+        with pytest.raises(ValueError, match="last axis"):
+            log2sumexp2(x, axis=0)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as hs
 
-from conftest import heap_index, random_rcm, subtree_mask
+from conftest import heap_index, random_rcm, same_bits, subtree_mask
 from oracles import flux_terms_oracle, rk4_step_oracle
 from treeshell import ConstantSolution, RcmModel, TreeIndex
 from treeshell import dynamics as dyn
@@ -299,13 +299,6 @@ class TestStep:
             dyn.integrate(st, dt, steps, record_every)
 
 
-def same_bits(a, b) -> bool:
-    """Equal arrays, down to the sign of every zero."""
-    a, b = np.asarray(a), np.asarray(b)
-    return (a.shape == b.shape and np.array_equal(a, b)
-            and np.array_equal(np.signbit(a), np.signbit(b)))
-
-
 def oracle_run(state, dt, steps, record_every):
     """integrate's times, records and clamp total from a loop of oracle
     steps; raises what integrate must raise."""
@@ -336,10 +329,13 @@ def start_state(seed, d, depth, closure, start):
     if start == "zero":
         return model, dyn.TruncatedState.zeros(model, depth, closure)
     sol = ConstantSolution(model)
-    if start == "random":
+    if start in ("random", "negative zeros"):
         base = dyn.constant_values(sol, depth)
         values = (base * rng.uniform(0.0, 2.0, base.size)
                   * (rng.random(base.size) < 0.7))
+        if start == "negative zeros":  # the deepest generation too
+            values[values == 0] = -0.0
+            values[-model.N**depth:] = -0.0
         return model, dyn.TruncatedState(model, depth, values, closure)
     scale = 1.0 if start == "constant" else float(rng.uniform(0.0, 2.0))
     return model, dyn.TruncatedState.from_constant(sol, depth, closure, scale)
@@ -372,6 +368,12 @@ class TestKernelAgainstOracle:
              steps=9, record_every=2, log2_dt=1.25)
     @example(seed=11, d=1, depth=2, closure="zero", start="random",
              steps=9, record_every=2, log2_dt=1.5)
+    # -0.0 entries, some filling a parent's whole child row: the offspring
+    # sums must give numpy's +0.0 there, sequentially (N = 2) and as a tree
+    @example(seed=3, d=1, depth=4, closure="zero", start="negative zeros",
+             steps=6, record_every=1, log2_dt=-4.0)
+    @example(seed=3, d=3, depth=2, closure="stationary",
+             start="negative zeros", steps=6, record_every=1, log2_dt=-4.0)
     def test_integrate_matches_oracle_steps(self, seed, d, depth, closure,
                                             start, steps, record_every,
                                             log2_dt):

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from conftest import same_bits
+from oracles import pull_row_oracle, residual_max_oracle
 from treeshell import (
     ConstantSolution,
     GeneralCoefficients,
@@ -104,6 +106,13 @@ class TestSobolevNorm:
         assert d12_solution.sobolev_norm(s0, 2.0) == math.inf
         assert d12_solution.sobolev_norm(s0 + 0.3, 2.0) == math.inf
         assert math.isfinite(d12_solution.sobolev_norm(s0 - 1e-6, 2.0))
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+    def test_finite_an_ulp_below_threshold(self, d12_solution, p):
+        # 1 - 2**(p gap) rounds to 0 there; expm1 keeps its digits
+        s = math.nextafter(spectra.s0(d12_solution.model, p), -math.inf)
+        norm = d12_solution.sobolev_norm(s, p)
+        assert math.isfinite(norm) and norm > 0
 
     def test_flat_energy_closed_form(self, flat_d3):
         sol = ConstantSolution(flat_d3)
@@ -251,6 +260,23 @@ class TestPullback:
                             lambda x, axis=None: exact(x, axis) + 1e-9)
         run = pullback(GeneralCoefficients.from_rcm(d12), d12.alpha, depth=6)
         assert run.residual_max() > 1e-10
+
+
+class TestPullbackAgainstOracle:
+    """The column-wise pull-back gives the bits of the per-row reduce."""
+
+    @pytest.mark.parametrize("d, depth", [(1, 10), (2, 5), (3, 4)])
+    @pytest.mark.parametrize("seed", [0.0, -30.0, 7.25])
+    def test_rows_and_residual_same_bits(self, rng, d, depth, seed):
+        N, lo, hi = 2**d, -1.25, 0.75
+        tables = [rng.uniform(lo, hi, N**g) for g in range(depth + 1)]
+        gc = GeneralCoefficients(N, lambda g, codes: tables[g][codes], lo, hi)
+        alpha = float(rng.uniform(0.6, 6.0))
+        run = pullback(gc, alpha, depth, seed)
+        for g in range(depth):
+            assert same_bits(run.rows[g],
+                             pull_row_oracle(gc, alpha, g, run.rows[g + 1]))
+        assert same_bits(run.residual_max(), residual_max_oracle(run))
 
 
 class TestDivergenceWitness:
