@@ -112,17 +112,19 @@ def _require_finite(values: dict) -> None:
 
 def _model_from_args(args) -> RcmModel:
     if args.config:
+        if args.deltas is not None or args.lam is not None:
+            raise ValueError("--config gives the model; drop --deltas/--lambda")
         with open(args.config) as fh:
             cfg = json.load(fh)
     else:
+        if args.deltas is None and args.lam is None:
+            raise ValueError("provide --deltas, --lambda or --config")
         alpha = args.dim / 2 + 1 if args.alpha is None else args.alpha
         cfg = {"d": args.dim, "alpha": alpha, "f": args.forcing}
-        if args.deltas:
+        if args.deltas is not None:
             cfg["deltas"] = _parse_floats(args.deltas, "--deltas")
-        elif args.lam is not None:
+        if args.lam is not None:
             cfg["lambda"] = args.lam
-        else:
-            raise ValueError("provide --deltas, --lambda or --config")
     try:
         return model_from_dict(cfg)
     except TypeError as e:  # a config file value of the wrong JSON type

@@ -273,15 +273,14 @@ class RepeatedCoefficients:
 class GeneralCoefficients:
     """A deterministic bounded coefficient map on the whole tree.
 
-    ``log2_of(generation, codes)`` returns the log2 weights of the
-    generation-g nodes with the given packed codes, as one array; the root
-    has weight 1.  Every row is checked against the declared band
-    [log2_min, log2_max]; the band width L is the constant entering the
-    generic existence bound.
+    ``log2_of(generation)`` returns the log2 weights of the whole
+    generation, indexed by packed code; the root has weight 1.  Every row
+    is checked against the declared band [log2_min, log2_max]; the band
+    width L is the constant entering the generic existence bound.
     """
 
     arity: int
-    log2_of: Callable[[int, np.ndarray], np.ndarray]
+    log2_of: Callable[[int], np.ndarray]
     log2_min: float
     log2_max: float
 
@@ -297,11 +296,15 @@ class GeneralCoefficients:
     def bound_L(self) -> float:
         return self.log2_max - self.log2_min
 
-    def row_log2(self, generation: int, codes: np.ndarray) -> np.ndarray:
-        """log2 coefficients for the nodes with the given packed codes."""
+    def row_log2(self, generation: int) -> np.ndarray:
+        """log2 coefficients of the generation's nodes, by packed code."""
         if generation == 0:
-            return np.zeros(len(codes))
-        log2_values = np.asarray(self.log2_of(generation, codes), dtype=float)
+            return np.zeros(1)
+        log2_values = np.asarray(self.log2_of(generation), dtype=float)
+        if log2_values.shape != (self.arity**generation,):
+            raise ValueError(f"generation {generation} needs a row of "
+                             f"{self.arity**generation} coefficients, got "
+                             f"shape {log2_values.shape}")
         eps = 1e-12
         if not np.all((log2_values >= self.log2_min - eps)
                       & (log2_values <= self.log2_max + eps)):
@@ -311,9 +314,10 @@ class GeneralCoefficients:
     @classmethod
     def from_rcm(cls, model: "RcmModel") -> "GeneralCoefficients":
         """The RCM as a general map: the weight of a node is the delta of
-        its last label."""
+        its last label, so a row repeats the deltas once per parent."""
         log2d = model.coeffs.log2_deltas
-        return cls(model.N, lambda generation, codes: log2d[codes % model.N],
+        return cls(model.N,
+                   lambda generation: np.tile(log2d, model.N**(generation - 1)),
                    float(log2d.min()), float(log2d.max()))
 
 
@@ -419,18 +423,27 @@ def _is_number(x) -> bool:
     return isinstance(x, numbers.Real) and not isinstance(x, bool)
 
 
+def _number(key: str, value) -> float:
+    """The config value of `key` as a float, if it is a number."""
+    if not _is_number(value):
+        raise ValueError(f"'{key}' must be a number, got {value!r}")
+    return float(value)
+
+
 def model_from_dict(cfg: dict) -> RcmModel:
     """Build a model from a config mapping.
 
     Accepts either ``{"d", "alpha", "f", "deltas": [...]}`` or
-    ``{"d", "alpha", "f", "lambda": x}`` for the lambda family.
+    ``{"d", "alpha", "f", "lambda": x}`` for the lambda family, not both.
     """
     d = cfg["d"]
     if not _is_number(d) or not float(d).is_integer():
         raise ValueError(f"'d' must be an integer, got {d!r}")
     d = int(d)
-    alpha = float(cfg["alpha"])
-    forcing = float(cfg.get("f", 1.0))
+    alpha = _number("alpha", cfg["alpha"])
+    forcing = _number("f", cfg.get("f", 1.0))
+    if "deltas" in cfg and "lambda" in cfg:
+        raise ValueError("give the model by 'deltas' or by 'lambda', not both")
     if "deltas" in cfg:
         deltas = cfg["deltas"]
         if isinstance(deltas, str) or not isinstance(deltas, Sequence) or any(
@@ -438,6 +451,6 @@ def model_from_dict(cfg: dict) -> RcmModel:
             raise ValueError(f"'deltas' must be a list of numbers, got {deltas!r}")
         return RcmModel.create(d, alpha, deltas, forcing)
     if "lambda" in cfg:
-        return lambda_family(float(cfg["lambda"]), d=d, alpha=alpha,
+        return lambda_family(_number("lambda", cfg["lambda"]), d=d, alpha=alpha,
                              forcing=forcing)
     raise ValueError("config needs either 'deltas' or 'lambda'")

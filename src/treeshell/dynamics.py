@@ -10,10 +10,9 @@ truncation generation the missing offspring sum is closed either with
 zeros (free truncation) or with the constant-solution values, which makes
 the constant solution an exact equilibrium of the truncated system.
 
-Generation-major order is a heap layout: node j sits at index
-(N**|j| - 1)/(N - 1) + code(j), the parent of index i >= 1 is (i - 1) // N
-and the children of index i are the block N i + 1 .. N i + N, so the
-right-hand side needs no loop over generations.  A finite rooted subtree
+The order is the heap layout of ``treeshell.tree``, which owns its
+offsets and parent/child index rules, so the right-hand side needs no
+loop over generations.  A finite rooted subtree
 is a boolean mask over the same layout; it is prefix-closed when every
 node in it has its parent in it, and its boundary is the nodes outside it
 whose parent lies inside.
@@ -35,6 +34,7 @@ import numpy as np
 
 from .coefficients import RcmModel, _row_reduction
 from .solution import ConstantSolution, check_budget
+from .tree import generation_start
 
 __all__ = [
     "TruncatedState",
@@ -50,11 +50,6 @@ __all__ = [
 
 CLOSURES = ("zero", "stationary")
 _MAX_CLAMP_RATE = 1e-8
-
-
-def _generation_start(N: int, generation: int) -> int:
-    """Index of the first node of `generation` (at depth + 1: the size)."""
-    return (N**generation - 1) // (N - 1)
 
 
 def constant_values(solution: ConstantSolution, depth: int) -> np.ndarray:
@@ -75,24 +70,18 @@ class TruncatedState:
     def __post_init__(self):
         if self.closure not in CLOSURES:
             raise ValueError(f"closure must be one of {CLOSURES}")
-        expected = _generation_start(self.model.N, self.depth + 1)
+        expected = generation_start(self.model.N, self.depth + 1)
         if len(self.values) != expected:
             raise ValueError(f"state needs {expected} values, got {len(self.values)}")
         if not np.all(self.values >= 0):
             raise ValueError("componentwise states are non-negative")
-
-    @property
-    def slices(self) -> list[slice]:
-        N = self.model.N
-        return [slice(_generation_start(N, g), _generation_start(N, g + 1))
-                for g in range(self.depth + 1)]
 
     def energy(self) -> float:
         return float(self.values @ self.values)
 
     @classmethod
     def zeros(cls, model: RcmModel, depth: int, closure: str = "zero"):
-        size = _generation_start(model.N, depth + 1)
+        size = generation_start(model.N, depth + 1)
         check_budget("nodes", size)
         return cls(model, depth, np.zeros(size), closure)
 
@@ -113,13 +102,13 @@ def _system(model: RcmModel, depth: int, closure: str
     gens = range(1, depth + 1)
     c = np.repeat([2.0 ** (model.alpha * g) for g in gens],
                   [N**g for g in gens]) \
-        * np.tile(model.deltas, _generation_start(N, depth))
+        * np.tile(model.deltas, generation_start(N, depth))
     if closure == "zero":
         return c, np.zeros(N**depth)
     solution = ConstantSolution(model)
     factor = 2.0 ** (model.alpha * (depth + 1) + solution.q) * float(
         np.sum(model.deltas**1.5))
-    return c, factor * constant_values(solution, depth)[-N**depth:]
+    return c, factor * np.exp2(solution.log2_u_rows(depth)[-1])
 
 
 class _Rk4:
@@ -307,7 +296,7 @@ def flux_terms(model: RcmModel, depth: int, values: np.ndarray,
     may carry a leading time axis, giving the fluxes along a trajectory.
     """
     mask = np.asarray(subtree)
-    size = _generation_start(model.N, depth + 1)
+    size = generation_start(model.N, depth + 1)
     if mask.dtype != bool or mask.shape != (size,):
         raise ValueError(f"the subtree must be a boolean mask of {size} "
                          f"nodes, got {mask.dtype} of shape {mask.shape}")
@@ -350,11 +339,11 @@ def energy_balance(traj: Trajectory, subtree: np.ndarray) -> EnergyBalance:
                          f"got {len(states)}")
     inflow, outflow = flux_terms(traj.model, traj.depth, states, subtree)
     mask = np.asarray(subtree)
-    last = _generation_start(traj.model.N, traj.depth)
+    last = generation_start(traj.model.N, traj.depth)
     if mask[last:].any():
         raise ValueError("T must stay within depth - 1")
     if traj.closure == "zero" and mask[
-            _generation_start(traj.model.N, traj.depth - 1):last].any():
+            generation_start(traj.model.N, traj.depth - 1):last].any():
         warnings.warn("T touches the truncation boundary under the zero "
                       "closure; fluxes into absent offspring are dropped",
                       RuntimeWarning, stacklevel=2)

@@ -38,7 +38,7 @@ import numpy as np
 from .dissipation import sigma_of
 from .solution import ConstantSolution, check_budget
 from .spectra import s0
-from .tree import TreeIndex, path_of_point
+from .tree import TreeIndex, label_axes, path_of_point
 
 __all__ = [
     "WaveletField",
@@ -115,11 +115,8 @@ def _generations(solution: ConstantSolution, depth: int, mother: str):
     q = solution.q
     # spatially-arranged node values, axis a of `vals` = cube index along axis a
     vals = np.full((1,) * dim, model.forcing * 2.0**q)
-    # per-axis-bit multiplier applied from parent to child, shape (2,)*dim
-    child_factor = np.empty((2,) * dim)
-    for bits in range(model.N):
-        idx = tuple((bits >> a) & 1 for a in range(dim))
-        child_factor[idx] = 2.0**q * math.sqrt(model.coeffs.deltas[bits])
+    # multiplier applied from parent to child, arranged in space
+    child_factor = label_axes(2.0**q * np.sqrt(model.deltas), dim)
 
     for g in range(depth):
         target = min(g + below, depth)
@@ -268,8 +265,12 @@ def besov_epsilon(solution: ConstantSolution, s: float, p: float,
     eps_n = 2**(ns) 2**(dn(1/2 - 1/p)) (sum_{|j|=n} |u_j|^p)**(1/p) collapses
     to f 2**q 2**((s - s0(p)) n); for p = inf the rate is s - h.
     """
-    if p <= 0:
-        raise ValueError("p must be positive or inf")
+    if not p > 0:
+        raise ValueError(f"p must be positive or inf, got {p}")
+    if not math.isfinite(s):
+        raise ValueError(f"s must be finite, got {s}")
+    if n_max < 0:
+        raise ValueError(f"n_max must be >= 0, got {n_max}")
     m = solution.model
     n = np.arange(n_max + 1, dtype=float)
     return m.forcing * 2.0**solution.q * np.exp2((s - s0(m, p)) * n)

@@ -24,7 +24,7 @@ import numpy as np
 from .coefficients import (_LN2, GeneralCoefficients, RcmModel, _reduce_rows,
                            log2sumexp2)
 from .spectra import fixed_point_q, s0
-from .tree import TreeIndex
+from .tree import TreeIndex, generation_start
 
 __all__ = [
     "ConstantSolution",
@@ -78,7 +78,7 @@ class ConstantSolution:
     def log2_u_rows(self, depth: int) -> list[np.ndarray]:
         """log2 u row arrays for generations 0..depth."""
         model = self.model
-        check_budget("nodes", (model.N**(depth + 1) - 1) // (model.N - 1))
+        check_budget("nodes", generation_start(model.N, depth + 1))
         return list(model.path_sum_rows(math.log2(model.forcing) + self.q,
                                         self.q, 0.5, depth))
 
@@ -111,6 +111,8 @@ class ConstantSolution:
         """
         if not 1 <= p < math.inf:
             raise ValueError("p must be finite and >= 1")
+        if math.isnan(s):
+            raise ValueError("s must be a number, got nan")
         m = self.model
         gap = s - s0(m, p)
         if gap >= 0:
@@ -177,7 +179,7 @@ def _child_terms(coefficients: GeneralCoefficients, g: int,
                  children: np.ndarray) -> np.ndarray:
     """1.5 log2 d_k + x_k over the generation-(g + 1) row, one row of N
     children per generation-g parent."""
-    log2d = coefficients.row_log2(g + 1, np.arange(len(children)))
+    log2d = coefficients.row_log2(g + 1)
     return (1.5 * log2d + children).reshape(-1, coefficients.arity)
 
 
@@ -294,11 +296,11 @@ def divergence_witness(solution: ConstantSolution, eps0: float,
     perturbed family on the stationarity constraint exactly.  eps0 = 0
     returns the all-zero chain (the constant solution itself).
     """
-    if eps0 < 0:
-        raise ValueError("eps0 must be >= 0")
-    if steps > 1000:
-        raise ValueError("the chain overflows double precision long before "
-                         "1000 steps; choose fewer")
+    if not 0 <= eps0 < math.inf:
+        raise ValueError(f"eps0 must be finite and >= 0, got {eps0}")
+    if not 0 <= steps <= 1000:
+        raise ValueError(f"steps must be in 0..1000, got {steps}: the chain "
+                         "overflows double precision long before 1000")
     m = solution.model
     n = np.arange(steps + 1)
     eps = eps0 * np.power(-2.0, n.astype(float))

@@ -5,12 +5,17 @@ A node of the tree is a finite word of child labels in ``{1..N}`` with
 of the unit cube ``[0,1)**d``: the root owns the unit cube, and the N
 children of a node tile its cube with the half-side sub-cubes.
 
-Conventions fixed here (the labelling of sub-cubes is otherwise free):
+This module is the one home of node indexing.  Its conventions (the
+labelling of sub-cubes is otherwise free):
 
-- child labels are ``1 + little-endian binary encoding`` of the per-axis
-  half-offsets, so for ``d=2`` label 1 is the lower-left quarter, label 2
-  the right half of axis 0, label 3 the upper half of axis 1, label 4 the
-  upper-right quarter;
+- bit a of ``label - 1`` is the half-offset along axis a, so for ``d=2``
+  label 1 is the lower-left quarter, label 2 the right half of axis 0,
+  label 3 the upper half of axis 1, label 4 the upper-right quarter
+  (``TreeIndex.cube``, ``point_path``, ``label_axes``);
+- a node's packed code is its rank within its generation (``TreeIndex``);
+- generation-major order is a heap layout: node j sits at index
+  ``generation_start(N, |j|) + code(j)``, the parent of index i >= 1 is
+  ``(i - 1) // N`` and its children are ``N i + 1 .. N i + N``;
 - cubes are half-open, ``[a, a+s)`` in every axis, which makes the
   point-to-path map total on ``[0,1)**d``;
 - the labelling is self-similar: the homothety sending the unit cube onto
@@ -27,11 +32,10 @@ from fractions import Fraction
 from itertools import islice
 from typing import Iterator, Sequence
 
-__all__ = ["TreeIndex", "DyadicCube", "path_of_point", "point_path"]
+import numpy as np
 
-# Alphabet for the textual form: label k prints as _DIGITS[k-1].  Labels are
-# 1-based, so '0' never appears and the empty string is unambiguous (root).
-_DIGITS = "123456789abcdefghijklmnopqrstuv"
+__all__ = ["TreeIndex", "DyadicCube", "path_of_point", "point_path",
+           "generation_start", "label_axes"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -71,12 +75,6 @@ class TreeIndex:
                 raise ValueError(f"label {lab} outside 1..{arity}")
             code = code * arity + (lab - 1)
         return cls(arity, len(labels), code)
-
-    @classmethod
-    def from_string(cls, text: str, arity: int) -> "TreeIndex":
-        """Inverse of :meth:`to_string`; the empty string is the root."""
-        labels = [_DIGITS.index(ch) + 1 for ch in text]
-        return cls.from_labels(labels, arity)
 
     # -- basic structure ---------------------------------------------------
 
@@ -127,13 +125,6 @@ class TreeIndex:
         for g in range(self.generation + 1):
             yield TreeIndex(self.arity, g,
                             self.code // self.arity ** (self.generation - g))
-
-    def to_string(self) -> str:
-        """Slash-free digit string in base N; the root is the empty string."""
-        return "".join(_DIGITS[lab - 1] for lab in self.labels)
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return self.to_string() or "<root>"
 
     # -- cube geometry -----------------------------------------------------
 
@@ -198,3 +189,16 @@ def point_path(point: Sequence[float], dim: int) -> Iterator[TreeIndex]:
             else:
                 coords[axis] = 2.0 * coords[axis]
         node = node.child(bits + 1)
+
+
+def label_axes(values, dim: int) -> np.ndarray:
+    """Per-label values, in label order, as a ``(2,)*dim`` array whose axis
+    a is bit a of ``label - 1``: the cube convention of :meth:`TreeIndex.cube`
+    and :func:`point_path`, so the array lays the values out in space."""
+    return np.asarray(values).reshape((2,) * dim).T
+
+
+def generation_start(N: int, generation: int) -> int:
+    """Heap index of the first generation-`generation` node of the N-ary
+    tree; at depth + 1 it is the size of generations 0..depth."""
+    return (N**generation - 1) // (N - 1)

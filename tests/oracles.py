@@ -294,7 +294,7 @@ def flux_terms_oracle(model: RcmModel, subtree: Iterable[TreeIndex],
 def pull_row_oracle(coefficients: GeneralCoefficients, alpha: float, g: int,
                     children: np.ndarray) -> np.ndarray:
     """The generation-g row of the backward recursion from its children's."""
-    log2d = coefficients.row_log2(g + 1, np.arange(len(children)))
+    log2d = coefficients.row_log2(g + 1)
     terms = (1.5 * log2d + children).reshape(-1, coefficients.arity)
     m = terms.max(axis=1, keepdims=True)
     lse = np.squeeze(m, 1) + np.log2(np.exp2(terms - m).sum(axis=1))
@@ -306,7 +306,7 @@ def residual_max_oracle(run: PullbackRun) -> float:
     children k of every interior node g of the run."""
     worst = 0.0
     for g, children in enumerate(run.rows[1:]):
-        log2d = run.coefficients.row_log2(g + 1, np.arange(len(children)))
+        log2d = run.coefficients.row_log2(g + 1)
         terms = (1.5 * log2d + children).reshape(-1, run.coefficients.arity)
         shifted = terms + (2.0 * run.rows[g] + run.alpha)[:, None]
         residual = np.log2(np.exp2(shifted).sum(axis=1))

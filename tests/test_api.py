@@ -13,6 +13,7 @@ import treeshell
 MODULES = ["treeshell"] + [f"treeshell.{m.name}"
                            for m in pkgutil.iter_modules(treeshell.__path__)]
 ORACLES = pathlib.Path(__file__).with_name("oracles.py")
+TRACER = pathlib.Path(__file__).parent.parent / "perfbench" / "tracer.py"
 MOVED = ("entropy_max_oracle", "measure_from_enumeration", "enumerate_log2_F",
          "_ENUMERATION_NODES", "xi_from_generation_sums", "coefficient_l2",
          "csv_text_oracle", "rk4_step_oracle", "_rhs_core",
@@ -95,3 +96,28 @@ def test_every_library_raise_outside_three_sites_is_a_value_error():
         ("treeshell.dynamics", "_Rk4.advance", "FloatingPointError"),
         ("treeshell.dynamics", "integrate", "RuntimeError"),
         ("treeshell.solution", "check_budget", "ResourceLimitError")]
+
+
+def _traced_names() -> list:
+    """The (layer, path) pairs of the benchmark tracer's TRACED table, read
+    from its source without importing it."""
+    for node in ast.parse(TRACER.read_text()).body:
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None)
+                                             for t in node.targets] == ["TRACED"]:
+            return [(entry.elts[0].value, entry.elts[1].value)
+                    for entry in node.value.elts]
+    raise AssertionError("no TRACED table in the tracer")
+
+
+def test_every_traced_name_resolves():
+    # a traced name that a refactor removes would only fail a traced run
+    names = _traced_names()
+    assert names
+    missing = []
+    for layer, path in names:
+        obj = importlib.import_module(f"treeshell.{layer}")
+        for part in path.split("."):
+            obj = getattr(obj, part, None)
+        if not callable(obj):
+            missing.append(f"{layer}.{path}")
+    assert missing == []

@@ -318,6 +318,45 @@ class TestCliContract:
         rc, out = run_cli(["solve", "--config", str(cfg)], capsys)
         assert rc == 2 and out == ""
 
+    @pytest.mark.parametrize("text", [
+        '{"d": 1, "alpha": true, "deltas": [1, 2]}',
+        '{"d": 1, "alpha": 1.5, "f": "2", "deltas": [1, 2]}',
+        '{"d": 3, "alpha": 2.5, "lambda": "0.2"}'],
+        ids=["alpha-true", "f-str", "lambda-str"])
+    def test_config_scalars_must_be_numbers(self, capsys, tmp_path, text):
+        # each used to run, as alpha = 1, f = 2 and lambda = 0.2
+        cfg = tmp_path / "model.json"
+        cfg.write_text(text)
+        rc = main(["solve", "--depth", "3", "--config", str(cfg)])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert captured.err.startswith("configuration error: '")
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv, config", [
+        ("lln --deltas 1,2 --lambda 0.3 --n 10 --samples 5", None),
+        ("solve --depth 3", '{"d": 1, "alpha": 1.5, "deltas": [1, 2], '
+                            '"lambda": 0.3}'),
+        ("solve --depth 3 --deltas 1,2", '{"d": 1, "alpha": 1.5, '
+                                         '"deltas": [1, 2]}'),
+        ("solve --depth 3 --lambda 0.3", '{"d": 1, "alpha": 1.5, '
+                                         '"deltas": [1, 2]}')],
+        ids=["deltas-and-lambda", "config-with-both", "config-and-deltas",
+             "config-and-lambda"])
+    def test_a_model_given_two_ways_is_rejected(self, capsys, tmp_path,
+                                                argv, config):
+        # each used to drop one of the two silently and exit 0
+        args = argv.split()
+        if config is not None:
+            cfg = tmp_path / "model.json"
+            cfg.write_text(config)
+            args += ["--config", str(cfg)]
+        rc = main(args)
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert captured.err.startswith("configuration error: ")
+        assert captured.err.count("\n") == 1
+
     @pytest.mark.parametrize("argv", ["spectra --lambdas 400",
                                       "spectra --lambdas inf",
                                       "solve --lambda 400 --dim 3"])

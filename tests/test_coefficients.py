@@ -396,6 +396,23 @@ class TestModelTypes:
         with pytest.raises(ValueError, match="'d' must be an integer"):
             model_from_dict({"d": d, "alpha": 2.0, "deltas": [1, 2, 3, 5]})
 
+    @pytest.mark.parametrize("bad", [
+        {"alpha": True}, {"alpha": "2"}, {"alpha": None}, {"f": "2"},
+        {"f": False}, {"lambda": "0.2"}, {"lambda": [0.2]}],
+        ids=["alpha-bool", "alpha-str", "alpha-null", "f-str", "f-bool",
+             "lambda-str", "lambda-list"])
+    def test_model_from_dict_needs_number_scalars(self, bad):
+        # float() would run true as 1 and "2" as 2
+        cfg = {"d": 3, "alpha": 2.5, "lambda": 0.2, **bad}
+        key = next(iter(bad))
+        with pytest.raises(ValueError, match=f"'{key}' must be a number"):
+            model_from_dict(cfg)
+
+    def test_model_from_dict_rejects_deltas_and_lambda(self):
+        with pytest.raises(ValueError, match="not both"):
+            model_from_dict({"d": 1, "alpha": 1.5, "deltas": [1, 2],
+                             "lambda": 0.3})
+
     @pytest.mark.parametrize("d", [2, 2.0])
     def test_model_from_dict_accepts_an_integral_d(self, d):
         m = model_from_dict({"d": d, "alpha": 2.0, "deltas": [1, 2, 3, 5]})
@@ -411,31 +428,49 @@ class TestModelTypes:
 
 class TestGeneralCoefficients:
     def test_band_checked_on_access(self):
-        gc = GeneralCoefficients(2, lambda g, codes: np.full(len(codes), 2.0),
+        gc = GeneralCoefficients(2, lambda g: np.full(2**g, 2.0),
                                  log2_min=-1.0, log2_max=1.0)
         assert gc.bound_L == 2.0
         with pytest.raises(ValueError):
-            gc.row_log2(1, np.arange(2))
+            gc.row_log2(1)
 
     def test_root_is_one(self):
-        gc = GeneralCoefficients(2, lambda g, codes: np.full(len(codes), 0.5),
+        gc = GeneralCoefficients(2, lambda g: np.full(2**g, 0.5),
                                  log2_min=-1.0, log2_max=1.0)
-        assert np.array_equal(gc.row_log2(0, np.arange(1)), [0.0])
+        assert np.array_equal(gc.row_log2(0), [0.0])
+
+    @pytest.mark.parametrize("shape", [(0,), (3,), (8,), (2, 2)])
+    def test_row_must_cover_the_generation(self, shape):
+        gc = GeneralCoefficients(2, lambda g: np.zeros(shape),
+                                 log2_min=-1.0, log2_max=1.0)
+        with pytest.raises(ValueError, match="needs a row of 4"):
+            gc.row_log2(2)
 
     @pytest.mark.parametrize("arity", [1, 3, 6])
     def test_arity_is_a_power_of_two(self, arity):
         with pytest.raises(ValueError):
-            GeneralCoefficients(arity, lambda g, codes: np.zeros(len(codes)),
+            GeneralCoefficients(arity, lambda g: np.zeros(arity**g),
                                 log2_min=-1.0, log2_max=1.0)
 
     def test_from_rcm_matches_model(self, d12):
         gc = GeneralCoefficients.from_rcm(d12)
         for labels in ([1], [2], [1, 2], [2, 1, 1]):
             j = TreeIndex.from_labels(labels, 2)
-            got = gc.row_log2(j.generation, np.array([j.code]))
-            assert got[0] == math.log2(d12.coefficient_of(j))
-        row = gc.row_log2(2, np.arange(4))
+            got = gc.row_log2(j.generation)[j.code]
+            assert got == math.log2(d12.coefficient_of(j))
+        row = gc.row_log2(2)
         assert np.allclose(row, [0.0, 1.0, 0.0, 1.0])
+
+    @pytest.mark.parametrize("deltas", [[1.0, 2.0], [1.0, 2.0, 3.0, 5.0],
+                                        [0.3, 1.7, 2.0, 0.9, 4.0, 1.1, 0.5, 3.3]])
+    def test_from_rcm_rows_are_coefficient_of_every_node(self, deltas):
+        model = RcmModel.create(len(deltas).bit_length() - 1, 1.5, deltas)
+        gc = GeneralCoefficients.from_rcm(model)
+        for g in range(1, 5):
+            row = gc.row_log2(g)
+            want = [math.log2(model.coefficient_of(TreeIndex(model.N, g, code)))
+                    for code in range(model.N**g)]
+            assert row.tolist() == want
 
 
 class TestRowReduction:

@@ -312,6 +312,14 @@ class TestBesovEpsilon:
         with pytest.raises(ValueError):
             fd.besov_epsilon(d12_solution, 0.0, -2.0, 5)
 
+    @pytest.mark.parametrize("s, p, n_max", [
+        (0.0, math.nan, 5), (math.nan, 2.0, 5), (math.inf, 2.0, 5),
+        (0.0, 2.0, -1)], ids=["p nan", "s nan", "s inf", "n_max -1"])
+    def test_invalid_argument_rejected(self, d12_solution, s, p, n_max):
+        # each used to return NaN entries or an empty sequence
+        with pytest.raises(ValueError):
+            fd.besov_epsilon(d12_solution, s, p, n_max)
+
 
 class TestLocalHolder:
     def test_flat_everywhere(self, flat_d1_solution):

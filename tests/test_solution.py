@@ -151,6 +151,11 @@ class TestSobolevNorm:
         with pytest.raises(ValueError):
             d12_solution.sobolev_norm(0.1, p)
 
+    def test_nan_s_rejected(self, d12_solution):
+        # used to return NaN
+        with pytest.raises(ValueError):
+            d12_solution.sobolev_norm(math.nan, 2.0)
+
 
 class TestRegularityThresholds:
     def test_flat_thresholds_are_constant(self, flat_d3):
@@ -224,9 +229,9 @@ class TestPullback:
         # a genuinely node-dependent map inside a declared band
         lo, hi = -0.7, 0.9
 
-        def log2_of(generation, codes):
-            u = np.array([hash((generation, int(c))) % 1000
-                          for c in codes]) / 1000.0
+        def log2_of(generation):
+            u = np.array([hash((generation, c)) % 1000
+                          for c in range(2**generation)]) / 1000.0
             return lo + (hi - lo) * u
 
         gc = GeneralCoefficients(2, log2_of, lo, hi)
@@ -270,7 +275,7 @@ class TestPullbackAgainstOracle:
     def test_rows_and_residual_same_bits(self, rng, d, depth, seed):
         N, lo, hi = 2**d, -1.25, 0.75
         tables = [rng.uniform(lo, hi, N**g) for g in range(depth + 1)]
-        gc = GeneralCoefficients(N, lambda g, codes: tables[g][codes], lo, hi)
+        gc = GeneralCoefficients(N, lambda g: tables[g], lo, hi)
         alpha = float(rng.uniform(0.6, 6.0))
         run = pullback(gc, alpha, depth, seed)
         for g in range(depth):
@@ -304,3 +309,12 @@ class TestDivergenceWitness:
         w = divergence_witness(d12_solution, 1e-8, steps=40)
         with pytest.raises(ValueError):
             w.violates_every_hs()
+
+    @pytest.mark.parametrize("eps0, steps", [
+        (math.nan, 20), (math.inf, 20), (0.01, -1)],
+        ids=["eps0 nan", "eps0 inf", "steps -1"])
+    def test_invalid_argument_rejected(self, d12_solution, eps0, steps):
+        # NaN or inf eps0 gave a NaN chain; negative steps an empty chain,
+        # whose even_growth_ok() held vacuously
+        with pytest.raises(ValueError):
+            divergence_witness(d12_solution, eps0, steps)

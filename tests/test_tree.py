@@ -1,8 +1,10 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from treeshell import TreeIndex, path_of_point, point_path
+from treeshell.tree import generation_start, label_axes
 
 
 def test_parent_drops_last_label():
@@ -130,13 +132,28 @@ def test_packed_code_is_generation_rank():
     assert codes == [0, 1, 2, 3]
 
 
-def test_string_round_trip():
-    j = TreeIndex.from_labels([1, 3, 2], 8)
-    assert j.to_string() == "132"
-    assert TreeIndex.from_string("132", 8) == j
-    assert TreeIndex.from_string("", 8).is_root
-    big = TreeIndex.from_labels([16, 1, 10], 16)
-    assert TreeIndex.from_string(big.to_string(), 16) == big
+@pytest.mark.parametrize("arity, depth", [(2, 6), (4, 4), (8, 3)])
+def test_heap_index_covers_the_layout_once(arity, depth):
+    size = generation_start(arity, depth + 1)
+    index = [generation_start(arity, g) + code
+             for g in range(depth + 1) for code in range(arity**g)]
+    assert index == list(range(size))  # each index once, generation-major
+    # the parent of heap index i >= 1 is (i - 1) // N
+    for g in range(1, depth + 1):
+        for code in range(arity**g):
+            i = generation_start(arity, g) + code
+            assert (i - 1) // arity == (generation_start(arity, g - 1)
+                                        + code // arity)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_label_axes_follows_the_cube_origins(dim):
+    N = 2**dim
+    arranged = label_axes(np.arange(1, N + 1), dim)
+    assert arranged.shape == (2,) * dim
+    for label in range(1, N + 1):
+        origin = TreeIndex.from_labels([label], N).cube().origin
+        assert arranged[tuple(int(2 * o) for o in origin)] == label
 
 
 def test_point_outside_cube_rejected():
