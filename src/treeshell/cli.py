@@ -11,13 +11,15 @@ Exit codes: 0 success, 1 numeric failure, 2 configuration error.  The
 exception type decides which: every ``ValueError`` the library or the flag
 parsing raises is an input check, as are ``KeyError``, ``OSError`` and
 ``ResourceLimitError``; a computation that fails raises ``ArithmeticError``
-or ``RuntimeError``.
+or ``RuntimeError``.  A stdout pipe that its reader closed early ends the
+run quietly with exit 1.
 """
 
 import argparse
 import dataclasses
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -112,15 +114,21 @@ def _require_finite(values: dict) -> None:
 
 def _model_from_args(args) -> RcmModel:
     if args.config:
-        if args.deltas is not None or args.lam is not None:
-            raise ValueError("--config gives the model; drop --deltas/--lambda")
+        given = [flag for flag, value in (
+            ("--deltas", args.deltas), ("--lambda", args.lam),
+            ("--dim", args.dim), ("--alpha", args.alpha),
+            ("--forcing", args.forcing)) if value is not None]
+        if given:
+            raise ValueError(f"--config gives the model; drop {', '.join(given)}")
         with open(args.config) as fh:
             cfg = json.load(fh)
     else:
         if args.deltas is None and args.lam is None:
             raise ValueError("provide --deltas, --lambda or --config")
-        alpha = args.dim / 2 + 1 if args.alpha is None else args.alpha
-        cfg = {"d": args.dim, "alpha": alpha, "f": args.forcing}
+        dim = 1 if args.dim is None else args.dim
+        alpha = dim / 2 + 1 if args.alpha is None else args.alpha
+        forcing = 1.0 if args.forcing is None else args.forcing
+        cfg = {"d": dim, "alpha": alpha, "f": forcing}
         if args.deltas is not None:
             cfg["deltas"] = _parse_floats(args.deltas, "--deltas")
         if args.lam is not None:
@@ -133,9 +141,9 @@ def _model_from_args(args) -> RcmModel:
 
 def _add_model_args(sub):
     sub.add_argument("--config", help="JSON model file")
-    sub.add_argument("--dim", type=int, default=1)
-    sub.add_argument("--alpha", type=float, default=None)
-    sub.add_argument("--forcing", type=float, default=1.0)
+    sub.add_argument("--dim", type=int, help="default 1")
+    sub.add_argument("--alpha", type=float, help="default dim/2 + 1")
+    sub.add_argument("--forcing", type=float, help="default 1.0")
     sub.add_argument("--deltas", help="comma-separated coefficients")
     sub.add_argument("--lambda", dest="lam", type=float,
                      help="lambda-family parameter")
@@ -254,29 +262,21 @@ def cmd_simulate(args) -> int:
     _require_positive({"--dt": args.dt, "--t-end": args.t_end,
                        "--record-every": args.record_every})
     _require_finite({"--t-end / --dt": args.t_end / args.dt})
-    if args.depth < 0:
-        raise ValueError(f"--depth must be >= 0, got {args.depth}")
-    scale = 1.0
+    scale = {"zero": 0.0, "constant": 1.0}.get(args.init)
     if args.init.startswith("perturbed:"):
         eps = _parse_floats(args.init.split(":", 1)[1], "--init perturbed:EPS")
         if len(eps) != 1 or not -1 <= eps[0] < math.inf:
             raise ValueError("--init perturbed:EPS needs one finite "
                              f"EPS >= -1, got {args.init!r}")
         scale = 1.0 + eps[0]
-    elif args.init not in ("zero", "constant"):
+    elif scale is None:
         raise ValueError(f"unknown init {args.init!r}")
     model = _model_from_args(args)
-    solution = ConstantSolution(model)
-    if args.init == "zero":
-        state = dynamics.TruncatedState.zeros(model, args.depth, args.closure)
-    else:
-        state = dynamics.TruncatedState.from_constant(solution, args.depth,
-                                                      args.closure, scale)
-
+    u = dynamics.constant_values(ConstantSolution(model), args.depth)
+    state = dynamics.TruncatedState(model, args.depth, u * scale, args.closure)
     steps = int(round(args.t_end / args.dt))
     traj = dynamics.integrate(state, args.dt, steps,
                               record_every=args.record_every)
-    u = dynamics.constant_values(solution, args.depth)
     config = {"model": model.to_dict(), "depth": args.depth, "dt": args.dt,
               "t_end": args.t_end, "closure": args.closure, "init": args.init}
     _write_csv(args.out, _header(model, args.seed, config),
@@ -391,6 +391,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # the reader closed stdout early: send the interpreter's final flush
+        # to os.devnull, as the Python signal docs advise, and say nothing
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ValueError, KeyError, OSError, ResourceLimitError) as e:
         print(f"configuration error: {e}", file=sys.stderr)
         return 2

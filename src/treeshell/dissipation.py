@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .coefficients import RcmModel, log2sumexp2
+from .coefficients import _LN2, RcmModel, log2sumexp2
 from .solution import check_budget
 from .spectra import cascade_rate, dim_D, rate_R
 from .tree import TreeIndex
@@ -36,8 +36,6 @@ __all__ = [
     "LlnReport",
     "lln_sample",
 ]
-
-_LN2 = math.log(2.0)
 
 
 def log2_F(model: RcmModel, j: TreeIndex) -> float:
@@ -133,10 +131,10 @@ def measure(model: RcmModel, n: int) -> DissipationMeasure:
     parts = len(values)
     check_budget("atoms", math.comb(n + parts - 1, parts - 1))
     counts = _compositions_matrix(n, parts)
-    log2_vals = np.log2(values)
-    sigma = (counts @ log2_vals) / n
+    path = counts @ np.log2(values)  # sum of log2 d along each atom's path
+    sigma = path / n
     log2_count = _log2_multinomial(n, counts) + counts @ np.log2(mults)
-    log2_node_f = n * cascade_rate(model) + 1.5 * (counts @ log2_vals)
+    log2_node_f = n * cascade_rate(model) + 1.5 * path
     return DissipationMeasure(n, values, mults, counts, sigma, log2_count,
                               log2_node_f, log2_count + log2_node_f)
 

@@ -70,6 +70,8 @@ class TruncatedState:
     def __post_init__(self):
         if self.closure not in CLOSURES:
             raise ValueError(f"closure must be one of {CLOSURES}")
+        if self.depth < 0:
+            raise ValueError(f"depth must be >= 0, got {self.depth}")
         expected = generation_start(self.model.N, self.depth + 1)
         if len(self.values) != expected:
             raise ValueError(f"state needs {expected} values, got {len(self.values)}")
@@ -83,7 +85,8 @@ class TruncatedState:
     def zeros(cls, model: RcmModel, depth: int, closure: str = "zero"):
         size = generation_start(model.N, depth + 1)
         check_budget("nodes", size)
-        return cls(model, depth, np.zeros(size), closure)
+        # a depth below -1 gives a negative size: leave it to __post_init__
+        return cls(model, depth, np.zeros(max(size, 0)), closure)
 
     @classmethod
     def from_constant(cls, solution: ConstantSolution, depth: int,

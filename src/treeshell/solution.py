@@ -141,7 +141,7 @@ class PullbackRun:
     ``rows[g]`` holds the generation-g values, indexed by packed code; the
     boundary row ``rows[depth]`` is identically the seed.  The containment
     band [a, b] is the invariant interval of the backward map derived from
-    the declared coefficient bounds.
+    the declared coefficient bounds; ``residual`` is ``residual_max()``.
     """
 
     coefficients: GeneralCoefficients
@@ -150,6 +150,7 @@ class PullbackRun:
     seed: float
     rows: list[np.ndarray]
     band: tuple[float, float]
+    residual: float
 
     def in_band(self) -> bool:
         a, b = self.band
@@ -159,15 +160,9 @@ class PullbackRun:
     def residual_max(self) -> float:
         """Max |log2| of sum_k d_k**(3/2) 2**(x_k + 2 x_g + alpha) over the
         children k of every interior node g: the forward identity
-        2**(-2 x_g - alpha) = sum_k d_k**(3/2) 2**x_k makes each sum one."""
-        worst = 0.0
-        for g, children in enumerate(self.rows[1:]):
-            shifted = (_child_terms(self.coefficients, g, children)
-                       + (2.0 * self.rows[g] + self.alpha)[:, None])
-            np.exp2(shifted, out=shifted)
-            residual = np.log2(_reduce_rows(np.add, shifted))
-            worst = max(worst, float(np.abs(residual).max()))
-        return worst
+        2**(-2 x_g - alpha) = sum_k d_k**(3/2) 2**x_k makes each sum one.
+        ``pullback`` checks each row as it builds it."""
+        return self.residual
 
     def summary(self) -> list[tuple[int, float, float, float]]:
         """(generation, min, max, mean) per row."""
@@ -175,19 +170,18 @@ class PullbackRun:
                 for g, r in enumerate(self.rows)]
 
 
-def _child_terms(coefficients: GeneralCoefficients, g: int,
-                 children: np.ndarray) -> np.ndarray:
-    """1.5 log2 d_k + x_k over the generation-(g + 1) row, one row of N
-    children per generation-g parent."""
-    log2d = coefficients.row_log2(g + 1)
-    return (1.5 * log2d + children).reshape(-1, coefficients.arity)
-
-
 def _pull_row(coefficients: GeneralCoefficients, alpha: float, g: int,
-              children: np.ndarray) -> np.ndarray:
-    """The generation-g row of the backward recursion from its children's."""
-    terms = _child_terms(coefficients, g, children)
-    return -0.5 * alpha - 0.5 * log2sumexp2(terms, axis=1)
+              children: np.ndarray) -> tuple[np.ndarray, float]:
+    """The generation-g row of the backward recursion from its children's,
+    and the largest |log2| of its forward-identity sums (``residual_max``),
+    both from one read of the generation-(g + 1) coefficients."""
+    terms = (1.5 * coefficients.row_log2(g + 1)
+             + children).reshape(-1, coefficients.arity)
+    row = -0.5 * alpha - 0.5 * log2sumexp2(terms, axis=1)
+    terms += (2.0 * row + alpha)[:, None]
+    np.exp2(terms, out=terms)
+    residual = np.log2(_reduce_rows(np.add, terms))
+    return row, float(np.abs(residual).max())
 
 
 def pullback_band(coefficients: GeneralCoefficients,
@@ -206,7 +200,8 @@ def pullback(coefficients: GeneralCoefficients, alpha: float, depth: int,
 
     Rows are produced children-first; each parent only reads its own N
     children, so generation g costs one pass over N**(g+1) values and the
-    peak memory is the deepest row.  A parent's log-sum-exp over its
+    peak memory is the deepest row.  The same pass checks the new row
+    against the forward identity.  A parent's log-sum-exp over its
     children runs column by column, one flat ufunc per child label in
     numpy's own pairwise order (``log2sumexp2``): the bits of a per-row
     reduce, without its per-parent loop overhead at small N.
@@ -220,11 +215,13 @@ def pullback(coefficients: GeneralCoefficients, alpha: float, depth: int,
 
     rows: list[np.ndarray] = [np.empty(0)] * (depth + 1)
     rows[depth] = np.full(arity**depth, float(seed))
+    worst = 0.0
     for g in range(depth - 1, -1, -1):
-        rows[g] = _pull_row(coefficients, alpha, g, rows[g + 1])
+        rows[g], residual = _pull_row(coefficients, alpha, g, rows[g + 1])
+        worst = max(worst, residual)
 
     return PullbackRun(coefficients, alpha, depth, float(seed), rows,
-                       pullback_band(coefficients, alpha))
+                       pullback_band(coefficients, alpha), worst)
 
 
 # ---------------------------------------------------------------------------

@@ -81,8 +81,8 @@ def _warn_if_h_outside_unit(model: RcmModel) -> None:
 def zeta_raw(model: RcmModel, p) -> np.ndarray | float:
     """The unclipped branch (p/3)(alpha - d/2) + (p/2)(ell(3/2) - ell(p/2))."""
     p_arr = np.atleast_1d(np.asarray(p, dtype=float))
-    if np.any(p_arr < 0):
-        raise ValueError("p must be >= 0")
+    if not np.all((p_arr >= 0) & (p_arr < math.inf)):
+        raise ValueError(f"p must be finite and >= 0, got {p_arr.tolist()}")
     out = (p_arr / 3) * (model.alpha - model.d / 2) \
         + (p_arr / 2) * (model.ell(1.5) - model.ell(p_arr / 2))
     return out if np.ndim(p) else float(out[0])

@@ -22,7 +22,7 @@ MOVED = ("entropy_max_oracle", "measure_from_enumeration", "enumerate_log2_F",
 FAST_PATHS = {"measure", "dim_D", "dim_D_of_multiset", "phi_inverse",
               "zeta_raw", "synthesize", "_write_csv", "_Rk4", "advance",
               "step", "rhs", "integrate", "flux_terms", "energy_balance",
-              "pullback", "_pull_row", "_child_terms", "residual_max",
+              "pullback", "_pull_row", "residual_max",
               "_row_reduction", "_reduce_rows"}
 
 

@@ -16,8 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import treeshell
+from conftest import same_bits
 from oracles import csv_text_oracle
-from treeshell import GeneralCoefficients, cli
+from treeshell import ConstantSolution, GeneralCoefficients, cli
 from treeshell.cli import _write_csv, main
 
 # Child interpreters import the package from the same source tree as this one.
@@ -25,6 +26,9 @@ SUBPROCESS_ENV = dict(
     os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [os.path.dirname(os.path.dirname(treeshell.__file__)),
                       os.environ.get("PYTHONPATH")])))
+
+
+D12_CONFIG = '{"d": 1, "alpha": 1.5, "deltas": [1, 2]}'
 
 
 def run_cli(args, capsys):
@@ -243,6 +247,36 @@ class TestSimulateCommand:
         rows = parse_csv(out)
         assert float(rows[0]["distance_to_u"]) > 0
 
+    @pytest.mark.parametrize("init, scale", [
+        ("zero", None), ("constant", 1.0), ("perturbed:0.05", 1.05),
+        ("perturbed:-1", 0.0)])
+    def test_csv_matches_the_library_trajectory(self, capsys, d12, init,
+                                                scale):
+        # one constructor for every --init gives the bits of the library's
+        # zeros / from_constant states; the model flags take their defaults
+        from treeshell import dynamics
+
+        rc, out = run_cli(["simulate", "--deltas", "1,2", "--depth", "3",
+                           "--dt", "1e-3", "--t-end", "0.05",
+                           "--record-every", "7", "--init", init], capsys)
+        assert rc == 0
+        sol = ConstantSolution(d12)
+        state = (dynamics.TruncatedState.zeros(d12, 3, "stationary")
+                 if scale is None else dynamics.TruncatedState.from_constant(
+                     sol, 3, "stationary", scale))
+        traj = dynamics.integrate(state, 1e-3, 50, record_every=7)
+        u = dynamics.constant_values(sol, 3)
+        want = {"t": traj.times, "energy": [v @ v for v in traj.states],
+                "v_root": traj.states[:, 0],
+                "distance_to_u": ((traj.states - u) ** 2).sum(axis=1),
+                "clamp_total": traj.clamp_total}
+        rows = parse_csv(out)
+        assert len(rows) == len(traj.times)
+        for name, column in want.items():
+            got = np.array([float(r[name]) for r in rows])
+            want_col = np.broadcast_to(np.asarray(column, float), got.shape)
+            assert same_bits(got, want_col), name
+
 
 class TestStructureCommand:
     def test_json_summary_fields(self, capsys, tmp_path):
@@ -340,12 +374,18 @@ class TestCliContract:
         ("solve --depth 3 --deltas 1,2", '{"d": 1, "alpha": 1.5, '
                                          '"deltas": [1, 2]}'),
         ("solve --depth 3 --lambda 0.3", '{"d": 1, "alpha": 1.5, '
-                                         '"deltas": [1, 2]}')],
+                                         '"deltas": [1, 2]}'),
+        ("solve --depth 3 --dim 1", D12_CONFIG),
+        ("solve --depth 3 --alpha 1.5", D12_CONFIG),
+        ("solve --depth 3 --forcing 1", D12_CONFIG),
+        ("solve --depth 3 --alpha 3 --dim 2 --forcing 5", D12_CONFIG)],
         ids=["deltas-and-lambda", "config-with-both", "config-and-deltas",
-             "config-and-lambda"])
+             "config-and-lambda", "config-and-dim", "config-and-alpha",
+             "config-and-forcing", "config-and-three-flags"])
     def test_a_model_given_two_ways_is_rejected(self, capsys, tmp_path,
                                                 argv, config):
-        # each used to drop one of the two silently and exit 0
+        # each used to drop one of the two silently and exit 0, --dim,
+        # --alpha and --forcing even when they differ from the config
         args = argv.split()
         if config is not None:
             cfg = tmp_path / "model.json"
@@ -356,7 +396,10 @@ class TestCliContract:
         assert rc == 2 and captured.out == ""
         assert captured.err.startswith("configuration error: ")
         assert captured.err.count("\n") == 1
-
+        if config is not None:  # the message names every model flag given
+            assert all(flag in captured.err for flag in args
+                       if flag in ("--deltas", "--lambda", "--dim", "--alpha",
+                                   "--forcing"))
     @pytest.mark.parametrize("argv", ["spectra --lambdas 400",
                                       "spectra --lambdas inf",
                                       "solve --lambda 400 --dim 3"])
@@ -655,6 +698,21 @@ class TestCliContract:
                           capsys)
         assert rc == 0
         assert f"model_hash={d12.hash()}" in out
+
+    def test_closed_stdout_pipe_exits_quietly(self):
+        # 5001 CSV rows, more than a pipe buffer: the write after the reader
+        # closes raises BrokenPipeError, which is no configuration error
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "treeshell.cli", "dissipation", "--deltas",
+             "1,2", "--n", "5000"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env=SUBPROCESS_ENV)
+        assert proc.stdout.readline().startswith("# treeshell ")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 1
+        assert err == ""
 
     def test_console_script_entry_point(self):
         proc = subprocess.run(

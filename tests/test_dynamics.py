@@ -284,6 +284,11 @@ class TestStep:
             dyn.TruncatedState(d12, 2, np.zeros(5), "zero")
         with pytest.raises(ValueError):
             dyn.TruncatedState.zeros(d12, 2, closure="reflect")
+        # depth -1 gave an empty state that integrate failed on in numpy,
+        # and -3 a TypeError from np.zeros of a negative size
+        for depth in (-1, -3):
+            with pytest.raises(ValueError, match="depth must be >= 0"):
+                dyn.TruncatedState.zeros(d12, depth)
 
     @pytest.mark.parametrize("dt, steps, record_every", [
         (1e-4, 10, 0), (1e-4, 10, -2), (1e-4, -1, 1), (0.0, 0, 1),

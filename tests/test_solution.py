@@ -266,6 +266,21 @@ class TestPullback:
         run = pullback(GeneralCoefficients.from_rcm(d12), d12.alpha, depth=6)
         assert run.residual_max() > 1e-10
 
+    @pytest.mark.parametrize("depth", [1, 6])
+    def test_each_coefficient_row_is_read_once(self, d12, monkeypatch, depth):
+        # the residual comes from the pass that builds the rows
+        calls = []
+        row_log2 = GeneralCoefficients.row_log2
+
+        def counted(self, generation):
+            calls.append(generation)
+            return row_log2(self, generation)
+
+        monkeypatch.setattr(GeneralCoefficients, "row_log2", counted)
+        run = pullback(GeneralCoefficients.from_rcm(d12), d12.alpha, depth)
+        run.residual_max()
+        assert sorted(calls) == list(range(1, depth + 1))
+
 
 class TestPullbackAgainstOracle:
     """The column-wise pull-back gives the bits of the per-row reduce."""

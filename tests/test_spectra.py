@@ -37,6 +37,14 @@ class TestZeta:
         with pytest.raises(ValueError):
             spectra.zeta(d12, -1.0)
 
+    @pytest.mark.parametrize("fn", ["zeta", "zeta_raw"])
+    @pytest.mark.parametrize("p", [math.nan, math.inf, [1.0, math.nan]],
+                             ids=["nan", "inf", "array-with-nan"])
+    def test_non_finite_p_rejected(self, d12, fn, p):
+        # a NaN p passed the p < 0 check and gave a NaN exponent
+        with pytest.raises(ValueError):
+            getattr(spectra, fn)(d12, p)
+
     def test_warns_outside_unit_interval(self):
         m = lambda_family(0.5)  # h < 0 for this lambda
         with pytest.warns(RuntimeWarning):
