@@ -25,14 +25,9 @@ from .solution import (
     pullback,
 )
 from .spectra import fixed_point_q
-from .tree import DyadicCube, TreeIndex, path_of_point, point_path
 
 __all__ = [
     "__version__",
-    "TreeIndex",
-    "DyadicCube",
-    "path_of_point",
-    "point_path",
     "RepeatedCoefficients",
     "GeneralCoefficients",
     "RcmModel",

@@ -296,13 +296,18 @@ def cmd_structure(args) -> int:
     model = _model_from_args(args)
     est = field.structure_function(ConstantSolution(model), args.depth, ps,
                                    m_range=window, mother=args.mother)
+    with np.errstate(over="ignore"):
+        s_p = [2.0**x for x in est.log2_S.ravel()]
+    if not (np.all(np.isfinite(s_p)) and np.all(np.isfinite(est.zeta_hat))):
+        raise ArithmeticError("an S_p or a fitted zeta_hat is not finite: "
+                              "S_p leaves the double range")
     config = {"model": model.to_dict(), "depth": args.depth,
               "p_list": ps, "fit_window": list(est.fit_window),
               "mother": args.mother}
     _write_csv(args.out, _header(model, args.seed, config),
                {"p": np.repeat(est.p, len(est.m)),
                 "m": np.tile(est.m, len(est.p)),
-                "S_p": [2.0**x for x in est.log2_S.ravel()]})
+                "S_p": s_p})
     if args.summary:
         formula = spectra.zeta(model, est.p, check_h=False)
         _write_json(args.summary, [

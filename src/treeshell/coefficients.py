@@ -27,8 +27,6 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .tree import TreeIndex
-
 __all__ = [
     "RepeatedCoefficients",
     "GeneralCoefficients",
@@ -369,16 +367,6 @@ class RcmModel:
 
     def phi(self, gamma: float) -> float:
         return self.coeffs.phi(gamma)
-
-    def coefficient_of(self, j: TreeIndex) -> float:
-        """The weight d_j (1 at the root, delta of the last label otherwise)."""
-        if j.is_root:
-            return 1.0
-        return self.coeffs.deltas[j.code % self.N]
-
-    def path_log2_sum(self, j: TreeIndex) -> float:
-        """Sum of log2 d_k over the ancestor chain of j (0 at the root)."""
-        return sum(math.log2(self.coefficient_of(k)) for k in j.ancestors())
 
     def path_sum_rows(self, x0: float, const: float, c: float,
                       depth: int) -> Iterator[np.ndarray]:

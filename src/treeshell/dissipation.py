@@ -23,11 +23,8 @@ import numpy as np
 from .coefficients import _LN2, RcmModel, log2sumexp2
 from .solution import check_budget
 from .spectra import cascade_rate, dim_D, rate_R
-from .tree import TreeIndex
 
 __all__ = [
-    "log2_F",
-    "sigma_of",
     "DissipationMeasure",
     "measure",
     "ConcentrationCurve",
@@ -36,18 +33,6 @@ __all__ = [
     "LlnReport",
     "lln_sample",
 ]
-
-
-def log2_F(model: RcmModel, j: TreeIndex) -> float:
-    """log2 of the anomalous-dissipation fraction of the cube of j."""
-    return j.generation * cascade_rate(model) + 1.5 * model.path_log2_sum(j)
-
-
-def sigma_of(model: RcmModel, j: TreeIndex) -> float:
-    """Path mean of log2 d over the ancestor chain; undefined at the root."""
-    if j.is_root:
-        raise ValueError("sigma is undefined at the root")
-    return model.path_log2_sum(j) / j.generation
 
 
 # ---------------------------------------------------------------------------

@@ -83,10 +83,11 @@ class TruncatedState:
 
     @classmethod
     def zeros(cls, model: RcmModel, depth: int, closure: str = "zero"):
+        if depth < 0:
+            raise ValueError(f"depth must be >= 0, got {depth}")
         size = generation_start(model.N, depth + 1)
         check_budget("nodes", size)
-        # a depth below -1 gives a negative size: leave it to __post_init__
-        return cls(model, depth, np.zeros(max(size, 0)), closure)
+        return cls(model, depth, np.zeros(size), closure)
 
     @classmethod
     def from_constant(cls, solution: ConstantSolution, depth: int,

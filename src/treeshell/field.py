@@ -31,14 +31,13 @@ jump -2 v0 plus the wavelets of the two edges down to the pair.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dissipation import sigma_of
 from .solution import ConstantSolution, check_budget
 from .spectra import s0
-from .tree import TreeIndex, label_axes, path_of_point
+from .tree import label_axes
 
 __all__ = [
     "WaveletField",
@@ -182,9 +181,10 @@ def structure_function(solution: ConstantSolution, depth: int, p_grid,
                        mother: str = "haar") -> StructureFunctionEstimate:
     """S_p(2**-m) tables and fitted exponents of a d = 1 solution's
     depth-`depth` field.  The default fit window [3, depth - 4] avoids the
-    synthesis cutoff and the O(1) outer scale.  The hat field's increments
-    are averaged; the Haar field's S_p is the tree sum of the module
-    docstring, each G consumed as one Haar refinement builds it."""
+    synthesis cutoff and the O(1) outer scale.  The field is linear in the
+    forcing f, so the tables are taken at f = 1, where they stay in the
+    double range, and f^p enters as p log2 f added to log2 S_p; the fitted
+    exponents do not depend on f."""
     if solution.model.d != 1:
         raise ValueError("the two-point increment average is defined for d = 1")
     m_lo, m_hi = fit_window(depth, m_range)
@@ -192,9 +192,22 @@ def structure_function(solution: ConstantSolution, depth: int, p_grid,
     if not np.all((p_arr > 0) & (p_arr < math.inf)):
         raise ValueError(f"p must be finite and > 0, got {p_arr.tolist()}")
     check_budget("cells", 2**depth)
+    model = solution.model
+    unit = ConstantSolution(replace(model, forcing=1.0))
     if mother != "haar":
-        return _grid_structure_function(synthesize(solution, depth, mother),
-                                        p_arr, m_range)
+        est = _grid_structure_function(synthesize(unit, depth, mother),
+                                       p_arr, m_range)
+    else:
+        est = _haar_structure_function(unit, depth, p_arr, m_lo, m_hi)
+    return replace(est, log2_S=est.log2_S
+                   + p_arr[:, None] * math.log2(model.forcing))
+
+
+def _haar_structure_function(solution: ConstantSolution, depth: int,
+                             p_arr: np.ndarray, m_lo: int, m_hi: int
+                             ) -> StructureFunctionEstimate:
+    """:func:`structure_function` of the Haar field by the tree sum of the
+    module docstring, each G consumed as one Haar refinement builds it."""
     v0 = solution.model.forcing * 2.0**solution.q
     k0, k1 = 2.0 ** (solution.q + 0.5) * np.sqrt(solution.model.coeffs.deltas)
     # kappa_1 kappa_0^e and kappa_0 kappa_1^e for e = l - 1 = 0..m_hi-1
@@ -284,22 +297,41 @@ class LocalHolder:
     dissipating: bool     # sigma >= ell(3/2), i.e. s(x) <= 1/3 at alpha = 1 + d/2
 
 
-def local_holder(solution: ConstantSolution, point, n_max: int) -> LocalHolder:
-    """Local regularity exponent of the recomposed field at a point.
+def _label_path(point: list[float], n: int) -> np.ndarray:
+    """Labels of the generation-1..n nodes whose cubes hold a point of
+    [0,1)**d: bit a of label g - 1 is binary digit g of coordinate a."""
+    digits = np.zeros((len(point), n), dtype=np.int64)
+    for a, x in enumerate(point):
+        num, den = x.as_integer_ratio()  # den = 2**k: x has k digits
+        bits = format(num, "b").zfill(den.bit_length() - 1)[:n]
+        digits[a, :len(bits)] = np.frombuffer(bits.encode(), np.uint8) - ord("0")
+    return 1 + (1 << np.arange(len(point))) @ digits
 
-    ``point`` may be a coordinate sequence in [0,1)**d or a ready-made
-    :class:`TreeIndex` of generation >= 1 (useful for extreme paths).
+
+def local_holder(solution: ConstantSolution, point, n_max: int) -> LocalHolder:
+    """Local regularity exponent of the recomposed field at a point of
+    [0,1)**d, read off the generation-n_max node whose cube holds it.
+
+    The labels along that node's path are the point's binary digits.
+    Counted per distinct coefficient value, as in ``measure``, they give
+    the path sum of log2 d: sigma is the sum over n_max and log2 u of the
+    node is log2 f + q (n_max + 1) + sum / 2, as in ``log2_u_rows``.
     """
     m = solution.model
-    if isinstance(point, TreeIndex):
-        node = point
-        n = node.generation
-        if n < 1:
-            raise ValueError("need a node of generation >= 1")
-    else:
-        n = n_max
-        node = path_of_point(point, n, m.d)
-    sig = sigma_of(m, node)
-    estimate = -m.d / 2.0 - solution.log2_u(node) / n
+    coords = [float(x) for x in point]
+    if len(coords) != m.d:
+        raise ValueError(f"expected a {m.d}-vector, got {len(coords)} coordinates")
+    if not all(0.0 <= x < 1.0 for x in coords):
+        raise ValueError(f"point must lie in [0,1)^d, got {coords}")
+    if n_max < 1:
+        raise ValueError(f"n_max must be >= 1, got {n_max}")
+    values, _ = m.coeffs.distinct()
+    value_of_label = np.searchsorted(values, m.deltas)
+    counts = np.bincount(value_of_label[_label_path(coords, n_max) - 1],
+                         minlength=len(values))
+    path = float(counts @ np.log2(values))
+    sig = path / n_max
+    log2_u = math.log2(m.forcing) + solution.q * (n_max + 1) + 0.5 * path
+    estimate = -m.d / 2.0 - log2_u / n_max
     closed = (m.alpha - m.d / 2.0) / 3.0 + 0.5 * (m.ell(1.5) - sig)
     return LocalHolder(estimate, closed, sig, sig >= m.ell(1.5) - 1e-12)

@@ -24,7 +24,7 @@ import numpy as np
 from .coefficients import (_LN2, GeneralCoefficients, RcmModel, _reduce_rows,
                            log2sumexp2)
 from .spectra import fixed_point_q, s0
-from .tree import TreeIndex, generation_start
+from .tree import generation_start
 
 __all__ = [
     "ConstantSolution",
@@ -66,40 +66,23 @@ class ConstantSolution:
 
     # -- node values ---------------------------------------------------------
 
-    def log2_u(self, j: TreeIndex) -> float:
-        """log2 u_j; the product of sqrt coefficients runs over the full
-        ancestor chain (the root contributes nothing)."""
-        return (math.log2(self.model.forcing) + self.q * (j.generation + 1)
-                + 0.5 * self.model.path_log2_sum(j))
-
-    def u(self, j: TreeIndex) -> float:
-        return 2.0 ** self.log2_u(j)
-
     def log2_u_rows(self, depth: int) -> list[np.ndarray]:
-        """log2 u row arrays for generations 0..depth."""
+        """log2 u row arrays for generations 0..depth: node j holds
+        log2 f + q (|j| + 1) + (1/2) sum of log2 d_k over j's path."""
+        if depth < 0:
+            raise ValueError(f"depth must be >= 0, got {depth}")
         model = self.model
         check_budget("nodes", generation_start(model.N, depth + 1))
         return list(model.path_sum_rows(math.log2(model.forcing) + self.q,
                                         self.q, 0.5, depth))
 
-    # -- recursion residuals ---------------------------------------------------
+    # -- recursion residual ----------------------------------------------------
 
     def recursion_residual(self) -> float:
         """Residual of the fixed-point equation at q (should vanish)."""
         m = self.model
         rhs = -0.5 * m.alpha - 0.5 * log2sumexp2(1.5 * m.coeffs.log2_deltas + self.q)
         return abs(self.q - rhs)
-
-    def stationarity_residual(self, j: TreeIndex) -> float:
-        """Relative residual of d_j u_par^2 = 2^alpha sum_k d_k u_j u_k at j."""
-        m = self.model
-        parent = j.parent() if not j.is_root else None
-        u_par = m.forcing if parent is None else self.u(parent)
-        lhs = m.coefficient_of(j) * u_par**2
-        uj = self.u(j)
-        rhs = 2.0**m.alpha * sum(m.coefficient_of(k) * uj * self.u(k)
-                                 for k in j.offspring())
-        return abs(lhs - rhs) / lhs
 
     # -- norms -------------------------------------------------------------------
 

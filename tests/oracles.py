@@ -20,12 +20,21 @@ subtree as a boolean mask over the state layout.  The pull-back row and
 residual oracles reduce each parent's children with numpy's per-row
 ``max(axis=1)`` and ``sum(axis=1)``, where the library reduces whole
 columns in the same pairwise order.
+
+The per-node forms walk one ``TreeIndex`` at a time: its exact dyadic cube
+in ``Fraction`` arithmetic, the path of a point by repeated doubling of its
+coordinates, and u_j, F_j, sigma_j, c_j and the stationarity residual at j
+as Python sums over j's ancestor chain, where the library forms whole
+generation rows, composition lattices and binary-digit arrays.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable
+from dataclasses import dataclass
+from fractions import Fraction
+from itertools import islice
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -36,7 +45,7 @@ from treeshell.dynamics import TruncatedState, _system
 from treeshell.solution import (ConstantSolution, PullbackRun,
                                 ResourceLimitError, check_budget)
 from treeshell.spectra import cascade_rate
-from treeshell.tree import TreeIndex
+
 
 # Budget on the nodes visited by the enumeration oracle.
 _ENUMERATION_NODES = 2**24
@@ -286,7 +295,7 @@ def flux_terms_oracle(model: RcmModel, subtree: Iterable[TreeIndex],
     for j in nodes:
         for k in j.offspring():
             if k not in nodes:
-                c_k = model.coefficient_of(k) * 2.0 ** (model.alpha * k.generation)
+                c_k = coefficient_of(model, k) * 2.0 ** (model.alpha * k.generation)
                 boundary.append((k, 2.0 * c_k * value_of(j) ** 2 * value_of(k)))
     return input_term, boundary
 
@@ -312,3 +321,196 @@ def residual_max_oracle(run: PullbackRun) -> float:
         residual = np.log2(np.exp2(shifted).sum(axis=1))
         worst = max(worst, float(np.abs(residual).max()))
     return worst
+
+
+# ---------------------------------------------------------------------------
+# the tree node by node
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True, slots=True)
+class TreeIndex:
+    """A node of the N-ary tree, stored as a packed label sequence.
+
+    The packed form keeps ``d = log2(N)`` bits per label (label minus one),
+    most significant label first, so the packed integer of a generation-n
+    node is also its rank in ``0..N**n - 1`` within the generation.
+    """
+
+    arity: int
+    generation: int
+    code: int
+
+    def __post_init__(self):
+        n = self.arity
+        if n < 2 or n & (n - 1):
+            raise ValueError(f"arity must be a power of two >= 2, got {n}")
+        if self.generation < 0:
+            raise ValueError("generation must be non-negative")
+        if not 0 <= self.code < n**self.generation:
+            raise ValueError("packed code out of range for generation")
+
+    @classmethod
+    def root(cls, arity: int) -> "TreeIndex":
+        return cls(arity, 0, 0)
+
+    @classmethod
+    def from_labels(cls, labels: Sequence[int], arity: int) -> "TreeIndex":
+        code = 0
+        for lab in labels:
+            if not 1 <= lab <= arity:
+                raise ValueError(f"label {lab} outside 1..{arity}")
+            code = code * arity + (lab - 1)
+        return cls(arity, len(labels), code)
+
+    @property
+    def labels(self) -> tuple[int, ...]:
+        out = []
+        c = self.code
+        for _ in range(self.generation):
+            out.append(c % self.arity + 1)
+            c //= self.arity
+        return tuple(reversed(out))
+
+    @property
+    def is_root(self) -> bool:
+        return self.generation == 0
+
+    def parent(self) -> "TreeIndex":
+        """The father node; the root has no father inside the tree."""
+        if self.is_root:
+            raise ValueError("the root has no parent")
+        return TreeIndex(self.arity, self.generation - 1, self.code // self.arity)
+
+    def child(self, label: int) -> "TreeIndex":
+        if not 1 <= label <= self.arity:
+            raise ValueError(f"label {label} outside 1..{self.arity}")
+        return TreeIndex(self.arity, self.generation + 1,
+                         self.code * self.arity + (label - 1))
+
+    def offspring(self) -> list["TreeIndex"]:
+        """The N children, in label order."""
+        return [self.child(k) for k in range(1, self.arity + 1)]
+
+    def append(self, other: "TreeIndex") -> "TreeIndex":
+        """Concatenation of label words (the node ``jk``)."""
+        if other.arity != self.arity:
+            raise ValueError("mismatched arities")
+        return TreeIndex(self.arity, self.generation + other.generation,
+                         self.code * self.arity**other.generation + other.code)
+
+    def is_prefix_of(self, other: "TreeIndex") -> bool:
+        """The tree partial order: ``j <= k`` iff ``k`` extends ``j``."""
+        if other.arity != self.arity or other.generation < self.generation:
+            return False
+        return other.code // self.arity ** (other.generation - self.generation) == self.code
+
+    def ancestors(self) -> Iterator["TreeIndex"]:
+        """The chain root = k_0 < k_1 < ... < k_n = self."""
+        for g in range(self.generation + 1):
+            yield TreeIndex(self.arity, g,
+                            self.code // self.arity ** (self.generation - g))
+
+    def cube(self) -> "DyadicCube":
+        """The dyadic cube owned by this node, exact in dyadic rationals."""
+        dim = self.arity.bit_length() - 1
+        origin = [Fraction(0)] * dim
+        side = Fraction(1)
+        for lab in self.labels:
+            side /= 2
+            bits = lab - 1
+            for axis in range(dim):
+                if (bits >> axis) & 1:
+                    origin[axis] += side
+        return DyadicCube(tuple(origin), side)
+
+
+@dataclass(frozen=True, slots=True)
+class DyadicCube:
+    """Half-open cube ``prod_a [origin_a, origin_a + side)`` with dyadic data."""
+
+    origin: tuple[Fraction, ...]
+    side: Fraction
+
+    @property
+    def dim(self) -> int:
+        return len(self.origin)
+
+    @property
+    def volume(self) -> Fraction:
+        return self.side**self.dim
+
+    def center(self) -> tuple[float, ...]:
+        return tuple(float(o + self.side / 2) for o in self.origin)
+
+
+def path_of_point(point: Sequence[float], generation: int, dim: int) -> TreeIndex:
+    """The generation-n node whose cube contains ``point``; doubling a binary
+    float is exact, so the path is the exact binary expansion."""
+    return next(islice(point_path(point, dim), generation, None))
+
+
+def point_path(point: Sequence[float], dim: int) -> Iterator[TreeIndex]:
+    """The nested sequence x_0 < x_1 < ... of nodes whose cubes contain x."""
+    coords = [float(x) for x in point]
+    if len(coords) != dim:
+        raise ValueError(f"expected a {dim}-vector, got {len(coords)} coordinates")
+    if any(not 0.0 <= x < 1.0 for x in coords):
+        raise ValueError("point must lie in [0,1)^d")
+    node = TreeIndex.root(2**dim)
+    while True:
+        yield node
+        bits = 0
+        for axis in range(dim):
+            if coords[axis] >= 0.5:
+                bits |= 1 << axis
+                coords[axis] = 2.0 * coords[axis] - 1.0
+            else:
+                coords[axis] = 2.0 * coords[axis]
+        node = node.child(bits + 1)
+
+
+def coefficient_of(model: RcmModel, j: TreeIndex) -> float:
+    """The weight d_j (1 at the root, delta of the last label otherwise)."""
+    if j.is_root:
+        return 1.0
+    return model.coeffs.deltas[j.code % model.N]
+
+
+def path_log2_sum(model: RcmModel, j: TreeIndex) -> float:
+    """Sum of log2 d_k over the ancestor chain of j (0 at the root)."""
+    return sum(math.log2(coefficient_of(model, k)) for k in j.ancestors())
+
+
+def log2_u_of_node(solution: ConstantSolution, j: TreeIndex) -> float:
+    """log2 u_j; the product of sqrt coefficients runs over the full
+    ancestor chain (the root contributes nothing)."""
+    return (math.log2(solution.model.forcing) + solution.q * (j.generation + 1)
+            + 0.5 * path_log2_sum(solution.model, j))
+
+
+def u_of_node(solution: ConstantSolution, j: TreeIndex) -> float:
+    return 2.0 ** log2_u_of_node(solution, j)
+
+
+def log2_F(model: RcmModel, j: TreeIndex) -> float:
+    """log2 of the anomalous-dissipation fraction of the cube of j."""
+    return j.generation * cascade_rate(model) + 1.5 * path_log2_sum(model, j)
+
+
+def sigma_of(model: RcmModel, j: TreeIndex) -> float:
+    """Path mean of log2 d over the ancestor chain; undefined at the root."""
+    if j.is_root:
+        raise ValueError("sigma is undefined at the root")
+    return path_log2_sum(model, j) / j.generation
+
+
+def stationarity_residual(solution: ConstantSolution, j: TreeIndex) -> float:
+    """Relative residual of d_j u_par^2 = 2^alpha sum_k d_k u_j u_k at j."""
+    m = solution.model
+    u_par = m.forcing if j.is_root else u_of_node(solution, j.parent())
+    lhs = coefficient_of(m, j) * u_par**2
+    uj = u_of_node(solution, j)
+    rhs = 2.0**m.alpha * sum(coefficient_of(m, k) * uj * u_of_node(solution, k)
+                             for k in j.offspring())
+    return abs(lhs - rhs) / lhs

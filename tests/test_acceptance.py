@@ -22,7 +22,6 @@ import numpy as np
 from treeshell import (
     ConstantSolution,
     RcmModel,
-    TreeIndex,
     lambda_family,
 )
 from treeshell import dissipation as dp
@@ -32,8 +31,8 @@ from treeshell import spectra
 from treeshell.coefficients import RepeatedCoefficients
 
 from conftest import subtree_mask
-from oracles import (enumerate_log2_F, entropy_max_oracle, match_atoms,
-                     measure_from_enumeration)
+from oracles import (TreeIndex, enumerate_log2_F, entropy_max_oracle,
+                     match_atoms, measure_from_enumeration)
 
 PHI32_D12 = 0.7387961250362586
 

@@ -293,6 +293,20 @@ class TestStructureCommand:
             assert entry["zeta_formula"] == pytest.approx(entry["p"] / 3,
                                                           abs=1e-12)
 
+    def test_s_p_beyond_the_double_range_exits_1_writing_nothing(
+            self, capsys, tmp_path):
+        # S_8 at f = 1e40 is about 2**1060: it used to print inf, and a bare
+        # NaN zeta_hat made the summary invalid JSON
+        out, summary = tmp_path / "s.csv", tmp_path / "s.json"
+        rc = main(["structure", "--deltas", "1,2", "--dim", "1", "--alpha",
+                   "1.5", "--depth", "12", "--p-list", "1,3,8", "--forcing",
+                   "1e40", "--out", str(out), "--summary", str(summary)])
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.out == ""
+        assert captured.err.startswith("numeric failure: ")
+        assert len(captured.err.splitlines()) == 1
+        assert not out.exists() and not summary.exists()
+
 
 class TestCliContract:
     def test_outputs_are_byte_identical_across_runs(self, capsys):
@@ -565,6 +579,14 @@ class TestCliContract:
         rc, out = run_cli([command, "--deltas", "1,2", "--dim", "1",
                            "--alpha", "1.5", "--depth", depth], capsys)
         assert rc == 2 and out == ""
+
+    def test_negative_simulate_depth_is_named(self, capsys):
+        rc = main(["simulate", "--deltas", "1,2", "--dim", "1", "--alpha",
+                   "1.5", "--depth", "-5"])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert captured.err == ("configuration error: depth must be >= 0, "
+                                "got -5\n")
 
     @pytest.mark.parametrize("depth", ["0", "-2"])
     def test_structure_rejects_depth_below_one(self, capsys, depth):

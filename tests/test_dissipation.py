@@ -6,14 +6,16 @@ import numpy as np
 import pytest
 from scipy.special import gammaln
 
-from treeshell import ConstantSolution, RcmModel, TreeIndex, lambda_family
+from treeshell import ConstantSolution, RcmModel, lambda_family
 from treeshell import dissipation as dp
 from treeshell import dynamics as dyn
 from treeshell import spectra
 from treeshell.solution import ResourceLimitError
 
 from conftest import heap_index, subtree_mask
-from oracles import enumerate_log2_F, match_atoms, measure_from_enumeration
+from oracles import (TreeIndex, coefficient_of, enumerate_log2_F, log2_F,
+                     match_atoms, measure_from_enumeration, sigma_of,
+                     u_of_node)
 
 PHI32_D12 = 0.7387961250362586
 
@@ -69,7 +71,7 @@ class TestFractions:
     def test_flat_fraction_is_uniform(self, flat_d3):
         for n in (1, 3, 5):
             j = TreeIndex(8, n, 0)
-            assert dp.log2_F(flat_d3, j) == pytest.approx(-3.0 * n, abs=1e-12)
+            assert log2_F(flat_d3, j) == pytest.approx(-3.0 * n, abs=1e-12)
 
     def test_unit_sum_by_enumeration(self, d12):
         for n in range(1, 13):
@@ -88,7 +90,7 @@ class TestFractions:
         for _ in range(50):
             n = int(rng.integers(1, 12))
             j = TreeIndex(2, n, int(rng.integers(0, 2**n)))
-            lhs = dp.log2_F(d12, j) / n + spectra.rate_R(d12, dp.sigma_of(d12, j))
+            lhs = log2_F(d12, j) / n + spectra.rate_R(d12, sigma_of(d12, j))
             assert abs(lhs) <= 1e-12
 
     def test_closed_form_matches_flux_definition(self, d12, rng):
@@ -97,11 +99,11 @@ class TestFractions:
         for _ in range(30):
             n = int(rng.integers(1, 10))
             j = TreeIndex(2, n, int(rng.integers(0, 2**n)))
-            c_j = d12.coefficient_of(j) * 2.0 ** (d12.alpha * n)
-            flux = 2 * c_j * sol.u(j.parent()) ** 2 * sol.u(j)
-            denom = 2 * d12.forcing**2 * sol.u(TreeIndex.root(2))
-            assert 2.0 ** dp.log2_F(d12, j) == pytest.approx(flux / denom,
-                                                             rel=1e-11)
+            c_j = coefficient_of(d12, j) * 2.0 ** (d12.alpha * n)
+            flux = 2 * c_j * u_of_node(sol, j.parent()) ** 2 * u_of_node(sol, j)
+            denom = 2 * d12.forcing**2 * u_of_node(sol, TreeIndex.root(2))
+            assert 2.0 ** log2_F(d12, j) == pytest.approx(flux / denom,
+                                                          rel=1e-11)
 
 
 class TestSigma:
@@ -109,20 +111,20 @@ class TestSigma:
         for _ in range(10):
             n = int(rng.integers(1, 6))
             j = TreeIndex(8, n, int(rng.integers(0, 8**n)))
-            assert dp.sigma_of(flat_d3, j) == flat_d3.coeffs.ell_zero() == 0.0
+            assert sigma_of(flat_d3, j) == flat_d3.coeffs.ell_zero() == 0.0
 
     def test_hand_value(self, d12):
         j = TreeIndex.from_labels([2, 2, 2], 2)
-        assert dp.sigma_of(d12, j) == 1.0
+        assert sigma_of(d12, j) == 1.0
 
     def test_root_rejected(self, d12):
         with pytest.raises(ValueError):
-            dp.sigma_of(d12, TreeIndex.root(2))
+            sigma_of(d12, TreeIndex.root(2))
 
     def test_depends_only_on_composition(self, d12):
         a = TreeIndex.from_labels([1, 2, 2, 1], 2)
         b = TreeIndex.from_labels([2, 1, 1, 2], 2)
-        assert dp.sigma_of(d12, a) == dp.sigma_of(d12, b)
+        assert sigma_of(d12, a) == sigma_of(d12, b)
 
 
 class TestCompositionsMatrix:
@@ -429,7 +431,7 @@ class TestFluxTerms:
         assert np.count_nonzero(outflow) == len(boundary)
         for k in boundary:
             assert fractions[heap_index(k)] == pytest.approx(
-                2.0 ** dp.log2_F(d12, k), rel=1e-11)
+                2.0 ** log2_F(d12, k), rel=1e-11)
 
     def test_non_prefix_closed_rejected(self, d12):
         bad = [TreeIndex.root(2), TreeIndex.from_labels([1, 2], 2)]

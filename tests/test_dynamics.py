@@ -7,8 +7,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as hs
 
 from conftest import heap_index, random_rcm, same_bits, subtree_mask
-from oracles import flux_terms_oracle, rk4_step_oracle
-from treeshell import ConstantSolution, RcmModel, TreeIndex
+from oracles import (TreeIndex, coefficient_of, flux_terms_oracle,
+                     rk4_step_oracle, u_of_node)
+from treeshell import ConstantSolution, RcmModel
 from treeshell import dynamics as dyn
 from treeshell.tree import generation_start
 
@@ -82,7 +83,7 @@ def rhs_oracle(model, depth, closure, values):
     sol = ConstantSolution(model)
 
     def c(j):
-        return model.coefficient_of(j) * 2.0 ** (model.alpha * j.generation)
+        return coefficient_of(model, j) * 2.0 ** (model.alpha * j.generation)
 
     out = []
     for j in nodes:
@@ -91,7 +92,7 @@ def rhs_oracle(model, depth, closure, values):
         if j.generation < depth:
             outflow = sum(c(k) * v[j] * v[k] for k in j.offspring())
         elif closure == "stationary":
-            outflow = sum(c(k) * v[j] * sol.u(k) for k in j.offspring())
+            outflow = sum(c(k) * v[j] * u_of_node(sol, k) for k in j.offspring())
         else:
             outflow = 0.0
         out.append((inflow - outflow, inflow + outflow))
@@ -186,7 +187,7 @@ class TestFlatLayout:
         sol = ConstantSolution(m)
         u = dyn.constant_values(sol, 2)
         for j in gens(4, 2):
-            assert u[heap_index(j)] == pytest.approx(sol.u(j), rel=1e-12)
+            assert u[heap_index(j)] == pytest.approx(u_of_node(sol, j), rel=1e-12)
         assert np.array_equal(subtree_mask(gens(4, 1), 2), np.arange(21) < 5)
 
 
@@ -289,6 +290,16 @@ class TestStep:
         for depth in (-1, -3):
             with pytest.raises(ValueError, match="depth must be >= 0"):
                 dyn.TruncatedState.zeros(d12, depth)
+
+    @pytest.mark.parametrize("depth", [-1, -2, -5])
+    def test_zeros_rejects_a_negative_depth_before_sizing(self, d12,
+                                                          monkeypatch, depth):
+        def fail(*args, **kwargs):
+            raise AssertionError("sized the state before the depth check")
+
+        monkeypatch.setattr(dyn, "generation_start", fail)
+        with pytest.raises(ValueError, match=f"depth must be >= 0, got {depth}"):
+            dyn.TruncatedState.zeros(d12, depth)
 
     @pytest.mark.parametrize("dt, steps, record_every", [
         (1e-4, 10, 0), (1e-4, 10, -2), (1e-4, -1, 1), (0.0, 0, 1),

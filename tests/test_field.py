@@ -2,13 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from treeshell import ConstantSolution, RcmModel, TreeIndex, lambda_family
+from treeshell import ConstantSolution, RcmModel, lambda_family
+from treeshell import dissipation as dp
 from treeshell import field as fd
 from treeshell import spectra
 from treeshell.solution import ResourceLimitError
 
-from oracles import coefficient_l2, xi_from_generation_sums
+from conftest import same_bits
+from oracles import (TreeIndex, coefficient_l2, log2_u_of_node, path_of_point,
+                     sigma_of, u_of_node, xi_from_generation_sums)
 
 H_D12 = 0.14558393181327468
 # log2 S_p agreement of the Haar tree sum with the grid's direct mean
@@ -55,7 +60,7 @@ SYNTH_MODELS = [
 class TestSynthesize:
     def test_root_only_field_is_the_mother_step(self, d12_solution):
         wf = fd.synthesize(d12_solution, depth=1)
-        amp = d12_solution.u(TreeIndex.root(2))
+        amp = u_of_node(d12_solution, TreeIndex.root(2))
         assert np.array_equal(wf.grid, [amp, -amp])
 
     def test_zero_mean(self, d12_solution):
@@ -85,8 +90,6 @@ class TestSynthesize:
     def test_d2_matches_per_wavelet_oracle(self):
         # slow oracle: evaluate each product-Haar wavelet from its cube
         # geometry and sum; pins the fast synthesis to the cube labelling
-        from treeshell import RcmModel, TreeIndex
-
         m = RcmModel.create(2, 2.0, [1.0, 2.0, 0.5, 1.5])
         sol = ConstantSolution(m)
         M = 3
@@ -105,7 +108,7 @@ class TestSynthesize:
                     & (Y >= o[1]) & (Y < o[1] + s)
                 sign_x = np.where(X < o[0] + s / 2, 1.0, -1.0)
                 sign_y = np.where(Y < o[1] + s / 2, 1.0, -1.0)
-                grid += sol.u(j) * 2.0**g * sign_x * sign_y * inside
+                grid += u_of_node(sol, j) * 2.0**g * sign_x * sign_y * inside
         assert np.abs(grid - wf.grid).max() <= 1e-12
 
     def test_hat_mother_is_continuous(self, d12_solution):
@@ -213,6 +216,26 @@ class TestStructureFunction:
             assert np.array_equal(est.log2_S, want)
         else:
             assert np.abs(est.log2_S - want).max() <= TREE_TOL
+
+
+class TestForcingFactorsOut:
+    """S_p scales as f^p exactly, so zeta_hat and log2 S_p - p log2 f do not
+    depend on f.  The tolerances were fixed before the first run: 1e-12 in
+    zeta_hat, and 1e-9 in log2 S_p, where p log2 f reaches 7200 (ulp 9e-13)."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(st.floats(-900.0, 900.0), st.floats(-4.0, 4.0),
+           st.sampled_from(fd.MOTHERS))
+    def test_estimate_does_not_depend_on_f(self, log2_f, log2_delta, mother):
+        deltas = [1.0, 2.0**log2_delta]
+        ps = [1.0, 3.0, 8.0]
+        unit = ConstantSolution(RcmModel.create(1, 1.5, deltas))
+        forced = ConstantSolution(RcmModel.create(1, 1.5, deltas, 2.0**log2_f))
+        want = fd.structure_function(unit, 10, ps, mother=mother)
+        got = fd.structure_function(forced, 10, ps, mother=mother)
+        shift = np.array(ps)[:, None] * math.log2(forced.model.forcing)
+        assert np.abs(got.log2_S - shift - want.log2_S).max() <= 1e-9
+        assert np.abs(got.zeta_hat - want.zeta_hat).max() <= 1e-12
 
 
 class TestHaarTreeSum:
@@ -330,8 +353,8 @@ class TestLocalHolder:
         assert res.dissipating
 
     def test_extreme_path_gives_global_exponent(self, d12_solution):
-        path = TreeIndex.from_labels([2] * 40, 2)
-        res = fd.local_holder(d12_solution, path, 40)
+        # 1 - 2**-40 has forty binary digits 1: every label is 2
+        res = fd.local_holder(d12_solution, [1.0 - 2.0**-40], 40)
         assert res.sigma == 1.0
         assert res.closed_form == pytest.approx(H_D12, abs=1e-12)
         assert res.dissipating
@@ -351,6 +374,82 @@ class TestLocalHolder:
             < abs(coarse.estimate - coarse.closed_form)
         assert fine.estimate - fine.closed_form == pytest.approx(
             -d12_solution.q / 2000, abs=1e-9)
+
+
+# (d, deltas) of the local-regularity checks; the first of each d has
+# integer log2 deltas, so every path sum is exact
+HOLDER_MODELS = [
+    (1, [1.0, 2.0]), (1, [1.0, 3.0]),
+    (2, [1.0, 2.0, 4.0, 8.0]), (2, [1.0, 2.0, 3.0, 5.0]),
+    (3, [2.0**i for i in range(8)]), (3, [0.3, 1.7, 2.0, 0.9, 4.0, 1.1, 0.5, 3.3]),
+]
+
+
+def holder_points(rng, d):
+    """Random points of [0,1)**d, then the corner points 0 and 1 - 2**-53."""
+    yield from (rng.random(d).tolist() for _ in range(10))
+    yield [0.0] * d
+    yield [1.0 - 2.0**-53] * d
+
+
+class TestLocalHolderPath:
+    """local_holder's binary-digit path and lattice formulas against the
+    per-node oracles and the composition lattice of ``measure``."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_label_path_is_the_oracle_path(self, rng, d):
+        for x in holder_points(rng, d):
+            for n in (1, 2, 17, 53, 54, 60):
+                want = path_of_point(x, n, d).labels
+                assert fd._label_path(x, n).tolist() == list(want)
+
+    @pytest.mark.parametrize("d, deltas", HOLDER_MODELS)
+    def test_sigma_is_the_measure_atom_sigma(self, rng, d, deltas):
+        # the same composition, and sigma by measure's counts @ log2 values;
+        # BLAS sums a row of measure's count matrix in another order than
+        # one vector's dot product, so above two distinct values with
+        # inexact log2 the bits may differ
+        model = RcmModel.create(d, d / 2 + 1, deltas)
+        sol = ConstantSolution(model)
+        values, _ = model.coeffs.distinct()
+        exact = d == 1 or np.all(np.log2(values) == np.round(np.log2(values)))
+        for n in (1, 5, 9):
+            mu = dp.measure(model, n)
+            sigma = dict(zip(map(tuple, mu.counts.tolist()), mu.sigma))
+            for x in holder_points(rng, d):
+                labels = path_of_point(x, n, d).labels
+                used = [deltas[label - 1] for label in labels]
+                composition = tuple(used.count(v) for v in values)
+                got = fd.local_holder(sol, x, n).sigma
+                want = sigma[composition]
+                if exact:
+                    assert same_bits(got, want)
+                else:
+                    assert got == pytest.approx(want, rel=0, abs=1e-15)
+
+    @pytest.mark.parametrize("d, deltas", HOLDER_MODELS)
+    def test_estimate_matches_the_node_oracle(self, rng, d, deltas):
+        model = RcmModel.create(d, d / 2 + 1, deltas, forcing=0.7)
+        sol = ConstantSolution(model)
+        exact = np.all(np.log2(deltas) == np.round(np.log2(deltas)))
+        for x in holder_points(rng, d):
+            n = int(rng.integers(1, 61))
+            node = path_of_point(x, n, d)
+            want = -d / 2.0 - log2_u_of_node(sol, node) / n
+            got = fd.local_holder(sol, x, n)
+            assert got.estimate == pytest.approx(want, rel=0, abs=1e-12)
+            if exact:
+                assert same_bits(got.estimate, want)
+                assert same_bits(got.sigma, sigma_of(model, node))
+
+    @pytest.mark.parametrize("point, n_max", [
+        ([0.3, 0.4], 10), ([], 10), ([1.0], 10), ([-0.1], 10),
+        ([math.nan], 10), ([0.3], 0), ([0.3], -3)],
+        ids=["two coords", "no coords", "one", "negative", "nan",
+             "n_max 0", "n_max -3"])
+    def test_invalid_input_rejected(self, d12_solution, point, n_max):
+        with pytest.raises(ValueError):
+            fd.local_holder(d12_solution, point, n_max)
 
 
 class TestScalingLemmas:

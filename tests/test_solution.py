@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from conftest import same_bits
-from oracles import pull_row_oracle, residual_max_oracle
+from oracles import (TreeIndex, log2_u_of_node, pull_row_oracle,
+                     residual_max_oracle, stationarity_residual, u_of_node)
 from treeshell import (
     ConstantSolution,
     GeneralCoefficients,
     ResourceLimitError,
-    TreeIndex,
     divergence_witness,
     fixed_point_q,
     pullback,
@@ -46,11 +46,11 @@ class TestFixedPoint:
 class TestNodeValues:
     def test_flat_root_value(self, flat_d3):
         sol = ConstantSolution(flat_d3)
-        assert sol.u(TreeIndex.root(8)) == pytest.approx(0.2806155120773432,
-                                                         abs=1e-15)
+        assert u_of_node(sol, TreeIndex.root(8)) == pytest.approx(
+            0.2806155120773432, abs=1e-15)
         # flat with f=1: u_j = 2^{q(|j|+1)}
         j = TreeIndex.from_labels([3, 5], 8)
-        assert sol.log2_u(j) == pytest.approx(3 * sol.q, abs=1e-12)
+        assert log2_u_of_node(sol, j) == pytest.approx(3 * sol.q, abs=1e-12)
 
     def test_stationarity_residual_random_nodes(self, rng):
         from conftest import random_rcm
@@ -59,14 +59,14 @@ class TestNodeValues:
             sol = ConstantSolution(model)
             for _ in range(100):
                 j = random_node(rng, model.N, max_gen=8)
-                assert sol.stationarity_residual(j) <= 1e-12
+                assert stationarity_residual(sol, j) <= 1e-12
 
     def test_rows_match_node_evaluation(self, d12_solution, rng):
         rows = d12_solution.log2_u_rows(6)
         for _ in range(30):
             j = random_node(rng, 2, max_gen=6)
             assert rows[j.generation][j.code] == pytest.approx(
-                d12_solution.log2_u(j), abs=1e-12)
+                log2_u_of_node(d12_solution, j), abs=1e-12)
 
     @pytest.mark.parametrize("d, depth, fits", [
         (1, 25, True), (1, 26, False), (2, 12, True), (2, 13, False),
@@ -88,6 +88,11 @@ class TestNodeValues:
         with pytest.raises(Built if fits else ResourceLimitError):
             sol.log2_u_rows(depth)
 
+    @pytest.mark.parametrize("depth", [-1, -3])
+    def test_rows_reject_a_negative_depth(self, d12_solution, depth):
+        with pytest.raises(ValueError, match=f"depth must be >= 0, got {depth}"):
+            d12_solution.log2_u_rows(depth)
+
     def test_exact_autosimilarity(self, d12_solution, rng):
         # with the repeated multiset, u_{jk} u_root = u_j u_k exactly
         sol = d12_solution
@@ -95,8 +100,8 @@ class TestNodeValues:
         for _ in range(50):
             j = random_node(rng, 2, 6)
             k = random_node(rng, 2, 6)
-            lhs = sol.log2_u(j.append(k)) + sol.log2_u(root)
-            rhs = sol.log2_u(j) + sol.log2_u(k)
+            lhs = log2_u_of_node(sol, j.append(k)) + log2_u_of_node(sol, root)
+            rhs = log2_u_of_node(sol, j) + log2_u_of_node(sol, k)
             assert lhs == pytest.approx(rhs, abs=1e-9)
 
 

@@ -3,8 +3,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from treeshell import TreeIndex, path_of_point, point_path
 from treeshell.tree import generation_start, label_axes
+
+from oracles import TreeIndex, path_of_point, point_path
 
 
 def test_parent_drops_last_label():
@@ -144,6 +145,14 @@ def test_heap_index_covers_the_layout_once(arity, depth):
             i = generation_start(arity, g) + code
             assert (i - 1) // arity == (generation_start(arity, g - 1)
                                         + code // arity)
+
+
+@pytest.mark.parametrize("arity", [2, 8])
+def test_generation_start_rejects_a_negative_generation(arity):
+    assert generation_start(arity, 0) == 0
+    for g in (-1, -2):
+        with pytest.raises(ValueError, match="generation"):
+            generation_start(arity, g)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
