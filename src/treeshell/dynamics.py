@@ -255,15 +255,17 @@ def integrate(state: TruncatedState, dt: float, steps: int,
     rows, nodes = steps // record_every + 1, len(state.values)
     check_budget("values", rows * nodes)
     check_budget("node-steps", steps * nodes)
-    kernel = _Rk4(state.model, state.depth, state.closure)
     times, records = np.empty(rows), np.empty((rows, nodes))
     v, t = state.values, state.t
     times[0], records[0] = t, v
     clamp_total = 0.0
     scale = float(np.abs(v).max())
     # `advance` raises on a non-finite step, so numpy's warnings about the
-    # overflow that led there are noise; entered once per run, not per step
+    # overflow that led there are noise, also where a coefficient or closure
+    # weight overflows and the first step turns non-finite; entered once
+    # per run, not per step
     with np.errstate(over="ignore", invalid="ignore"):
+        kernel = _Rk4(state.model, state.depth, state.closure)
         for i in range(1, steps + 1):
             v, clamp, top = kernel.advance(v, dt, t)
             t += dt

@@ -47,6 +47,15 @@ def header_lines(text):
     return [ln for ln in text.splitlines() if ln.startswith("#")]
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def strict_json(text):
+    """JSON as its standard has it: a bare NaN or Infinity fails to parse."""
+    return json.loads(text, parse_constant=_reject_constant)
+
+
 @pytest.fixture
 def no_synthesis(monkeypatch):
     from treeshell import field
@@ -306,6 +315,42 @@ class TestStructureCommand:
         assert captured.err.startswith("numeric failure: ")
         assert len(captured.err.splitlines()) == 1
         assert not out.exists() and not summary.exists()
+
+    @pytest.mark.parametrize("p_list, forcing", [("50", "1e-20"),
+                                                 ("1,3,8", "1e-40")])
+    def test_s_p_below_the_normal_range_exits_1_writing_nothing(
+            self, capsys, tmp_path, p_list, forcing):
+        # these S_p used to print as 0, or as subnormals such as
+        # 4.3033117752772574e-321 with two or three significant digits
+        out, summary = tmp_path / "s.csv", tmp_path / "s.json"
+        rc = main(["structure", "--deltas", "1,2", "--dim", "1", "--alpha",
+                   "1.5", "--depth", "12", "--p-list", p_list, "--forcing",
+                   forcing, "--out", str(out), "--summary", str(summary)])
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.out == ""
+        assert captured.err.startswith("numeric failure: ")
+        assert len(captured.err.splitlines()) == 1
+        assert not out.exists() and not summary.exists()
+
+    @pytest.mark.parametrize("model, p_list, p, formula", [
+        (["--deltas", "1,4", "--alpha", "0.6"], "1,20", 20.0, "negative"),
+        (["--deltas", "1,2", "--alpha", "0.5"], "1,3", 3.0, "zero")])
+    def test_summary_rel_err_is_valid_json_for_any_zeta_formula(
+            self, capsys, tmp_path, model, p_list, p, formula):
+        # rel_err used to be negative where zeta_formula < 0 and a bare NaN
+        # where zeta_formula = 0
+        summary = tmp_path / "s.json"
+        rc = main(["structure", *model, "--dim", "1", "--depth", "10",
+                   "--p-list", p_list, "--summary", str(summary),
+                   "--out", str(tmp_path / "s.csv")])
+        assert rc == 0
+        payload = strict_json(summary.read_text())
+        entry = next(e for e in payload if e["p"] == p)
+        assert {"negative": entry["zeta_formula"] < 0,
+                "zero": entry["zeta_formula"] == 0}[formula]
+        for e in payload:
+            zh, zf = e["zeta_hat"], e["zeta_formula"]
+            assert e["rel_err"] == (abs(zh - zf) / abs(zf) if zf else None)
 
 
 class TestCliContract:
@@ -801,11 +846,19 @@ class TestCsvWriter:
         _write_csv(None, ["# one", "# two"], columns)
         assert capsys.readouterr().out == want
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_json_refuses_non_finite_numbers(self, tmp_path, value):
+        path = tmp_path / "s.json"
+        with pytest.raises(ArithmeticError, match="not finite"):
+            cli._write_json(str(path), [{"x": 1.0, "y": value}])
+        assert not path.exists()
+
 
 CHUNK = cli._CHUNK_ROWS
 # cell values the writer must render as str or '%.17g' does, '%' included
 CELLS = {"float": st.floats(allow_nan=True, allow_infinity=True)
          | st.sampled_from([-0.0, math.inf, -math.inf, math.nan]),
+         "float_pool": st.sampled_from([-0.0, 0.0, 1 / 3]),
          "int": st.integers(-2**63, 2**63 - 1),
          "bool": st.booleans(),
          "str": st.text(alphabet="a%s.,= ")}
@@ -867,6 +920,31 @@ class TestChunkedCsvWriter:
         want = csv_text_oracle(["# h %s"], columns).encode()
         assert to_file == want and to_stdout == want
 
+    @pytest.mark.parametrize("n_rows", [CHUNK - 1, CHUNK, CHUNK + 1,
+                                        2 * CHUNK + 1])
+    def test_repeated_floats_match_the_oracle(self, n_rows):
+        # pooled columns repeat values, so their bit patterns are formatted
+        # once each; 0.0 and -0.0, and two NaN payloads, must stay apart
+        rng = np.random.default_rng(n_rows)
+        nan_payload = np.array([0x7FF8000000000001], np.uint64).view(float)
+        pool = np.array([0.0, -0.0, math.nan, nan_payload[0], math.inf,
+                         -math.inf, 5e-324, 1 / 3])
+        strided = np.empty((n_rows, 2))
+        strided[:, 1] = rng.choice(pool, n_rows)
+        columns = {"pooled": rng.choice(pool, n_rows),
+                   "k": rng.integers(-10**12, 10**12, n_rows),
+                   "strided": strided[:, 1],
+                   "distinct": rng.standard_normal(n_rows) * 1e3,
+                   "s": np.resize(["a%s", "100%"], n_rows),
+                   "scalar": -0.0}
+        shares = [len(np.unique(c.view(np.uint64))) / n_rows
+                  for c in columns.values()
+                  if isinstance(c, np.ndarray) and c.dtype == np.float64]
+        assert min(shares) <= cli._DISTINCT_SHARE < max(shares)
+        to_file, to_stdout = written_bytes(["# h"], columns)
+        want = csv_text_oracle(["# h"], columns).encode()
+        assert to_file == want and to_stdout == want
+
     def test_dissipation_rows_span_chunks(self, tmp_path, capsys):
         # 4 distinct deltas at n = 57: C(60, 3) = 34,220 atoms, two chunks
         argv = ["dissipation", "--deltas", "1,2,3,5", "--dim", "2", "--n", "57"]
@@ -879,3 +957,83 @@ class TestChunkedCsvWriter:
         rows = parse_csv(out)
         assert len(rows) == atoms
         assert {r["n"] for r in rows} == {"57"}
+
+
+# small sizes for every model subcommand; "{summary}" is a path in the run's
+# directory
+EDGE_SIZES = {
+    "solve": "--depth 5",
+    "dissipation": "--n 20",
+    "concentration": "--n-list 10,20",
+    "lln": "--n 100 --samples 20",
+    "simulate": "--depth 3 --dt 1e-3 --t-end 0.01 --record-every 5",
+    "structure": "--depth 8 --p-list 1,2,3 --summary {summary}",
+}
+
+
+@st.composite
+def edge_models(draw):
+    """Model flags with d in {1, 2}, log2 deltas within +-1000, alpha in
+    [0.01, 60] and f = 2**U(-60, 60)."""
+    d = draw(st.sampled_from([1, 2]))
+    log2_deltas = draw(st.lists(st.floats(-1000, 1000), min_size=2**d,
+                                max_size=2**d))
+    alpha = draw(st.floats(0.01, 60))
+    log2_f = draw(st.floats(-60, 60))
+    return [f"--dim={d}", f"--alpha={alpha!r}", f"--forcing={2.0**log2_f!r}",
+            "--deltas=" + ",".join(repr(2.0**x) for x in log2_deltas)]
+
+
+def run_edge_case(argv: list[str]) -> None:
+    """One CLI run either exits 0 with finite numbers, apart from the first
+    slope_rate of `concentration`, and strict JSON, or exits 1 or 2 with one
+    stderr line."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out, summary = os.path.join(tmp, "o.csv"), os.path.join(tmp, "s.json")
+        argv = [a.format(summary=summary) for a in argv] + ["--out", out]
+        with contextlib.redirect_stdout(io.StringIO()) as stdout, \
+                contextlib.redirect_stderr(io.StringIO()) as stderr, \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(argv)
+        # a warning would reach a terminal as more stderr lines
+        assert not caught, [f"{w.filename}:{w.lineno}: {w.message}"
+                            for w in caught]
+        err = stderr.getvalue()
+        assert stdout.getvalue() == ""
+        if rc != 0:
+            assert rc in (1, 2) and len(err.splitlines()) == 1, (rc, err)
+            return
+        assert err == ""
+        with open(out) as fh:
+            text = fh.read()
+        for line in header_lines(text):
+            if line.startswith("# config="):
+                strict_json(line.split("=", 1)[1])
+        rows = parse_csv(text)
+        assert rows, argv
+        for i, row in enumerate(rows):
+            for name, cell in row.items():
+                if name == "model_name":
+                    continue
+                if argv[0] == "concentration" and name == "slope_rate" \
+                        and i == 0:
+                    assert cell == "nan"
+                    continue
+                assert math.isfinite(float(cell)), (argv, name, cell)
+        if "--summary" in argv:
+            with open(summary) as fh:
+                strict_json(fh.read())
+
+
+class TestEdgeModels:
+    @settings(max_examples=80, deadline=None, derandomize=True,
+              database=None)
+    @given(edge_models(), st.floats(-1000 / 7, 1000 / 7))
+    def test_every_subcommand_exits_cleanly(self, model, lam):
+        # spectra's only model input is the d = 3 lambda family, whose
+        # log2 deltas lam * i, i < 8, stay in the same +-1000
+        run_edge_case(["spectra", f"--lambdas={lam!r}", "--p-max", "4",
+                       "--p-step", "1", "--summary", "{summary}"])
+        for command, sizes in EDGE_SIZES.items():
+            run_edge_case([command, *model, *sizes.split()])
