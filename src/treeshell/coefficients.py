@@ -12,8 +12,10 @@ Both are max-shifted like ``log2sumexp2``, the package's log-sum-exp in
 base 2, so that arguments up to a few hundred neither overflow nor lose
 the leading term; ``ell`` is also centred at the mean of log2 delta and
 summed through ``expm1``/``log1p``, so it keeps its digits as s -> 0.
-``phi`` is inverted by a safeguarded Newton iteration whose slope is ln 2
-times the tilted variance.
+``phi``'s shift is the top value (log2 max delta for gamma >= 0, log2 min
+delta otherwise); one helper, ``_tilted_moments``, gives every phi-side
+quantity from one exp2, and ``phi_inverse`` runs Newton's method on the
+logit of phi from its two-point closed form, in about four of them.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import json
 import math
 import numbers
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -193,71 +196,113 @@ class RepeatedCoefficients:
 
     # -- the tilted mean phi -------------------------------------------------
 
-    def _tilted_moments(self, gamma: float) -> tuple[float, float]:
-        """Mean and variance of log2 delta under the weights proportional to
-        delta**gamma, both from one weights vector."""
+    @cached_property
+    def _tilt_tables(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """Per sign of gamma (>= 0, then < 0): the distances of log2 delta
+        to the top value and the columns (1, x - x_min, x_max - x,
+        distance**2) that one matmul with the weights sums."""
         x = self.log2_deltas
-        t = gamma * x
-        w = np.exp2(t - t.max())
-        w /= w.sum()
-        m = w @ x
-        return float(m), float(w @ (x - m) ** 2)
+        above, below = x - x.min(), x.max() - x
+        ones = np.ones_like(x)
+        return ((below, np.column_stack([ones, above, below, below**2])),
+                (above, np.column_stack([ones, above, below, above**2])))
+
+    def _tilted_moments(self, gamma: float) -> tuple[float, float, float, float]:
+        """The tilt of log2 delta by the weights delta**gamma, shifted to the
+        top value x_top (log2 max delta for gamma >= 0, log2 min delta
+        otherwise): S = sum 2**(gamma (log2 delta - x_top)), phi - x_min,
+        x_max - phi and the variance, from one exp2 and one matmul.
+
+        Every weight is at most 1, and the top's is 1, so no gamma
+        overflows.  The variance is the mean square distance to x_top less
+        the square of its mean; the tilt towards x_top keeps the two apart.
+        """
+        dist, columns = self._tilt_tables[int(gamma < 0)]
+        s, above, below, square = (np.exp2(-abs(gamma) * dist) @ columns).tolist()
+        above, below = above / s, below / s
+        var = square / s - (below if gamma >= 0 else above) ** 2
+        return s, above, below, max(var, 0.0)
 
     def phi(self, gamma: float) -> float:
-        """Tilted mean of log2 delta; equals d/ds (s ell_s) at s=gamma."""
-        return self._tilted_moments(gamma)[0]
+        """Tilted mean of log2 delta; equals d/ds (s ell_s) at s=gamma.
+
+        It is read as x_min + (phi - x_min), except where every weight below
+        the top has underflowed: there phi is x_max itself, which that sum
+        can miss by an ulp.
+        """
+        _, above, below, _ = self._tilted_moments(gamma)
+        return self.ell_neg_inf() + above if below > 0 else self.ell_pos_inf()
 
     def phi_derivative(self, gamma: float) -> float:
         """Variance of log2 delta under the tilted weights; > 0 iff non-flat.
 
         The tilt is in base 2, so the slope of phi is ln(2) times this
-        value: the Newton slope of :meth:`phi_inverse`.
+        value.
         """
-        return self._tilted_moments(gamma)[1]
+        return self._tilted_moments(gamma)[3]
 
     def phi_inverse(self, a: float) -> float:
-        """The gamma with phi(gamma) = a, by Newton's method kept inside a
-        bracket (the safeguarded step ``rtsafe`` of *Numerical Recipes*).
+        """The gamma with phi(gamma) = a, by Newton's method on the logit
+        L(gamma) = ln((phi - x_min) / (x_max - phi)), kept inside the bracket
+        its iterates build.
 
         Requires a non-flat multiset and a strictly inside the open interval
-        (log2 min delta, log2 max delta); phi is strictly increasing there.
-        The bracket grows from [-1, 1] by doubling until it holds the root.
-        Each iterate tightens it by the sign of phi - a, then takes the
-        Newton step if that lands strictly inside and is at most half the
-        step before last, and bisects otherwise.  The iteration stops when
-        |phi - a| is within the rounding error of the computed tilted mean
-        (N ulps of |mean| + sqrt(variance), a bound on its mean |log2
-        delta|; below it the Newton steps only chase rounding noise), when
-        the step is within a few ulps of gamma, or when the bracket can no
-        longer be split, which happens once |gamma| passes about 8192 on
-        near-flat multisets.
+        (x_min, x_max) = (log2 min delta, log2 max delta); phi is strictly
+        increasing there.  L is linear in gamma for a two-valued multiset and
+        asymptotically linear at both ends for any multiset, with slope
+        ln2 var (1/(phi - x_min) + 1/(x_max - phi)).
+
+        - Start: the two-point closed form
+          gamma_0 = ln((a - x_min) / (x_max - a)) / (ln2 (x_max - x_min)).
+        - Safeguard: each iterate tightens the bracket (-inf, inf) by the
+          sign of phi - a.  The Newton step is taken if it lands strictly
+          inside; once both ends are finite it must also be at most half
+          the step before last (the ``rtsafe`` rule of *Numerical
+          Recipes*), and the iteration bisects otherwise.  While one end is
+          still infinite it steps outward instead, by max(|gamma|, 1 /
+          (ln2 (x_max - x_min))).
+        - Stop: when |phi - a| is within the rounding error of the computed
+          tilted mean, when the step is within a few ulps of gamma, or when
+          the bracket can no longer be split.  The mean is computed as its
+          distance from the nearer end of the range, so that error is N
+          ulps of the distance + sqrt(variance); below it the Newton steps
+          only chase rounding noise.
         """
         if self.is_flat:
             raise ValueError("phi is constant for a flat model, not invertible")
-        lo_lim, hi_lim = self.ell_neg_inf(), self.ell_pos_inf()
-        if not lo_lim < a < hi_lim:
+        x_min, x_max = self.ell_neg_inf(), self.ell_pos_inf()
+        if not x_min < a < x_max:
             raise ValueError(
-                f"target {a} outside the open range ({lo_lim}, {hi_lim}) of phi")
-        lo, hi = -1.0, 1.0
-        while self.phi(lo) >= a:
-            lo *= 2.0
-        while self.phi(hi) <= a:
-            hi *= 2.0
-        gamma = 0.5 * (lo + hi)
-        step = step_before = hi - lo
+                f"target {a} outside the open range ({x_min}, {x_max}) of phi")
+        a_above, a_below = a - x_min, x_max - a
+        target = math.log(a_above / a_below)
+        unit = _LN2 * (x_max - x_min)
+        gamma = target / unit
+        lo, hi = -math.inf, math.inf
+        step = step_before = math.inf
         while True:
-            mean, var = self._tilted_moments(gamma)
-            miss = mean - a
-            if abs(miss) <= self.size * math.ulp(abs(mean) + math.sqrt(var)):
+            _, above, below, var = self._tilted_moments(gamma)
+            near = min(above, below)
+            miss = above - a_above if above <= below else a_below - below
+            if abs(miss) <= self.size * math.ulp(near + math.sqrt(var)):
                 return gamma
             if miss < 0:
                 lo = gamma
             else:
                 hi = gamma
             step_before_last, step_before = step_before, step
-            step = miss / (_LN2 * var) if var > 0 else math.inf
+            ratio = above / below if below > 0 else math.inf
+            if var > 0 and 0 < ratio < math.inf:
+                slope = _LN2 * var * (1 / above + 1 / below)
+                step = (math.log(ratio) - target) / slope
+            else:
+                step = math.inf  # every weight but the top's underflowed
             new = gamma - step
-            if not lo < new < hi or abs(step) > 0.5 * abs(step_before_last):
+            if math.isinf(lo) or math.isinf(hi):
+                if not lo < new < hi:
+                    new = gamma - math.copysign(max(abs(gamma), 1 / unit), miss)
+                    step = gamma - new
+            elif not lo < new < hi or abs(step) > 0.5 * abs(step_before_last):
                 new = 0.5 * (lo + hi)
                 if not lo < new < hi:
                     return gamma  # the bracket is one ulp wide

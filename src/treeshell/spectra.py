@@ -15,7 +15,16 @@ The companion rate/dimension pair
 
 controls where anomalous dissipation concentrates: R >= D with equality
 exactly at a = phi(3/2), and the dissipation carrier has dimension
-Delta = d - (3/2)(phi(3/2) - ell(3/2)).
+Delta = d - (3/2)(phi(3/2) - ell(3/2)).  D is evaluated as
+
+    D(a) = log2 S - gamma_a (a - x_top),
+    S = sum_w 2**(gamma_a (log2 delta_w - x_top)),
+
+with x_top the largest log2 delta for gamma_a >= 0 and the smallest
+otherwise.  This equals the form above, but both of its terms are >= 0,
+so the rounding of a - ell(gamma_a) is never multiplied by |gamma_a|
+(1e7 on near-flat multisets); and D is stationary in gamma, so the error
+of gamma_a enters only at second order.
 
 Both the clipped min{p, .} exponent and the raw branch are exposed; the
 asymptote and the Frisch-Parisi consistency check need the raw branch.
@@ -135,7 +144,8 @@ def dim_D_of_multiset(coeffs: RepeatedCoefficients, a: float) -> float:
     The unconstrained maximum is log2 of the multiset size (the spatial
     dimension d when the multiset has N = 2**d entries).  Closed endpoints
     map to the degenerate compositions supported on the extreme value:
-    D = log2(multiplicity).
+    D = log2(multiplicity).  Inside, D = log2 S - gamma (a - x_top) from
+    the tilted sum S of ``_tilted_moments`` at gamma = phi^{-1}(a).
     """
     log2_N = math.log2(coeffs.size)
     log2d = coeffs.log2_deltas
@@ -152,7 +162,8 @@ def dim_D_of_multiset(coeffs: RepeatedCoefficients, a: float) -> float:
     if not lo < a < hi:
         raise ValueError(f"a = {a} outside [{lo}, {hi}]")
     gamma = coeffs.phi_inverse(a)
-    return log2_N - gamma * (a - coeffs.ell(gamma))
+    top = hi if gamma >= 0 else lo
+    return math.log2(coeffs._tilted_moments(gamma)[0]) - gamma * (a - top)
 
 
 def dim_D(model: RcmModel, a: float) -> float:

@@ -3,7 +3,8 @@ against.
 
 Each oracle computes its quantity by a different route from the library
 function it checks, and calls none of them: a grid search for the
-Lagrange closed form of D(a), node-by-node enumeration for the
+Lagrange closed form of D(a), and a 40-digit bisection on the unshifted
+tilt for the same D on any multiset, node-by-node enumeration for the
 composition lattice of mu_n, per-generation node sums for the closed-form
 Besov exponent, and the coefficient sum for the synthesized grid's L2
 norm.  The enumeration finds its atoms among the nodes themselves and
@@ -36,6 +37,7 @@ from fractions import Fraction
 from itertools import islice
 from typing import Callable, Iterable, Iterator, Sequence
 
+import mpmath as mp
 import numpy as np
 
 from treeshell.coefficients import (GeneralCoefficients, RcmModel,
@@ -130,6 +132,41 @@ def entropy_max_oracle(coeffs: RepeatedCoefficients, a: float) -> float:
     if best_h == -np.inf:
         raise ValueError(f"infeasible constraint a = {a}")
     return best_h
+
+
+def dim_D_mpmath(log2_deltas: Sequence[float], a: float) -> float:
+    """D(a) at 40 digits, taking the floats log2 delta and a as exact.
+
+    The tilt gamma solves g(gamma) = sum (x - a) 2**(gamma (x - a)) = 0, an
+    increasing function, by bisection on a bracket doubled from the scale
+    1 / (max x - min x); then D = log2 sum 2**(gamma (x - a)), the entropy
+    of the tilted weights.  D is stationary in gamma, so 64 halvings of the
+    bracket leave its error far below double precision.
+    """
+    with mp.workdps(40):
+        x = [mp.mpf(float(v)) for v in log2_deltas]
+        a = mp.mpf(float(a))
+        if not min(x) < a < max(x):
+            raise ValueError(f"a = {a} not inside the open range of log2 delta")
+        ln2 = mp.log(2)
+
+        def g(gamma):
+            return mp.fsum((v - a) * mp.exp(gamma * ln2 * (v - a)) for v in x)
+
+        hi = 1 / (max(x) - min(x))
+        lo = -hi
+        while g(lo) > 0:
+            lo *= 2
+        while g(hi) < 0:
+            hi *= 2
+        for _ in range(64):
+            mid = (lo + hi) / 2
+            if g(mid) < 0:
+                lo = mid
+            else:
+                hi = mid
+        gamma = (lo + hi) / 2
+        return float(mp.log(mp.fsum(mp.exp(gamma * ln2 * (v - a)) for v in x), 2))
 
 
 def enumerate_log2_F(model: RcmModel, n: int) -> np.ndarray:

@@ -126,3 +126,28 @@ def test_every_traced_name_resolves():
         if not callable(obj):
             missing.append(f"{layer}.{path}")
     assert missing == []
+
+
+def test_legendre_calls_go_through_the_traced_names(monkeypatch):
+    # the tracer wraps spectra.dim_D and RepeatedCoefficients.phi_inverse,
+    # and the evaluation count wraps _tilted_moments: a call path around
+    # one of them would read zero with every test green
+    from treeshell import RcmModel, spectra
+    from treeshell.coefficients import RepeatedCoefficients
+
+    seen = []
+    for name in ("phi_inverse", "_tilted_moments"):
+        method = getattr(RepeatedCoefficients, name)
+        monkeypatch.setattr(
+            RepeatedCoefficients, name,
+            lambda self, *args, name=name, method=method:
+                seen.append(name) or method(self, *args))
+    model = RcmModel.create(2, 2.0, [1.0, 2.0, 3.0, 5.0])
+    coeffs = model.coeffs
+    for call, names in ((lambda: spectra.dim_D(model, 1.0),
+                         {"phi_inverse", "_tilted_moments"}),
+                        (lambda: coeffs.phi(0.7), {"_tilted_moments"}),
+                        (lambda: coeffs.phi_inverse(1.0), {"_tilted_moments"})):
+        seen.clear()
+        call()
+        assert names <= set(seen)

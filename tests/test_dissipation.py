@@ -1,3 +1,4 @@
+import functools
 import math
 from itertools import combinations_with_replacement
 
@@ -160,21 +161,28 @@ class TestMeasure:
         i = int(np.where((mu.counts == [2, 2]).all(axis=1))[0][0])
         assert 2.0 ** mu.log2_count[i] == pytest.approx(6.0, rel=1e-14)
 
-    @pytest.mark.parametrize("n", [16, 100, 400])
+    @pytest.mark.parametrize("n", [16, 100, 400, 5000, 2**20])
     def test_log2_multinomial_matches_exact(self, n, rng):
-        # every two-part row, and random rows of 3, 4 and 8 parts by cut points
+        # two-part rows (every one up to n = 5000; past it, those with a part
+        # below 600, across the Stirling cut-off, and 100 at random) and
+        # random rows of 3, 4 and 8 parts by cut points
         groups = [dp._compositions_matrix(n, 2)]
+        if n > 5000:
+            k = np.concatenate([np.arange(600), rng.integers(0, n + 1, 100)])
+            groups[0] = groups[0][np.concatenate([k, n - k])]
         for parts in (3, 4, 8):
             cuts = np.sort(rng.integers(0, n + 1, size=(40, parts - 1)), axis=1)
             groups.append(np.diff(cuts, prepend=0, append=n, axis=1))
-        tol = 4 * math.ulp(math.log2(math.factorial(n)))
         with mp.workdps(50):
+            ln_factorial = functools.lru_cache(None)(
+                lambda k: mp.loggamma(k + 1))
+            tol = 4 * math.ulp(float(ln_factorial(n) / mp.log(2)))
             for counts in groups:
                 got = dp._log2_multinomial(n, counts)
                 for row, value in zip(counts, got):
-                    exact = math.factorial(n) // math.prod(
-                        math.factorial(int(c)) for c in row)
-                    assert abs(value - float(mp.log(exact, 2))) <= tol, row
+                    exact = (ln_factorial(n) - mp.fsum(
+                        ln_factorial(int(c)) for c in row)) / mp.log(2)
+                    assert abs(value - float(exact)) <= tol, row
 
     def test_total_mass_one_up_to_400(self, d12):
         for n in (1, 7, 50, 400):

@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treeshell import RcmModel, lambda_family
 from treeshell import spectra
 from treeshell.coefficients import RepeatedCoefficients
 
-from oracles import entropy_max_oracle
+from oracles import dim_D_mpmath, entropy_max_oracle
 
 # mpmath (50 dps) reference values for deltas=(1,2), d=1, alpha=3/2
 DELTA_D12 = 0.8285576078854362
@@ -150,6 +152,24 @@ class TestRateAndDimension:
         # exact equality at the concentration point itself
         assert spectra.rate_R(d12, a_star) - spectra.dim_D(d12, a_star) \
             == pytest.approx(0.0, abs=1e-9)
+
+    # log2 delta = c + spread * u with u_0 = 0, u_1 = 1: near-flat multisets
+    # far from 0 are where D = log2 N - gamma (a - ell(gamma)) lost digits
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(st.sampled_from((2, 4, 8)).flatmap(lambda n: st.tuples(
+        st.floats(-30.0, 30.0), st.floats(-8.0, math.log10(60.0)),
+        st.lists(st.floats(0.0, 1.0), min_size=n - 2, max_size=n - 2))))
+    def test_dim_D_matches_mpmath(self, case):
+        offset, log10_spread, inner = case
+        u = np.array([0.0, 1.0] + inner)
+        c = RepeatedCoefficients(np.exp2(offset + 10.0**log10_spread * u))
+        lo, hi = c.ell_neg_inf(), c.ell_pos_inf()
+        for f in (1e-3, 0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99, 1 - 1e-3):
+            a = lo + (hi - lo) * f
+            if lo < a < hi:
+                want = dim_D_mpmath(c.log2_deltas, a)
+                got = spectra.dim_D_of_multiset(c, a)
+                assert abs(got - want) <= 1e-11, (c.log2_deltas.tolist(), a)
 
     def test_endpoints_use_degenerate_compositions(self):
         m = RcmModel.create(2, 2.0, [1.0, 1.0, 2.0, 4.0])
