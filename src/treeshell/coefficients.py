@@ -8,14 +8,15 @@ of the model reduces to two scalar functions of that multiset:
 - ``phi(gamma)``, the tilted mean of their log2, which is the derivative
   of ``s * ell(s)``.
 
-Both are max-shifted like ``log2sumexp2``, the package's log-sum-exp in
-base 2, so that arguments up to a few hundred neither overflow nor lose
-the leading term; ``ell`` is also centred at the mean of log2 delta and
-summed through ``expm1``/``log1p``, so it keeps its digits as s -> 0.
-``phi``'s shift is the top value (log2 max delta for gamma >= 0, log2 min
-delta otherwise); one helper, ``_tilted_moments``, gives every phi-side
-quantity from one exp2, and ``phi_inverse`` runs Newton's method on the
-logit of phi from its two-point closed form, in about four of them.
+Both are read from one centre, the top value x_top towards which the tilt
+2**(s log2 delta) grows: log2 max delta for an argument >= 0, log2 min
+delta otherwise (``_sides``).  Every exponent is then <= 0, so no argument
+overflows.  ``ell`` sums the distances to x_top through ``expm1``/``log1p``
+in one formula for scalar and array s, which keeps its digits as s -> 0;
+``phi`` and D(a) take them through ``exp2``, which keeps the tail weights'
+relative accuracy at large gamma.  One helper, ``_tilted_moments``, gives
+every phi-side quantity from one exp2, and ``phi_inverse`` runs Newton's
+method on the logit of phi from its two-point closed form, in about four.
 """
 
 from __future__ import annotations
@@ -140,106 +141,103 @@ class RepeatedCoefficients:
         values, counts = np.unique(np.asarray(self.deltas), return_counts=True)
         return values, counts
 
+    # -- the top value x_top, the one centre of ell and phi -----------------
+
+    @cached_property
+    def _sides(self) -> tuple[tuple[float, np.ndarray, np.ndarray], ...]:
+        """Per sign of the argument (>= 0, then < 0): x_top (log2 max delta,
+        then log2 min delta), the distances |log2 delta - x_top| and the
+        columns (1, x - x_min, x_max - x, distance**2) of ``_tilted_moments``."""
+        x = self.log2_deltas
+        above, below = x - x.min(), x.max() - x
+        ones = np.ones_like(x)
+        return ((float(x.max()), below,
+                 np.column_stack([ones, above, below, below**2])),
+                (float(x.min()), above,
+                 np.column_stack([ones, above, below, above**2])))
+
+    def _side(self, s: float) -> tuple[float, np.ndarray, np.ndarray]:
+        """The ``_sides`` entry of a scalar argument; NaN has none."""
+        if s != s:
+            raise ValueError("the argument of ell and phi must not be NaN")
+        return self._sides[int(s < 0)]
+
     # -- the log-s-norm ell ------------------------------------------------
 
     def ell(self, s: float | np.ndarray) -> float | np.ndarray:
-        """(1/s) log2( mean_w delta_w**s ); the mean mu of log2 delta at s=0.
+        """(1/s) log2( mean_w delta_w**s ); the mean of log2 delta at s=0.
 
-        At finite s != 0 it is centred at mu and max-shifted: with
-        t = s ln2, y = t (log2 delta - mu) and m = max y,
-        ell = mu + (m + log1p(mean(expm1(y - m)))) / t, which neither
-        overflows at large |s| nor cancels as s -> 0.  ``s`` may be a
-        float or a numpy array; an array is evaluated element-wise, to the
+        At finite s != 0, with t = s ln2,
+        ell = x_top + log1p(mean(expm1(-|t| distance))) / t.  ``s`` may be
+        a float or a numpy array; an array is evaluated element-wise, to the
         same bits as the scalar calls.
         """
         if isinstance(s, np.ndarray) and s.ndim:
-            return self._ell_array(s.astype(float, copy=False))
+            s = s.astype(float, copy=False)
+            if np.isnan(s).any():
+                raise ValueError("the argument of ell and phi must not be NaN")
+            out = np.full(s.shape, self.ell_zero())
+            for (top, dist, _), sel in zip(self._sides, (s > 0, s < 0)):
+                out[sel] = top
+                sel &= np.isfinite(s)
+                out[sel] = self._ell_finite(s[sel], top, dist)
+            return out
+        top, dist, _ = self._side(s)
         if s == 0:
             return self.ell_zero()
-        if math.isinf(s):
-            return self.ell_pos_inf() if s > 0 else self.ell_neg_inf()
-        # the array path's formula without its masks, which would cost a
-        # scalar call several times over; sum / size is np.mean's arithmetic
-        mu = self.ell_zero()
-        t = s * _LN2
-        y = t * (self.log2_deltas - mu)
-        m = y.max()
-        mean = np.expm1(y - m).sum() / self.size
-        return float(mu + (m + np.log1p(mean)) / t)
+        return top if math.isinf(s) else float(self._ell_finite(s, top, dist))
 
-    def _ell_array(self, s: np.ndarray) -> np.ndarray:
-        out = np.empty(s.shape)
-        zero = s == 0
-        inf = np.isinf(s)
-        finite = ~(zero | inf)
-        out[zero] = self.ell_zero()
-        out[inf & (s > 0)] = self.ell_pos_inf()
-        out[inf & (s < 0)] = self.ell_neg_inf()
-        mu = self.ell_zero()
-        t = s[finite] * _LN2
-        y = t[:, None] * (self.log2_deltas - mu)
-        m = y.max(axis=1)
-        out[finite] = mu + (m + np.log1p(
-            np.expm1(y - m[:, None]).sum(axis=1) / self.size)) / t
-        return out
+    def _ell_finite(self, s, top: float, dist: np.ndarray):
+        """ell at finite s != 0, a float or a 1-D array of one sign; each row
+        of the outer product sums in a 1-D sum's order, so an array entry has
+        the bits of the scalar call, and sum / size is np.mean's arithmetic."""
+        t = s * _LN2
+        mean = np.expm1(np.multiply.outer(-abs(t), dist)).sum(axis=-1) / self.size
+        return top + np.log1p(mean) / t
 
     def ell_zero(self) -> float:
         return float(self.log2_deltas.sum() / self.size)
 
     def ell_neg_inf(self) -> float:
         """Limit of ell at -infinity: log2 of the smallest coefficient."""
-        return float(self.log2_deltas.min())
+        return self._sides[1][0]
 
     def ell_pos_inf(self) -> float:
         """Limit of ell at +infinity: log2 of the largest coefficient."""
-        return float(self.log2_deltas.max())
+        return self._sides[0][0]
 
     # -- the tilted mean phi -------------------------------------------------
 
-    @cached_property
-    def _tilt_tables(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        """Per sign of gamma (>= 0, then < 0): the distances of log2 delta
-        to the top value and the columns (1, x - x_min, x_max - x,
-        distance**2) that one matmul with the weights sums."""
-        x = self.log2_deltas
-        above, below = x - x.min(), x.max() - x
-        ones = np.ones_like(x)
-        return ((below, np.column_stack([ones, above, below, below**2])),
-                (above, np.column_stack([ones, above, below, above**2])))
-
-    def _tilted_moments(self, gamma: float) -> tuple[float, float, float, float]:
-        """The tilt of log2 delta by the weights delta**gamma, shifted to the
-        top value x_top (log2 max delta for gamma >= 0, log2 min delta
-        otherwise): S = sum 2**(gamma (log2 delta - x_top)), phi - x_min,
-        x_max - phi and the variance, from one exp2 and one matmul.
+    def _tilted_moments(self, gamma: float
+                        ) -> tuple[float, float, float, float, float]:
+        """The tilt of log2 delta by the weights delta**gamma: x_top, S = sum
+        2**(gamma (log2 delta - x_top)), phi - x_min, x_max - phi and the
+        variance, from one exp2 and one matmul.
 
         Every weight is at most 1, and the top's is 1, so no gamma
-        overflows.  The variance is the mean square distance to x_top less
-        the square of its mean; the tilt towards x_top keeps the two apart.
+        overflows; at gamma = +-inf only the top's is left.  The variance
+        is the mean square distance to x_top less the square of its mean;
+        the tilt towards x_top keeps the two apart.
         """
-        dist, columns = self._tilt_tables[int(gamma < 0)]
-        s, above, below, square = (np.exp2(-abs(gamma) * dist) @ columns).tolist()
+        top, dist, columns = self._side(gamma)
+        weights = np.exp2(-abs(gamma) * dist) if abs(gamma) < math.inf \
+            else (dist == 0) * 1.0  # 0 * inf would be NaN
+        s, above, below, square = (weights @ columns).tolist()
         above, below = above / s, below / s
         var = square / s - (below if gamma >= 0 else above) ** 2
-        return s, above, below, max(var, 0.0)
+        return top, s, above, below, max(var, 0.0)
 
     def phi(self, gamma: float) -> float:
-        """Tilted mean of log2 delta; equals d/ds (s ell_s) at s=gamma.
-
-        It is read as x_min + (phi - x_min), except where every weight below
-        the top has underflowed: there phi is x_max itself, which that sum
-        can miss by an ulp.
-        """
-        _, above, below, _ = self._tilted_moments(gamma)
-        return self.ell_neg_inf() + above if below > 0 else self.ell_pos_inf()
+        """Tilted mean of log2 delta; equals d/ds (s ell_s) at s=gamma.  It
+        is read as x_top less or plus its tilted mean distance to x_top."""
+        top, _, above, below, _ = self._tilted_moments(gamma)
+        return top - below if gamma >= 0 else top + above
 
     def phi_derivative(self, gamma: float) -> float:
-        """Variance of log2 delta under the tilted weights; > 0 iff non-flat.
-
-        The tilt is in base 2, so the slope of phi is ln(2) times this
-        value.
-        """
-        return self._tilted_moments(gamma)[3]
+        """Variance of log2 delta under the tilted weights; > 0 iff non-flat
+        at finite gamma.  The tilt is in base 2, so the slope of phi is
+        ln(2) times this value."""
+        return self._tilted_moments(gamma)[4]
 
     def phi_inverse(self, a: float) -> float:
         """The gamma with phi(gamma) = a, by Newton's method on the logit
@@ -281,7 +279,7 @@ class RepeatedCoefficients:
         lo, hi = -math.inf, math.inf
         step = step_before = math.inf
         while True:
-            _, above, below, var = self._tilted_moments(gamma)
+            _, _, above, below, var = self._tilted_moments(gamma)
             near = min(above, below)
             miss = above - a_above if above <= below else a_below - below
             if abs(miss) <= self.size * math.ulp(near + math.sqrt(var)):

@@ -132,6 +132,14 @@ class DissipationMeasure:
         return log2sumexp2(self.log2_mass[~sel])
 
 
+def _path_sums(counts: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Per row of ``counts`` (compositions over the distinct ``values``),
+    the sum of log2 d along the path, in ``_reduce_rows``'s fixed order: a
+    matrix product would sum a row of many in another order than a single
+    composition, and the same path would get two sigmas an ulp apart."""
+    return _reduce_rows(np.add, counts * np.log2(values))
+
+
 def measure(model: RcmModel, n: int) -> DissipationMeasure:
     """Exact mu_n on the distinct-value composition lattice."""
     if n < 1:
@@ -140,7 +148,7 @@ def measure(model: RcmModel, n: int) -> DissipationMeasure:
     parts = len(values)
     check_budget("atoms", math.comb(n + parts - 1, parts - 1))
     counts = _compositions_matrix(n, parts)
-    path = counts @ np.log2(values)  # sum of log2 d along each atom's path
+    path = _path_sums(counts, values)
     sigma = path / n
     log2_count = _log2_multinomial(n, counts) + counts @ np.log2(mults)
     log2_node_f = n * cascade_rate(model) + 1.5 * path

@@ -35,6 +35,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .dissipation import _path_sums
 from .solution import ConstantSolution, check_budget
 from .spectra import s0
 from .tree import label_axes
@@ -313,9 +314,10 @@ def local_holder(solution: ConstantSolution, point, n_max: int) -> LocalHolder:
     [0,1)**d, read off the generation-n_max node whose cube holds it.
 
     The labels along that node's path are the point's binary digits.
-    Counted per distinct coefficient value, as in ``measure``, they give
-    the path sum of log2 d: sigma is the sum over n_max and log2 u of the
-    node is log2 f + q (n_max + 1) + sum / 2, as in ``log2_u_rows``.
+    Counted per distinct coefficient value, they give the path sum of log2
+    d in ``measure``'s order, so sigma, the sum over n_max, has the bits of
+    the matching atom's; log2 u of the node is log2 f + q (n_max + 1) +
+    sum / 2, as in ``log2_u_rows``.
     """
     m = solution.model
     coords = [float(x) for x in point]
@@ -329,7 +331,7 @@ def local_holder(solution: ConstantSolution, point, n_max: int) -> LocalHolder:
     value_of_label = np.searchsorted(values, m.deltas)
     counts = np.bincount(value_of_label[_label_path(coords, n_max) - 1],
                          minlength=len(values))
-    path = float(counts @ np.log2(values))
+    path = float(_path_sums(counts[None, :], values)[0])
     sig = path / n_max
     log2_u = math.log2(m.forcing) + solution.q * (n_max + 1) + 0.5 * path
     estimate = -m.d / 2.0 - log2_u / n_max

@@ -20,8 +20,9 @@ Delta = d - (3/2)(phi(3/2) - ell(3/2)).  D is evaluated as
     D(a) = log2 S - gamma_a (a - x_top),
     S = sum_w 2**(gamma_a (log2 delta_w - x_top)),
 
-with x_top the largest log2 delta for gamma_a >= 0 and the smallest
-otherwise.  This equals the form above, but both of its terms are >= 0,
+with x_top the top value that ell and phi are read from (the largest log2
+delta for gamma_a >= 0, the smallest otherwise), which ``_tilted_moments``
+returns with S.  This equals the form above, but both of its terms are >= 0,
 so the rounding of a - ell(gamma_a) is never multiplied by |gamma_a|
 (1e7 on near-flat multisets); and D is stationary in gamma, so the error
 of gamma_a enters only at second order.
@@ -142,28 +143,18 @@ def dim_D_of_multiset(coeffs: RepeatedCoefficients, a: float) -> float:
     """Constrained-entropy maximum for a coefficient multiset.
 
     The unconstrained maximum is log2 of the multiset size (the spatial
-    dimension d when the multiset has N = 2**d entries).  Closed endpoints
-    map to the degenerate compositions supported on the extreme value:
-    D = log2(multiplicity).  Inside, D = log2 S - gamma (a - x_top) from
-    the tilted sum S of ``_tilted_moments`` at gamma = phi^{-1}(a).
+    dimension d when the multiset has N = 2**d entries).  Within 1e-12 of
+    an end of the range D is log2 of the multiplicity of that extreme value,
+    whose compositions are degenerate.  Inside, D = log2 S - gamma (a -
+    x_top) from the tilted sum S of ``_tilted_moments`` at gamma =
+    phi^{-1}(a), which also rejects a flat multiset and any a outside.
     """
-    log2_N = math.log2(coeffs.size)
-    log2d = coeffs.log2_deltas
-    lo, hi = coeffs.ell_neg_inf(), coeffs.ell_pos_inf()
-    if coeffs.is_flat:
-        if not math.isclose(a, lo, rel_tol=0, abs_tol=1e-12):
-            raise ValueError("for a flat multiset D(a) is defined only at a = ell_0")
-        return log2_N
-    tol = 1e-12
-    if math.isclose(a, lo, rel_tol=0, abs_tol=tol):
-        return math.log2(np.sum(log2d <= lo + 1e-12))
-    if math.isclose(a, hi, rel_tol=0, abs_tol=tol):
-        return math.log2(np.sum(log2d >= hi - 1e-12))
-    if not lo < a < hi:
-        raise ValueError(f"a = {a} outside [{lo}, {hi}]")
+    for top, dist, _ in reversed(coeffs._sides):
+        if math.isclose(a, top, rel_tol=0, abs_tol=1e-12):
+            return math.log2(np.sum(dist <= 1e-12))
     gamma = coeffs.phi_inverse(a)
-    top = hi if gamma >= 0 else lo
-    return math.log2(coeffs._tilted_moments(gamma)[0]) - gamma * (a - top)
+    top, total, *_ = coeffs._tilted_moments(gamma)
+    return math.log2(total) - gamma * (a - top)
 
 
 def dim_D(model: RcmModel, a: float) -> float:

@@ -6,6 +6,7 @@ import importlib
 import pathlib
 import pkgutil
 
+import numpy as np
 import pytest
 
 import treeshell
@@ -129,25 +130,30 @@ def test_every_traced_name_resolves():
 
 
 def test_legendre_calls_go_through_the_traced_names(monkeypatch):
-    # the tracer wraps spectra.dim_D and RepeatedCoefficients.phi_inverse,
-    # and the evaluation count wraps _tilted_moments: a call path around
-    # one of them would read zero with every test green
+    # the tracer wraps spectra.dim_D and RepeatedCoefficients.ell, .phi and
+    # .phi_inverse, and the evaluation count wraps _tilted_moments: a call
+    # path around one of them would read zero with every test green
     from treeshell import RcmModel, spectra
     from treeshell.coefficients import RepeatedCoefficients
 
     seen = []
-    for name in ("phi_inverse", "_tilted_moments"):
+    for name in ("ell", "phi_inverse", "_tilted_moments"):
         method = getattr(RepeatedCoefficients, name)
         monkeypatch.setattr(
             RepeatedCoefficients, name,
-            lambda self, *args, name=name, method=method:
-                seen.append(name) or method(self, *args))
+            lambda self, arg, name=name, method=method:
+                seen.append((name, np.ndim(arg) > 0)) or method(self, arg))
     model = RcmModel.create(2, 2.0, [1.0, 2.0, 3.0, 5.0])
     coeffs = model.coeffs
-    for call, names in ((lambda: spectra.dim_D(model, 1.0),
-                         {"phi_inverse", "_tilted_moments"}),
-                        (lambda: coeffs.phi(0.7), {"_tilted_moments"}),
-                        (lambda: coeffs.phi_inverse(1.0), {"_tilted_moments"})):
+    # (name, whether its argument was an array)
+    for call, names in (
+            (lambda: spectra.dim_D(model, 1.0),
+             {("phi_inverse", False), ("_tilted_moments", False)}),
+            (lambda: coeffs.phi(0.7), {("_tilted_moments", False)}),
+            (lambda: coeffs.phi_inverse(1.0), {("_tilted_moments", False)}),
+            (lambda: spectra.zeta_raw(model, np.arange(4.0)), {("ell", True)}),
+            (lambda: spectra.s0(model, 2.0), {("ell", False)}),
+            (lambda: spectra.fixed_point_q(model), {("ell", False)})):
         seen.clear()
         call()
         assert names <= set(seen)

@@ -95,7 +95,7 @@ def inversion_cases(rng):
 
 
 # ell near s = 0, where the plain form (1/s) log2 mean 2**(s log2 delta)
-# loses about eps/|s| to cancellation (2e-13 at 1e-3); the centred form
+# loses about eps/|s| to cancellation (2e-13 at 1e-3); the expm1/log1p form
 # keeps every finite s to 1e-15, up to s = 0.5 and beyond
 NEAR_ZERO_S = (-1e-12, 1e-12, 1e-9, math.nextafter(1e-8, 0.0),
                math.nextafter(1e-8, 1.0), 1e-7, 1e-5, 1e-4,
@@ -152,6 +152,41 @@ class TestEll:
         c = RepeatedCoefficients([0.25, 1.0, 8.0, 2.0])
         assert c.ell_neg_inf() == -2.0
         assert c.ell_pos_inf() == 3.0
+        assert c.ell(-math.inf) == -2.0
+        assert c.ell(math.inf) == 3.0
+
+    def test_nan_is_rejected(self):
+        c = RepeatedCoefficients([1.0, 2.0])
+        with pytest.raises(ValueError):
+            c.ell(math.nan)
+        with pytest.raises(ValueError):
+            c.ell(np.array([0.5, math.nan]))
+
+    # log2 delta = c + spread * u with u_0 = 0, u_1 = 1 (spread 3, or 1e-6
+    # for near-flat sets), or wide sets drawn from [-29, 29]; the error is
+    # taken relative to max(|ell|, 1), and the tolerances were fixed before
+    # the first run: 2e-15 on offset sets, 2e-14 on wide ones, where ell
+    # near 0 is read from a top value near 29
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(st.sampled_from((2, 4, 8)).flatmap(lambda n: st.tuples(
+        st.sampled_from(("offset", "near_flat", "wide")), st.floats(-30.0, 30.0),
+        st.lists(st.floats(0.0, 1.0), min_size=n - 2, max_size=n - 2),
+        st.lists(st.floats(-29.0, 29.0), min_size=n, max_size=n))))
+    def test_families_match_mpmath(self, case):
+        kind, offset, inner, wide = case
+        if kind == "wide":
+            log2_deltas, tol = np.array(wide), 2e-14
+        else:
+            spread = 3.0 if kind == "offset" else 1e-6
+            log2_deltas = offset + spread * np.array([0.0, 1.0] + inner)
+            tol = 2e-15
+        deltas = np.exp2(log2_deltas)
+        c = RepeatedCoefficients(deltas)
+        for magnitude in (1e-9, 1e-6, 1e-3, 0.1, 0.5, 1.5, 7.0, 40.0, 200.0):
+            for s in (-magnitude, magnitude):
+                want = ell_oracle(deltas, s)
+                assert abs(c.ell(s) - want) <= tol * max(abs(want), 1.0), (
+                    kind, log2_deltas.tolist(), s)
 
     def test_monotone_and_bounded(self, rng):
         deltas = np.exp(rng.uniform(-1, 1, size=8))
@@ -205,6 +240,22 @@ class TestPhi:
         c = RepeatedCoefficients([1.0, 2.0, 4.0, 8.0])
         assert c.phi(250.0) == pytest.approx(3.0, abs=1e-9)
         assert c.phi(-250.0) == pytest.approx(0.0, abs=1e-9)
+
+    def test_limits_at_infinity(self):
+        # like ell: the top value of each sign, however often it occurs
+        for deltas in ([1.0, 2.0], [0.5, 0.5, 3.0, 1.0]):
+            c = RepeatedCoefficients(deltas)
+            assert c.phi(math.inf) == c.ell(math.inf) == c.ell_pos_inf()
+            assert c.phi(-math.inf) == c.ell(-math.inf) == c.ell_neg_inf()
+
+    def test_nan_is_rejected(self):
+        with pytest.raises(ValueError):
+            RepeatedCoefficients([1.0, 2.0]).phi(math.nan)
+
+    def test_band_centre_is_correctly_rounded(self):
+        # phi(3/2) of the lambda = 0.2 model, read from its top value
+        c = lambda_family(0.2).coeffs
+        assert c.phi(1.5) == phi_oracle(c.deltas, 1.5) == 0.9087438440074241
 
     def test_strictly_increasing_iff_non_flat(self):
         skew = RepeatedCoefficients([1.0, 3.0])
@@ -325,6 +376,14 @@ class TestPhiDerivative:
         # log2 deltas are {0, 1} with equal weights at gamma = 0
         c = RepeatedCoefficients([1.0, 2.0])
         assert c.phi_derivative(0.0) == pytest.approx(0.25, abs=1e-15)
+
+    def test_limits_at_infinity(self):
+        c = RepeatedCoefficients([1.0, 2.0, 2.0, 3.0])
+        assert c.phi_derivative(math.inf) == c.phi_derivative(-math.inf) == 0.0
+
+    def test_nan_is_rejected(self):
+        with pytest.raises(ValueError):
+            RepeatedCoefficients([1.0, 2.0]).phi_derivative(math.nan)
 
     def test_finite_difference_consistency(self, rng):
         # the tilt is in base 2, so d(phi)/d(gamma) = ln2 * bit-variance

@@ -405,14 +405,11 @@ class TestLocalHolderPath:
 
     @pytest.mark.parametrize("d, deltas", HOLDER_MODELS)
     def test_sigma_is_the_measure_atom_sigma(self, rng, d, deltas):
-        # the same composition, and sigma by measure's counts @ log2 values;
-        # BLAS sums a row of measure's count matrix in another order than
-        # one vector's dot product, so above two distinct values with
-        # inexact log2 the bits may differ
+        # the same composition gets the same sigma, to the bit, on every
+        # model: both routes sum a path in one fixed order
         model = RcmModel.create(d, d / 2 + 1, deltas)
         sol = ConstantSolution(model)
         values, _ = model.coeffs.distinct()
-        exact = d == 1 or np.all(np.log2(values) == np.round(np.log2(values)))
         for n in (1, 5, 9):
             mu = dp.measure(model, n)
             sigma = dict(zip(map(tuple, mu.counts.tolist()), mu.sigma))
@@ -421,11 +418,7 @@ class TestLocalHolderPath:
                 used = [deltas[label - 1] for label in labels]
                 composition = tuple(used.count(v) for v in values)
                 got = fd.local_holder(sol, x, n).sigma
-                want = sigma[composition]
-                if exact:
-                    assert same_bits(got, want)
-                else:
-                    assert got == pytest.approx(want, rel=0, abs=1e-15)
+                assert same_bits(got, sigma[composition])
 
     @pytest.mark.parametrize("d, deltas", HOLDER_MODELS)
     def test_estimate_matches_the_node_oracle(self, rng, d, deltas):
