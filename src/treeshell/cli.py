@@ -7,6 +7,9 @@ are printed with 17 significant digits, so outputs are byte-identical
 across runs with the same seed and configuration.  CSV rows are formatted
 and written in chunks, so only one chunk's text is in memory at a time, and
 a float column that repeats values has each distinct value formatted once.
+A table of _BYTE_ROWS rows or more with a float column is laid out as a
+byte matrix a chunk, its floats given '%.17g''s exact text by numpy
+arithmetic (``_format_floats``); smaller tables use '%' row templates.
 
 Exit codes: 0 success, 1 numeric failure, 2 configuration error.  The
 exception type decides which: every ``ValueError`` the library or the flag
@@ -18,6 +21,7 @@ run quietly with exit 1.
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -33,9 +37,25 @@ from .solution import (ConstantSolution, ResourceLimitError, check_budget,
 
 _FLOAT = "%.17g"
 _CHUNK_ROWS = 2**15  # rows per formatted chunk: bounds the live text
-# '%.17g' costs ~650 ns a value; np.unique's inverse plus a gathered '%s'
-# cell ~120 ns a row: formatting distinct values once pays up to ~70% distinct
+# a table of _BYTE_ROWS rows or more with a double column is laid out as
+# byte rows (_byte_chunk).  _format_floats costs ~60 ns a value against
+# ~550 ns for '%.17g', but ~90 us of fixed cost a call: on one double
+# column the two paths cross near 170 rows
+_BYTE_ROWS = 256
+# np.unique's inverse (~30 ns a row) gives a double column's share of
+# distinct values; formatting those once and gathering the cells by index
+# pays below ~65% distinct on either path
 _DISTINCT_SHARE = 0.5
+
+# _format_floats: for 1e-4 <= |x| < 1e16, '%.17g' is fixed notation of the
+# 17-digit significand N = round(|x| * 10**(16 - E)) in [1e16, 1e17), E the
+# decimal exponent, and 10**(16 - E) is an exact double
+_SLOT = 40  # bytes a value: sign, "0.000", then 17 digits each with a point
+_COMMA, _NEWLINE = (np.frombuffer(c, np.uint8) for c in (b",", b"\n"))
+_VELTKAMP = 2.0**27 + 1  # splits a double into two 26-bit halves
+_POW10 = 10.0 ** np.arange(23)
+_POW10_HI = _POW10 * _VELTKAMP - (_POW10 * _VELTKAMP - _POW10)
+_POW10_LO = _POW10 - _POW10_HI
 
 
 def _header(model: RcmModel | None, seed, config: dict) -> list[str]:
@@ -63,39 +83,184 @@ def _write_csv(path, header_lines: list[str], columns: dict) -> None:
 
 
 def _csv_chunks(header_lines: list[str], columns: dict):
-    """The CSV text in chunks of _CHUNK_ROWS rows, each formatted by one
-    ``%`` call on a row template; a scalar column is literal template text.
-    A double column with few distinct bit patterns formats each pattern
-    once and fills its ``%s`` cells by index."""
+    """The CSV text in chunks of _CHUNK_ROWS rows.  A table of _BYTE_ROWS
+    rows or more with a double column lays each chunk out as byte rows; any
+    other formats it by one ``%`` call on a row template.  A double column
+    with few distinct bit patterns formats each pattern once and gathers
+    its cells by index."""
     arrays = [np.asarray(col) for col in columns.values()]
     n_rows = max((len(a) for a in arrays if a.ndim), default=1)
-    # vectors: (None, column), or (formatted distinct values, column's index)
-    cells, vectors = [], []
+    as_bytes = n_rows >= _BYTE_ROWS and any(
+        a.ndim and a.dtype == np.float64 for a in arrays)
+    # a scalar column's text, or (format, formatted distinct values or
+    # None, the column or its index into them)
+    cols = []
     for a in arrays:
         fmt = _FLOAT if a.dtype.kind == "f" else "%s"
         if not a.ndim:
-            cells.append((fmt % a.item()).replace("%", "%%"))
+            cols.append(fmt % a.item())
             continue
-        strings = None
+        table = None
         if a.dtype == np.float64:
             # bit patterns, not values: -0.0 and 0.0 print differently
             bits, index = np.unique(a.view(np.uint64), return_inverse=True)
             if len(bits) <= _DISTINCT_SHARE * len(a):
-                strings = np.array([_FLOAT % x for x in
-                                    bits.view(np.float64).tolist()], object)
+                values = bits.view(np.float64)
+                table = (_format_floats(values) if as_bytes else np.array(
+                    [_FLOAT % x for x in values.tolist()], object))
                 fmt, a = "%s", index
-        cells.append(fmt)
-        vectors.append((strings, a))
-    row = ",".join(cells) + "\n"
+        cols.append((fmt, table, a))
     yield "\n".join([*header_lines, ",".join(columns)]) + "\n"
-    m = len(vectors)
+    chunk = _byte_chunk if as_bytes else _text_chunk
     for start in range(0, n_rows, _CHUNK_ROWS):
-        k = min(_CHUNK_ROWS, n_rows - start)
-        values = [None] * (k * m)  # the chunk's cells, row by row
-        for i, (strings, a) in enumerate(vectors):
-            part = a[start:start + k]
-            values[i::m] = (part if strings is None else strings[part]).tolist()
-        yield row * k % tuple(values)
+        yield chunk(cols, slice(start, min(start + _CHUNK_ROWS, n_rows)))
+
+
+def _text_chunk(cols: list, rows: slice) -> str:
+    """The rows' text by one ``%`` call on a row template, in which a scalar
+    column is literal text."""
+    cells, vectors = [], []
+    for col in cols:
+        if isinstance(col, str):
+            cells.append(col.replace("%", "%%"))
+        else:
+            fmt, table, a = col
+            cells.append(fmt)
+            vectors.append(a[rows] if table is None else table[a[rows]])
+    k, m = rows.stop - rows.start, len(vectors)
+    values = [None] * (k * m)  # the chunk's cells, row by row
+    for i, part in enumerate(vectors):
+        values[i::m] = part.tolist()
+    return (",".join(cells) + "\n") * k % tuple(values)
+
+
+def _byte_chunk(cols: list, rows: slice) -> str:
+    """The rows' text as one uint8 matrix: each column's cells in a slot of
+    fixed width padded with 0xFF, a byte UTF-8 never uses, and the commas
+    and newline in fixed columns; the padding is deleted as the matrix
+    becomes text."""
+    parts = []
+    for col in cols:
+        if isinstance(col, str):
+            parts.append(np.frombuffer(col.encode(), np.uint8))
+        else:
+            fmt, table, a = col
+            part = a[rows]
+            if table is not None:
+                parts.append(table.take(part, axis=0))
+            elif part.dtype == np.float64:
+                parts.append(_format_floats(part))
+            else:
+                parts.append(_text_slots([fmt % v for v in part.tolist()]))
+        parts.append(_COMMA)
+    parts[-1:] = [_NEWLINE]  # the last comma, if any
+    out = np.empty((rows.stop - rows.start, sum(p.shape[-1] for p in parts)),
+                   np.uint8)
+    col = 0
+    for part in parts:
+        out[:, col:col + part.shape[-1]] = part
+        col += part.shape[-1]
+    return out.tobytes().translate(None, b"\xff").decode()
+
+
+def _text_slots(strings: list[str], width: int | None = None) -> np.ndarray:
+    """The strings' UTF-8 bytes as the rows of a uint8 matrix, padded with
+    0xFF to `width` bytes (default: the longest)."""
+    data = [s.encode() for s in strings]
+    if width is None:
+        width = max(map(len, data), default=0)
+    return np.frombuffer(b"".join(d.ljust(width, b"\xff") for d in data),
+                         np.uint8).reshape(len(data), width)
+
+
+def _significand(a: np.ndarray, e10: np.ndarray) -> np.ndarray:
+    """round-half-even(a * 10**(16 - e10)), exactly, as int64.
+
+    Dekker's two-product with Veltkamp splits gives a * 10**k = p + err
+    exactly without an FMA.  Where p >= 2**53 it is an even integer, so
+    rounding err alone rounds p + err, ties to even included."""
+    k = 16 - e10
+    p = a * _POW10.take(k)
+    t = a * _VELTKAMP
+    a_hi = t - (t - a)
+    a_lo = a - a_hi
+    c_hi, c_lo = _POW10_HI.take(k), _POW10_LO.take(k)
+    err = ((a_hi * c_hi - p) + a_hi * c_lo + a_lo * c_hi) + a_lo * c_lo
+    return p.astype(np.int64) + np.rint(err).astype(np.int64)
+
+
+@functools.cache
+def _slot_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The lookup tables of _format_floats, built on first use.
+
+    - Layouts, by (sign, E + 4, index of the last digit written): the sign,
+      "0." and leading zeros for E < 0, a zero byte for each digit written,
+      the point after digit E when a fraction follows, 0xFF elsewhere.
+    - Digit words, 8 bytes to OR into a slot: the 10,000 groups of four
+      digits, each digit followed by a zero point byte, then the ten lead
+      digits at byte 6.
+    - The count of trailing zeros of each group of four."""
+    sign, e10, last = np.ix_([0, 1], range(-4, 17), range(17))
+    rows = np.full((2, 21, 17, _SLOT), 255, np.uint8)
+    rows[..., 0] = np.where(sign, ord("-"), 255)
+    n_prefix = np.where(e10 < 0, 1 - e10, 0)[..., None]
+    rows[..., 1:6] = np.where(np.arange(5) < n_prefix,
+                              np.frombuffer(b"0.000", np.uint8), 255)
+    digit = np.arange(17)
+    rows[..., 6::2] = np.where(digit <= np.maximum(last, e10)[..., None], 0, 255)
+    point = (digit == e10[..., None]) & (e10 < last)[..., None]
+    rows[..., 7::2] = np.where(point, ord("."), 255)
+    group = np.arange(10**4, dtype=np.uint16)
+    words = np.zeros((10**4 + 10, 8), np.uint8)
+    words[:10**4, 0::2] = (group[:, None] // np.array([1000, 100, 10, 1],
+                                                      np.uint16) % 10 + 48)
+    words[10**4:, 6] = np.arange(10) + 48
+    zeros = sum(group % 10**j == 0 for j in range(1, 5)).astype(np.int8)
+    return (rows.reshape(-1, _SLOT).view(np.uint64),
+            words.view(np.uint64).ravel(), zeros)
+
+
+def _format_floats(x: np.ndarray) -> np.ndarray:
+    """The '%.17g' text of each value of the float64 array x, as the rows of
+    a (len(x), _SLOT) uint8 matrix padded with 0xFF.
+
+    Values with 1e-4 <= |x| < 1e16 are formatted by array arithmetic: the
+    significand N, then its lead digit and four groups of four digits as
+    digit words, ORed into the layout that the sign, E and N's last nonzero
+    digit select.  Zeros, subnormals, inf, NaN and the values printed in
+    exponent notation go through '%.17g' one by one."""
+    layouts, digit_words, trailing_zeros = _slot_tables()
+    a = np.abs(x)
+    fast = (a >= 1e-4) & (a < 1e16)
+    a[~fast] = 1.0  # a stand-in, overwritten at the end
+    e10 = np.floor(np.log10(a)).astype(np.intp)
+    n = _significand(a, e10)
+    # log10 may round across a power of ten: round those rows at E -/+ 1
+    off = (n >= 10**17).astype(np.intp) - (n < 10**16)
+    redo = np.flatnonzero(off)
+    if len(redo):
+        e10[redo] += off[redo]
+        n[redo] = _significand(a[redo], e10[redo])
+    hi, lo = divmod(n, 10**8)
+    lead, hi = divmod(hi.astype(np.uint32), 10**8)
+    groups = [*divmod(hi, 10**4), *divmod(lo.astype(np.uint32), 10**4)]
+    index = np.empty((len(x), 5), np.intp)  # into digit_words
+    index[:, 0] = lead + 10**4
+    for j, group in enumerate(groups, 1):
+        index[:, j] = group
+    # N's trailing zeros: an all-zero group counts 4 and adds the next one's
+    z = [trailing_zeros.take(group) for group in groups]
+    zeros = z[3] + (z[3] == 4) * (z[2] + (z[2] == 4) * (
+        z[1] + (z[1] == 4) * z[0]))
+    slots = layouts.take((np.signbit(x) * 21 + e10 + 4) * 17 + 16 - zeros,
+                         axis=0)
+    slots |= digit_words.take(index)
+    slots = slots.view(np.uint8)
+    slow = np.flatnonzero(~fast)
+    if len(slow):
+        slots[slow] = _text_slots([_FLOAT % v for v in x[slow].tolist()],
+                                  _SLOT)
+    return slots
 
 
 def _write_json(path, payload) -> None:
@@ -313,6 +478,9 @@ def cmd_structure(args) -> int:
     window = None
     if args.fit_window:
         window = tuple(_parse_ints(args.fit_window, "--fit-window"))
+        if len(window) != 2:
+            raise ValueError("--fit-window needs 'm_lo,m_hi', "
+                             f"got {args.fit_window!r}")
     ps = _parse_floats(args.p_list, "--p-list")
     model = _model_from_args(args)
     # an S_p that leaves the double range is reported below, in one line

@@ -168,12 +168,14 @@ class StructureFunctionEstimate:
 
 def fit_window(depth: int, m_range: tuple[int, int] | None = None
                ) -> tuple[int, int]:
-    """The fit window [m_lo, m_hi] for a depth-`depth` field, checked to lie
-    in 1..depth-1; the default is [3, depth - 4] (so it needs depth >= 7)."""
+    """The fit window [m_lo, m_hi] for a depth-`depth` field, checked to
+    hold at least two scales, m_lo < m_hi, within 1..depth-1, since a slope
+    fitted to one scale is no estimate; the default is [3, depth - 4] (so it
+    needs depth >= 8)."""
     m_lo, m_hi = (3, depth - 4) if m_range is None else m_range
-    if not 1 <= m_lo <= m_hi <= depth - 1:
-        raise ValueError(
-            f"fit window [{m_lo}, {m_hi}] empty or outside 1..{depth - 1}")
+    if not 1 <= m_lo < m_hi <= depth - 1:
+        raise ValueError(f"fit window [{m_lo}, {m_hi}] has fewer than two "
+                         f"scales or leaves 1..{depth - 1}")
     return m_lo, m_hi
 
 

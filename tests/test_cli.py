@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -640,6 +641,9 @@ class TestCliContract:
         assert rc == 2 and out == ""
 
     @pytest.mark.parametrize("extra", [["--depth", "6"],
+                                       # the default [3, 3]: one scale
+                                       ["--depth", "7"],
+                                       ["--depth", "10", "--fit-window", "3,3"],
                                        ["--depth", "10", "--fit-window", "0,5"],
                                        ["--depth", "10", "--fit-window", "5,10"],
                                        ["--depth", "10", "--fit-window", "6,4"],
@@ -649,6 +653,17 @@ class TestCliContract:
         rc, out = run_cli(["structure", "--deltas", "1,2", "--dim", "1",
                            "--alpha", "1.5"] + extra, capsys)
         assert rc == 2 and out == ""
+
+    @pytest.mark.parametrize("window", ["3", "3,4,5"])
+    def test_structure_names_a_fit_window_of_other_length(self, capsys,
+                                                          no_synthesis,
+                                                          window):
+        rc = main(["structure", "--deltas", "1,2", "--dim", "1", "--alpha",
+                   "1.5", "--depth", "10", "--fit-window", window])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert captured.err == ("configuration error: --fit-window needs "
+                                f"'m_lo,m_hi', got {window!r}\n")
 
     @pytest.mark.parametrize("extra", [["--p-list", "nan"],
                                        ["--p-list", "0,inf"],
@@ -878,11 +893,14 @@ def written_bytes(header, columns) -> tuple[bytes, bytes]:
 
 @st.composite
 def tables(draw):
-    """A chunk size, and columns of every kind, scalar or not, whose row
-    count sits on a chunk boundary or anywhere up to three chunks."""
+    """A chunk size, a byte-row threshold, and columns of every kind, scalar
+    or not, whose row count sits on a chunk boundary or anywhere up to three
+    chunks, and on either side of the threshold."""
     chunk = draw(st.integers(1, 4))
     n_rows = draw(st.sampled_from([0, 1, chunk - 1, chunk, chunk + 1,
                                    2 * chunk + 1]) | st.integers(0, 3 * chunk))
+    threshold = draw(st.sampled_from([n_rows, n_rows + 1])
+                     | st.integers(0, 3 * chunk + 1))
     names = draw(st.lists(st.text(alphabet="xy%,", min_size=1), min_size=1,
                           max_size=5, unique=True))
     columns = {}
@@ -891,7 +909,7 @@ def tables(draw):
         columns[name] = (draw(cells) if draw(st.booleans())
                          else draw(st.lists(cells, min_size=n_rows,
                                             max_size=n_rows)))
-    return chunk, columns
+    return chunk, threshold, columns
 
 
 class TestChunkedCsvWriter:
@@ -899,8 +917,9 @@ class TestChunkedCsvWriter:
               database=None)
     @given(tables(), st.lists(st.text(alphabet="# %s"), max_size=2))
     def test_bytes_match_the_oracle(self, table, header):
-        chunk, columns = table
-        with mock.patch.object(cli, "_CHUNK_ROWS", chunk):
+        chunk, threshold, columns = table
+        with mock.patch.object(cli, "_CHUNK_ROWS", chunk), \
+                mock.patch.object(cli, "_BYTE_ROWS", threshold):
             to_file, to_stdout = written_bytes(header, columns)
         want = csv_text_oracle(header, columns).encode()
         assert to_file == want and to_stdout == want
@@ -957,6 +976,108 @@ class TestChunkedCsvWriter:
         rows = parse_csv(out)
         assert len(rows) == atoms
         assert {r["n"] for r in rows} == {"57"}
+
+    @pytest.mark.parametrize("pooled", [False, True])
+    @pytest.mark.parametrize("n_rows", [cli._BYTE_ROWS - 1, cli._BYTE_ROWS,
+                                        CHUNK + 1])
+    def test_large_double_columns_go_through_the_kernel(self, n_rows, pooled):
+        # a table of _BYTE_ROWS rows or more formats its doubles with
+        # _format_floats, all of them or (pooled) each distinct one once; a
+        # smaller table formats none with it
+        rng = np.random.default_rng(n_rows)
+        x = rng.standard_normal(n_rows) * 1e3
+        if pooled:
+            x = rng.choice(x[:7], n_rows)
+        columns = {"n": 3, "x": x, "k": np.arange(n_rows)}
+        with mock.patch.object(cli, "_format_floats",
+                               wraps=cli._format_floats) as kernel:
+            to_file, _ = written_bytes(["# h"], columns)
+        assert to_file == csv_text_oracle(["# h"], columns).encode()
+        formatted = sum(len(c.args[0]) for c in kernel.call_args_list)
+        if n_rows < cli._BYTE_ROWS:
+            assert formatted == 0
+        else:  # written twice: to a file and to stdout
+            assert formatted == 2 * (len(set(x.tolist())) if pooled
+                                     else n_rows)
+
+
+def float_texts(x) -> list[str]:
+    """The text _format_floats gives each value of x, its padding dropped."""
+    slots = cli._format_floats(np.asarray(x, np.float64))
+    assert slots.shape == (len(x), cli._SLOT) and slots.dtype == np.uint8
+    return [row.tobytes().translate(None, b"\xff").decode() for row in slots]
+
+
+def printf_texts(x) -> list[str]:
+    return ["%.17g" % v for v in np.asarray(x, np.float64).tolist()]
+
+
+# the bit patterns of the doubles in the fast range [1e-4, 1e16)
+FAST_BITS = tuple(int(b) for b in np.array([1e-4, 1e16]).view(np.uint64))
+
+
+class TestFormatFloats:
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              database=None)
+    @given(st.lists(st.integers(0, 2**64 - 1)
+                    | st.tuples(st.booleans(), st.integers(*FAST_BITS)).map(
+                        lambda t: t[0] << 63 | t[1]), max_size=40))
+    def test_matches_printf_on_any_bit_pattern(self, bits):
+        x = np.array(bits, np.uint64).view(np.float64)
+        assert float_texts(x) == printf_texts(x)
+
+    def test_powers_of_ten_and_their_neighbours(self):
+        # log10 rounds the double below most powers up to the power: those
+        # are rounded again one decade lower
+        p = np.array([float(f"1e{m}") for m in range(-5, 18)])
+        x = np.concatenate([np.nextafter(p, 0), p, np.nextafter(p, np.inf)])
+        x = np.concatenate([x, -x])
+        assert float_texts(x) == printf_texts(x)
+
+    def test_exact_ties_round_half_even(self):
+        # an odd j / 2**(k+1) in [1e(16-k), 1e(17-k)) has 18 significant
+        # digits, the last a 5: a tie at 17 digits, which rounds up where
+        # the 17th digit is odd and down where it is even
+        rng = np.random.default_rng(7)
+        x, parities = [], set()
+        for k in range(1, 21):
+            lo = math.ceil(Fraction(10)**(16 - k) * 2**(k + 1))
+            hi = min(math.ceil(Fraction(10)**(17 - k) * 2**(k + 1)), 2**53)
+            for j in rng.integers(lo // 2, hi // 2, 60) * 2 + 1:
+                v = int(j) / 2**(k + 1)
+                scaled = Fraction(v) * 10**k
+                assert scaled.denominator == 2
+                parities.add(math.floor(scaled) % 2)
+                x.append(v)
+        x.append(1000000000000000.25)
+        assert parities == {0, 1}
+        texts = float_texts(x)
+        assert texts == printf_texts(x)
+        assert texts[-1] == "1000000000000000.2"
+
+    def test_decade_round_ups(self):
+        # no double in [1e-4, 1e16) rounds up across a decade at 17 digits;
+        # these doubles lie below 10**m and print as 10**m, by '%.17g'
+        m = [-14, -70, 98, 129]
+        x = [float(f"1e{e}") for e in m]
+        assert all(Fraction(v) < Fraction(10)**e for v, e in zip(x, m))
+        assert float_texts(x) == printf_texts(x) == [
+            "1e-14", "1e-70", "1e+98", "1e+129"]
+
+    def test_ends_of_the_fast_range_and_special_values(self):
+        nan_payload = np.array([0x7FF8000000000001, 0xFFF0000000000F00],
+                               np.uint64).view(np.float64)
+        ends = [1e-4, np.nextafter(1e-4, 0), 1e16, np.nextafter(1e16, 0)]
+        x = np.concatenate([ends, np.negative(ends), [-0.0, 0.0, 5e-324,
+                            math.inf, -math.inf], nan_payload])
+        assert float_texts(x) == printf_texts(x)
+        assert float_texts(ends) == ["0.0001", "9.9999999999999991e-05",
+                                     "10000000000000000", "9999999999999998"]
+
+    def test_strided_and_empty_input(self):
+        x = np.random.default_rng(3).standard_normal((50, 3))[:, 1] * 10
+        assert float_texts(x) == printf_texts(x)
+        assert float_texts(np.array([])) == []
 
 
 # small sizes for every model subcommand; "{summary}" is a path in the run's
