@@ -5,11 +5,11 @@ structure, lln.  Every output file starts with comment lines carrying the
 model hash, seed, package version and the echoed configuration, and floats
 are printed with 17 significant digits, so outputs are byte-identical
 across runs with the same seed and configuration.  CSV rows are formatted
-and written in chunks, so only one chunk's text is in memory at a time, and
-a float column that repeats values has each distinct value formatted once.
-A table of _BYTE_ROWS rows or more with a float column is laid out as a
-byte matrix a chunk, its floats given '%.17g''s exact text by numpy
-arithmetic (``_format_floats``); smaller tables use '%' row templates.
+and written in chunks, so only one chunk's text is in memory at a time.
+Every chunk is laid out as a byte matrix, one fixed-width slot a cell
+(``_byte_chunk``); the doubles of a table of _BYTE_ROWS rows or more get
+'%.17g''s exact text by numpy arithmetic (``_format_floats``), every other
+cell is formatted one value at a time.
 
 Exit codes: 0 success, 1 numeric failure, 2 configuration error.  The
 exception type decides which: every ``ValueError`` the library or the flag
@@ -37,15 +37,12 @@ from .solution import (ConstantSolution, ResourceLimitError, check_budget,
 
 _FLOAT = "%.17g"
 _CHUNK_ROWS = 2**15  # rows per formatted chunk: bounds the live text
-# a table of _BYTE_ROWS rows or more with a double column is laid out as
-# byte rows (_byte_chunk).  _format_floats costs ~60 ns a value against
-# ~550 ns for '%.17g', but ~90 us of fixed cost a call: on one double
-# column the two paths cross near 170 rows
+# the doubles of a table of _BYTE_ROWS rows or more go through
+# _format_floats, ~45 us a call and ~100 ns a value (plus a 1.2 ms table
+# build on first use); '%.17g' into a text slot costs ~0.7 us a value.
+# On one double column the two cross near 64 rows, so a smaller table pays
+# at most ~0.13 ms a double column for the per-value path
 _BYTE_ROWS = 256
-# np.unique's inverse (~30 ns a row) gives a double column's share of
-# distinct values; formatting those once and gathering the cells by index
-# pays below ~65% distinct on either path
-_DISTINCT_SHARE = 0.5
 
 # _format_floats: for 1e-4 <= |x| < 1e16, '%.17g' is fixed notation of the
 # 17-digit significand N = round(|x| * 10**(16 - E)) in [1e16, 1e17), E the
@@ -83,75 +80,34 @@ def _write_csv(path, header_lines: list[str], columns: dict) -> None:
 
 
 def _csv_chunks(header_lines: list[str], columns: dict):
-    """The CSV text in chunks of _CHUNK_ROWS rows.  A table of _BYTE_ROWS
-    rows or more with a double column lays each chunk out as byte rows; any
-    other formats it by one ``%`` call on a row template.  A double column
-    with few distinct bit patterns formats each pattern once and gathers
-    its cells by index."""
+    """The header, then the rows as byte rows (_byte_chunk), _CHUNK_ROWS a
+    chunk.  The doubles of a table of _BYTE_ROWS rows or more are
+    formatted by _format_floats."""
     arrays = [np.asarray(col) for col in columns.values()]
     n_rows = max((len(a) for a in arrays if a.ndim), default=1)
-    as_bytes = n_rows >= _BYTE_ROWS and any(
-        a.ndim and a.dtype == np.float64 for a in arrays)
-    # a scalar column's text, or (format, formatted distinct values or
-    # None, the column or its index into them)
-    cols = []
-    for a in arrays:
-        fmt = _FLOAT if a.dtype.kind == "f" else "%s"
-        if not a.ndim:
-            cols.append(fmt % a.item())
-            continue
-        table = None
-        if a.dtype == np.float64:
-            # bit patterns, not values: -0.0 and 0.0 print differently
-            bits, index = np.unique(a.view(np.uint64), return_inverse=True)
-            if len(bits) <= _DISTINCT_SHARE * len(a):
-                values = bits.view(np.float64)
-                table = (_format_floats(values) if as_bytes else np.array(
-                    [_FLOAT % x for x in values.tolist()], object))
-                fmt, a = "%s", index
-        cols.append((fmt, table, a))
+    kernel = n_rows >= _BYTE_ROWS
     yield "\n".join([*header_lines, ",".join(columns)]) + "\n"
-    chunk = _byte_chunk if as_bytes else _text_chunk
     for start in range(0, n_rows, _CHUNK_ROWS):
-        yield chunk(cols, slice(start, min(start + _CHUNK_ROWS, n_rows)))
+        yield _byte_chunk(arrays, slice(start, min(start + _CHUNK_ROWS,
+                                                   n_rows)), kernel)
 
 
-def _text_chunk(cols: list, rows: slice) -> str:
-    """The rows' text by one ``%`` call on a row template, in which a scalar
-    column is literal text."""
-    cells, vectors = [], []
-    for col in cols:
-        if isinstance(col, str):
-            cells.append(col.replace("%", "%%"))
-        else:
-            fmt, table, a = col
-            cells.append(fmt)
-            vectors.append(a[rows] if table is None else table[a[rows]])
-    k, m = rows.stop - rows.start, len(vectors)
-    values = [None] * (k * m)  # the chunk's cells, row by row
-    for i, part in enumerate(vectors):
-        values[i::m] = part.tolist()
-    return (",".join(cells) + "\n") * k % tuple(values)
-
-
-def _byte_chunk(cols: list, rows: slice) -> str:
+def _byte_chunk(arrays: list[np.ndarray], rows: slice, kernel: bool) -> str:
     """The rows' text as one uint8 matrix: each column's cells in a slot of
     fixed width padded with 0xFF, a byte UTF-8 never uses, and the commas
     and newline in fixed columns; the padding is deleted as the matrix
-    becomes text."""
+    becomes text.  A scalar column is one literal cell; a double column
+    goes through _format_floats if `kernel`, any other through '%.17g' or
+    ``str`` one value at a time."""
     parts = []
-    for col in cols:
-        if isinstance(col, str):
-            parts.append(np.frombuffer(col.encode(), np.uint8))
+    for a in arrays:
+        fmt = _FLOAT if a.dtype.kind == "f" else "%s"
+        if not a.ndim:
+            parts.append(np.frombuffer((fmt % a.item()).encode(), np.uint8))
+        elif kernel and a.dtype == np.float64:
+            parts.append(_format_floats(a[rows]))
         else:
-            fmt, table, a = col
-            part = a[rows]
-            if table is not None:
-                parts.append(table.take(part, axis=0))
-            elif part.dtype == np.float64:
-                parts.append(_format_floats(part))
-            else:
-                parts.append(_text_slots([fmt % v for v in part.tolist()]))
+            parts.append(_text_slots([fmt % v for v in a[rows].tolist()]))
         parts.append(_COMMA)
     parts[-1:] = [_NEWLINE]  # the last comma, if any
     out = np.empty((rows.stop - rows.start, sum(p.shape[-1] for p in parts)),
@@ -467,7 +423,7 @@ def cmd_simulate(args) -> int:
               "t_end": args.t_end, "closure": args.closure, "init": args.init}
     _write_csv(args.out, _header(model, args.seed, config),
                {"t": traj.times,
-                "energy": [v @ v for v in traj.states],
+                "energy": (traj.states * traj.states).sum(axis=1),
                 "v_root": traj.states[:, 0],
                 "distance_to_u": ((traj.states - u) ** 2).sum(axis=1),
                 "clamp_total": traj.clamp_total})

@@ -78,9 +78,6 @@ class TruncatedState:
         if not np.all(self.values >= 0):
             raise ValueError("componentwise states are non-negative")
 
-    def energy(self) -> float:
-        return float(self.values @ self.values)
-
     @classmethod
     def zeros(cls, model: RcmModel, depth: int, closure: str = "zero"):
         if depth < 0:
