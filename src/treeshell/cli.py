@@ -7,21 +7,25 @@ are printed with 17 significant digits, so outputs are byte-identical
 across runs with the same seed and configuration.  CSV rows are formatted
 and written in chunks, so only one chunk's text is in memory at a time.
 Every chunk is laid out as a byte matrix, one fixed-width slot a cell
-(``_byte_chunk``); the doubles of a table of _BYTE_ROWS rows or more get
-'%.17g''s exact text by numpy arithmetic (``_format_floats``), every other
-cell is formatted one value at a time.
+(``_byte_chunk``); the doubles of a table of _BYTE_ROWS = 72 rows or more,
+where the two ways cost about the same (~50 us a column), get '%.17g''s
+exact text by numpy arithmetic (``_format_floats``), every other cell is
+formatted one value at a time.  ``main`` builds only the invoked
+subcommand's parser (every one when the first argument names none), ~0.3 ms
+a call where all seven take ~1.6 ms.
 
 Exit codes: 0 success, 1 numeric failure, 2 configuration error.  The
 exception type decides which: every ``ValueError`` the library or the flag
 parsing raises is an input check, as are ``KeyError``, ``OSError`` and
 ``ResourceLimitError``; a computation that fails raises ``ArithmeticError``
 or ``RuntimeError``.  A stdout pipe that its reader closed early ends the
-run quietly with exit 1.
+run quietly with exit 1, an unbuffered stdout (``python -u``) included.
 """
 
 import argparse
 import dataclasses
 import functools
+import io
 import json
 import math
 import os
@@ -38,11 +42,10 @@ from .solution import (ConstantSolution, ResourceLimitError, check_budget,
 _FLOAT = "%.17g"
 _CHUNK_ROWS = 2**15  # rows per formatted chunk: bounds the live text
 # the doubles of a table of _BYTE_ROWS rows or more go through
-# _format_floats, ~45 us a call and ~100 ns a value (plus a 1.2 ms table
-# build on first use); '%.17g' into a text slot costs ~0.7 us a value.
-# On one double column the two cross near 64 rows, so a smaller table pays
-# at most ~0.13 ms a double column for the per-value path
-_BYTE_ROWS = 256
+# _format_floats, ~47 us a call and ~70 ns a value (plus a ~0.9 ms table
+# build on first use in a process); '%.17g' into a text slot costs ~0.68 us
+# a value.  On one double column the two cross between 68 and 80 rows
+_BYTE_ROWS = 72
 
 # _format_floats: for 1e-4 <= |x| < 1e16, '%.17g' is fixed notation of the
 # 17-digit significand N = round(|x| * 10**(16 - E)) in [1e16, 1e17), E the
@@ -67,10 +70,27 @@ def _header(model: RcmModel | None, seed, config: dict) -> list[str]:
 def _write_text(path, chunks) -> None:
     """Write the text chunks in order, to path or, if it is None, to stdout."""
     if path is None:
-        sys.stdout.writelines(chunks)
+        _write_stdout(chunks)
     else:
         with open(path, "w") as fh:
             fh.writelines(chunks)
+
+
+def _write_stdout(chunks) -> None:
+    """sys.stdout.writelines(chunks).  An unbuffered stdout (python -u,
+    PYTHONUNBUFFERED) gets each chunk's bytes on its raw file until all are
+    written: its text layer drops what a partial write leaves over, so a
+    reader closing the pipe mid-chunk would cut the output with exit 0."""
+    raw = getattr(sys.stdout, "buffer", None)
+    if not isinstance(raw, io.RawIOBase):
+        sys.stdout.writelines(chunks)
+        return
+    sys.stdout.flush()
+    for chunk in chunks:
+        data = memoryview(chunk.encode(sys.stdout.encoding,
+                                       sys.stdout.errors))
+        while data:
+            data = data[raw.write(data):]
 
 
 def _write_csv(path, header_lines: list[str], columns: dict) -> None:
@@ -470,14 +490,7 @@ def cmd_structure(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="treeshell",
-        description="Constant solutions and multifractal analysis of the "
-                    "tree dyadic model with repeated coefficients")
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("spectra", help="zeta curves for RCM and reference models")
+def _spectra_args(sp):
     sp.add_argument("--lambdas", default="0.1,0.2,0.2307")
     sp.add_argument("--mu", type=float, default=0.2)
     sp.add_argument("--D", type=float, default=2.8)
@@ -487,37 +500,37 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out")
     sp.add_argument("--summary", help="also write a JSON summary here")
     sp.add_argument("--seed", type=int, default=0)
-    sp.set_defaults(func=cmd_spectra)
 
-    so = sub.add_parser("solve", help="pull-back construction summary")
+
+def _solve_args(so):
     _add_model_args(so)
     so.add_argument("--depth", type=int, default=8)
     so.add_argument("-x", type=float, default=0.0, help="boundary seed value")
-    so.set_defaults(func=cmd_solve)
 
-    di = sub.add_parser("dissipation", help="the measure mu_n atom by atom")
+
+def _dissipation_args(di):
     _add_model_args(di)
     di.add_argument("--n", type=int, default=100)
     di.add_argument("--band", default=None,
                     help="report the band mass too: 'auto' or 'lo,hi'")
     di.add_argument("--band-width", type=float, default=0.1)
-    di.set_defaults(func=cmd_dissipation)
 
-    co = sub.add_parser("concentration", help="mu_n(B) along generations")
+
+def _concentration_args(co):
     _add_model_args(co)
     co.add_argument("--band", default="auto",
                     help="'auto' (centered at phi(3/2)) or 'lo,hi'")
     co.add_argument("--band-width", type=float, default=0.1)
     co.add_argument("--n-list", default="50,100,200,400")
-    co.set_defaults(func=cmd_concentration)
 
-    ll = sub.add_parser("lln", help="law of large numbers along random paths")
+
+def _lln_args(ll):
     _add_model_args(ll)
     ll.add_argument("--n", type=int, default=10000)
     ll.add_argument("--samples", type=int, default=1000)
-    ll.set_defaults(func=cmd_lln)
 
-    si = sub.add_parser("simulate", help="integrate the truncated dynamics")
+
+def _simulate_args(si):
     _add_model_args(si)
     si.add_argument("--depth", type=int, default=5)
     si.add_argument("--dt", type=float, default=1e-4)
@@ -527,22 +540,58 @@ def build_parser() -> argparse.ArgumentParser:
     si.add_argument("--init", default="constant",
                     help="zero | constant | perturbed:EPS")
     si.add_argument("--record-every", type=int, default=10)
-    si.set_defaults(func=cmd_simulate)
 
-    st = sub.add_parser("structure", help="empirical structure function")
+
+def _structure_args(st):
     _add_model_args(st)
     st.add_argument("--depth", type=int, default=16)
     st.add_argument("--p-list", default="1,2,3")
     st.add_argument("--fit-window", help="override 'm_lo,m_hi'")
     st.add_argument("--mother", choices=["haar", "hat"], default="haar")
     st.add_argument("--summary", help="also write a JSON summary here")
-    st.set_defaults(func=cmd_structure)
 
+
+# name: (help, the function it runs, the function that adds its arguments)
+_COMMANDS = {
+    "spectra": ("zeta curves for RCM and reference models", cmd_spectra,
+                _spectra_args),
+    "solve": ("pull-back construction summary", cmd_solve, _solve_args),
+    "dissipation": ("the measure mu_n atom by atom", cmd_dissipation,
+                    _dissipation_args),
+    "concentration": ("mu_n(B) along generations", cmd_concentration,
+                      _concentration_args),
+    "lln": ("law of large numbers along random paths", cmd_lln, _lln_args),
+    "simulate": ("integrate the truncated dynamics", cmd_simulate,
+                 _simulate_args),
+    "structure": ("empirical structure function", cmd_structure,
+                  _structure_args),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of `command` alone if it names
+    one; its usage, help and error text are the same either way."""
+    ap = argparse.ArgumentParser(
+        prog="treeshell",
+        description="Constant solutions and multifractal analysis of the "
+                    "tree dyadic model with repeated coefficients")
+    names = [command] if command in _COMMANDS else list(_COMMANDS)
+    # the one-command parser spells out the usage line's {...} of all
+    # seven; the full parser sets no metavar, which would replace "command"
+    # in the error for a missing or invalid command
+    metavar = None if len(names) > 1 else "{" + ",".join(_COMMANDS) + "}"
+    sub = ap.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        help_, func, add_args = _COMMANDS[name]
+        parser = sub.add_parser(name, help=help_)
+        add_args(parser)
+        parser.set_defaults(func=func)
     return ap
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.func(args)
     except BrokenPipeError:

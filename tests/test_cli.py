@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import io
@@ -864,6 +865,29 @@ class TestCliContract:
         assert proc.wait(timeout=120) == 1
         assert err == ""
 
+    def test_unbuffered_stdout_writes_every_byte(self, tmp_path):
+        # python -u's stdout: a text layer straight over the raw file, which
+        # here takes at most 1000 bytes a write, as a pipe does on a signal
+        # or a closed reader; what a short write leaves over is written next
+        class ShortWrites(io.RawIOBase):
+            def __init__(self):
+                self.data = bytearray()
+
+            def writable(self):
+                return True
+
+            def write(self, b):
+                self.data += bytes(b[:1000])
+                return min(len(b), 1000)
+
+        raw = ShortWrites()
+        argv = ["dissipation", "--deltas", "1,2", "--n", "500"]
+        with mock.patch.object(sys, "stdout", io.TextIOWrapper(
+                raw, encoding="utf-8", write_through=True)):
+            assert main(argv) == 0
+        assert main(argv + ["--out", str(tmp_path / "mu.csv")]) == 0
+        assert bytes(raw.data) == (tmp_path / "mu.csv").read_bytes()
+
     def test_console_script_entry_point(self):
         proc = subprocess.run(
             [sys.executable, "-m", "treeshell.cli", "spectra",
@@ -892,13 +916,20 @@ assert main(["concentration", *model, "--band", "auto"]) == 0
         assert proc.stdout.count("sigma_atom,") == 1
         assert proc.stdout.count("theoretical_rate") == 1
 
-    def test_rcm_threads_env_is_accepted(self):
-        env = dict(SUBPROCESS_ENV, RCM_THREADS="1")
+    def test_module_run_matches_in_process_main(self, tmp_path):
+        # python -m treeshell.cli parses sys.argv[1:], whose first entry
+        # picks the subcommand's parser
+        argv = ["lln", "--deltas", "1,2", "--dim", "1", "--alpha", "1.5",
+                "--n", "100", "--samples", "10", "--out"]
+        env = {k: v for k, v in SUBPROCESS_ENV.items() if k != "RCM_THREADS"}
         proc = subprocess.run(
-            [sys.executable, "-m", "treeshell.cli", "lln", "--deltas", "1,2",
-             "--dim", "1", "--alpha", "1.5", "--n", "100", "--samples", "10"],
+            [sys.executable, "-m", "treeshell.cli", *argv,
+             str(tmp_path / "module.csv")],
             capture_output=True, text=True, timeout=120, env=env)
-        assert proc.returncode == 0
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+        assert main(argv + [str(tmp_path / "main.csv")]) == 0
+        assert ((tmp_path / "module.csv").read_bytes()
+                == (tmp_path / "main.csv").read_bytes())
 
     @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
                         reason="needs two cores for two BLAS threads")
@@ -932,6 +963,84 @@ assert main(["concentration", *model, "--band", "auto"]) == 0
         rows = parse_csv(out)
         # the printed q values parse back to the exact double
         assert float(rows[0]["q_mean"]) == fixed_point_q(d12)
+
+
+def parse_outcome(parse, argv, capsys) -> tuple[str, str, object]:
+    """stdout, stderr and the SystemExit code of parse(argv), which must
+    exit (help or an error)."""
+    with pytest.raises(SystemExit) as exit_info:
+        parse(argv)
+    out, err = capsys.readouterr()
+    return out, err, exit_info.value.code
+
+
+COMMANDS = ("spectra", "solve", "dissipation", "concentration", "lln",
+            "simulate", "structure")
+
+
+def full_parse(argv):
+    return cli.build_parser().parse_args(argv)
+
+
+class TestParser:
+    """main builds the invoked subcommand's parser alone; what it prints
+    and how it exits must match the parser of every subcommand."""
+
+    @pytest.mark.parametrize("argv", [
+        [], ["--help"], ["-h"], ["bogus"], ["bogus", "--help"],
+        *([name, "--help"] for name in COMMANDS),
+        *([name, "--bogus"] for name in COMMANDS),
+        ["simulate", "--depth", "x"], ["simulate", "--closure", "bogus"],
+        ["structure", "--mother", "bogus"], ["solve", "-x"],
+        ["lln", "--deltas", "1,2", "extra"]], ids=" ".join)
+    def test_text_and_exit_code_match_the_full_parser(self, argv, capsys):
+        got = parse_outcome(main, argv, capsys)
+        assert got == parse_outcome(full_parse, argv, capsys)
+        assert "usage: treeshell" in got[0] + got[1]
+
+    @pytest.mark.parametrize("name", COMMANDS)
+    def test_unknown_flag_prints_every_command_in_the_usage(self, name,
+                                                            capsys):
+        _, err, code = parse_outcome(main, [name, "--bogus"], capsys)
+        usage = "usage: treeshell [-h] {" + ",".join(COMMANDS) + "} ..."
+        assert code == 2
+        assert " ".join(err.split()) == (
+            usage + " treeshell: error: unrecognized arguments: --bogus")
+
+    def test_a_missing_or_unknown_command_is_named_command(self, capsys):
+        # a metavar on the full parser would name it {spectra,...} here
+        _, err, code = parse_outcome(main, [], capsys)
+        assert code == 2
+        assert err.endswith(
+            "error: the following arguments are required: command\n")
+        _, err, code = parse_outcome(main, ["bogus"], capsys)
+        assert code == 2
+        assert "error: argument command: invalid choice: 'bogus'" in err
+
+    @pytest.mark.parametrize("name", list(THREAD_RUNS))
+    def test_readme_argv_parses_the_same(self, name):
+        argv = THREAD_RUNS[name].format(dir="out").split()
+        one = cli.build_parser(argv[0]).parse_args(argv)
+        assert one == full_parse(argv)
+        assert one.func is getattr(cli, "cmd_" + argv[0])
+
+    def test_a_call_adds_only_its_command_arguments(self, monkeypatch,
+                                                    tmp_path):
+        added = []
+        add_argument = argparse.ArgumentParser.add_argument
+
+        def record(parser, *names, **kwargs):
+            added.append(names[0])
+            return add_argument(parser, *names, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "add_argument", record)
+        assert main(["lln", "--deltas", "1,2", "--dim", "1", "--alpha", "1.5",
+                     "--n", "100", "--samples", "10",
+                     "--out", str(tmp_path / "lln.csv")]) == 0
+        # the -h of the top-level parser and of lln's
+        assert added == ["-h", "-h", "--config", "--dim", "--alpha",
+                         "--forcing", "--deltas", "--lambda", "--out",
+                         "--seed", "--n", "--samples"]
 
 
 class TestCsvWriter:
@@ -1066,7 +1175,7 @@ class TestChunkedCsvWriter:
 
     @pytest.mark.parametrize("pooled", [False, True])
     @pytest.mark.parametrize("n_rows", [cli._BYTE_ROWS - 1, cli._BYTE_ROWS,
-                                        CHUNK + 1])
+                                        255, 256, CHUNK + 1])
     def test_large_double_columns_go_through_the_kernel(self, n_rows, pooled):
         # a table of _BYTE_ROWS rows or more formats every double with
         # _format_floats, repeated ones too; a smaller table formats none
