@@ -66,8 +66,8 @@ def log2sumexp2(x: np.ndarray, axis: int | None = None):
     return (m + np.log2(_reduce_rows(np.add, shifted))).reshape(x.shape[:-1])
 
 
-def _row_reduction(ufunc: np.ufunc, rows: np.ndarray, out: np.ndarray
-                   ) -> list[tuple]:
+def _row_reduction(ufunc: np.ufunc, rows: np.ndarray, out: np.ndarray,
+                   signed_zeros: bool = False) -> list[tuple]:
     """The calls ``f(a, b, out=o)``, as tuples (f, a, b, o), that reduce the
     (P, N) array `rows` over its last axis into `out` (P,), with the bits of
     ``ufunc.reduce(rows, axis=1)``; `ufunc` is np.add or np.maximum, and
@@ -78,7 +78,8 @@ def _row_reduction(ufunc: np.ufunc, rows: np.ndarray, out: np.ndarray
     whole columns, N - 1 of them, in numpy's own pairwise order: left to
     right for N < 8, ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)) for N = 8.  A sum
     ends with + 0.0, since numpy's starts from it (an all -0.0 row sums to
-    +0.0).  Rows of one entry, or of more than 8, keep ``ufunc.reduce``:
+    +0.0); with `signed_zeros` it does not, and such a row may sum to
+    -0.0.  Rows of one entry, or of more than 8, keep ``ufunc.reduce``:
     the one has nothing to combine, the other's inner loop is no longer
     overhead-bound.  Building the calls once lets a kernel rerun them.
     """
@@ -93,7 +94,7 @@ def _row_reduction(ufunc: np.ufunc, rows: np.ndarray, out: np.ndarray
                  (out, t, out)]
     else:
         steps = [(col[0], col[1], out)] + [(out, c, out) for c in col[2:]]
-    if ufunc is np.add:
+    if ufunc is np.add and not signed_zeros:
         steps.append((out, 0.0, out))
     return [(ufunc, a, b, o) for a, b, o in steps]
 

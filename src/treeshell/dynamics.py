@@ -18,9 +18,10 @@ node in it has its parent in it, and its boundary is the nodes outside it
 whose parent lies inside.
 
 Integration is a fixed-step classical 4-stage Runge-Kutta scheme; no
-adaptivity, so residual tables are reproducible.  A run preallocates its
-stage buffers once, and every step writes its stages into them in place,
-on the bare value array.  Stiffness grows like
+adaptivity, so residual tables are reproducible.  A run builds one kernel
+that owns the state and the stage buffers and runs the step loop itself,
+writing every stage in place: a step copies nothing and allocates nothing
+until it clamps.  Stiffness grows like
 2**(alpha n): shrink dt with depth (guideline dt <= 0.1 * 2**(-alpha n)).
 """
 
@@ -113,19 +114,25 @@ def _system(model: RcmModel, depth: int, closure: str
 
 
 class _Rk4:
-    """One run's RK4 stepper: the system and every buffer, built once.
+    """One run's RK4 integrator: the system, every buffer and the step loop.
 
-    A stage reads its input buffer `x` through fixed views, the children as
-    (parents, N) rows and the parents as a column, so a step allocates
-    nothing.  The offspring sums are N flat ufunc calls over the columns
-    of the child terms, built once by ``_row_reduction`` in numpy's own
+    The state lives in the kernel's own buffer `v`, stepped in place, and
+    stages 2-4 read `x`.  A stage reads its input through fixed views, the
+    children as (parents, N) rows and the parents as a column, so stage 1
+    reads the state without a copy and a step allocates nothing until it
+    clamps.  The offspring sums are N flat ufunc calls over the columns of
+    the child terms, built once by ``_row_reduction`` in numpy's own
     pairwise order: the bits of ``np.add.reduce(terms, 1)`` without its
     per-parent loop, which took over half of a stage at depth 7, d = 2.
-    The closure weights sit in the tail of `sums` and f^2 in `inflow[0]`
-    for the whole run.
+    They skip numpy's closing + 0.0, which only turns a sum of -0.0 terms
+    into +0.0: a sum enters k only as inflow - x * sum, and the inflow,
+    f^2 or c x_par^2, is +0.0 or positive, so either sign of a zero
+    product gives the same k.  The closure weights sit in the tail of
+    `sums` and f^2 in `inflow[0]` for the whole run.
     """
 
-    def __init__(self, model: RcmModel, depth: int, closure: str):
+    def __init__(self, model: RcmModel, depth: int, closure: str,
+                 values: np.ndarray):
         c, weights = _system(model, depth, closure)
         N, size = model.N, len(c) + 1
         parents = size - len(weights)
@@ -134,78 +141,95 @@ class _Rk4:
         self.sums[parents:] = weights
         self.inflow = np.empty(size)
         self.inflow[0] = model.forcing * model.forcing
-        self.x = np.empty(size)
-        self.children = self.x[1:].reshape(parents, N)
-        self.parents = self.x[:parents, None]
         self.child_terms = self.inflow[1:].reshape(parents, N)
         self.sum_children = _row_reduction(np.add, self.child_terms,
-                                           self.sums[:parents])
+                                           self.sums[:parents],
+                                           signed_zeros=True)
         self.square = np.empty((parents, 1))
+        self.v = np.array(values, dtype=float)
+        self.x = np.empty(size)
         self.k = [np.empty(size) for _ in range(4)]
-        self.out = np.empty(size)
+        # per stage: its input, the input's children as rows and parents
+        # as a column, and its output
+        self.stages = [(y, y[1:].reshape(parents, N), y[:parents, None], k)
+                       for y, k in zip([self.v] + [self.x] * 3, self.k)]
 
-    def _stage(self, k: np.ndarray) -> None:
-        """k = the right-hand side at x (an RK4 stage may dip negative)."""
-        terms = self.child_terms
-        np.multiply(self.coef, self.children, terms)
-        for f, a, b, o in self.sum_children:
-            f(a, b, out=o)
-        np.multiply(self.x, self.sums, k)
-        np.multiply(self.parents, self.parents, self.square)
-        np.multiply(self.coef, self.square, terms)
-        np.subtract(self.inflow, k, k)
+    def _stages(self, plan: list[tuple]) -> None:
+        """Each stage of `plan` in turn: k = the right-hand side at its input
+        (an RK4 stage may dip negative), then, given a factor h, the next
+        stage's input x = v + h k."""
+        coef, sums, inflow = self.coef, self.sums, self.inflow
+        terms, square, reduction = (self.child_terms, self.square,
+                                    self.sum_children)
+        v, x = self.v, self.x
+        add, multiply, subtract = np.add, np.multiply, np.subtract
+        for y, children, parents, k, h in plan:
+            multiply(coef, children, terms)
+            for f, a, b, o in reduction:
+                f(a, b, out=o)
+            multiply(y, sums, k)
+            multiply(parents, parents, square)
+            multiply(coef, square, terms)
+            subtract(inflow, k, k)
+            if h is not None:
+                multiply(k, h, x)
+                add(v, x, x)
 
-    def derivative(self, v: np.ndarray) -> np.ndarray:
-        """The right-hand side at v, in the first stage buffer."""
-        self.x[:] = v
-        self._stage(self.k[0])
+    def derivative(self) -> np.ndarray:
+        """The right-hand side at the state, in the first stage buffer."""
+        self._stages([self.stages[0] + (None,)])
         return self.k[0]
 
-    def advance(self, v: np.ndarray, dt: float, t: float
-                ) -> tuple[np.ndarray, float, float]:
-        """One classical RK4 step from v at time t.
+    def run(self, t: float, dt: float, steps: int, record_every: int = 1,
+            times: np.ndarray | None = None, records: np.ndarray | None = None
+            ) -> tuple[float, float]:
+        """`steps` classical RK4 steps of the state from time t, in place.
 
-        Returns the new values (in `out`, which v may be), the clamped
-        mass and the largest new value before the clamp.  Negative
-        components produced by the discrete step are clamped to zero (the
-        exact dynamics cannot cross zero: v_j = 0 gives v_j' >= 0).
+        Every `record_every`-th state and its time go to rows 1.. of
+        `records` and `times`, when given.  Returns the clamped mass and
+        the state scale: the largest value of the first state and of every
+        new one before its clamp.  Negative components produced by the
+        discrete step are clamped to zero (the exact dynamics cannot cross
+        zero: v_j = 0 gives v_j' >= 0).
         """
-        x, (k1, k2, k3, k4), out = self.x, self.k, self.out
-        self.derivative(v)
+        v, (k1, k2, k3, k4), stages = self.v, self.k, self._stages
+        add, multiply, maximum = np.add, np.multiply, np.maximum
+        lowest, highest = np.minimum.reduce, np.maximum.reduce
         # numpy scalars: a Python float is converted again on every call
-        half, whole = np.float64(0.5 * dt), np.float64(dt)
-        np.multiply(k1, half, x)
-        np.add(v, x, x)
-        self._stage(k2)
-        np.multiply(k2, half, x)
-        np.add(v, x, x)
-        self._stage(k3)
-        np.multiply(k3, whole, x)
-        np.add(v, x, x)
-        self._stage(k4)
-        # k1 + 2 k2 + 2 k3 + k4, summed left to right
-        np.add(k2, k2, k2)
-        np.add(k1, k2, k1)
-        np.add(k3, k3, k3)
-        np.add(k1, k3, k1)
-        np.add(k1, k4, k1)
-        np.multiply(k1, np.float64(dt / 6.0), k1)
-        np.add(v, k1, out)
-        lo, hi = np.minimum.reduce(out), np.maximum.reduce(out)
-        if not -math.inf < lo <= hi < math.inf:
-            raise FloatingPointError(f"non-finite state at t = {t + dt}")
-        clamp = 0.0
-        if lo <= 0:
-            if lo < 0:
-                clamp = float(-out[out < 0].sum())
-            np.maximum(out, 0.0, out=out)  # also turns -0.0 into +0.0
-        return out, clamp, float(hi)
+        half, whole, sixth = (np.float64(0.5 * dt), np.float64(dt),
+                              np.float64(dt / 6.0))
+        plan = [stage + (h,) for stage, h in zip(self.stages,
+                                                 (half, half, whole, None))]
+        clamp_total, scale = 0.0, float(np.abs(v).max())
+        for i in range(1, steps + 1):
+            stages(plan)
+            # k1 + 2 k2 + 2 k3 + k4, summed left to right
+            add(k2, k2, k2)
+            add(k1, k2, k1)
+            add(k3, k3, k3)
+            add(k1, k3, k1)
+            add(k1, k4, k1)
+            multiply(k1, sixth, k1)
+            add(v, k1, v)
+            lo, hi = lowest(v), highest(v)
+            if not -math.inf < lo <= hi < math.inf:
+                raise FloatingPointError(f"non-finite state at t = {t + dt}")
+            t += dt
+            if lo <= 0:
+                if lo < 0:
+                    clamp_total += float(-v[v < 0].sum())
+                maximum(v, 0.0, out=v)  # also turns -0.0 into +0.0
+            if hi > scale:
+                scale = float(hi)
+            if records is not None and i % record_every == 0:
+                times[i // record_every], records[i // record_every] = t, v
+        return clamp_total, scale
 
 
 def rhs(state: TruncatedState) -> np.ndarray:
     """Exact right-hand side of the truncated system."""
-    return _Rk4(state.model, state.depth, state.closure).derivative(
-        state.values)
+    return _Rk4(state.model, state.depth, state.closure,
+                state.values).derivative()
 
 
 def step(state: TruncatedState, dt: float) -> tuple[TruncatedState, float]:
@@ -217,9 +241,9 @@ def step(state: TruncatedState, dt: float) -> tuple[TruncatedState, float]:
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
     with np.errstate(over="ignore", invalid="ignore"):  # as in integrate
-        new, clamp, _ = _Rk4(state.model, state.depth, state.closure).advance(
-            state.values, dt, state.t)
-    return replace(state, values=new, t=state.t + dt), clamp
+        kernel = _Rk4(state.model, state.depth, state.closure, state.values)
+        clamp, _ = kernel.run(state.t, dt, 1)
+    return replace(state, values=kernel.v, t=state.t + dt), clamp
 
 
 @dataclass(frozen=True)
@@ -253,23 +277,15 @@ def integrate(state: TruncatedState, dt: float, steps: int,
     check_budget("values", rows * nodes)
     check_budget("node-steps", steps * nodes)
     times, records = np.empty(rows), np.empty((rows, nodes))
-    v, t = state.values, state.t
-    times[0], records[0] = t, v
-    clamp_total = 0.0
-    scale = float(np.abs(v).max())
-    # `advance` raises on a non-finite step, so numpy's warnings about the
+    times[0], records[0] = state.t, state.values
+    # `run` raises on a non-finite step, so numpy's warnings about the
     # overflow that led there are noise, also where a coefficient or closure
     # weight overflows and the first step turns non-finite; entered once
     # per run, not per step
     with np.errstate(over="ignore", invalid="ignore"):
-        kernel = _Rk4(state.model, state.depth, state.closure)
-        for i in range(1, steps + 1):
-            v, clamp, top = kernel.advance(v, dt, t)
-            t += dt
-            clamp_total += clamp
-            scale = max(scale, top)
-            if i % record_every == 0:
-                times[i // record_every], records[i // record_every] = t, v
+        kernel = _Rk4(state.model, state.depth, state.closure, state.values)
+        clamp_total, scale = kernel.run(state.t, dt, steps, record_every,
+                                        times, records)
     if steps > 0 and scale > 0:
         rate = clamp_total / (steps * dt)
         if rate > _MAX_CLAMP_RATE * scale:

@@ -25,7 +25,10 @@ w_j (A_l + B_l G(s)), G the depth-(M - m) field and s one of its cells, so
 
 B_l = kappa_1 kappa_0^(l-1) - kappa_0 kappa_1^(l-1) and, with v0 = f 2**q,
 A_l = v0 (sum_{e<l-1} (kappa_1 kappa_0^e + kappa_0 kappa_1^e) - 2): j's own
-jump -2 v0 plus the wavelets of the two edges down to the pair.
+jump -2 v0 plus the wavelets of the two edges down to the pair.  The sums
+over s are taken a block of rows l at a time, at most 2**17 increments
+(one row when G is longer), so the increments held at once do not grow
+with the number of rows m.
 """
 
 from __future__ import annotations
@@ -52,6 +55,7 @@ __all__ = [
 ]
 
 MOTHERS = ("haar", "hat")
+_BLOCK_CELLS = 2**17  # increments held at once by the Haar tree sum
 
 
 @dataclass(frozen=True)
@@ -222,11 +226,18 @@ def _haar_structure_function(solution: ConstantSolution, depth: int,
         m = depth - D
         if m > m_hi:
             continue
-        # row l - 1 holds the increments at the nodes of generation m - l
-        incs = np.abs(A[:m, None] + B[:m, None] * G)
+        # row l - 1 holds the increments at the nodes of generation m - l,
+        # built _BLOCK_CELLS cells at a time (one row if G is longer)
+        sums = np.empty((len(p_arr), m))
+        rows = max(1, _BLOCK_CELLS // len(G))
+        for r in range(0, m, rows):
+            blk = slice(r, min(r + rows, m))
+            incs = np.abs(A[blk, None] + B[blk, None] * G)
+            for i, p in enumerate(p_arr):
+                sums[i, blk] = (incs**p).sum(axis=1)
         for i, p in enumerate(p_arr):
             weights = (k0**p + k1**p) ** np.arange(m - 1, -1, -1.0)
-            s = weights @ (incs**p).sum(axis=1) / (2**depth - 2**D)
+            s = weights @ sums[i] / (2**depth - 2**D)
             log2_S[i, m - m_lo] = math.log2(s) if s > 0 else -math.inf
     return _fit(p_arr, m_lo, m_hi, log2_S)
 

@@ -122,9 +122,10 @@ class PullbackRun:
     """Backward construction of the solution candidate from depth-n data.
 
     ``rows[g]`` holds the generation-g values, indexed by packed code; the
-    boundary row ``rows[depth]`` is identically the seed.  The containment
-    band [a, b] is the invariant interval of the backward map derived from
-    the declared coefficient bounds; ``residual`` is ``residual_max()``.
+    boundary row ``rows[depth]`` is identically the seed, a read-only view
+    of that one value.  The containment band [a, b] is the invariant
+    interval of the backward map derived from the declared coefficient
+    bounds; ``residual`` is ``residual_max()``.
     """
 
     coefficients: GeneralCoefficients
@@ -158,8 +159,9 @@ def _pull_row(coefficients: GeneralCoefficients, alpha: float, g: int,
     """The generation-g row of the backward recursion from its children's,
     and the largest |log2| of its forward-identity sums (``residual_max``),
     both from one read of the generation-(g + 1) coefficients."""
-    terms = (1.5 * coefficients.row_log2(g + 1)
-             + children).reshape(-1, coefficients.arity)
+    terms = np.multiply(1.5, coefficients.row_log2(g + 1))
+    terms += children
+    terms = terms.reshape(-1, coefficients.arity)
     row = -0.5 * alpha - 0.5 * log2sumexp2(terms, axis=1)
     terms += (2.0 * row + alpha)[:, None]
     np.exp2(terms, out=terms)
@@ -182,12 +184,13 @@ def pullback(coefficients: GeneralCoefficients, alpha: float, depth: int,
     """Run the backward recursion from constant seed data at generation depth.
 
     Rows are produced children-first; each parent only reads its own N
-    children, so generation g costs one pass over N**(g+1) values and the
-    peak memory is the deepest row.  The same pass checks the new row
-    against the forward identity.  A parent's log-sum-exp over its
-    children runs column by column, one flat ufunc per child label in
-    numpy's own pairwise order (``log2sumexp2``): the bits of a per-row
-    reduce, without its per-parent loop overhead at small N.
+    children, so generation g costs one pass over N**(g+1) values.  The
+    seed row is a read-only broadcast view, and each row's terms are built
+    in one buffer.  The same pass checks the new row against the forward
+    identity.  A parent's log-sum-exp over its children runs column by
+    column, one flat ufunc per child label in numpy's own pairwise order
+    (``log2sumexp2``): the bits of a per-row reduce, without its
+    per-parent loop overhead at small N.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -197,7 +200,7 @@ def pullback(coefficients: GeneralCoefficients, alpha: float, depth: int,
     check_budget("pull-back nodes", arity**depth)
 
     rows: list[np.ndarray] = [np.empty(0)] * (depth + 1)
-    rows[depth] = np.full(arity**depth, float(seed))
+    rows[depth] = np.broadcast_to(float(seed), arity**depth)
     worst = 0.0
     for g in range(depth - 1, -1, -1):
         rows[g], residual = _pull_row(coefficients, alpha, g, rows[g + 1])

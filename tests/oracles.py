@@ -20,7 +20,9 @@ the dynamics reads c_k off its own coefficient array and takes the
 subtree as a boolean mask over the state layout.  The pull-back row and
 residual oracles reduce each parent's children with numpy's per-row
 ``max(axis=1)`` and ``sum(axis=1)``, where the library reduces whole
-columns in the same pairwise order.
+columns in the same pairwise order.  The Haar tree sum oracle holds every
+row of a scale's increments in one matrix, where the library takes them a
+bounded block of rows at a time.
 
 The per-node forms walk one ``TreeIndex`` at a time: its exact dyadic cube
 in ``Fraction`` arithmetic, the path of a point by repeated doubling of its
@@ -44,6 +46,7 @@ from treeshell.coefficients import (GeneralCoefficients, RcmModel,
                                     RepeatedCoefficients, log2sumexp2)
 from treeshell.dissipation import DissipationMeasure
 from treeshell.dynamics import TruncatedState, _system
+from treeshell.field import _generations
 from treeshell.solution import (ConstantSolution, PullbackRun,
                                 ResourceLimitError, check_budget)
 from treeshell.spectra import cascade_rate
@@ -345,6 +348,28 @@ def pull_row_oracle(coefficients: GeneralCoefficients, alpha: float, g: int,
     m = terms.max(axis=1, keepdims=True)
     lse = np.squeeze(m, 1) + np.log2(np.exp2(terms - m).sum(axis=1))
     return -0.5 * alpha - 0.5 * lse
+
+
+def haar_log2_S_oracle(solution: ConstantSolution, depth: int,
+                       p_arr: np.ndarray, m_lo: int, m_hi: int) -> np.ndarray:
+    """log2 S_p of the Haar tree sum with every row l of a scale's
+    increments held at once, one (m, len(G)) matrix per scale."""
+    v0 = solution.model.forcing * 2.0**solution.q
+    k0, k1 = 2.0 ** (solution.q + 0.5) * np.sqrt(solution.model.coeffs.deltas)
+    P, Q = k1 * k0 ** np.arange(m_hi), k0 * k1 ** np.arange(m_hi)
+    A = v0 * (np.concatenate(([0.0], np.cumsum(P + Q)[:-1])) - 2.0)
+    B = P - Q
+    log2_S = np.full((len(p_arr), m_hi - m_lo + 1), -np.inf)
+    for D, G in enumerate(_generations(solution, depth - m_lo, "haar"), 1):
+        m = depth - D
+        if m > m_hi:
+            continue
+        incs = np.abs(A[:m, None] + B[:m, None] * G)
+        for i, p in enumerate(p_arr):
+            weights = (k0**p + k1**p) ** np.arange(m - 1, -1, -1.0)
+            s = weights @ (incs**p).sum(axis=1) / (2**depth - 2**D)
+            log2_S[i, m - m_lo] = math.log2(s) if s > 0 else -math.inf
+    return log2_S
 
 
 def residual_max_oracle(run: PullbackRun) -> float:

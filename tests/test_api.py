@@ -99,7 +99,7 @@ def test_every_library_raise_outside_the_numeric_sites_is_a_value_error():
     assert sorted(others) == [
         ("treeshell.cli", "_write_json", "ArithmeticError"),
         ("treeshell.cli", "cmd_structure", "ArithmeticError"),
-        ("treeshell.dynamics", "_Rk4.advance", "FloatingPointError"),
+        ("treeshell.dynamics", "_Rk4.run", "FloatingPointError"),
         ("treeshell.dynamics", "integrate", "RuntimeError"),
         ("treeshell.solution", "check_budget", "ResourceLimitError")]
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -124,6 +125,20 @@ class TestFlatLayout:
         st = dyn.TruncatedState.from_constant(ConstantSolution(d12), 3)
         dyn.integrate(st, 1e-4, 25)
         assert len(calls) == 1
+
+    def test_traced_peak_does_not_grow_with_the_steps(self, d12):
+        # a run steps one state in place, so 2,000 steps peak within 1 KB
+        # of 10 (about 11 KB here): a byte kept a step would exceed that
+        st = dyn.TruncatedState.from_constant(ConstantSolution(d12), 5)
+        peaks = []
+        for steps in (10, 10, 2000):  # the first run warms any cache
+            tracemalloc.start()
+            try:
+                dyn.integrate(st, 1e-4, steps, record_every=steps)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[2] <= peaks[1] + 1024
 
     def test_zeros_checks_the_budget_before_allocating(self, monkeypatch):
         from treeshell import ResourceLimitError, lambda_family

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,8 +13,9 @@ from treeshell import spectra
 from treeshell.solution import ResourceLimitError
 
 from conftest import same_bits
-from oracles import (TreeIndex, coefficient_l2, log2_u_of_node, path_of_point,
-                     sigma_of, u_of_node, xi_from_generation_sums)
+from oracles import (TreeIndex, coefficient_l2, haar_log2_S_oracle,
+                     log2_u_of_node, path_of_point, sigma_of, u_of_node,
+                     xi_from_generation_sums)
 
 H_D12 = 0.14558393181327468
 # log2 S_p agreement of the Haar tree sum with the grid's direct mean
@@ -275,6 +277,47 @@ class TestHaarTreeSum:
         est = fd.structure_function(d12_solution, 14, [1.0, 2.0])
         assert depths == [(11, "haar")]
         assert np.all(np.isfinite(est.zeta_hat))
+
+    @pytest.mark.parametrize("block", [1, 40, 2**10, 2**17])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_row_blocks_keep_the_bits_of_the_whole_matrix(self, monkeypatch,
+                                                          block, seed):
+        # a small block spreads each scale's rows over several blocks (one
+        # row a block at 1): each row sum and the weighted sum over rows
+        # keep the bits of the one-matrix form
+        rng = np.random.default_rng(seed)
+        model = RcmModel.create(1, float(rng.uniform(0.8, 3.0)),
+                                np.exp(rng.uniform(-1.5, 1.5, 2)))
+        sol = ConstantSolution(model)
+        depth = int(rng.integers(8, 14))
+        m_lo = int(rng.integers(1, 3))
+        p_arr = np.concatenate((rng.uniform(0.2, 5.0, 3), [1.0, 2.0]))
+        monkeypatch.setattr(fd, "_BLOCK_CELLS", block)
+        est = fd._haar_structure_function(sol, depth, p_arr, m_lo, depth - 1)
+        want = haar_log2_S_oracle(sol, depth, p_arr, m_lo, depth - 1)
+        assert same_bits(est.log2_S, want)
+
+    def test_row_blocks_at_depth_19_keep_the_bits(self, d12_solution):
+        # the first depth whose default window needs more than one block
+        p_arr = np.array([1.0, 2.0, 3.0, 0.7])
+        est = fd._haar_structure_function(d12_solution, 19, p_arr, 3, 15)
+        want = haar_log2_S_oracle(d12_solution, 19, p_arr, 3, 15)
+        assert same_bits(est.log2_S, want)
+
+    def test_traced_peak_stays_within_a_few_deepest_fields(self,
+                                                           d12_solution):
+        # the one-matrix form peaks at 9.5x the deepest field's bytes at
+        # depth 20; the row blocks at 4.5x
+        depth = 20
+        deepest = 8 * 2 ** (depth - 3)
+        fd.structure_function(d12_solution, depth, [1.0, 2.0, 3.0])
+        tracemalloc.start()
+        try:
+            fd.structure_function(d12_solution, depth, [1.0, 2.0, 3.0])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * deepest
 
 
 class TestXi:

@@ -247,8 +247,10 @@ class TestPullback:
         assert a <= 0.0 <= b  # the seed is inside
         assert run.in_band()
         assert run.residual_max() <= 1e-12
-        # boundary row carries the seed
+        # boundary row carries the seed, as a read-only view of it
         assert np.all(run.rows[10] == 0.0)
+        assert run.rows[10].shape == (2**10,)
+        assert not run.rows[10].flags.writeable
 
     def test_depth_budget(self, d12):
         with pytest.raises(ResourceLimitError):
