@@ -7,9 +7,8 @@ are printed with 17 significant digits, so outputs are byte-identical
 across runs with the same seed and configuration.  CSV rows are formatted
 and written in chunks, so only one chunk's text is in memory at a time.
 Every chunk is laid out as a byte matrix, one fixed-width slot a cell
-(``_byte_chunk``); the doubles of a table of _BYTE_ROWS = 72 rows or more,
-where the two ways cost about the same (~50 us a column), get '%.17g''s
-exact text by numpy arithmetic (``_format_floats``), every other cell is
+(``_byte_chunk``); all the doubles of a chunk get '%.17g''s exact text from
+one call of numpy arithmetic (``_format_floats``), every other cell is
 formatted one value at a time.  ``main`` builds only the invoked
 subcommand's parser (every one when the first argument names none), ~0.3 ms
 a call where all seven take ~1.6 ms.
@@ -18,8 +17,11 @@ Exit codes: 0 success, 1 numeric failure, 2 configuration error.  The
 exception type decides which: every ``ValueError`` the library or the flag
 parsing raises is an input check, as are ``KeyError``, ``OSError`` and
 ``ResourceLimitError``; a computation that fails raises ``ArithmeticError``
-or ``RuntimeError``.  A stdout pipe that its reader closed early ends the
-run quietly with exit 1, an unbuffered stdout (``python -u``) included.
+or ``RuntimeError``.  A depth or dimension meets its budget before its size
+is formed, and a generation (``lln --n``, ``concentration --n-list``) past
+int64 is refused before numpy sees it, so each exits 2 at once.  A stdout
+pipe that its reader closed early ends the run quietly with exit 1, an
+unbuffered stdout (``python -u``) included.
 """
 
 import argparse
@@ -41,11 +43,6 @@ from .solution import (ConstantSolution, ResourceLimitError, check_budget,
 
 _FLOAT = "%.17g"
 _CHUNK_ROWS = 2**15  # rows per formatted chunk: bounds the live text
-# the doubles of a table of _BYTE_ROWS rows or more go through
-# _format_floats, ~47 us a call and ~70 ns a value (plus a ~0.9 ms table
-# build on first use in a process); '%.17g' into a text slot costs ~0.68 us
-# a value.  On one double column the two cross between 68 and 80 rows
-_BYTE_ROWS = 72
 
 # _format_floats: for 1e-4 <= |x| < 1e16, '%.17g' is fixed notation of the
 # 17-digit significand N = round(|x| * 10**(16 - E)) in [1e16, 1e17), E the
@@ -101,33 +98,30 @@ def _write_csv(path, header_lines: list[str], columns: dict) -> None:
 
 def _csv_chunks(header_lines: list[str], columns: dict):
     """The header, then the rows as byte rows (_byte_chunk), _CHUNK_ROWS a
-    chunk.  The doubles of a table of _BYTE_ROWS rows or more are
-    formatted by _format_floats."""
+    chunk."""
     arrays = [np.asarray(col) for col in columns.values()]
     n_rows = max((len(a) for a in arrays if a.ndim), default=1)
-    kernel = n_rows >= _BYTE_ROWS
     yield "\n".join([*header_lines, ",".join(columns)]) + "\n"
     for start in range(0, n_rows, _CHUNK_ROWS):
         yield _byte_chunk(arrays, slice(start, min(start + _CHUNK_ROWS,
-                                                   n_rows)), kernel)
+                                                   n_rows)))
 
 
-def _byte_chunk(arrays: list[np.ndarray], rows: slice, kernel: bool) -> str:
+def _byte_chunk(arrays: list[np.ndarray], rows: slice) -> str:
     """The rows' text as one uint8 matrix: each column's cells in a slot of
     fixed width padded with 0xFF, a byte UTF-8 never uses, and the commas
     and newline in fixed columns; the padding is deleted as the matrix
-    becomes text.  A scalar column is one literal cell; a double column
-    goes through _format_floats if `kernel`, any other through '%.17g' or
-    ``str`` one value at a time."""
+    becomes text.  A scalar column is one row, repeated down the chunk.
+    Every double of the chunk, as float64, goes through one _format_floats
+    call; any other cell through ``str`` one value at a time."""
+    cells = [a[rows] if a.ndim else a.reshape(1) for a in arrays]
+    floats = [c for c in cells if c.dtype.kind == "f"]
+    slots = np.split(_format_floats(np.concatenate(floats, dtype=np.float64)),
+                     np.cumsum([len(c) for c in floats[:-1]])) if floats else []
     parts = []
-    for a in arrays:
-        fmt = _FLOAT if a.dtype.kind == "f" else "%s"
-        if not a.ndim:
-            parts.append(np.frombuffer((fmt % a.item()).encode(), np.uint8))
-        elif kernel and a.dtype == np.float64:
-            parts.append(_format_floats(a[rows]))
-        else:
-            parts.append(_text_slots([fmt % v for v in a[rows].tolist()]))
+    for c in cells:
+        parts.append(slots.pop(0) if c.dtype.kind == "f"
+                     else _text_slots(["%s" % v for v in c.tolist()]))
         parts.append(_COMMA)
     parts[-1:] = [_NEWLINE]  # the last comma, if any
     out = np.empty((rows.stop - rows.start, sum(p.shape[-1] for p in parts)),

@@ -385,9 +385,11 @@ class RcmModel:
             raise ValueError("alpha must be positive and finite")
         if not 0 < self.forcing < math.inf:
             raise ValueError("forcing must be positive and finite")
-        if self.coeffs.size != self.N:
+        size = self.coeffs.size
+        # 2**d > size follows from d alone, so a huge d forms no 2**d
+        if self.d >= size.bit_length() or size != self.N:
             raise ValueError(
-                f"need N = {self.N} coefficients, got {self.coeffs.size}")
+                f"d = {self.d} needs 2**d coefficients, got {size}")
 
     @classmethod
     def create(cls, d: int, alpha: float, deltas: Sequence[float],
@@ -442,6 +444,9 @@ def lambda_family(lam: float, d: int = 3, alpha: float | None = None,
     i = 0..7; lam = 0 is the flat model.  alpha defaults to the physical
     value d/2 + 1.
     """
+    from .solution import check_budget  # solution imports this module
+
+    check_budget("coefficients", 2, d)
     if alpha is None:
         alpha = d / 2 + 1
     # a lam that overflows gives inf or NaN deltas, which create() rejects

@@ -216,7 +216,10 @@ def concentration_curve(model: RcmModel, interval: tuple[float, float],
     lo, hi = interval
     if not lo < hi:
         raise ValueError("empty interval")
-    ns = np.asarray(sorted(n_list), dtype=int)
+    ns = sorted(n_list)
+    if ns and not -2**63 <= ns[0] <= ns[-1] < 2**63:
+        raise ValueError(f"generations must fit in int64, got {list(n_list)}")
+    ns = np.asarray(ns, dtype=int)
     if np.any(ns[1:] == ns[:-1]):
         raise ValueError(f"repeated generation in {list(n_list)}")
     # before any lattice: it rejects a band that leaves no sigma outside
@@ -267,6 +270,8 @@ def lln_sample(model: RcmModel, n: int, samples: int,
     """
     if n < 1 or samples < 1:
         raise ValueError("n and samples must be >= 1")
+    if n >= 2**63:  # numpy's multinomial takes n as an int64
+        raise ValueError(f"n must fit in int64, got {n}")
     check_budget("values", samples * model.N)
     rng = np.random.default_rng(seed)
     counts = rng.multinomial(n, np.full(model.N, 1.0 / model.N), size=samples)

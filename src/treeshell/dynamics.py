@@ -34,7 +34,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .coefficients import RcmModel, _row_reduction
-from .solution import ConstantSolution, check_budget
+from .solution import ConstantSolution, check_budget, tree_size
 from .tree import generation_start
 
 __all__ = [
@@ -73,7 +73,7 @@ class TruncatedState:
             raise ValueError(f"closure must be one of {CLOSURES}")
         if self.depth < 0:
             raise ValueError(f"depth must be >= 0, got {self.depth}")
-        expected = generation_start(self.model.N, self.depth + 1)
+        expected = tree_size(self.model.N, self.depth)
         if len(self.values) != expected:
             raise ValueError(f"state needs {expected} values, got {len(self.values)}")
         if not np.all(self.values >= 0):
@@ -83,9 +83,7 @@ class TruncatedState:
     def zeros(cls, model: RcmModel, depth: int, closure: str = "zero"):
         if depth < 0:
             raise ValueError(f"depth must be >= 0, got {depth}")
-        size = generation_start(model.N, depth + 1)
-        check_budget("nodes", size)
-        return cls(model, depth, np.zeros(size), closure)
+        return cls(model, depth, np.zeros(tree_size(model.N, depth)), closure)
 
     @classmethod
     def from_constant(cls, solution: ConstantSolution, depth: int,
@@ -315,7 +313,7 @@ def flux_terms(model: RcmModel, depth: int, values: np.ndarray,
     may carry a leading time axis, giving the fluxes along a trajectory.
     """
     mask = np.asarray(subtree)
-    size = generation_start(model.N, depth + 1)
+    size = tree_size(model.N, depth)
     if mask.dtype != bool or mask.shape != (size,):
         raise ValueError(f"the subtree must be a boolean mask of {size} "
                          f"nodes, got {mask.dtype} of shape {mask.shape}")

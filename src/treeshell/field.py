@@ -147,7 +147,7 @@ def synthesize(solution: ConstantSolution, depth: int = 16,
     the model's d-dimensional unit cube, refining level by level."""
     if mother not in MOTHERS:
         raise ValueError(f"mother must be one of {MOTHERS}")
-    check_budget("cells", (2**depth) ** solution.model.d)
+    check_budget("cells", 2, depth * solution.model.d)
     grid = np.zeros((1,) * solution.model.d)
     for grid in _generations(solution, depth, mother):
         pass
@@ -198,7 +198,7 @@ def structure_function(solution: ConstantSolution, depth: int, p_grid,
     p_arr = np.atleast_1d(np.asarray(p_grid, dtype=float))
     if not np.all((p_arr > 0) & (p_arr < math.inf)):
         raise ValueError(f"p must be finite and > 0, got {p_arr.tolist()}")
-    check_budget("cells", 2**depth)
+    check_budget("cells", 2, depth)
     model = solution.model
     unit = ConstantSolution(replace(model, forcing=1.0))
     if mother != "haar":

@@ -42,16 +42,33 @@ class ResourceLimitError(RuntimeError):
 
 # Budgets by kind: generation rows and states ("nodes"), trajectories and lln
 # label counts ("values"), fields, the lattice, the spectra table, the deepest
-# pull-back row (all rows are kept) and one integration's steps times nodes.
+# pull-back row (all rows are kept), one integration's steps times nodes and a
+# lambda-family multiset (held as Python floats, ~70 B each).
 _BUDGETS = {**dict.fromkeys(("nodes", "values", "cells"), 2**26),
             **dict.fromkeys(("atoms", "rows"), 2**22),
-            "pull-back nodes": 2**24, "node-steps": 2**36}
+            "pull-back nodes": 2**24, "node-steps": 2**36,
+            "coefficients": 2**20}
 
 
-def check_budget(kind: str, size: float) -> None:
-    """Raise ResourceLimitError if `size` items of `kind` exceed their budget."""
-    if size > _BUDGETS[kind]:
-        raise ResourceLimitError(f"{size} {kind} exceed the {_BUDGETS[kind]} budget")
+def check_budget(kind: str, size: float, exponent: int = 1) -> None:
+    """Raise ResourceLimitError if size**exponent items of `kind` exceed
+    their budget.  A size >= 2 with an exponent past the budget's bit
+    length is refused before the power is formed, so a huge depth costs
+    nothing."""
+    budget = _BUDGETS[kind]
+    huge = size >= 2 and exponent > budget.bit_length()
+    shown = f"{size}**{exponent}" if huge else size**exponent
+    if huge or shown > budget:
+        raise ResourceLimitError(f"{shown} {kind} exceed the {budget} budget")
+
+
+def tree_size(N: int, depth: int) -> int:
+    """The node count of generations 0..depth, (N**(depth+1) - 1)/(N - 1),
+    within the "nodes" budget; N**depth meets it first."""
+    check_budget("nodes", N, depth)
+    size = generation_start(N, depth + 1)
+    check_budget("nodes", size)
+    return size
 
 
 @dataclass(frozen=True)
@@ -72,7 +89,7 @@ class ConstantSolution:
         if depth < 0:
             raise ValueError(f"depth must be >= 0, got {depth}")
         model = self.model
-        check_budget("nodes", generation_start(model.N, depth + 1))
+        tree_size(model.N, depth)
         return list(model.path_sum_rows(math.log2(model.forcing) + self.q,
                                         self.q, 0.5, depth))
 
@@ -197,7 +214,7 @@ def pullback(coefficients: GeneralCoefficients, alpha: float, depth: int,
     if not math.isfinite(seed):
         raise ValueError(f"seed must be finite, got {seed}")
     arity = coefficients.arity
-    check_budget("pull-back nodes", arity**depth)
+    check_budget("pull-back nodes", arity, depth)
 
     rows: list[np.ndarray] = [np.empty(0)] * (depth + 1)
     rows[depth] = np.broadcast_to(float(seed), arity**depth)

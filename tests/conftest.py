@@ -1,7 +1,29 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import treeshell
 from treeshell import ConstantSolution, RcmModel, lambda_family
+
+# Child interpreters import the package from the same source tree as this one.
+SUBPROCESS_ENV = dict(
+    os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [os.path.dirname(os.path.dirname(treeshell.__file__)),
+                      os.environ.get("PYTHONPATH")])))
+
+
+def run_capped(code: str, *argv: str) -> subprocess.CompletedProcess:
+    """``python -c code argv...`` in a child interpreter whose address space
+    is capped at 2 GiB, with a 30 s timeout: a size that is formed or
+    allocated without bound fails the test, not the machine."""
+    cap = ("import resource; "
+           "resource.setrlimit(resource.RLIMIT_AS, (2**31, 2**31))\n")
+    return subprocess.run([sys.executable, "-c", cap + code, *argv],
+                          capture_output=True, text=True, timeout=30,
+                          env=SUBPROCESS_ENV)
 
 
 @pytest.fixture(scope="session")

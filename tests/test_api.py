@@ -24,10 +24,12 @@ MOVED = ("entropy_max_oracle", "measure_from_enumeration", "enumerate_log2_F",
          "sigma_of", "stationarity_residual")
 # the fast paths the oracles check, which they must not call
 FAST_PATHS = {"measure", "dim_D", "dim_D_of_multiset", "phi_inverse",
-              "zeta_raw", "synthesize", "_write_csv", "_Rk4", "advance",
+              "zeta_raw", "synthesize", "_write_csv", "_csv_chunks",
+              "_byte_chunk", "_format_floats", "_Rk4", "run", "derivative",
               "step", "rhs", "integrate", "flux_terms", "energy_balance",
               "pullback", "_pull_row", "residual_max",
-              "_row_reduction", "_reduce_rows", "local_holder"}
+              "_row_reduction", "_reduce_rows", "local_holder",
+              "_haar_structure_function"}
 
 
 @pytest.mark.parametrize("name", MODULES)

@@ -17,17 +17,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import treeshell
-from conftest import same_bits
+from conftest import SUBPROCESS_ENV, run_capped, same_bits
 from oracles import csv_text_oracle
 from treeshell import ConstantSolution, GeneralCoefficients, cli
 from treeshell.cli import _write_csv, main
-
-# Child interpreters import the package from the same source tree as this one.
-SUBPROCESS_ENV = dict(
-    os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [os.path.dirname(os.path.dirname(treeshell.__file__)),
-                      os.environ.get("PYTHONPATH")])))
 
 
 D12_CONFIG = '{"d": 1, "alpha": 1.5, "deltas": [1, 2]}'
@@ -541,12 +534,40 @@ class TestCliContract:
         assert proc.stderr == ("configuration error: all coefficients must "
                                "be strictly positive and finite\n")
 
+    @pytest.mark.parametrize("argv, message", [
+        ("solve --deltas 1,2 --dim 1 --depth 10000000000000000000",
+         "2**10000000000000000000 pull-back nodes exceed the 16777216 budget"),
+        ("simulate --deltas 1,2 --dim 1 --depth 10000000000000000000",
+         "2**10000000000000000000 nodes exceed the 67108864 budget"),
+        ("structure --deltas 1,2 --dim 1 --depth 10000000000000000000",
+         "2**10000000000000000000 cells exceed the 67108864 budget"),
+        ("solve --deltas 1,2 --dim 400000000",
+         "d = 400000000 needs 2**d coefficients, got 2"),
+        ("lln --lambda 1e-7 --dim 22",
+         "2**22 coefficients exceed the 1048576 budget"),
+        ("lln --lambda 1e-7 --dim 27",
+         "2**27 coefficients exceed the 1048576 budget")],
+        ids=["solve-depth", "simulate-depth", "structure-depth", "solve-dim",
+             "lambda-dim-22", "lambda-dim-27"])
+    def test_huge_sizes_are_refused_before_they_are_formed(self, argv,
+                                                           message):
+        # in a child with capped memory: each used to run past 20 s, stop on
+        # Python's int-to-text digit limit or build 290 MB of coefficients
+        # or more before a check refused it
+        proc = run_capped("import sys\nfrom treeshell.cli import main\n"
+                          "sys.exit(main(sys.argv[1:]))", *argv.split())
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == f"configuration error: {message}\n"
+
     @pytest.mark.parametrize("argv", [
         # the band covers the whole sigma range [0, 1]
         "concentration --deltas 1,2 --band 0,1 --n-list 10",
         # a flat model's sigma range is the one point the band covers
         "concentration --deltas 1,1 --band auto --n-list 10,20",
-        "lln --deltas 1,2 --seed -1"])
+        "lln --deltas 1,2 --seed -1",
+        # generations past int64, which numpy cannot take
+        "lln --deltas 1,2 --n 10000000000000000000",
+        "concentration --deltas 1,2 --n-list 1e19,10"])
     def test_library_input_checks_are_config_errors(self, capsys, monkeypatch,
                                                     argv):
         from treeshell import dissipation
@@ -1093,14 +1114,11 @@ def written_bytes(header, columns) -> tuple[bytes, bytes]:
 
 @st.composite
 def tables(draw):
-    """A chunk size, a byte-row threshold, and columns of every kind, scalar
-    or not, whose row count sits on a chunk boundary or anywhere up to three
-    chunks, and on either side of the threshold."""
+    """A chunk size and columns of every kind, scalar or not, whose row
+    count sits on a chunk boundary or anywhere up to three chunks."""
     chunk = draw(st.integers(1, 4))
     n_rows = draw(st.sampled_from([0, 1, chunk - 1, chunk, chunk + 1,
                                    2 * chunk + 1]) | st.integers(0, 3 * chunk))
-    threshold = draw(st.sampled_from([n_rows, n_rows + 1])
-                     | st.integers(0, 3 * chunk + 1))
     names = draw(st.lists(st.text(alphabet="xy%,", min_size=1), min_size=1,
                           max_size=5, unique=True))
     columns = {}
@@ -1109,7 +1127,7 @@ def tables(draw):
         columns[name] = (draw(cells) if draw(st.booleans())
                          else draw(st.lists(cells, min_size=n_rows,
                                             max_size=n_rows)))
-    return chunk, threshold, columns
+    return chunk, columns
 
 
 class TestChunkedCsvWriter:
@@ -1117,9 +1135,8 @@ class TestChunkedCsvWriter:
               database=None)
     @given(tables(), st.lists(st.text(alphabet="# %s"), max_size=2))
     def test_bytes_match_the_oracle(self, table, header):
-        chunk, threshold, columns = table
-        with mock.patch.object(cli, "_CHUNK_ROWS", chunk), \
-                mock.patch.object(cli, "_BYTE_ROWS", threshold):
+        chunk, columns = table
+        with mock.patch.object(cli, "_CHUNK_ROWS", chunk):
             to_file, to_stdout = written_bytes(header, columns)
         want = csv_text_oracle(header, columns).encode()
         assert to_file == want and to_stdout == want
@@ -1174,26 +1191,28 @@ class TestChunkedCsvWriter:
         assert {r["n"] for r in rows} == {"57"}
 
     @pytest.mark.parametrize("pooled", [False, True])
-    @pytest.mark.parametrize("n_rows", [cli._BYTE_ROWS - 1, cli._BYTE_ROWS,
-                                        255, 256, CHUNK + 1])
+    @pytest.mark.parametrize("n_rows", [1, 2, 71, 72, 255, 256, CHUNK + 1])
     def test_large_double_columns_go_through_the_kernel(self, n_rows, pooled):
-        # a table of _BYTE_ROWS rows or more formats every double with
-        # _format_floats, repeated ones too; a smaller table formats none
-        # with it
+        # every double of a chunk, a scalar one and a float32 one included,
+        # reaches _format_floats once, in one call a chunk and in column
+        # order, at any row count
         rng = np.random.default_rng(n_rows)
         x = rng.standard_normal(n_rows) * 1e3
         if pooled:
             x = rng.choice(x[:7], n_rows)
-        columns = {"n": 3, "x": x, "k": np.arange(n_rows)}
+        columns = {"n": 3, "x": x, "k": np.arange(n_rows), "c": -1 / 3,
+                   "y": (x / 7).astype(np.float32)}
         with mock.patch.object(cli, "_format_floats",
                                wraps=cli._format_floats) as kernel:
             to_file, _ = written_bytes(["# h"], columns)
         assert to_file == csv_text_oracle(["# h"], columns).encode()
-        formatted = sum(len(c.args[0]) for c in kernel.call_args_list)
-        if n_rows < cli._BYTE_ROWS:
-            assert formatted == 0
-        else:  # written twice: to a file and to stdout
-            assert formatted == 2 * n_rows
+        want = [np.concatenate([x[rows], [-1 / 3], columns["y"][rows]])
+                for rows in (slice(start, start + CHUNK)
+                             for start in range(0, n_rows, CHUNK))]
+        got = [c.args[0] for c in kernel.call_args_list]
+        # written twice: to a file and to stdout
+        assert len(got) == 2 * len(want)
+        assert all(same_bits(g, w) for g, w in zip(got, want + want))
 
 
 def float_texts(x) -> list[str]:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import same_bits
+from conftest import run_capped, same_bits
 from oracles import (TreeIndex, log2_u_of_node, pull_row_oracle,
                      residual_max_oracle, stationarity_residual, u_of_node)
 from treeshell import (
@@ -287,6 +287,49 @@ class TestPullback:
         run = pullback(GeneralCoefficients.from_rcm(d12), d12.alpha, depth)
         run.residual_max()
         assert sorted(calls) == list(range(1, depth + 1))
+
+
+class TestHugeExponents:
+    @pytest.mark.parametrize("call, message", [
+        ("pullback(GeneralCoefficients.from_rcm(d12), 1.5, depth=BIG)",
+         "ResourceLimitError: 2**BIG pull-back nodes exceed"),
+        ("ConstantSolution(d12).log2_u_rows(BIG)",
+         "ResourceLimitError: 2**BIG nodes exceed"),
+        ("dynamics.TruncatedState.zeros(d12, BIG)",
+         "ResourceLimitError: 2**BIG nodes exceed"),
+        ("dynamics.TruncatedState(d12, BIG, np.zeros(3))",
+         "ResourceLimitError: 2**BIG nodes exceed"),
+        ("dynamics.flux_terms(d12, BIG, np.zeros(3), np.ones(3, bool))",
+         "ResourceLimitError: 2**BIG nodes exceed"),
+        ("field.synthesize(ConstantSolution(d12), BIG)",
+         "ResourceLimitError: 2**BIG cells exceed"),
+        ("field.structure_function(ConstantSolution(d12), BIG, [1.0], (3, 5))",
+         "ResourceLimitError: 2**BIG cells exceed"),
+        ("lambda_family(0.1, d=BIG)",
+         "ResourceLimitError: 2**BIG coefficients exceed"),
+        ("lambda_family(1e-7, d=27)",
+         "ResourceLimitError: 2**27 coefficients exceed"),
+        ("RcmModel.create(BIG, 1.5, [1.0, 2.0])",
+         "ValueError: d = BIG needs 2**d coefficients, got 2")],
+        ids=["pullback", "log2_u_rows", "zeros", "state", "flux_terms",
+             "synthesize", "structure_function", "lambda_family",
+             "lambda_family_d27", "RcmModel"])
+    def test_a_huge_exponent_is_refused_before_its_size_exists(self, call,
+                                                               message):
+        # in a child with capped memory: each used to form the size, or
+        # allocate it, without bound
+        big = str(10**19)
+        proc = run_capped(
+            "import numpy as np\n"
+            "from treeshell import *\n"
+            "from treeshell import dynamics, field\n"
+            "d12 = RcmModel.create(1, 1.5, [1.0, 2.0])\n"
+            "try:\n"
+            f"    {call.replace('BIG', big)}\n"
+            "except (ValueError, ResourceLimitError) as e:\n"
+            "    print(f'{type(e).__name__}: {e}')\n")
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert proc.stdout.startswith(message.replace("BIG", big))
 
 
 class TestPullbackAgainstOracle:

@@ -171,6 +171,21 @@ class TestRateAndDimension:
                 got = spectra.dim_D_of_multiset(c, a)
                 assert abs(got - want) <= 1e-11, (c.log2_deltas.tolist(), a)
 
+    # the Legendre pair: zeta_raw(p) = p h(a) + d - D(a) at a = phi(p/2),
+    # h(a) = (alpha - d/2)/3 + (ell(3/2) - a)/2 the local Holder exponent
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from((1, 2, 3)),
+           st.booleans(), st.floats(0.0, 20.0))
+    def test_zeta_is_the_legendre_transform_of_D(self, seed, d, flat, p):
+        from conftest import random_rcm
+        m = random_rcm(np.random.default_rng(seed), d_choices=(d,))
+        if flat:
+            m = RcmModel.create(d, m.alpha, [m.deltas[0]] * 2**d, m.forcing)
+        a = m.phi(p / 2)
+        h = (m.alpha - m.d / 2) / 3 + (m.ell(1.5) - a) / 2
+        got = p * h + m.d - spectra.dim_D(m, a)
+        assert abs(got - spectra.zeta_raw(m, p)) <= 1e-11
+
     def test_endpoints_use_degenerate_compositions(self):
         m = RcmModel.create(2, 2.0, [1.0, 1.0, 2.0, 4.0])
         lo, hi = m.coeffs.ell_neg_inf(), m.coeffs.ell_pos_inf()
