@@ -20,11 +20,11 @@ from .solution import (
     ConstantSolution,
     DivergenceWitness,
     PullbackRun,
-    ResourceLimitError,
     divergence_witness,
     pullback,
 )
 from .spectra import fixed_point_q
+from .tree import ResourceLimitError
 
 __all__ = [
     "__version__",

@@ -36,13 +36,13 @@ import sys
 import numpy as np
 
 from . import __version__, dissipation, dynamics, field, spectra
-from .coefficients import (GeneralCoefficients, RcmModel, lambda_family,
-                           model_from_dict)
-from .solution import (ConstantSolution, ResourceLimitError, check_budget,
-                       pullback)
+from .coefficients import (GeneralCoefficients, RcmModel, _number,
+                           lambda_family, model_from_dict)
+from .solution import ConstantSolution, pullback
+from .tree import ResourceLimitError, check_budget
 
 _FLOAT = "%.17g"
-_CHUNK_ROWS = 2**15  # rows per formatted chunk: bounds the live text
+_CHUNK_ROWS = 2**14  # rows per formatted chunk: bounds the live text
 
 # _format_floats: for 1e-4 <= |x| < 1e16, '%.17g' is fixed notation of the
 # 17-digit significand N = round(|x| * 10**(16 - E)) in [1e16, 1e17), E the
@@ -282,7 +282,8 @@ def _model_from_args(args) -> RcmModel:
         if args.deltas is None and args.lam is None:
             raise ValueError("provide --deltas, --lambda or --config")
         dim = 1 if args.dim is None else args.dim
-        alpha = dim / 2 + 1 if args.alpha is None else args.alpha
+        alpha = _number("--dim", dim) / 2 + 1 if args.alpha is None \
+            else args.alpha
         forcing = 1.0 if args.forcing is None else args.forcing
         cfg = {"d": dim, "alpha": alpha, "f": forcing}
         if args.deltas is not None:

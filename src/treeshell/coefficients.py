@@ -31,6 +31,8 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
+from .tree import check_budget
+
 __all__ = [
     "RepeatedCoefficients",
     "GeneralCoefficients",
@@ -107,6 +109,14 @@ def _reduce_rows(ufunc: np.ufunc, rows: np.ndarray) -> np.ndarray:
     return out
 
 
+def _path_sums(counts: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Per row of ``counts`` (compositions over the distinct ``values``),
+    the sum of log2 d along the path, in ``_reduce_rows``'s fixed order: a
+    matrix product would sum a row of many in another order than a single
+    composition, and the same path would get two sigmas an ulp apart."""
+    return _reduce_rows(np.add, counts * np.log2(values))
+
+
 @dataclass(frozen=True)
 class RepeatedCoefficients:
     """The multiset {delta_w} of positive weights shared by every offspring set.
@@ -121,7 +131,10 @@ class RepeatedCoefficients:
     log2_deltas: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __init__(self, deltas: Sequence[float]):
-        deltas = tuple(float(x) for x in deltas)
+        try:
+            deltas = tuple(float(x) for x in deltas)
+        except OverflowError:  # an integer past the double range
+            raise ValueError("a delta is past the double range") from None
         if len(deltas) < 1:
             raise ValueError("need at least one coefficient")
         if any(not 0 < x < math.inf for x in deltas):
@@ -310,6 +323,28 @@ class RepeatedCoefficients:
                 return new
             gamma = new
 
+    def top_multiplicity(self, s: float) -> int:
+        """How many weights sit at the x_top of an argument s: within 1e-12
+        in log2 of the largest delta for s >= 0, of the smallest otherwise."""
+        return int(np.sum(self._side(s)[1] <= 1e-12))
+
+    def dim_D(self, a: float) -> float:
+        """The dimension D(a) of the level set where the path mean of log2
+        delta is a, a constrained-entropy maximum: at most log2 size (d for
+        N = 2**d entries), and log2 of an end's multiplicity within 1e-12 of
+        that end.  Inside, gamma = phi^{-1}(a) rejects a flat multiset and
+        any a outside, and D = log2 S - gamma (a - x_top), S = sum_w 2**(gamma
+        (log2 delta_w - x_top)) from ``_tilted_moments``: log2 size - gamma
+        (a - ell(gamma)) as two terms >= 0, so the rounding of a - ell(gamma)
+        is never multiplied by |gamma| (1e7 on near-flat multisets).  D is
+        stationary in gamma: gamma's error enters at second order only."""
+        for s in (-1.0, 1.0):
+            if math.isclose(a, self._side(s)[0], rel_tol=0, abs_tol=1e-12):
+                return math.log2(self.top_multiplicity(s))
+        gamma = self.phi_inverse(a)
+        top, total, *_ = self._tilted_moments(gamma)
+        return math.log2(total) - gamma * (a - top)
+
 
 @dataclass(frozen=True)
 class GeneralCoefficients:
@@ -444,8 +479,6 @@ def lambda_family(lam: float, d: int = 3, alpha: float | None = None,
     i = 0..7; lam = 0 is the flat model.  alpha defaults to the physical
     value d/2 + 1.
     """
-    from .solution import check_budget  # solution imports this module
-
     check_budget("coefficients", 2, d)
     if alpha is None:
         alpha = d / 2 + 1
@@ -464,7 +497,10 @@ def _number(key: str, value) -> float:
     """The config value of `key` as a float, if it is a number."""
     if not _is_number(value):
         raise ValueError(f"'{key}' must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an integer past the double range
+        raise ValueError(f"'{key}' is past the double range") from None
 
 
 def model_from_dict(cfg: dict) -> RcmModel:
@@ -474,7 +510,7 @@ def model_from_dict(cfg: dict) -> RcmModel:
     ``{"d", "alpha", "f", "lambda": x}`` for the lambda family, not both.
     """
     d = cfg["d"]
-    if not _is_number(d) or not float(d).is_integer():
+    if not _is_number(d) or d % 1:  # inf % 1 and NaN % 1 are NaN, truthy
         raise ValueError(f"'d' must be an integer, got {d!r}")
     d = int(d)
     alpha = _number("alpha", cfg["alpha"])

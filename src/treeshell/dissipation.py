@@ -20,9 +20,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .coefficients import _LN2, RcmModel, _reduce_rows, log2sumexp2
-from .solution import check_budget
+from .coefficients import (_LN2, RcmModel, _path_sums, _reduce_rows,
+                           log2sumexp2)
 from .spectra import cascade_rate, dim_D, rate_R
+from .tree import check_budget
 
 __all__ = [
     "DissipationMeasure",
@@ -130,14 +131,6 @@ class DissipationMeasure:
         """log2 mu_n of the complement of the open interval (lo, hi)."""
         sel = (self.sigma > lo) & (self.sigma < hi)
         return log2sumexp2(self.log2_mass[~sel])
-
-
-def _path_sums(counts: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Per row of ``counts`` (compositions over the distinct ``values``),
-    the sum of log2 d along the path, in ``_reduce_rows``'s fixed order: a
-    matrix product would sum a row of many in another order than a single
-    composition, and the same path would get two sigmas an ulp apart."""
-    return _reduce_rows(np.add, counts * np.log2(values))
 
 
 def measure(model: RcmModel, n: int) -> DissipationMeasure:

@@ -34,8 +34,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .coefficients import RcmModel, _row_reduction
-from .solution import ConstantSolution, check_budget, tree_size
-from .tree import generation_start
+from .solution import ConstantSolution
+from .tree import check_budget, generation_start, tree_size
 
 __all__ = [
     "TruncatedState",

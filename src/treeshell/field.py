@@ -38,10 +38,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dissipation import _path_sums
-from .solution import ConstantSolution, check_budget
+from .coefficients import _path_sums
+from .solution import ConstantSolution
 from .spectra import s0
-from .tree import label_axes
+from .tree import check_budget, label_axes
 
 __all__ = [
     "WaveletField",

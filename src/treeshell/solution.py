@@ -11,7 +11,8 @@ they span hundreds of orders of magnitude across generations.
 
 For general bounded coefficients there is no closed form; the pull-back
 construction seeds an arbitrary value at a deep generation and runs the
-stationarity recursion backwards, one generation row at a time.
+stationarity recursion backwards, one generation row at a time.  Both
+constructions meet the size budgets of ``tree`` before they allocate.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 from .coefficients import (_LN2, GeneralCoefficients, RcmModel, _reduce_rows,
                            log2sumexp2)
 from .spectra import fixed_point_q, s0
-from .tree import generation_start
+from .tree import check_budget, tree_size
 
 __all__ = [
     "ConstantSolution",
@@ -32,43 +33,7 @@ __all__ = [
     "pullback",
     "DivergenceWitness",
     "divergence_witness",
-    "ResourceLimitError",
 ]
-
-
-class ResourceLimitError(RuntimeError):
-    """A size would exceed its fixed memory or work budget."""
-
-
-# Budgets by kind: generation rows and states ("nodes"), trajectories and lln
-# label counts ("values"), fields, the lattice, the spectra table, the deepest
-# pull-back row (all rows are kept), one integration's steps times nodes and a
-# lambda-family multiset (held as Python floats, ~70 B each).
-_BUDGETS = {**dict.fromkeys(("nodes", "values", "cells"), 2**26),
-            **dict.fromkeys(("atoms", "rows"), 2**22),
-            "pull-back nodes": 2**24, "node-steps": 2**36,
-            "coefficients": 2**20}
-
-
-def check_budget(kind: str, size: float, exponent: int = 1) -> None:
-    """Raise ResourceLimitError if size**exponent items of `kind` exceed
-    their budget.  A size >= 2 with an exponent past the budget's bit
-    length is refused before the power is formed, so a huge depth costs
-    nothing."""
-    budget = _BUDGETS[kind]
-    huge = size >= 2 and exponent > budget.bit_length()
-    shown = f"{size}**{exponent}" if huge else size**exponent
-    if huge or shown > budget:
-        raise ResourceLimitError(f"{shown} {kind} exceed the {budget} budget")
-
-
-def tree_size(N: int, depth: int) -> int:
-    """The node count of generations 0..depth, (N**(depth+1) - 1)/(N - 1),
-    within the "nodes" budget; N**depth meets it first."""
-    check_budget("nodes", N, depth)
-    size = generation_start(N, depth + 1)
-    check_budget("nodes", size)
-    return size
 
 
 @dataclass(frozen=True)

@@ -15,17 +15,8 @@ The companion rate/dimension pair
 
 controls where anomalous dissipation concentrates: R >= D with equality
 exactly at a = phi(3/2), and the dissipation carrier has dimension
-Delta = d - (3/2)(phi(3/2) - ell(3/2)).  D is evaluated as
-
-    D(a) = log2 S - gamma_a (a - x_top),
-    S = sum_w 2**(gamma_a (log2 delta_w - x_top)),
-
-with x_top the top value that ell and phi are read from (the largest log2
-delta for gamma_a >= 0, the smallest otherwise), which ``_tilted_moments``
-returns with S.  This equals the form above, but both of its terms are >= 0,
-so the rounding of a - ell(gamma_a) is never multiplied by |gamma_a|
-(1e7 on near-flat multisets); and D is stationary in gamma, so the error
-of gamma_a enters only at second order.
+Delta = d - (3/2)(phi(3/2) - ell(3/2)).  ell, phi, D and the count m are
+methods of ``RepeatedCoefficients``; the intercept is d - D(log2 max delta).
 
 Both the clipped min{p, .} exponent and the raw branch are exposed; the
 asymptote and the Frisch-Parisi consistency check need the raw branch.
@@ -38,7 +29,7 @@ import warnings
 
 import numpy as np
 
-from .coefficients import RcmModel, RepeatedCoefficients
+from .coefficients import RcmModel
 
 __all__ = [
     "fixed_point_q",
@@ -49,10 +40,8 @@ __all__ = [
     "zeta_raw",
     "zeta_derivative",
     "asymptote",
-    "max_delta_multiplicity",
     "rate_R",
     "dim_D",
-    "dim_D_of_multiset",
     "dim_delta",
     "reference_zeta",
     "frisch_parisi_residual",
@@ -113,19 +102,14 @@ def zeta_derivative(model: RcmModel, p: float) -> float:
             - 0.5 * model.phi(p / 2))
 
 
-def max_delta_multiplicity(model: RcmModel) -> int:
-    """Multiplicity of the largest coefficient in the multiset."""
-    log2d = model.coeffs.log2_deltas
-    return int(np.sum(log2d >= log2d.max() - 1e-12))
-
-
 def asymptote(model: RcmModel) -> tuple[float, float]:
     """(slope, intercept) of the oblique asymptote of the raw branch.
 
     Slope is the Holder exponent h; the intercept is d - log2 m with m the
     multiplicity of the largest coefficient.
     """
-    return holder_exponent(model), model.d - math.log2(max_delta_multiplicity(model))
+    return (holder_exponent(model),
+            model.d - math.log2(model.coeffs.top_multiplicity(math.inf)))
 
 
 # ---------------------------------------------------------------------------
@@ -139,27 +123,9 @@ def rate_R(model: RcmModel, a) -> np.ndarray | float:
         if np.ndim(a) else model.d + 1.5 * model.ell(1.5) - 1.5 * float(a)
 
 
-def dim_D_of_multiset(coeffs: RepeatedCoefficients, a: float) -> float:
-    """Constrained-entropy maximum for a coefficient multiset.
-
-    The unconstrained maximum is log2 of the multiset size (the spatial
-    dimension d when the multiset has N = 2**d entries).  Within 1e-12 of
-    an end of the range D is log2 of the multiplicity of that extreme value,
-    whose compositions are degenerate.  Inside, D = log2 S - gamma (a -
-    x_top) from the tilted sum S of ``_tilted_moments`` at gamma =
-    phi^{-1}(a), which also rejects a flat multiset and any a outside.
-    """
-    for top, dist, _ in reversed(coeffs._sides):
-        if math.isclose(a, top, rel_tol=0, abs_tol=1e-12):
-            return math.log2(np.sum(dist <= 1e-12))
-    gamma = coeffs.phi_inverse(a)
-    top, total, *_ = coeffs._tilted_moments(gamma)
-    return math.log2(total) - gamma * (a - top)
-
-
 def dim_D(model: RcmModel, a: float) -> float:
     """Hausdorff dimension of the level set with path-mean log-coefficient a."""
-    return dim_D_of_multiset(model.coeffs, a)
+    return model.coeffs.dim_D(a)
 
 
 def dim_delta(model: RcmModel) -> float:

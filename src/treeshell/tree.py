@@ -26,13 +26,17 @@ labelling of sub-cubes is otherwise free):
 The per-node forms of these conventions (a node object, its exact cube and
 the path of a point) live in ``tests/oracles.py``, where they check the
 vectorised code.
+
+It is also the one home of the size budgets: every size meets its budget in
+``check_budget`` before it is allocated or looped over, and ``tree_size``
+is ``generation_start`` under the "nodes" budget.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["generation_start", "label_axes"]
+__all__ = ["generation_start", "label_axes", "ResourceLimitError"]
 
 
 def label_axes(values, dim: int) -> np.ndarray:
@@ -48,3 +52,38 @@ def generation_start(N: int, generation: int) -> int:
     if generation < 0:
         raise ValueError(f"generation must be >= 0, got {generation}")
     return (N**generation - 1) // (N - 1)
+
+
+class ResourceLimitError(RuntimeError):
+    """A size would exceed its fixed memory or work budget."""
+
+
+# Budgets by kind: generation rows and states ("nodes"), trajectories and lln
+# label counts ("values"), fields, the lattice, the spectra table, the deepest
+# pull-back row (all rows are kept), one integration's steps times nodes and a
+# lambda-family multiset (held as Python floats, ~70 B each).
+_BUDGETS = {**dict.fromkeys(("nodes", "values", "cells"), 2**26),
+            **dict.fromkeys(("atoms", "rows"), 2**22),
+            "pull-back nodes": 2**24, "node-steps": 2**36,
+            "coefficients": 2**20}
+
+
+def check_budget(kind: str, size: float, exponent: int = 1) -> None:
+    """Raise ResourceLimitError if size**exponent items of `kind` exceed
+    their budget.  A size >= 2 with an exponent past the budget's bit
+    length is refused before the power is formed, so a huge depth costs
+    nothing."""
+    budget = _BUDGETS[kind]
+    huge = size >= 2 and exponent > budget.bit_length()
+    shown = f"{size}**{exponent}" if huge else size**exponent
+    if huge or shown > budget:
+        raise ResourceLimitError(f"{shown} {kind} exceed the {budget} budget")
+
+
+def tree_size(N: int, depth: int) -> int:
+    """The node count of generations 0..depth, (N**(depth+1) - 1)/(N - 1),
+    within the "nodes" budget; N**depth meets it first."""
+    check_budget("nodes", N, depth)
+    size = generation_start(N, depth + 1)
+    check_budget("nodes", size)
+    return size

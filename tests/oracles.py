@@ -47,9 +47,9 @@ from treeshell.coefficients import (GeneralCoefficients, RcmModel,
 from treeshell.dissipation import DissipationMeasure
 from treeshell.dynamics import TruncatedState, _system
 from treeshell.field import _generations
-from treeshell.solution import (ConstantSolution, PullbackRun,
-                                ResourceLimitError, check_budget)
+from treeshell.solution import ConstantSolution, PullbackRun
 from treeshell.spectra import cascade_rate
+from treeshell.tree import ResourceLimitError, check_budget
 
 
 # Budget on the nodes visited by the enumeration oracle.

@@ -136,7 +136,7 @@ def test_criterion_4_shape_and_asymptote():
         # finite-p gap identity is pinned at p = 200 for every model.
         all_ratios = m.deltas / m.deltas.max()
         ratios = all_ratios[all_ratios < 1.0 - 1e-12]  # strictly sub-maximal
-        mult = spectra.max_delta_multiplicity(m)
+        mult = m.coeffs.top_multiplicity(math.inf)
         p_eval = 200.0
         while np.sum(ratios ** (p_eval / 2)) / mult > 5e-7 and p_eval < 1e5:
             p_eval *= 2
@@ -160,7 +160,7 @@ def test_criterion_5_dimension_formula():
         worst = 0.0
         for frac in np.linspace(0.04, 0.96, 20):
             a = lo + (hi - lo) * float(frac)
-            closed = spectra.dim_D_of_multiset(coeffs, a)
+            closed = coeffs.dim_D(a)
             oracle = entropy_max_oracle(coeffs, a)
             worst = max(worst, abs(closed - oracle))
         c.check(worst <= 1e-5, f"N={N}: max |D - oracle| = {worst:.2e}")

@@ -1,5 +1,5 @@
-"""The package's public surface, and the separation between the library and
-the brute-force oracles in ``tests/oracles.py``."""
+"""The package's public surface, its layering, and the separation between
+the library and the brute-force oracles in ``tests/oracles.py``."""
 
 import ast
 import importlib
@@ -23,13 +23,90 @@ MOVED = ("entropy_max_oracle", "measure_from_enumeration", "enumerate_log2_F",
          "coefficient_of", "path_log2_sum", "log2_u_of_node", "log2_F",
          "sigma_of", "stationarity_residual")
 # the fast paths the oracles check, which they must not call
-FAST_PATHS = {"measure", "dim_D", "dim_D_of_multiset", "phi_inverse",
+FAST_PATHS = {"measure", "dim_D", "phi_inverse",
               "zeta_raw", "synthesize", "_write_csv", "_csv_chunks",
               "_byte_chunk", "_format_floats", "_Rk4", "run", "derivative",
               "step", "rhs", "integrate", "flux_terms", "energy_balance",
               "pullback", "_pull_row", "residual_max",
               "_row_reduction", "_reduce_rows", "local_holder",
               "_haar_structure_function"}
+
+
+# the package's layers, lowest first: a module imports only from lower
+# layers; __init__ re-exports the library, and cli reads its __version__
+LAYERS = [["tree"], ["coefficients"], ["spectra"], ["solution"],
+          ["dissipation", "dynamics", "field"], ["__init__"], ["cli"]]
+RANK = {name: rank for rank, layer in enumerate(LAYERS) for name in layer}
+SOURCES = {path.stem: ast.parse(path.read_text()) for path in
+           sorted(pathlib.Path(treeshell.__file__).parent.glob("*.py"))}
+
+
+def _package_imports(node) -> list:
+    """(import statement, package module it reads, name it takes or None)
+    for every import of the package's own modules under node, relative or
+    absolute; ``from . import x`` reads module x, or __init__ if x is not
+    a module."""
+    found = []
+    for imp in ast.walk(node):
+        if isinstance(imp, ast.Import):
+            paths = [a.name.split(".") for a in imp.names]
+            found += [(imp, (path + ["__init__"])[1], None) for path in paths
+                      if path[0] == "treeshell"]
+        elif isinstance(imp, ast.ImportFrom) and (
+                imp.level or (imp.module or "").split(".")[0] == "treeshell"):
+            path = (imp.module or "").split(".")[0 if imp.level else 1:]
+            found += [(imp, path[0] if path and path[0]
+                       else a.name if a.name in RANK else "__init__", a.name)
+                      for a in imp.names]
+    return found
+
+
+def _private(name) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
+def test_no_package_import_sits_inside_a_function():
+    # an import inside a function is how a cycle hides
+    inside = [(name, imp.lineno) for name, tree in SOURCES.items()
+              for f in ast.walk(tree)
+              if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
+              for imp, _, _ in _package_imports(f)]
+    assert inside == []
+
+
+def test_imports_run_down_the_layers():
+    assert sorted(RANK) == sorted(SOURCES)
+    upward = [(name, source) for name, tree in SOURCES.items()
+              for _, source, _ in _package_imports(tree)
+              if RANK[source] >= RANK[name]]
+    assert upward == []
+
+
+def test_private_attributes_are_read_only_at_home():
+    # obj._x outside self/cls only in the module that defines _x
+    foreign = []
+    for name, tree in SOURCES.items():
+        nodes = list(ast.walk(tree))
+        defined = {n.name for n in nodes if isinstance(
+            n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))} | {
+            n.id for n in nodes if isinstance(n, ast.Name)
+            and isinstance(n.ctx, ast.Store)} | {
+            n.attr for n in nodes if isinstance(n, ast.Attribute)
+            and isinstance(n.ctx, ast.Store)}
+        foreign += [(name, n.attr) for n in nodes
+                    if isinstance(n, ast.Attribute) and _private(n.attr)
+                    and n.attr not in defined
+                    and getattr(n.value, "id", None) not in ("self", "cls")]
+    assert foreign == []
+
+
+def test_private_names_cross_modules_only_out_of_coefficients():
+    # coefficients is the one home of the shared kernels (_reduce_rows,
+    # _row_reduction, _path_sums) and constants
+    crossing = [(name, source, taken) for name, tree in SOURCES.items()
+                for _, source, taken in _package_imports(tree)
+                if taken and _private(taken) and source != "coefficients"]
+    assert crossing == []
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -75,7 +152,7 @@ def test_only_check_budget_raises_resource_limit_error():
                 if isinstance(f, ast.FunctionDef) and f.name == "check_budget"
                 for r in _budget_raises(f)}
         sites += [(name, id(r) in home) for r in _budget_raises(tree)]
-    assert sites == [("treeshell.solution", True)]
+    assert sites == [("treeshell.tree", True)]
 
 
 def _raises(node, scope=()):
@@ -103,7 +180,7 @@ def test_every_library_raise_outside_the_numeric_sites_is_a_value_error():
         ("treeshell.cli", "cmd_structure", "ArithmeticError"),
         ("treeshell.dynamics", "_Rk4.run", "FloatingPointError"),
         ("treeshell.dynamics", "integrate", "RuntimeError"),
-        ("treeshell.solution", "check_budget", "ResourceLimitError")]
+        ("treeshell.tree", "check_budget", "ResourceLimitError")]
 
 
 def _traced_names() -> list:

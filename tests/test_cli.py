@@ -489,6 +489,30 @@ class TestCliContract:
         assert captured.err.startswith("configuration error: '")
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("flags, config", [
+        ("--deltas 1,2 --dim BIG", None),
+        ("--deltas 1,2 --dim BIG --alpha 1.5", None),
+        ("", '{"d": BIG, "alpha": 1.5, "deltas": [1, 2]}'),
+        ("", '{"d": 1, "alpha": BIG, "deltas": [1, 2]}'),
+        ("", '{"d": 1, "alpha": 1.5, "f": BIG, "deltas": [1, 2]}'),
+        ("", '{"d": 3, "alpha": 2.5, "lambda": BIG}'),
+        ("", '{"d": 1, "alpha": 1.5, "deltas": [1, BIG]}')],
+        ids=["dim", "dim-alpha", "d", "alpha", "f", "lambda", "deltas"])
+    def test_numbers_past_the_double_range_are_config_errors(
+            self, capsys, tmp_path, flags, config):
+        # each used to exit 1 with "numeric failure: ... too large ... float"
+        big = str(10**400)
+        argv = ["solve", "--depth", "3"] + flags.replace("BIG", big).split()
+        if config is not None:
+            cfg = tmp_path / "model.json"
+            cfg.write_text(config.replace("BIG", big))
+            argv += ["--config", str(cfg)]
+        rc = main(argv)
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert captured.err.startswith("configuration error: ")
+        assert captured.err.count("\n") == 1
+
     @pytest.mark.parametrize("argv, config", [
         ("lln --deltas 1,2 --lambda 0.3 --n 10 --samples 5", None),
         ("solve --depth 3", '{"d": 1, "alpha": 1.5, "deltas": [1, 2], '
@@ -1142,7 +1166,8 @@ class TestChunkedCsvWriter:
         assert to_file == want and to_stdout == want
 
     @pytest.mark.parametrize("n_rows", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1,
-                                        2 * CHUNK + 1])
+                                        2 * CHUNK - 1, 2 * CHUNK,
+                                        2 * CHUNK + 1, 4 * CHUNK + 1])
     def test_bytes_match_the_oracle_at_the_chunk_size(self, n_rows):
         rng = np.random.default_rng(n_rows)
         special = np.array([-0.0, math.inf, -math.inf, math.nan, 0.1])
@@ -1157,7 +1182,8 @@ class TestChunkedCsvWriter:
         assert to_file == want and to_stdout == want
 
     @pytest.mark.parametrize("n_rows", [CHUNK - 1, CHUNK, CHUNK + 1,
-                                        2 * CHUNK + 1])
+                                        2 * CHUNK - 1, 2 * CHUNK,
+                                        2 * CHUNK + 1, 4 * CHUNK + 1])
     def test_repeated_floats_match_the_oracle(self, n_rows):
         # pooled columns repeat values: 0.0 and -0.0, and two NaN payloads,
         # must print apart wherever they repeat
@@ -1178,9 +1204,9 @@ class TestChunkedCsvWriter:
         assert to_file == want and to_stdout == want
 
     def test_dissipation_rows_span_chunks(self, tmp_path, capsys):
-        # 4 distinct deltas at n = 57: C(60, 3) = 34,220 atoms, two chunks
-        argv = ["dissipation", "--deltas", "1,2,3,5", "--dim", "2", "--n", "57"]
-        atoms = math.comb(60, 3)
+        # 4 distinct deltas at n = 50: C(53, 3) = 23,426 atoms, two chunks
+        argv = ["dissipation", "--deltas", "1,2,3,5", "--dim", "2", "--n", "50"]
+        atoms = math.comb(53, 3)
         assert CHUNK < atoms < 2 * CHUNK
         path = tmp_path / "mu.csv"
         assert main(argv + ["--out", str(path)]) == 0
@@ -1188,10 +1214,11 @@ class TestChunkedCsvWriter:
         assert rc == 0 and path.read_bytes() == out.encode()
         rows = parse_csv(out)
         assert len(rows) == atoms
-        assert {r["n"] for r in rows} == {"57"}
+        assert {r["n"] for r in rows} == {"50"}
 
     @pytest.mark.parametrize("pooled", [False, True])
-    @pytest.mark.parametrize("n_rows", [1, 2, 71, 72, 255, 256, CHUNK + 1])
+    @pytest.mark.parametrize("n_rows", [1, 2, 71, 72, 255, 256, CHUNK + 1,
+                                        2 * CHUNK + 1])
     def test_large_double_columns_go_through_the_kernel(self, n_rows, pooled):
         # every double of a chunk, a scalar one and a float32 one included,
         # reaches _format_floats once, in one call a chunk and in column

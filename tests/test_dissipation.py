@@ -11,7 +11,7 @@ from treeshell import ConstantSolution, RcmModel, lambda_family
 from treeshell import dissipation as dp
 from treeshell import dynamics as dyn
 from treeshell import spectra
-from treeshell.solution import ResourceLimitError
+from treeshell.tree import ResourceLimitError
 
 from conftest import heap_index, subtree_mask
 from oracles import (TreeIndex, coefficient_of, enumerate_log2_F, log2_F,

@@ -10,7 +10,7 @@ from treeshell import ConstantSolution, RcmModel, lambda_family
 from treeshell import dissipation as dp
 from treeshell import field as fd
 from treeshell import spectra
-from treeshell.solution import ResourceLimitError
+from treeshell.tree import ResourceLimitError
 
 from conftest import same_bits
 from oracles import (TreeIndex, coefficient_l2, haar_log2_S_oracle,

@@ -111,9 +111,28 @@ class TestAsymptote:
 
     def test_multiplicity_counting(self):
         m = RcmModel.create(2, 2.0, [1.0, 2.0, 2.0, 0.5])
-        assert spectra.max_delta_multiplicity(m) == 2
+        assert m.coeffs.top_multiplicity(math.inf) == 2
         _, intercept = spectra.asymptote(m)
         assert intercept == pytest.approx(2.0 - 1.0, abs=1e-14)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from((1, 2, 3)),
+           st.integers(0, 7), st.sampled_from((0.0, 1e-13, 1e-11)))
+    def test_intercept_is_d_less_D_at_the_top_end(self, seed, d, repeats,
+                                                   gap):
+        # one multiplicity rule: the m of the intercept is the one D reads at
+        # a = log2 max delta, also when the largest delta repeats, exactly or
+        # within (1e-13) or past (1e-11) the 1e-12 tolerance in log2
+        from conftest import random_rcm
+        m = random_rcm(np.random.default_rng(seed), allow_flat=True,
+                       d_choices=(d,))
+        deltas = m.deltas.copy()
+        top = int(np.argmax(deltas))
+        others = [i for i in range(len(deltas)) if i != top][:repeats]
+        deltas[others] = deltas[top] * 2.0**-gap
+        m = RcmModel.create(d, m.alpha, deltas, m.forcing)
+        top_end = m.coeffs.ell_pos_inf()
+        assert spectra.asymptote(m)[1] == m.d - spectra.dim_D(m, top_end)
 
 
 class TestRateAndDimension:
@@ -168,7 +187,7 @@ class TestRateAndDimension:
             a = lo + (hi - lo) * f
             if lo < a < hi:
                 want = dim_D_mpmath(c.log2_deltas, a)
-                got = spectra.dim_D_of_multiset(c, a)
+                got = c.dim_D(a)
                 assert abs(got - want) <= 1e-11, (c.log2_deltas.tolist(), a)
 
     # the Legendre pair: zeta_raw(p) = p h(a) + d - D(a) at a = phi(p/2),
@@ -220,7 +239,7 @@ class TestEntropyOracle:
         lo, hi = c.ell_neg_inf(), c.ell_pos_inf()
         for frac in np.linspace(0.08, 0.92, 8):
             a = lo + (hi - lo) * float(frac)
-            closed = spectra.dim_D_of_multiset(c, a)
+            closed = c.dim_D(a)
             grid = entropy_max_oracle(c, a)
             assert grid == pytest.approx(closed, abs=1e-5)
 
