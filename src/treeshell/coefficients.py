@@ -414,11 +414,12 @@ class RcmModel:
     forcing: float = 1.0
 
     def __post_init__(self):
-        if self.d < 1 or int(self.d) != self.d:
+        if isinstance(self.d, bool) or self.d < 1 or int(self.d) != self.d:
             raise ValueError("dimension d must be a positive integer")
-        if not 0 < self.alpha < math.inf:
+        # checked as floats, stored as given, so no hash or header changes
+        if not 0 < _number("alpha", self.alpha) < math.inf:
             raise ValueError("alpha must be positive and finite")
-        if not 0 < self.forcing < math.inf:
+        if not 0 < _number("forcing", self.forcing) < math.inf:
             raise ValueError("forcing must be positive and finite")
         size = self.coeffs.size
         # 2**d > size follows from d alone, so a huge d forms no 2**d
@@ -480,6 +481,7 @@ def lambda_family(lam: float, d: int = 3, alpha: float | None = None,
     value d/2 + 1.
     """
     check_budget("coefficients", 2, d)
+    _number("lambda", lam)
     if alpha is None:
         alpha = d / 2 + 1
     # a lam that overflows gives inf or NaN deltas, which create() rejects

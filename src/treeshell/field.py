@@ -4,7 +4,9 @@ The field u(x) = sum_{|j| < M} u_j psi_j(x) is sampled at the centers of the
 2**(dM) level-M cells.  With the default Haar mother (+1 on the first half,
 -1 on the second, per axis in product form) every wavelet is piecewise
 constant on level-(|j|+1) cells, so the sampled grid represents the
-synthesized field exactly and grid means are exact integrals.
+synthesized field exactly and grid means are exact integrals.  Each
+generation's term, on the cells its wavelets vary on, takes the grid so far
+by one broadcast add.
 
 A continuous triangular mother ("hat") is also available for scaling
 studies; it keeps the supports and the common L2 norm but gives up
@@ -41,7 +43,7 @@ import numpy as np
 from .coefficients import _path_sums
 from .solution import ConstantSolution
 from .spectra import s0
-from .tree import check_budget, label_axes
+from .tree import check_budget, label_axes, label_path
 
 __all__ = [
     "WaveletField",
@@ -96,26 +98,22 @@ def _mother_pattern(dim: int, block: int, mother: str) -> np.ndarray:
 def _generations(solution: ConstantSolution, depth: int, mother: str):
     """Yield the grid after adding each generation g = 0..depth-1.
 
-    The grid is kept at the coarsest level the wavelets added so far vary
-    on: a Haar wavelet of generation g is constant on level-(g + 1) cells,
-    so before generation g the grid is refined to that level by repeating
-    each cell (the Haar grid yielded after g is a new array, the depth-(g+1)
-    field), while the hat varies down to the finest level from g = 0.
-    For generation g the grid is reshaped so that axis 2a indexes the
-    generation-g cubes along axis a and axis 2a+1 the cells inside; node
-    values then broadcast against the mother pattern.  With the Haar
-    mother the work is O(cells), with the hat O(depth * cells).
+    Generation g's term is formed on the cells its wavelets vary on, a
+    (block,)*dim sub-grid of each generation-g cube: block 2 for Haar,
+    whose wavelets are constant on level-(g + 1) cells, 2**(depth - g) for
+    the hat.  Axis 2a indexes the cubes along axis a and axis 2a+1 the
+    cells inside, so node values broadcast against the mother pattern and
+    the grid so far (one cell a cube, or the hat's own block) broadcasts
+    into the term, which becomes the new grid.  With the Haar mother the
+    work is O(cells), with the hat O(depth * cells).
     """
     model = solution.model
     dim = model.d
-    # levels below its cube down to which a generation-g wavelet varies
-    below = 1 if mother == "haar" else depth
     # with these new axes an array indexed by cube broadcasts over the cells
     # inside each cube, and one indexed by in-cube cell over the cubes
     cube_axes = tuple(range(1, 2 * dim, 2))
     cell_axes = tuple(range(0, 2 * dim, 2))
-    level = min(below, depth)
-    grid = np.zeros((2**level,) * dim)
+    grid = np.zeros((1,) * dim)
     q = solution.q
     # spatially-arranged node values, axis a of `vals` = cube index along axis a
     vals = np.full((1,) * dim, model.forcing * 2.0**q)
@@ -123,16 +121,11 @@ def _generations(solution: ConstantSolution, depth: int, mother: str):
     child_factor = label_axes(2.0**q * np.sqrt(model.deltas), dim)
 
     for g in range(depth):
-        target = min(g + below, depth)
-        if target > level:
-            fine = np.empty((2**target,) * dim)
-            fine.reshape((2**level, 2 ** (target - level)) * dim)[...] = (
-                np.expand_dims(grid, cube_axes))
-            grid, level = fine, target
-        block = 2 ** (level - g)
+        block = 2 if mother == "haar" else 2 ** (depth - g)
         pattern = _mother_pattern(dim, block, mother) * 2.0 ** (dim * g / 2.0)
-        view = grid.reshape((2**g, block) * dim)
-        view += np.expand_dims(vals, cube_axes) * np.expand_dims(pattern, cell_axes)
+        term = np.expand_dims(vals, cube_axes) * np.expand_dims(pattern, cell_axes)
+        term += grid.reshape((2**g, grid.shape[0] >> g) * dim)
+        grid = term.reshape((2**g * block,) * dim)
         yield grid
         if g + 1 < depth:
             # split every cube axis in two for the next generation
@@ -144,7 +137,7 @@ def _generations(solution: ConstantSolution, depth: int, mother: str):
 def synthesize(solution: ConstantSolution, depth: int = 16,
                mother: str = "haar") -> WaveletField:
     """Sample sum_{|j| < depth} u_j psi_j on the level-`depth` cell grid of
-    the model's d-dimensional unit cube, refining level by level."""
+    the model's d-dimensional unit cube, one generation's term at a time."""
     if mother not in MOTHERS:
         raise ValueError(f"mother must be one of {MOTHERS}")
     check_budget("cells", 2, depth * solution.model.d)
@@ -214,7 +207,7 @@ def _haar_structure_function(solution: ConstantSolution, depth: int,
                              p_arr: np.ndarray, m_lo: int, m_hi: int
                              ) -> StructureFunctionEstimate:
     """:func:`structure_function` of the Haar field by the tree sum of the
-    module docstring, each G consumed as one Haar refinement builds it."""
+    module docstring, each G consumed as the Haar synthesis yields it."""
     v0 = solution.model.forcing * 2.0**solution.q
     k0, k1 = 2.0 ** (solution.q + 0.5) * np.sqrt(solution.model.coeffs.deltas)
     # kappa_1 kappa_0^e and kappa_0 kappa_1^e for e = l - 1 = 0..m_hi-1
@@ -311,17 +304,6 @@ class LocalHolder:
     dissipating: bool     # sigma >= ell(3/2), i.e. s(x) <= 1/3 at alpha = 1 + d/2
 
 
-def _label_path(point: list[float], n: int) -> np.ndarray:
-    """Labels of the generation-1..n nodes whose cubes hold a point of
-    [0,1)**d: bit a of label g - 1 is binary digit g of coordinate a."""
-    digits = np.zeros((len(point), n), dtype=np.int64)
-    for a, x in enumerate(point):
-        num, den = x.as_integer_ratio()  # den = 2**k: x has k digits
-        bits = format(num, "b").zfill(den.bit_length() - 1)[:n]
-        digits[a, :len(bits)] = np.frombuffer(bits.encode(), np.uint8) - ord("0")
-    return 1 + (1 << np.arange(len(point))) @ digits
-
-
 def local_holder(solution: ConstantSolution, point, n_max: int) -> LocalHolder:
     """Local regularity exponent of the recomposed field at a point of
     [0,1)**d, read off the generation-n_max node whose cube holds it.
@@ -342,7 +324,7 @@ def local_holder(solution: ConstantSolution, point, n_max: int) -> LocalHolder:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     values, _ = m.coeffs.distinct()
     value_of_label = np.searchsorted(values, m.deltas)
-    counts = np.bincount(value_of_label[_label_path(coords, n_max) - 1],
+    counts = np.bincount(value_of_label[label_path(coords, n_max) - 1],
                          minlength=len(values))
     path = float(_path_sums(counts[None, :], values)[0])
     sig = path / n_max

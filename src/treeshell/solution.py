@@ -210,7 +210,7 @@ class DivergenceWitness:
 
     eps0: float
     eps: np.ndarray               # signed perturbations along the chain
-    lower_bounds: np.ndarray      # 2**n eps0 at even n (0 elsewhere)
+    lower_bounds: np.ndarray      # 2**n eps0 at every n; checked at even n
     partial_sums: np.ndarray
     log2_u_chain: np.ndarray      # log2 of the unperturbed chain values
     log2_u_perturbed: np.ndarray

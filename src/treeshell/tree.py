@@ -12,7 +12,8 @@ labelling of sub-cubes is otherwise free):
   label 1 is the lower-left quarter, label 2 the right half of axis 0,
   label 3 the upper half of axis 1, label 4 the upper-right quarter
   (``label_axes`` lays per-label values out in space this way, and the
-  binary digit n of coordinate a is bit a of the generation-n label);
+  binary digit n of coordinate a is bit a of the generation-n label, the
+  map ``label_path`` takes from a point to the labels of its path);
 - a node's packed code is its rank within its generation: its labels
   minus one, read as base-N digits, most significant first;
 - generation-major order is a heap layout: node j sits at index
@@ -36,7 +37,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["generation_start", "label_axes", "ResourceLimitError"]
+__all__ = ["generation_start", "label_axes", "label_path", "ResourceLimitError"]
 
 
 def label_axes(values, dim: int) -> np.ndarray:
@@ -44,6 +45,17 @@ def label_axes(values, dim: int) -> np.ndarray:
     a is bit a of ``label - 1``: the cube convention, so the array lays the
     values out in space."""
     return np.asarray(values).reshape((2,) * dim).T
+
+
+def label_path(point: list[float], n: int) -> np.ndarray:
+    """Labels of the generation-1..n nodes whose cubes hold a point of
+    [0,1)**d: bit a of label g - 1 is binary digit g of coordinate a."""
+    digits = np.zeros((len(point), n), dtype=np.int64)
+    for a, x in enumerate(point):
+        num, den = x.as_integer_ratio()  # den = 2**k: x has k digits
+        bits = format(num, "b").zfill(den.bit_length() - 1)[:n]
+        digits[a, :len(bits)] = np.frombuffer(bits.encode(), np.uint8) - ord("0")
+    return 1 + (1 << np.arange(len(point))) @ digits
 
 
 def generation_start(N: int, generation: int) -> int:

@@ -3,8 +3,10 @@ the library and the brute-force oracles in ``tests/oracles.py``."""
 
 import ast
 import importlib
+import importlib.util
 import pathlib
 import pkgutil
+import sys
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ MODULES = ["treeshell"] + [f"treeshell.{m.name}"
                            for m in pkgutil.iter_modules(treeshell.__path__)]
 ORACLES = pathlib.Path(__file__).with_name("oracles.py")
 TRACER = pathlib.Path(__file__).parent.parent / "perfbench" / "tracer.py"
+WORKLOADS = TRACER.with_name("workloads.py")
 MOVED = ("entropy_max_oracle", "measure_from_enumeration", "enumerate_log2_F",
          "_ENUMERATION_NODES", "xi_from_generation_sums", "coefficient_l2",
          "csv_text_oracle", "rk4_step_oracle", "_rhs_core",
@@ -206,6 +209,24 @@ def test_every_traced_name_resolves():
         if not callable(obj):
             missing.append(f"{layer}.{path}")
     assert missing == []
+
+
+@pytest.mark.parametrize("workload", ["readme", "bulk", "sweep"])
+def test_benchmark_tiny_cases_pass_their_own_checks(workload, tmp_path,
+                                                   monkeypatch):
+    # a renamed call the benchmark makes, or an output moved past its
+    # recorded reference (REF_RTOL), would otherwise fail only a benchmark run
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up while they are built
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    cases = workloads.cases(workload, 1, 0, "tiny", str(tmp_path),
+                            workloads.load_reference())
+    assert cases
+    problems = {case.key: case.check(case.run()) for case in cases}
+    assert problems == {case.key: [] for case in cases}
 
 
 def test_legendre_calls_go_through_the_traced_names(monkeypatch):

@@ -425,6 +425,20 @@ class TestModelTypes:
         with pytest.raises(ValueError):
             RcmModel.create(**args)
 
+    @pytest.mark.parametrize("build", [
+        lambda: RcmModel.create(1, 10**400, [1, 2]),
+        lambda: RcmModel.create(1, 1.5, [1, 2], forcing=10**400),
+        lambda: lambda_family(10**400),
+        lambda: RcmModel.create(1, True, [1, 2]),
+        lambda: RcmModel.create(True, 1.5, [1, 2])],
+        ids=["alpha-huge", "forcing-huge", "lambda-huge", "alpha-bool",
+             "d-bool"])
+    def test_huge_or_bool_numbers_rejected_at_construction(self, build):
+        # an int past the double range would overflow in the first float
+        # formula, and True would run as 1
+        with pytest.raises(ValueError):
+            build()
+
     def test_coefficient_of_uses_last_label(self):
         m = RcmModel.create(1, 1.5, [1.0, 2.0])
         assert coefficient_of(m, TreeIndex.root(2)) == 1.0

@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from treeshell.tree import generation_start, label_axes
+from treeshell.tree import generation_start, label_axes, label_path
 
 from oracles import TreeIndex, path_of_point, point_path
 
@@ -186,3 +186,15 @@ def test_bad_labels_rejected():
         TreeIndex.from_labels([3], 2)
     with pytest.raises(ValueError):
         TreeIndex(3, 1, 0)  # arity not a power of two
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_label_path_is_the_oracle_path(rng, d):
+    # binary digit n of coordinate a is bit a of the generation-n label;
+    # past a double's 53 significant bits the digits are zeros
+    points = [rng.random(d).tolist() for _ in range(10)]
+    points += [[0.0] * d, [1.0 - 2.0**-53] * d]
+    for x in points:
+        for n in (1, 2, 17, 53, 54, 60):
+            want = path_of_point(x, n, d).labels
+            assert label_path(x, n).tolist() == list(want)
