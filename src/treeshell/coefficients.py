@@ -131,10 +131,7 @@ class RepeatedCoefficients:
     log2_deltas: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __init__(self, deltas: Sequence[float]):
-        try:
-            deltas = tuple(float(x) for x in deltas)
-        except OverflowError:  # an integer past the double range
-            raise ValueError("a delta is past the double range") from None
+        deltas = tuple(_number("delta", x) for x in deltas)
         if len(deltas) < 1:
             raise ValueError("need at least one coefficient")
         if any(not 0 < x < math.inf for x in deltas):
@@ -338,6 +335,7 @@ class RepeatedCoefficients:
         (a - ell(gamma)) as two terms >= 0, so the rounding of a - ell(gamma)
         is never multiplied by |gamma| (1e7 on near-flat multisets).  D is
         stationary in gamma: gamma's error enters at second order only."""
+        a = _number("a", a)
         for s in (-1.0, 1.0):
             if math.isclose(a, self._side(s)[0], rel_tol=0, abs_tol=1e-12):
                 return math.log2(self.top_multiplicity(s))
@@ -350,10 +348,16 @@ class RepeatedCoefficients:
 class GeneralCoefficients:
     """A deterministic bounded coefficient map on the whole tree.
 
-    ``log2_of(generation)`` returns the log2 weights of the whole
-    generation, indexed by packed code; the root has weight 1.  Every row
-    is checked against the declared band [log2_min, log2_max]; the band
-    width L is the constant entering the generic existence bound.
+    ``log2_of(generation)`` returns the log2 weights of the generation
+    either per node, ``arity**generation`` values by packed code, or as one
+    row of ``arity`` values, by child label, shared by every parent; the
+    root has weight 1.  A shared row is never tiled: numpy broadcasting
+    carries it through the pull-back, whose rows then hold one value for
+    the whole generation.  The pull-back adds a shared row to one-value
+    children only, so a map that gives some generation per node gives
+    every shallower one per node too; numpy refuses the sum otherwise.
+    Every row is checked against the declared band [log2_min, log2_max];
+    the band width L is the constant entering the generic existence bound.
     """
 
     arity: int
@@ -374,13 +378,16 @@ class GeneralCoefficients:
         return self.log2_max - self.log2_min
 
     def row_log2(self, generation: int) -> np.ndarray:
-        """log2 coefficients of the generation's nodes, by packed code."""
+        """log2 coefficients of the generation: per node by packed code, or
+        one row by child label shared by every parent, as ``log2_of`` gives
+        them."""
         if generation == 0:
             return np.zeros(1)
         log2_values = np.asarray(self.log2_of(generation), dtype=float)
-        if log2_values.shape != (self.arity**generation,):
+        if log2_values.shape not in ((self.arity**generation,), (self.arity,)):
             raise ValueError(f"generation {generation} needs a row of "
-                             f"{self.arity**generation} coefficients, got "
+                             f"{self.arity**generation} coefficients, or one "
+                             f"of {self.arity} shared by every parent, got "
                              f"shape {log2_values.shape}")
         eps = 1e-12
         if not np.all((log2_values >= self.log2_min - eps)
@@ -391,10 +398,10 @@ class GeneralCoefficients:
     @classmethod
     def from_rcm(cls, model: "RcmModel") -> "GeneralCoefficients":
         """The RCM as a general map: the weight of a node is the delta of
-        its last label, so a row repeats the deltas once per parent."""
+        its last label, so every generation's row is the deltas themselves,
+        shared by every parent."""
         log2d = model.coeffs.log2_deltas
-        return cls(model.N,
-                   lambda generation: np.tile(log2d, model.N**(generation - 1)),
+        return cls(model.N, lambda generation: log2d,
                    float(log2d.min()), float(log2d.max()))
 
 
@@ -491,17 +498,32 @@ def lambda_family(lam: float, d: int = 3, alpha: float | None = None,
 
 
 def _is_number(x) -> bool:
-    """A real number from a config file; JSON's true and false are not."""
-    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+    """A real number from a config file; JSON's true and false are not.
+    A float (numpy's too) skips the slower abstract check: a lambda-family
+    multiset passes a million deltas through here."""
+    return isinstance(x, float) or (isinstance(x, numbers.Real)
+                                    and not isinstance(x, bool))
 
 
 def _number(key: str, value) -> float:
-    """The config value of `key` as a float, if it is a number."""
+    """The value of `key` as a float, if it is a number; every library
+    scalar comes through here, so a bad one is always a ValueError."""
     if not _is_number(value):
         raise ValueError(f"'{key}' must be a number, got {value!r}")
     try:
         return float(value)
     except OverflowError:  # an integer past the double range
+        raise ValueError(f"'{key}' is past the double range") from None
+
+
+def _numbers(key: str, values) -> float | np.ndarray:
+    """``_number`` of a scalar; anything else as a float array, where an
+    integer past the double range is again a ValueError."""
+    if not np.ndim(values):
+        return _number(key, values)
+    try:
+        return np.asarray(values, dtype=float)
+    except OverflowError:
         raise ValueError(f"'{key}' is past the double range") from None
 
 

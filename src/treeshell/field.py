@@ -40,7 +40,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .coefficients import _path_sums
+from .coefficients import _number, _numbers, _path_sums
 from .solution import ConstantSolution
 from .spectra import s0
 from .tree import check_budget, label_axes, label_path
@@ -188,7 +188,7 @@ def structure_function(solution: ConstantSolution, depth: int, p_grid,
     if solution.model.d != 1:
         raise ValueError("the two-point increment average is defined for d = 1")
     m_lo, m_hi = fit_window(depth, m_range)
-    p_arr = np.atleast_1d(np.asarray(p_grid, dtype=float))
+    p_arr = np.atleast_1d(_numbers("p", p_grid))
     if not np.all((p_arr > 0) & (p_arr < math.inf)):
         raise ValueError(f"p must be finite and > 0, got {p_arr.tolist()}")
     check_budget("cells", 2, depth)
@@ -285,6 +285,7 @@ def besov_epsilon(solution: ConstantSolution, s: float, p: float,
     eps_n = 2**(ns) 2**(dn(1/2 - 1/p)) (sum_{|j|=n} |u_j|^p)**(1/p) collapses
     to f 2**q 2**((s - s0(p)) n); for p = inf the rate is s - h.
     """
+    s, p = _number("s", s), _number("p", p)
     if not p > 0:
         raise ValueError(f"p must be positive or inf, got {p}")
     if not math.isfinite(s):
@@ -315,7 +316,7 @@ def local_holder(solution: ConstantSolution, point, n_max: int) -> LocalHolder:
     sum / 2, as in ``log2_u_rows``.
     """
     m = solution.model
-    coords = [float(x) for x in point]
+    coords = [_number("point", x) for x in point]
     if len(coords) != m.d:
         raise ValueError(f"expected a {m.d}-vector, got {len(coords)} coordinates")
     if not all(0.0 <= x < 1.0 for x in coords):

@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coefficients import (_LN2, GeneralCoefficients, RcmModel, _reduce_rows,
-                           log2sumexp2)
+from .coefficients import (_LN2, GeneralCoefficients, RcmModel, _number,
+                           _reduce_rows, log2sumexp2)
 from .spectra import fixed_point_q, s0
 from .tree import check_budget, tree_size
 
@@ -74,6 +74,7 @@ class ConstantSolution:
         Evaluated from the closed-form geometric series over generations,
         never by node enumeration.
         """
+        s, p = _number("s", s), _number("p", p)
         if not 1 <= p < math.inf:
             raise ValueError("p must be finite and >= 1")
         if math.isnan(s):
@@ -103,11 +104,14 @@ class ConstantSolution:
 class PullbackRun:
     """Backward construction of the solution candidate from depth-n data.
 
-    ``rows[g]`` holds the generation-g values, indexed by packed code; the
-    boundary row ``rows[depth]`` is identically the seed, a read-only view
-    of that one value.  The containment band [a, b] is the invariant
-    interval of the backward map derived from the declared coefficient
-    bounds; ``residual`` is ``residual_max()``.
+    ``rows[g]`` holds the generation-g values, indexed by packed code, or
+    one value that stands for the whole generation: the boundary row
+    ``rows[depth]`` is the seed alone, and a row pulled back from one-value
+    children through a shared coefficient row (every row of ``from_rcm``)
+    is one value again, so an RCM costs O(N depth), not O(N**depth).  The
+    containment band [a, b] is the invariant interval of the backward map
+    derived from the declared coefficient bounds; ``residual`` is
+    ``residual_max()``.
     """
 
     coefficients: GeneralCoefficients
@@ -166,9 +170,10 @@ def pullback(coefficients: GeneralCoefficients, alpha: float, depth: int,
     """Run the backward recursion from constant seed data at generation depth.
 
     Rows are produced children-first; each parent only reads its own N
-    children, so generation g costs one pass over N**(g+1) values.  The
-    seed row is a read-only broadcast view, and each row's terms are built
-    in one buffer.  The same pass checks the new row against the forward
+    children, so generation g costs one pass over N**(g+1) values, or over
+    N when its coefficient row is shared and its children are one value.
+    The seed row is that one value, and each row's terms are built in one
+    buffer.  The same pass checks the new row against the forward
     identity.  A parent's log-sum-exp over its children runs column by
     column, one flat ufunc per child label in numpy's own pairwise order
     (``log2sumexp2``): the bits of a per-row reduce, without its
@@ -176,20 +181,23 @@ def pullback(coefficients: GeneralCoefficients, alpha: float, depth: int,
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
+    alpha, seed = _number("alpha", alpha), _number("seed", seed)
+    if not math.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha}")
     if not math.isfinite(seed):
         raise ValueError(f"seed must be finite, got {seed}")
     arity = coefficients.arity
     check_budget("pull-back nodes", arity, depth)
 
     rows: list[np.ndarray] = [np.empty(0)] * (depth + 1)
-    rows[depth] = np.broadcast_to(float(seed), arity**depth)
+    rows[depth] = np.array([seed])
     worst = 0.0
     for g in range(depth - 1, -1, -1):
         rows[g], residual = _pull_row(coefficients, alpha, g, rows[g + 1])
-        worst = max(worst, residual)
+        worst = np.maximum(worst, residual)  # max() would drop a NaN
 
-    return PullbackRun(coefficients, alpha, depth, float(seed), rows,
-                       pullback_band(coefficients, alpha), worst)
+    return PullbackRun(coefficients, alpha, depth, seed, rows,
+                       pullback_band(coefficients, alpha), float(worst))
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ import warnings
 
 import numpy as np
 
-from .coefficients import RcmModel
+from .coefficients import RcmModel, _number, _numbers
 
 __all__ = [
     "fixed_point_q",
@@ -61,7 +61,7 @@ def cascade_rate(model: RcmModel) -> float:
 def s0(model: RcmModel, p: float) -> float:
     """Critical regularity: the constant solution is in W^{s,p} iff s < s0(p)."""
     return ((model.alpha - model.d / 2) / 3
-            + 0.5 * (model.ell(1.5) - model.ell(p / 2)))
+            + 0.5 * (model.ell(1.5) - model.ell(_numbers("p", p) / 2)))
 
 
 def holder_exponent(model: RcmModel) -> float:
@@ -79,7 +79,7 @@ def _warn_if_h_outside_unit(model: RcmModel) -> None:
 
 def zeta_raw(model: RcmModel, p) -> np.ndarray | float:
     """The unclipped branch (p/3)(alpha - d/2) + (p/2)(ell(3/2) - ell(p/2))."""
-    p_arr = np.atleast_1d(np.asarray(p, dtype=float))
+    p_arr = np.atleast_1d(_numbers("p", p))
     if not np.all((p_arr >= 0) & (p_arr < math.inf)):
         raise ValueError(f"p must be finite and >= 0, got {p_arr.tolist()}")
     out = (p_arr / 3) * (model.alpha - model.d / 2) \
@@ -91,15 +91,15 @@ def zeta(model: RcmModel, p, check_h: bool = True) -> np.ndarray | float:
     """Structure-function exponents min{p, raw branch} on p >= 0."""
     if check_h:
         _warn_if_h_outside_unit(model)
+    p = _numbers("p", p)
     raw = zeta_raw(model, p)
-    return np.minimum(np.asarray(p, dtype=float), raw) if np.ndim(p) \
-        else min(float(p), raw)
+    return np.minimum(p, raw) if np.ndim(p) else min(p, raw)
 
 
 def zeta_derivative(model: RcmModel, p: float) -> float:
     """Derivative of the raw branch: (alpha - d/2)/3 + ell(3/2)/2 - phi(p/2)/2."""
     return ((model.alpha - model.d / 2) / 3 + 0.5 * model.ell(1.5)
-            - 0.5 * model.phi(p / 2))
+            - 0.5 * model.phi(_number("p", p) / 2))
 
 
 def asymptote(model: RcmModel) -> tuple[float, float]:
@@ -119,8 +119,7 @@ def asymptote(model: RcmModel) -> tuple[float, float]:
 
 def rate_R(model: RcmModel, a) -> np.ndarray | float:
     """The affine dissipation rate R(a) = d + (3/2) ell(3/2) - (3/2) a."""
-    return model.d + 1.5 * model.ell(1.5) - 1.5 * np.asarray(a, dtype=float) \
-        if np.ndim(a) else model.d + 1.5 * model.ell(1.5) - 1.5 * float(a)
+    return model.d + 1.5 * model.ell(1.5) - 1.5 * _numbers("a", a)
 
 
 def dim_D(model: RcmModel, a: float) -> float:

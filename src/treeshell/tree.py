@@ -80,16 +80,29 @@ _BUDGETS = {**dict.fromkeys(("nodes", "values", "cells"), 2**26),
             "coefficients": 2**20}
 
 
+def _count(n: float) -> str:
+    """A size as text; an int past 2**64 as a power of two it exceeds,
+    since its digits would fill a line, or pass Python's int-to-text
+    limit, before the budget is named."""
+    if n <= 2**64 or not isinstance(n, int):
+        return f"{n}"
+    return f"more than 2**{(n - 1).bit_length() - 1}"
+
+
 def check_budget(kind: str, size: float, exponent: int = 1) -> None:
     """Raise ResourceLimitError if size**exponent items of `kind` exceed
     their budget.  A size >= 2 with an exponent past the budget's bit
     length is refused before the power is formed, so a huge depth costs
     nothing."""
     budget = _BUDGETS[kind]
-    huge = size >= 2 and exponent > budget.bit_length()
-    shown = f"{size}**{exponent}" if huge else size**exponent
-    if huge or shown > budget:
-        raise ResourceLimitError(f"{shown} {kind} exceed the {budget} budget")
+    if size >= 2 and exponent > budget.bit_length():
+        shown = f"{size}**{exponent}" if exponent <= 2**64 \
+            else f"{size}**({_count(exponent)})"
+    elif (total := size**exponent) > budget:
+        shown = _count(total)
+    else:
+        return
+    raise ResourceLimitError(f"{shown} {kind} exceed the {budget} budget")
 
 
 def tree_size(N: int, depth: int) -> int:

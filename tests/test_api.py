@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import treeshell
+from treeshell import ConstantSolution, RcmModel, field, spectra
 
 MODULES = ["treeshell"] + [f"treeshell.{m.name}"
                            for m in pkgutil.iter_modules(treeshell.__path__)]
@@ -257,3 +258,38 @@ def test_legendre_calls_go_through_the_traced_names(monkeypatch):
         seen.clear()
         call()
         assert names <= set(seen)
+
+
+
+BIG = 10**400  # an int past the double range
+
+
+@pytest.mark.parametrize("call", [
+    lambda m, u: spectra.zeta(m, BIG),
+    lambda m, u: spectra.zeta(m, [1.0, BIG]),
+    lambda m, u: spectra.zeta_raw(m, BIG),
+    lambda m, u: spectra.s0(m, BIG),
+    lambda m, u: spectra.rate_R(m, BIG),
+    lambda m, u: spectra.rate_R(m, [BIG]),
+    lambda m, u: spectra.dim_D(m, BIG),
+    lambda m, u: spectra.zeta_derivative(m, BIG),
+    lambda m, u: field.structure_function(u, 10, BIG),
+    lambda m, u: field.structure_function(u, 10, [1.0, BIG]),
+    lambda m, u: field.besov_epsilon(u, BIG, 2.0, 4),
+    lambda m, u: field.besov_epsilon(u, 0.1, BIG, 4),
+    lambda m, u: field.local_holder(u, [BIG], 4),
+    lambda m, u: u.sobolev_norm(BIG, 2.0),
+    lambda m, u: u.sobolev_norm(0.1, BIG),
+    lambda m, u: RcmModel.create(1, 1.5, [True, 2]),
+    lambda m, u: RcmModel.create(1, 1.5, ["1", "2"])],
+    ids=["zeta", "zeta-array", "zeta_raw", "s0", "rate_R", "rate_R-array",
+         "dim_D", "zeta_derivative", "structure_function",
+         "structure_function-array", "besov_epsilon-s", "besov_epsilon-p",
+         "local_holder", "sobolev_norm-s", "sobolev_norm-p", "delta-bool",
+         "delta-str"])
+def test_every_library_number_is_converted_alike(call):
+    # an int past the double range raised OverflowError, and a bool or a
+    # string delta built a model; the package's convention is ValueError
+    model = RcmModel.create(1, 1.5, [1.0, 2.0])
+    with pytest.raises(ValueError):
+        call(model, ConstantSolution(model))

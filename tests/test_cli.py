@@ -142,6 +142,15 @@ class TestSolveCommand:
         assert rc == 0 and len(parse_csv(out)) == 7
         assert len(calls) == 1
 
+    def test_rcm_rows_are_one_value_each(self, capsys):
+        # the shared coefficient row keeps every pulled-back row at one
+        # value, so a row's mean is its min and max to the last digit
+        rc, out = run_cli(["solve", "--deltas", "1,2,3,5", "--dim", "2",
+                           "--alpha", "2", "--depth", "10"], capsys)
+        rows = parse_csv(out)
+        assert rc == 0 and len(rows) == 11
+        assert all(r["q_mean"] == r["q_min"] == r["q_max"] for r in rows)
+
     @pytest.mark.parametrize("x", ["nan", "inf", "-inf"])
     def test_rejects_non_finite_seed_before_work(self, capsys, monkeypatch,
                                                  x):
@@ -582,6 +591,26 @@ class TestCliContract:
                           "sys.exit(main(sys.argv[1:]))", *argv.split())
         assert proc.returncode == 2 and proc.stdout == ""
         assert proc.stderr == f"configuration error: {message}\n"
+
+    @pytest.mark.parametrize("argv, kind", [
+        ("dissipation --deltas 1,2,3,5 --dim 2 --n 1" + "0" * 400,
+         "atoms exceed the 4194304 budget"),
+        ("dissipation --lambda 0.2 --dim 3 --n 1" + "0" * 1000,
+         "atoms exceed the 4194304 budget"),
+        ("solve --deltas 1,2 --dim 1 --depth 1" + "0" * 400,
+         "pull-back nodes exceed the 16777216 budget")],
+        ids=["atoms-1200-digits", "atoms-past-int-text-limit",
+             "depth-400-digits"])
+    def test_huge_sizes_are_named_in_one_short_line(self, capsys, argv,
+                                                     kind):
+        # a size past 2**64 is written as a power of two it exceeds: in
+        # full it ran to 1254 characters, or stopped on Python's 4300-digit
+        # int-to-text limit before the budget was named
+        rc = main(argv.split())
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert rc == 2 and captured.out == "" and len(lines) == 1
+        assert len(lines[0]) < 200 and kind in lines[0]
 
     @pytest.mark.parametrize("argv", [
         # the band covers the whole sigma range [0, 1]

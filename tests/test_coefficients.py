@@ -521,7 +521,8 @@ class TestGeneralCoefficients:
     def test_row_must_cover_the_generation(self, shape):
         gc = GeneralCoefficients(2, lambda g: np.zeros(shape),
                                  log2_min=-1.0, log2_max=1.0)
-        with pytest.raises(ValueError, match="needs a row of 4"):
+        with pytest.raises(ValueError, match="needs a row of 4 coefficients, "
+                                             "or one of 2 shared by every"):
             gc.row_log2(2)
 
     @pytest.mark.parametrize("arity", [1, 3, 6])
@@ -531,13 +532,14 @@ class TestGeneralCoefficients:
                                 log2_min=-1.0, log2_max=1.0)
 
     def test_from_rcm_matches_model(self, d12):
+        # the shared row is read by node code modulo its length
         gc = GeneralCoefficients.from_rcm(d12)
         for labels in ([1], [2], [1, 2], [2, 1, 1]):
             j = TreeIndex.from_labels(labels, 2)
-            got = gc.row_log2(j.generation)[j.code]
-            assert got == math.log2(coefficient_of(d12, j))
+            row = gc.row_log2(j.generation)
+            assert row[j.code % len(row)] == math.log2(coefficient_of(d12, j))
         row = gc.row_log2(2)
-        assert np.allclose(row, [0.0, 1.0, 0.0, 1.0])
+        assert np.allclose(np.resize(row, 4), [0.0, 1.0, 0.0, 1.0])
 
     @pytest.mark.parametrize("deltas", [[1.0, 2.0], [1.0, 2.0, 3.0, 5.0],
                                         [0.3, 1.7, 2.0, 0.9, 4.0, 1.1, 0.5, 3.3]])
@@ -545,10 +547,20 @@ class TestGeneralCoefficients:
         model = RcmModel.create(len(deltas).bit_length() - 1, 1.5, deltas)
         gc = GeneralCoefficients.from_rcm(model)
         for g in range(1, 5):
-            row = gc.row_log2(g)
+            row = np.resize(gc.row_log2(g), model.N**g)
             want = [math.log2(coefficient_of(model, TreeIndex(model.N, g, code)))
                     for code in range(model.N**g)]
             assert row.tolist() == want
+
+    def test_from_rcm_shares_one_row_of_the_deltas(self, d12):
+        gc = GeneralCoefficients.from_rcm(d12)
+        for g in (1, 2, 9):
+            assert gc.row_log2(g) is d12.coeffs.log2_deltas
+
+    def test_row_may_be_shared_by_every_parent(self):
+        gc = GeneralCoefficients(2, lambda g: np.zeros(2),
+                                 log2_min=-1.0, log2_max=1.0)
+        assert gc.row_log2(3).shape == (2,)
 
 
 class TestRowReduction:

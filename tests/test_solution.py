@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from oracles import (TreeIndex, log2_u_of_node, pull_row_oracle,
 from treeshell import (
     ConstantSolution,
     GeneralCoefficients,
+    RcmModel,
     ResourceLimitError,
     divergence_witness,
     fixed_point_q,
@@ -247,10 +249,9 @@ class TestPullback:
         assert a <= 0.0 <= b  # the seed is inside
         assert run.in_band()
         assert run.residual_max() <= 1e-12
-        # boundary row carries the seed, as a read-only view of it
+        # the boundary row is the seed alone, standing for its generation
         assert np.all(run.rows[10] == 0.0)
-        assert run.rows[10].shape == (2**10,)
-        assert not run.rows[10].flags.writeable
+        assert run.rows[10].shape == (1,)
 
     def test_depth_budget(self, d12):
         with pytest.raises(ResourceLimitError):
@@ -272,6 +273,48 @@ class TestPullback:
                             lambda x, axis=None: exact(x, axis) + 1e-9)
         run = pullback(GeneralCoefficients.from_rcm(d12), d12.alpha, depth=6)
         assert run.residual_max() > 1e-10
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf,
+                                       10**400, "2"],
+                             ids=["nan", "inf", "-inf", "huge-int", "str"])
+    def test_alpha_must_be_a_finite_number(self, d12, alpha):
+        # a non-finite alpha gave NaN rows with residual_max() == 0.0
+        with pytest.raises(ValueError, match="alpha"):
+            pullback(GeneralCoefficients.from_rcm(d12), alpha, depth=4)
+
+    def test_residual_keeps_a_nan(self, d12, monkeypatch):
+        # max(0.0, nan) is 0.0: a NaN residual must not read as exact
+        from treeshell import solution
+
+        exact = solution._pull_row
+
+        def nan_at_2(coefficients, alpha, g, children):
+            row, residual = exact(coefficients, alpha, g, children)
+            return row, math.nan if g == 2 else residual
+
+        monkeypatch.setattr(solution, "_pull_row", nan_at_2)
+        run = pullback(GeneralCoefficients.from_rcm(d12), d12.alpha, depth=6)
+        assert math.isnan(run.residual_max())
+
+    def test_shared_row_above_per_node_rows_is_refused(self):
+        # the pull-back adds a shared row to one-value children only
+        gc = GeneralCoefficients(
+            2, lambda g: np.zeros(2 if g < 3 else 2**g), -1.0, 1.0)
+        with pytest.raises(ValueError):
+            pullback(gc, 1.5, depth=5)
+
+    def test_rcm_pullback_stores_one_value_a_row(self):
+        # 1,398,101 nodes and a 22 MB peak when the deltas were tiled
+        gc = GeneralCoefficients.from_rcm(
+            RcmModel.create(2, 2.0, [1.0, 2.0, 3.0, 5.0]))
+        tracemalloc.start()
+        try:
+            run = pullback(gc, 2.0, depth=10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [row.shape for row in run.rows] == [(1,)] * 11
+        assert peak < 64 * 1024
 
     @pytest.mark.parametrize("depth", [1, 6])
     def test_each_coefficient_row_is_read_once(self, d12, monkeypatch, depth):
@@ -347,6 +390,40 @@ class TestPullbackAgainstOracle:
             assert same_bits(run.rows[g],
                              pull_row_oracle(gc, alpha, g, run.rows[g + 1]))
         assert same_bits(run.residual_max(), residual_max_oracle(run))
+
+    @pytest.mark.parametrize("d, depth", [(1, 10), (2, 5), (3, 4)])
+    @pytest.mark.parametrize("seed", [0.0, -30.0, 7.25])
+    def test_shared_rows_same_bits(self, rng, d, depth, seed):
+        model = RcmModel.create(d, float(rng.uniform(0.6, 6.0)),
+                                np.exp2(rng.uniform(-1.25, 0.75, 2**d)))
+        gc = GeneralCoefficients.from_rcm(model)
+        run = pullback(gc, model.alpha, depth, seed)
+        for g in range(depth):
+            assert same_bits(run.rows[g], pull_row_oracle(
+                gc, model.alpha, g, run.rows[g + 1]))
+        assert same_bits(run.residual_max(), residual_max_oracle(run))
+
+
+class TestSharedRows:
+    """A shared coefficient row gives the bits of the same map tiled out
+    per node: every generation's values are equal, and so are the sums."""
+
+    @pytest.mark.parametrize("d, depth", [(1, 10), (2, 5), (3, 4)])
+    def test_shared_and_per_node_maps_agree(self, rng, d, depth):
+        for _ in range(10):
+            model = RcmModel.create(d, float(rng.uniform(0.6, 6.0)),
+                                    np.exp2(rng.uniform(-3.0, 3.0, 2**d)))
+            shared = GeneralCoefficients.from_rcm(model)
+            per_node = GeneralCoefficients(
+                model.N, lambda g: np.resize(shared.row_log2(g), model.N**g),
+                shared.log2_min, shared.log2_max)
+            seed = float(rng.uniform(-30.0, 30.0))
+            one = pullback(shared, model.alpha, depth, seed)
+            full = pullback(per_node, model.alpha, depth, seed)
+            for row, want in zip(one.rows, full.rows):
+                assert row.shape == (1,)
+                assert same_bits(np.resize(row, len(want)), want)
+            assert same_bits(one.residual_max(), full.residual_max())
 
 
 class TestDivergenceWitness:
