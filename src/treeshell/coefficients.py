@@ -43,6 +43,7 @@ __all__ = [
 ]
 
 _LN2 = math.log(2.0)
+_TINY, _HUGE = math.ulp(0.0), float(np.finfo(float).max)  # positive doubles
 
 
 def log2sumexp2(x: np.ndarray, axis: int | None = None):
@@ -193,6 +194,7 @@ class RepeatedCoefficients:
                 sel &= np.isfinite(s)
                 out[sel] = self._ell_finite(s[sel], top, dist)
             return out
+        s = _number("s", s)
         top, dist, _ = self._side(s)
         if s == 0:
             return self.ell_zero()
@@ -241,6 +243,7 @@ class RepeatedCoefficients:
     def phi(self, gamma: float) -> float:
         """Tilted mean of log2 delta; equals d/ds (s ell_s) at s=gamma.  It
         is read as x_top less or plus its tilted mean distance to x_top."""
+        gamma = _number("gamma", gamma)
         top, _, above, below, _ = self._tilted_moments(gamma)
         return top - below if gamma >= 0 else top + above
 
@@ -248,7 +251,7 @@ class RepeatedCoefficients:
         """Variance of log2 delta under the tilted weights; > 0 iff non-flat
         at finite gamma.  The tilt is in base 2, so the slope of phi is
         ln(2) times this value."""
-        return self._tilted_moments(gamma)[4]
+        return self._tilted_moments(_number("gamma", gamma))[4]
 
     def phi_inverse(self, a: float) -> float:
         """The gamma with phi(gamma) = a, by Newton's method on the logit
@@ -261,8 +264,8 @@ class RepeatedCoefficients:
         asymptotically linear at both ends for any multiset, with slope
         ln2 var (1/(phi - x_min) + 1/(x_max - phi)).
 
-        - Start: the two-point closed form
-          gamma_0 = ln((a - x_min) / (x_max - a)) / (ln2 (x_max - x_min)).
+        - Start: the two-point closed form gamma_0 = ln((a - x_min) / (x_max
+          - a)) / (ln2 (x_max - x_min)), the ratio kept to positive doubles.
         - Safeguard: each iterate tightens the bracket (-inf, inf) by the
           sign of phi - a.  The Newton step is taken if it lands strictly
           inside; once both ends are finite it must also be at most half
@@ -277,6 +280,7 @@ class RepeatedCoefficients:
           ulps of the distance + sqrt(variance); below it the Newton steps
           only chase rounding noise.
         """
+        a = _number("a", a)
         if self.is_flat:
             raise ValueError("phi is constant for a flat model, not invertible")
         x_min, x_max = self.ell_neg_inf(), self.ell_pos_inf()
@@ -284,7 +288,7 @@ class RepeatedCoefficients:
             raise ValueError(
                 f"target {a} outside the open range ({x_min}, {x_max}) of phi")
         a_above, a_below = a - x_min, x_max - a
-        target = math.log(a_above / a_below)
+        target = math.log(min(max(a_above / a_below, _TINY), _HUGE))
         unit = _LN2 * (x_max - x_min)
         gamma = target / unit
         lo, hi = -math.inf, math.inf
@@ -321,15 +325,15 @@ class RepeatedCoefficients:
             gamma = new
 
     def top_multiplicity(self, s: float) -> int:
-        """How many weights sit at the x_top of an argument s: within 1e-12
-        in log2 of the largest delta for s >= 0, of the smallest otherwise."""
-        return int(np.sum(self._side(s)[1] <= 1e-12))
+        """How many weights sit exactly at the x_top of an argument s: at
+        log2 of the largest delta for s >= 0, of the smallest otherwise."""
+        return int(np.sum(self._side(s)[1] == 0))
 
     def dim_D(self, a: float) -> float:
         """The dimension D(a) of the level set where the path mean of log2
         delta is a, a constrained-entropy maximum: at most log2 size (d for
-        N = 2**d entries), and log2 of an end's multiplicity within 1e-12 of
-        that end.  Inside, gamma = phi^{-1}(a) rejects a flat multiset and
+        N = 2**d entries), and log2 of an end's multiplicity at that end
+        itself.  Inside, gamma = phi^{-1}(a) rejects a flat multiset and
         any a outside, and D = log2 S - gamma (a - x_top), S = sum_w 2**(gamma
         (log2 delta_w - x_top)) from ``_tilted_moments``: log2 size - gamma
         (a - ell(gamma)) as two terms >= 0, so the rounding of a - ell(gamma)
@@ -337,7 +341,7 @@ class RepeatedCoefficients:
         stationary in gamma: gamma's error enters at second order only."""
         a = _number("a", a)
         for s in (-1.0, 1.0):
-            if math.isclose(a, self._side(s)[0], rel_tol=0, abs_tol=1e-12):
+            if a == self._side(s)[0]:
                 return math.log2(self.top_multiplicity(s))
         gamma = self.phi_inverse(a)
         top, total, *_ = self._tilted_moments(gamma)
@@ -355,7 +359,7 @@ class GeneralCoefficients:
     carries it through the pull-back, whose rows then hold one value for
     the whole generation.  The pull-back adds a shared row to one-value
     children only, so a map that gives some generation per node gives
-    every shallower one per node too; numpy refuses the sum otherwise.
+    every shallower one per node too, or ``pullback`` refuses it.
     Every row is checked against the declared band [log2_min, log2_max];
     the band width L is the constant entering the generic existence bound.
     """

@@ -158,25 +158,22 @@ def theoretical_tail_rate(model: RcmModel, lo: float, hi: float) -> float:
     """inf of R(a) - D(a) over the complement of (lo, hi) in the sigma range.
 
     R is affine and D concave, so R - D is convex with its zero at
-    phi(3/2): on each complement segment the infimum sits at the point of
-    the segment nearest phi(3/2), and is exactly 0 when the segment
-    contains it.
+    phi(3/2): on each closed complement segment, [a_min, min(lo, a_max)] or
+    [max(hi, a_min), a_max], the infimum sits at the point nearest phi(3/2),
+    a band edge itself if that is nearest, and is 0 when it holds phi(3/2).
     """
     cs = model.coeffs
     a_min, a_max = cs.ell_neg_inf(), cs.ell_pos_inf()
-    pad = (a_max - a_min) * 1e-9
     segments = []
     if lo > a_min:
-        segments.append((a_min + pad, min(lo, a_max - pad)))
+        segments.append((a_min, min(lo, a_max)))
     if hi < a_max:
-        segments.append((max(hi, a_min + pad), a_max - pad))
+        segments.append((max(hi, a_min), a_max))
     if not segments:
         raise ValueError("the interval covers the whole sigma range")
     center = model.phi(1.5)
     rates = []
     for x0, x1 in segments:
-        # a band edge within pad of the range end reverses its segment
-        x0, x1 = min(x0, x1), max(x0, x1)
         if x0 <= center <= x1:
             rates.append(0.0)
         else:

@@ -33,7 +33,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .coefficients import RcmModel, _row_reduction
+from .coefficients import RcmModel, _number, _row_reduction
 from .solution import ConstantSolution
 from .tree import check_budget, generation_start, tree_size
 
@@ -236,6 +236,7 @@ def step(state: TruncatedState, dt: float) -> tuple[TruncatedState, float]:
     The total clamped mass is reported so runs can be rejected when it
     matters.
     """
+    dt = _number("dt", dt)
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
     with np.errstate(over="ignore", invalid="ignore"):  # as in integrate
@@ -265,6 +266,7 @@ def integrate(state: TruncatedState, dt: float, steps: int,
     rounding noise; a run whose clamped mass per unit time exceeds
     _MAX_CLAMP_RATE times the state scale is rejected.
     """
+    dt = _number("dt", dt)
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
     if steps < 0:

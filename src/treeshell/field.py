@@ -196,7 +196,7 @@ def structure_function(solution: ConstantSolution, depth: int, p_grid,
     unit = ConstantSolution(replace(model, forcing=1.0))
     if mother != "haar":
         est = _grid_structure_function(synthesize(unit, depth, mother),
-                                       p_arr, m_range)
+                                       p_arr, m_lo, m_hi)
     else:
         est = _haar_structure_function(unit, depth, p_arr, m_lo, m_hi)
     return replace(est, log2_S=est.log2_S
@@ -235,15 +235,11 @@ def _haar_structure_function(solution: ConstantSolution, depth: int,
     return _fit(p_arr, m_lo, m_hi, log2_S)
 
 
-def _grid_structure_function(field: WaveletField, p_grid,
-                             m_range: tuple[int, int] | None = None
+def _grid_structure_function(field: WaveletField, p_arr: np.ndarray,
+                             m_lo: int, m_hi: int
                              ) -> StructureFunctionEstimate:
     """:func:`structure_function` of any one-dimensional grid, as the mean
     over its increment pairs at each scale."""
-    if field.dim != 1:
-        raise ValueError("the two-point increment average is defined for d = 1")
-    m_lo, m_hi = fit_window(field.depth, m_range)
-    p_arr = np.atleast_1d(np.asarray(p_grid, dtype=float))
     log2_S = np.full((len(p_arr), m_hi - m_lo + 1), -np.inf)
     for k, m in enumerate(range(m_lo, m_hi + 1)):
         off = 2 ** (field.depth - m)
@@ -302,7 +298,8 @@ class LocalHolder:
     estimate: float       # -d/2 - (1/n) log2 u_{x_n} at n = n_max
     closed_form: float    # (alpha - d/2)/3 + (ell(3/2) - sigma)/2
     sigma: float
-    dissipating: bool     # sigma >= ell(3/2), i.e. s(x) <= 1/3 at alpha = 1 + d/2
+    # sigma >= ell(3/2), or a flat model: s(x) <= 1/3 at alpha = 1 + d/2
+    dissipating: bool
 
 
 def local_holder(solution: ConstantSolution, point, n_max: int) -> LocalHolder:
@@ -332,4 +329,4 @@ def local_holder(solution: ConstantSolution, point, n_max: int) -> LocalHolder:
     log2_u = math.log2(m.forcing) + solution.q * (n_max + 1) + 0.5 * path
     estimate = -m.d / 2.0 - log2_u / n_max
     closed = (m.alpha - m.d / 2.0) / 3.0 + 0.5 * (m.ell(1.5) - sig)
-    return LocalHolder(estimate, closed, sig, sig >= m.ell(1.5) - 1e-12)
+    return LocalHolder(estimate, closed, sig, m.is_flat or sig >= m.ell(1.5))

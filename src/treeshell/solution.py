@@ -146,6 +146,11 @@ def _pull_row(coefficients: GeneralCoefficients, alpha: float, g: int,
     and the largest |log2| of its forward-identity sums (``residual_max``),
     both from one read of the generation-(g + 1) coefficients."""
     terms = np.multiply(1.5, coefficients.row_log2(g + 1))
+    if len(terms) < len(children):
+        raise ValueError(
+            f"generation {g + 1} is one row shared by every parent, above a "
+            "generation given per node: a map that gives some generation "
+            "per node gives every shallower one per node too")
     terms += children
     terms = terms.reshape(-1, coefficients.arity)
     row = -0.5 * alpha - 0.5 * log2sumexp2(terms, axis=1)
@@ -269,6 +274,7 @@ def divergence_witness(solution: ConstantSolution, eps0: float,
     perturbed family on the stationarity constraint exactly.  eps0 = 0
     returns the all-zero chain (the constant solution itself).
     """
+    eps0 = _number("eps0", eps0)
     if not 0 <= eps0 < math.inf:
         raise ValueError(f"eps0 must be finite and >= 0, got {eps0}")
     if not 0 <= steps <= 1000:

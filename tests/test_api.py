@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 import treeshell
-from treeshell import ConstantSolution, RcmModel, field, spectra
+from treeshell import (ConstantSolution, RcmModel, dynamics, field, solution,
+                       spectra)
 
 MODULES = ["treeshell"] + [f"treeshell.{m.name}"
                            for m in pkgutil.iter_modules(treeshell.__path__)]
@@ -281,15 +282,26 @@ BIG = 10**400  # an int past the double range
     lambda m, u: u.sobolev_norm(BIG, 2.0),
     lambda m, u: u.sobolev_norm(0.1, BIG),
     lambda m, u: RcmModel.create(1, 1.5, [True, 2]),
-    lambda m, u: RcmModel.create(1, 1.5, ["1", "2"])],
+    lambda m, u: RcmModel.create(1, 1.5, ["1", "2"]),
+    lambda m, u: m.coeffs.ell(BIG),
+    lambda m, u: m.coeffs.phi(BIG),
+    lambda m, u: m.coeffs.phi_derivative(BIG),
+    lambda m, u: m.coeffs.phi_inverse(BIG),
+    lambda m, u: solution.divergence_witness(u, BIG),
+    lambda m, u: dynamics.integrate(dynamics.TruncatedState.zeros(m, 2),
+                                    BIG, 2),
+    lambda m, u: dynamics.step(dynamics.TruncatedState.zeros(m, 2), BIG)],
     ids=["zeta", "zeta-array", "zeta_raw", "s0", "rate_R", "rate_R-array",
          "dim_D", "zeta_derivative", "structure_function",
          "structure_function-array", "besov_epsilon-s", "besov_epsilon-p",
          "local_holder", "sobolev_norm-s", "sobolev_norm-p", "delta-bool",
-         "delta-str"])
+         "delta-str", "ell", "phi", "phi_derivative", "phi_inverse",
+         "divergence_witness", "integrate", "step"])
 def test_every_library_number_is_converted_alike(call):
     # an int past the double range raised OverflowError, and a bool or a
-    # string delta built a model; the package's convention is ValueError
+    # string delta built a model; the package's convention is ValueError,
+    # whose message names the argument rather than printing its 401 digits
     model = RcmModel.create(1, 1.5, [1.0, 2.0])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as raised:
         call(model, ConstantSolution(model))
+    assert len(str(raised.value)) < 100

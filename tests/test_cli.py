@@ -1365,20 +1365,26 @@ EDGE_SIZES = {
 @st.composite
 def edge_models(draw):
     """Model flags with d in {1, 2}, log2 deltas within +-1000, alpha in
-    [0.01, 60] and f = 2**U(-60, 60)."""
+    [0.01, 60] and f = 2**U(-60, 60).  Half the models make the second
+    delta a near tie of the first, delta * 2**(+-10**-k) with k in 9..15,
+    which an absolute tolerance in log2 delta would take for a tie."""
     d = draw(st.sampled_from([1, 2]))
-    log2_deltas = draw(st.lists(st.floats(-1000, 1000), min_size=2**d,
-                                max_size=2**d))
+    deltas = [2.0**x for x in draw(st.lists(
+        st.floats(-1000, 1000), min_size=2**d, max_size=2**d))]
+    if draw(st.booleans()):
+        tilt = draw(st.sampled_from([-1.0, 1.0])) * 10.0**-draw(
+            st.integers(9, 15))
+        deltas[1] = deltas[0] * 2.0**tilt
     alpha = draw(st.floats(0.01, 60))
     log2_f = draw(st.floats(-60, 60))
     return [f"--dim={d}", f"--alpha={alpha!r}", f"--forcing={2.0**log2_f!r}",
-            "--deltas=" + ",".join(repr(2.0**x) for x in log2_deltas)]
+            "--deltas=" + ",".join(map(repr, deltas))]
 
 
-def run_edge_case(argv: list[str]) -> None:
+def run_edge_case(argv: list[str], fail_codes=(1, 2)) -> None:
     """One CLI run either exits 0 with finite numbers, apart from the first
-    slope_rate of `concentration`, and strict JSON, or exits 1 or 2 with one
-    stderr line."""
+    slope_rate of `concentration`, and strict JSON, or exits with one of
+    `fail_codes` and one stderr line."""
     with tempfile.TemporaryDirectory() as tmp:
         out, summary = os.path.join(tmp, "o.csv"), os.path.join(tmp, "s.json")
         argv = [a.format(summary=summary) for a in argv] + ["--out", out]
@@ -1393,7 +1399,7 @@ def run_edge_case(argv: list[str]) -> None:
         err = stderr.getvalue()
         assert stdout.getvalue() == ""
         if rc != 0:
-            assert rc in (1, 2) and len(err.splitlines()) == 1, (rc, err)
+            assert rc in fail_codes and len(err.splitlines()) == 1, (rc, err)
             return
         assert err == ""
         with open(out) as fh:
@@ -1428,3 +1434,19 @@ class TestEdgeModels:
                        "--p-step", "1", "--summary", "{summary}"])
         for command, sizes in EDGE_SIZES.items():
             run_edge_case([command, *model, *sizes.split()])
+
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              database=None)
+    @given(edge_models(), st.booleans(), st.floats(0.0, 1e-9))
+    def test_band_edge_at_a_range_end(self, model, lower, gap):
+        # the band's one edge lies within 1e-9 of an end of the sigma range,
+        # and at least an ulp inside it, so the complement is that sliver,
+        # evaluated at the edge itself
+        x = [math.log2(float(v)) for v in model[-1].split("=")[1].split(",")]
+        lo, hi = min(x), max(x)
+        if lower:
+            band = (max(lo + gap, math.nextafter(lo, hi + 1.0)), hi + 1.0)
+        else:
+            band = (lo - 1.0, min(hi - gap, math.nextafter(hi, lo - 1.0)))
+        run_edge_case(["concentration", *model, "--n-list", "10,20",
+                       "--band={!r},{!r}".format(*band)], fail_codes=(2,))

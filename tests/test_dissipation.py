@@ -14,9 +14,9 @@ from treeshell import spectra
 from treeshell.tree import ResourceLimitError
 
 from conftest import heap_index, subtree_mask
-from oracles import (TreeIndex, coefficient_of, enumerate_log2_F, log2_F,
-                     match_atoms, measure_from_enumeration, sigma_of,
-                     u_of_node)
+from oracles import (TreeIndex, coefficient_of, dim_D_mpmath,
+                     enumerate_log2_F, log2_F, match_atoms,
+                     measure_from_enumeration, sigma_of, u_of_node)
 
 PHI32_D12 = 0.7387961250362586
 
@@ -29,19 +29,29 @@ def lse2(a):
 
 def grid_tail_rate(model, lo, hi, grid=4001):
     """inf[R - D] over the band's complement by a dense grid: the oracle of
-    the closed form, sampling the same padded segments endpoint included."""
+    the closed form, sampling the same closed segments, both ends included."""
     cs = model.coeffs
     a_min, a_max = cs.ell_neg_inf(), cs.ell_pos_inf()
-    pad = (a_max - a_min) * 1e-9
     cands = []
     if lo > a_min:
-        cands.append(np.linspace(a_min + pad, min(lo, a_max - pad), grid))
+        cands.append(np.linspace(a_min, min(lo, a_max), grid))
     if hi < a_max:
-        cands.append(np.linspace(max(hi, a_min + pad), a_max - pad, grid))
+        cands.append(np.linspace(max(hi, a_min), a_max, grid))
     a = np.concatenate(cands)
     vals = spectra.rate_R(model, a) \
         - np.array([spectra.dim_D(model, float(x)) for x in a])
     return float(vals.min())
+
+
+def rate_gap_mpmath(model, a):
+    """R(a) - D(a) at 40 digits, taking the floats log2 delta and a as
+    exact: R from the power mean of 2**(3/2 log2 delta), D from
+    ``dim_D_mpmath``."""
+    x = model.coeffs.log2_deltas
+    with mp.workdps(40):
+        mean = mp.fsum(mp.power(2, 1.5 * mp.mpf(float(v))) for v in x) / len(x)
+        rate = model.d + mp.log(mean, 2) - 1.5 * mp.mpf(float(a))
+        return float(rate - dim_D_mpmath(x, a))
 
 
 def compositions_oracle(n, parts):
@@ -341,11 +351,33 @@ class TestTailRateClosedForm:
     @pytest.mark.parametrize("band", [
         (PHI32_D12 - 0.1, 5.0),
         (-5.0, PHI32_D12 + 0.1),
-        (1e-12, 5.0),  # the lower segment [pad, 1e-12] is reversed
+        (1e-12, 5.0),  # the lower segment is [0, 1e-12]
     ])
     def test_one_sided_and_edge_bands_match_grid(self, d12, band):
         assert dp.theoretical_tail_rate(d12, *band) \
             == grid_tail_rate(d12, *band, grid=401)
+
+    @pytest.mark.parametrize("deltas, lower, f, want", [
+        ((1.0, 2.0), True, 1e-12, 1.9367517953970184),
+        ((1.0, 2.0), False, 1e-12, None),
+        ((1.0, 2.0, 3.0, 5.0), True, 1e-10, None),
+        ((1.0, 2.0, 3.0, 5.0), False, 1e-10, None),
+        ((1.0, 1.0 + 1e-10), True, 1e-3, 0.98859224237)])
+    def test_band_edge_near_a_range_end_is_the_edge(self, deltas, lower, f,
+                                                    want):
+        # the band's one edge sits a fraction f of the sigma range from an
+        # end, inside (a_max - a_min) * 1e-9 in the first four cases; the
+        # infimum is R - D at the edge itself, also on the last case's
+        # near-flat range, which is below 1e-12 wide
+        m = RcmModel.create(len(deltas).bit_length() - 1, 1.5, deltas)
+        a_min, a_max = m.coeffs.ell_neg_inf(), m.coeffs.ell_pos_inf()
+        edge = a_min + (a_max - a_min) * f if lower \
+            else a_max - (a_max - a_min) * f
+        band = (edge, 5.0) if lower else (-5.0, edge)
+        got = dp.theoretical_tail_rate(m, *band)
+        assert got == pytest.approx(rate_gap_mpmath(m, edge), abs=1e-12)
+        if want is not None:
+            assert got == pytest.approx(want, abs=1e-9)
 
     @pytest.mark.parametrize("band", [(0.1, 0.3), (0.8, 5.0)])
     def test_band_excluding_phi32_has_rate_zero(self, d12, band):

@@ -175,7 +175,7 @@ class TestStructureFunction:
         wf = fd.synthesize(d12_solution, depth=10)
         dead = fd.WaveletField(d12_solution, 10, "haar",
                                np.zeros_like(wf.grid))
-        est = fd._grid_structure_function(dead, [2.0])
+        est = fd._grid_structure_function(dead, np.array([2.0]), 3, 6)
         assert est.degenerate[0]
         assert math.isnan(est.zeta_hat[0])
 
@@ -185,7 +185,7 @@ class TestStructureFunction:
         x = (np.arange(2**M) + 0.5) / 2**M
         field = fd.WaveletField(d12_solution, M, "haar",
                                 np.cos(2 * np.pi * x))
-        est = fd._grid_structure_function(field, [2.0], m_range=(6, 8))
+        est = fd._grid_structure_function(field, np.array([2.0]), 6, 8)
         assert est.zeta_hat[0] == pytest.approx(2.0, abs=0.01)
 
     def test_haar_fits_at_m16_frozen_values(self, flat_d1_solution):
@@ -206,10 +206,9 @@ class TestStructureFunction:
 
     def test_requires_one_dimensional_field(self):
         sol = ConstantSolution(lambda_family(0.1))
-        with pytest.raises(ValueError):
-            fd.structure_function(sol, 4, [2.0])
-        with pytest.raises(ValueError):
-            fd._grid_structure_function(fd.synthesize(sol, depth=4), [2.0])
+        for mother in fd.MOTHERS:
+            with pytest.raises(ValueError, match="defined for d = 1"):
+                fd.structure_function(sol, 10, [2.0], mother=mother)
 
     def test_empty_window_rejected(self, d12_solution):
         with pytest.raises(ValueError):
@@ -413,6 +412,15 @@ class TestLocalHolder:
         assert res.estimate == pytest.approx(1.0 / 3.0, abs=0.05)
         # flat at alpha = 1 + d/2 sits exactly on the dissipation threshold
         assert res.dissipating
+
+    def test_near_flat_flag_is_exact(self):
+        # log2 delta = (0, 1.4e-13): at x = 0 every label is the smaller
+        # delta, so sigma = 0 < ell(3/2) = 7.2e-14 and x does not dissipate
+        sol = ConstantSolution(RcmModel.create(1, 1.5, [1.0, 1.0 + 1e-13]))
+        res = fd.local_holder(sol, [0.0], 30)
+        assert res.sigma == 0.0 < sol.model.ell(1.5)
+        assert not res.dissipating
+        assert fd.local_holder(sol, [1.0 - 2.0**-30], 30).dissipating
 
     def test_extreme_path_gives_global_exponent(self, d12_solution):
         # 1 - 2**-40 has forty binary digits 1: every label is 2

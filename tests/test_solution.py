@@ -300,7 +300,9 @@ class TestPullback:
         # the pull-back adds a shared row to one-value children only
         gc = GeneralCoefficients(
             2, lambda g: np.zeros(2 if g < 3 else 2**g), -1.0, 1.0)
-        with pytest.raises(ValueError):
+        # the refusal names the layout rule
+        with pytest.raises(ValueError, match="generation 2 is one row shared "
+                           r".* gives every shallower one per node too"):
             pullback(gc, 1.5, depth=5)
 
     def test_rcm_pullback_stores_one_value_a_row(self):

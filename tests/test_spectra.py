@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from treeshell import RcmModel, lambda_family
@@ -115,14 +115,22 @@ class TestAsymptote:
         _, intercept = spectra.asymptote(m)
         assert intercept == pytest.approx(2.0 - 1.0, abs=1e-14)
 
+    def test_near_tie_is_not_a_tie(self):
+        # log2 delta = (0, 1.4e-13): one weight at each end, however close,
+        # so the intercept is d - log2 1
+        m = RcmModel.create(1, 1.5, [1.0, 1.0 + 1e-13])
+        assert m.coeffs.top_multiplicity(math.inf) == 1
+        assert m.coeffs.top_multiplicity(-math.inf) == 1
+        assert spectra.asymptote(m)[1] == 1.0
+
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(st.integers(0, 2**32 - 1), st.sampled_from((1, 2, 3)),
            st.integers(0, 7), st.sampled_from((0.0, 1e-13, 1e-11)))
     def test_intercept_is_d_less_D_at_the_top_end(self, seed, d, repeats,
                                                    gap):
         # one multiplicity rule: the m of the intercept is the one D reads at
-        # a = log2 max delta, also when the largest delta repeats, exactly or
-        # within (1e-13) or past (1e-11) the 1e-12 tolerance in log2
+        # a = log2 max delta, also when the largest delta repeats exactly,
+        # or nearly (1e-13 or 1e-11 below it in log2)
         from conftest import random_rcm
         m = random_rcm(np.random.default_rng(seed), allow_flat=True,
                        d_choices=(d,))
@@ -173,22 +181,56 @@ class TestRateAndDimension:
             == pytest.approx(0.0, abs=1e-9)
 
     # log2 delta = c + spread * u with u_0 = 0, u_1 = 1: near-flat multisets
-    # far from 0 are where D = log2 N - gamma (a - ell(gamma)) lost digits
-    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    # far from 0 are where D = log2 N - gamma (a - ell(gamma)) lost digits;
+    # a spread down to 1e-14 puts every a within 1e-12 of an end, and c = 0
+    # and c = -spread put an end at 0, where the logit start's ratio leaves
+    # the doubles 1 ulp inside
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(st.sampled_from((2, 4, 8)).flatmap(lambda n: st.tuples(
-        st.floats(-30.0, 30.0), st.floats(-8.0, math.log10(60.0)),
+        st.one_of(st.sampled_from(("min 0", "max 0")), st.floats(-30.0, 30.0)),
+        st.floats(-14.0, math.log10(60.0)),
         st.lists(st.floats(0.0, 1.0), min_size=n - 2, max_size=n - 2))))
+    @example(("min 0", math.log10(60.0), []))  # 5e-324 / 60 rounds to 0
+    @example(("max 0", math.log10(60.0), []))  # 60 / 5e-324 rounds to inf
     def test_dim_D_matches_mpmath(self, case):
         offset, log10_spread, inner = case
+        spread = 10.0**log10_spread
+        offset = {"min 0": 0.0, "max 0": -spread}.get(offset, offset)
         u = np.array([0.0, 1.0] + inner)
-        c = RepeatedCoefficients(np.exp2(offset + 10.0**log10_spread * u))
+        c = RepeatedCoefficients(np.exp2(offset + spread * u))
         lo, hi = c.ell_neg_inf(), c.ell_pos_inf()
-        for f in (1e-3, 0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99, 1 - 1e-3):
-            a = lo + (hi - lo) * f
+        fractions = (1e-6, 1e-3, 0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99,
+                     1 - 1e-3, 1 - 1e-6)
+        points = [lo + (hi - lo) * f for f in fractions]
+        for k in (1, 2, 1000):  # k ulps inside each end
+            above, below = lo, hi
+            for _ in range(k):
+                above = math.nextafter(above, hi)
+                below = math.nextafter(below, lo)
+            points += [above, below]
+        for a in points:
             if lo < a < hi:
                 want = dim_D_mpmath(c.log2_deltas, a)
                 got = c.dim_D(a)
                 assert abs(got - want) <= 1e-11, (c.log2_deltas.tolist(), a)
+
+    @pytest.mark.parametrize("eps, f, want", [
+        (1e-10, 1e-3, 0.0114078), (1e-13, 0.3, 0.881291)])
+    def test_dim_D_inside_a_near_flat_range(self, eps, f, want):
+        # the whole range is below 1e-12 wide, and D still follows the
+        # tilt inside it
+        c = RepeatedCoefficients([1.0, 1.0 + eps])
+        lo, hi = c.ell_neg_inf(), c.ell_pos_inf()
+        a = lo + (hi - lo) * f
+        assert c.dim_D(a) == pytest.approx(want, abs=1e-6)
+        assert abs(c.dim_D(a) - dim_D_mpmath(c.log2_deltas, a)) <= 1e-11
+
+    def test_dim_D_is_an_end_multiplicity_only_at_the_end(self):
+        c = RepeatedCoefficients([1.0, 1.0, 1.0 + 1e-13, 1.0 + 1e-13])
+        lo, hi = c.ell_neg_inf(), c.ell_pos_inf()
+        assert c.dim_D(lo) == c.dim_D(hi) == 1.0
+        # the midpoint is the untilted mean, where D = log2 4
+        assert c.dim_D(0.5 * (lo + hi)) == pytest.approx(2.0, abs=1e-12)
 
     # the Legendre pair: zeta_raw(p) = p h(a) + d - D(a) at a = phi(p/2),
     # h(a) = (alpha - d/2)/3 + (ell(3/2) - a)/2 the local Holder exponent
