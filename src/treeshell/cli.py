@@ -43,6 +43,7 @@ from .tree import ResourceLimitError, check_budget
 
 _FLOAT = "%.17g"
 _CHUNK_ROWS = 2**14  # rows per formatted chunk: bounds the live text
+_FORMAT_BLOCK = 2**13  # doubles formatted, or rows made text, at once
 
 # _format_floats: for 1e-4 <= |x| < 1e16, '%.17g' is fixed notation of the
 # 17-digit significand N = round(|x| * 10**(16 - E)) in [1e16, 1e17), E the
@@ -98,39 +99,62 @@ def _write_csv(path, header_lines: list[str], columns: dict) -> None:
 
 def _csv_chunks(header_lines: list[str], columns: dict):
     """The header, then the rows as byte rows (_byte_chunk), _CHUNK_ROWS a
-    chunk."""
+    chunk.  The chunks of a table share their two chunk-sized matrices,
+    and every other temporary is a block's worth: allocated anew each
+    chunk, chunk-sized arrays would be given back to the OS and faulted in
+    again every chunk (glibc trims its heap once the free top passes twice
+    the largest block it has unmapped)."""
     arrays = [np.asarray(col) for col in columns.values()]
     n_rows = max((len(a) for a in arrays if a.ndim), default=1)
     yield "\n".join([*header_lines, ",".join(columns)]) + "\n"
+    buffers = {}
     for start in range(0, n_rows, _CHUNK_ROWS):
         yield _byte_chunk(arrays, slice(start, min(start + _CHUNK_ROWS,
-                                                   n_rows)))
+                                                   n_rows)), buffers)
 
 
-def _byte_chunk(arrays: list[np.ndarray], rows: slice) -> str:
+def _reused(buffers: dict, name: str, rows: int, width: int) -> np.ndarray:
+    """A (rows, width) uint8 matrix on the bytes of buffers[name], which
+    grows when it is too small."""
+    buffer = buffers.get(name)
+    if buffer is None or len(buffer) < rows * width:
+        buffer = buffers[name] = np.empty(rows * width, np.uint8)
+    return buffer[:rows * width].reshape(rows, width)
+
+
+def _byte_chunk(arrays: list[np.ndarray], rows: slice,
+                buffers: dict) -> str:
     """The rows' text as one uint8 matrix: each column's cells in a slot of
     fixed width padded with 0xFF, a byte UTF-8 never uses, and the commas
     and newline in fixed columns; the padding is deleted as the matrix
     becomes text.  A scalar column is one row, repeated down the chunk.
     Every double of the chunk, as float64, goes through one _format_floats
-    call; any other cell through ``str`` one value at a time."""
+    call; any other cell through ``str`` one value at a time.  The slots
+    and the byte matrix are laid on `buffers`, kept from chunk to chunk."""
     cells = [a[rows] if a.ndim else a.reshape(1) for a in arrays]
     floats = [c for c in cells if c.dtype.kind == "f"]
-    slots = np.split(_format_floats(np.concatenate(floats, dtype=np.float64)),
-                     np.cumsum([len(c) for c in floats[:-1]])) if floats else []
+    slots = []
+    if floats:
+        x = np.concatenate(floats, dtype=np.float64)
+        slots = np.split(
+            _format_floats(x, _reused(buffers, "slots", len(x), _SLOT)),
+            np.cumsum([len(c) for c in floats[:-1]]))
     parts = []
     for c in cells:
         parts.append(slots.pop(0) if c.dtype.kind == "f"
                      else _text_slots(["%s" % v for v in c.tolist()]))
         parts.append(_COMMA)
     parts[-1:] = [_NEWLINE]  # the last comma, if any
-    out = np.empty((rows.stop - rows.start, sum(p.shape[-1] for p in parts)),
-                   np.uint8)
+    out = _reused(buffers, "rows", rows.stop - rows.start,
+                  sum(p.shape[-1] for p in parts))
     col = 0
     for part in parts:
         out[:, col:col + part.shape[-1]] = part
         col += part.shape[-1]
-    return out.tobytes().translate(None, b"\xff").decode()
+    # a block of rows at a time: the bytes of the whole chunk and their
+    # translation would be two chunk-sized transients, which the heap trims
+    return "".join(out[i:i + _FORMAT_BLOCK].tobytes().translate(None, b"\xff")
+                   .decode() for i in range(0, len(out), _FORMAT_BLOCK))
 
 
 def _text_slots(strings: list[str], width: int | None = None) -> np.ndarray:
@@ -141,6 +165,14 @@ def _text_slots(strings: list[str], width: int | None = None) -> np.ndarray:
         width = max(map(len, data), default=0)
     return np.frombuffer(b"".join(d.ljust(width, b"\xff") for d in data),
                          np.uint8).reshape(len(data), width)
+
+
+def _divmod(a: np.ndarray, b: int) -> tuple[np.ndarray, np.ndarray]:
+    """divmod(a, b) of a non-negative integer array, as q = a // b and
+    a - q*b: numpy's integer divmod misses the fast path of its floor
+    division, 1.4x slower on int64 and 4x on uint32."""
+    q = a // b
+    return q, a - q * b
 
 
 def _significand(a: np.ndarray, e10: np.ndarray) -> np.ndarray:
@@ -190,15 +222,27 @@ def _slot_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             words.view(np.uint64).ravel(), zeros)
 
 
-def _format_floats(x: np.ndarray) -> np.ndarray:
-    """The '%.17g' text of each value of the float64 array x, as the rows of
-    a (len(x), _SLOT) uint8 matrix padded with 0xFF.
+def _format_floats(x: np.ndarray, slots: np.ndarray) -> np.ndarray:
+    """The '%.17g' text of each value of the float64 array x, written as the
+    rows of `slots`, a C-order (len(x), _SLOT) uint8 matrix, padded with
+    0xFF; returns `slots`.
 
     Values with 1e-4 <= |x| < 1e16 are formatted by array arithmetic: the
     significand N, then its lead digit and four groups of four digits as
     digit words, ORed into the layout that the sign, E and N's last nonzero
     digit select.  Zeros, subnormals, inf, NaN and the values printed in
-    exponent notation go through '%.17g' one by one."""
+    exponent notation go through '%.17g' one by one.  The values are taken
+    _FORMAT_BLOCK at a time (_format_block), so the temporaries stay a few
+    hundred kB whatever the length of x: they stay in cache, and the heap
+    they are freed to serves the next block and the next chunk."""
+    for start in range(0, len(x), _FORMAT_BLOCK):
+        block = slice(start, start + _FORMAT_BLOCK)
+        _format_block(x[block], slots[block])
+    return slots
+
+
+def _format_block(x: np.ndarray, slots: np.ndarray) -> None:
+    """_format_floats of x, written into the (len(x), _SLOT) rows slots."""
     layouts, digit_words, trailing_zeros = _slot_tables()
     a = np.abs(x)
     fast = (a >= 1e-4) & (a < 1e16)
@@ -211,9 +255,9 @@ def _format_floats(x: np.ndarray) -> np.ndarray:
     if len(redo):
         e10[redo] += off[redo]
         n[redo] = _significand(a[redo], e10[redo])
-    hi, lo = divmod(n, 10**8)
-    lead, hi = divmod(hi.astype(np.uint32), 10**8)
-    groups = [*divmod(hi, 10**4), *divmod(lo.astype(np.uint32), 10**4)]
+    hi, lo = _divmod(n, 10**8)
+    lead, hi = _divmod(hi.astype(np.uint32), 10**8)
+    groups = [*_divmod(hi, 10**4), *_divmod(lo.astype(np.uint32), 10**4)]
     index = np.empty((len(x), 5), np.intp)  # into digit_words
     index[:, 0] = lead + 10**4
     for j, group in enumerate(groups, 1):
@@ -222,15 +266,16 @@ def _format_floats(x: np.ndarray) -> np.ndarray:
     z = [trailing_zeros.take(group) for group in groups]
     zeros = z[3] + (z[3] == 4) * (z[2] + (z[2] == 4) * (
         z[1] + (z[1] == 4) * z[0]))
-    slots = layouts.take((np.signbit(x) * 21 + e10 + 4) * 17 + 16 - zeros,
-                         axis=0)
-    slots |= digit_words.take(index)
-    slots = slots.view(np.uint8)
+    # every layout index is in range: "clip" only spares take the buffered
+    # copy that its default mode makes of its `out`
+    words = slots.view(np.uint64)
+    np.take(layouts, (np.signbit(x) * 21 + e10 + 4) * 17 + 16 - zeros,
+            axis=0, out=words, mode="clip")
+    words |= digit_words.take(index)
     slow = np.flatnonzero(~fast)
     if len(slow):
         slots[slow] = _text_slots([_FLOAT % v for v in x[slow].tolist()],
                                   _SLOT)
-    return slots
 
 
 def _write_json(path, payload) -> None:

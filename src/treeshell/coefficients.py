@@ -110,12 +110,73 @@ def _reduce_rows(ufunc: np.ufunc, rows: np.ndarray) -> np.ndarray:
     return out
 
 
+_ROW_BLOCK = 2**13  # rows a block where whole rows must be formed
+
+
+def _row_blocks(size: int) -> list[tuple[int, int]]:
+    """Bounds of ceil(size / _ROW_BLOCK) blocks of near-equal length that
+    cover range(size); none holds a single row unless size is 1 (numpy's
+    matmul takes one row by a dot, with other bits than a row of many)."""
+    k = -(-size // _ROW_BLOCK)
+    return [(size * i // k, size * (i + 1) // k) for i in range(k)]
+
+
+def _column_sum(counts: np.ndarray,
+                term: Callable[[int, np.ndarray, np.ndarray], object]
+                ) -> np.ndarray:
+    """``_reduce_rows(np.add, rows)`` of the (atoms, N) matrix whose column
+    k is ``term(k, counts[k], out)``, formed one column at a time from the
+    (N, atoms) array `counts`, with the bits of the matrix route.
+
+    For N <= 8 each column is written into one of four buffers just before
+    ``_row_reduction``'s step takes it: left to right, or pairwise for
+    N = 8, then + 0.0.  Past 8 numpy's own row reduce is the order, so the
+    rows are formed _ROW_BLOCK at a time.  No (atoms, N) float array is
+    held at once."""
+    N, size = counts.shape
+    out = np.empty(size)
+    if N > 8:
+        rows = np.empty((min(size, _ROW_BLOCK), N))
+        for lo, hi in _row_blocks(size):
+            block = rows[:hi - lo]
+            for k in range(N):
+                term(k, counts[k, lo:hi], block[:, k])
+            np.add.reduce(block, axis=1, out=out[lo:hi])
+        return out
+    def pair(k: int, a: np.ndarray, b: np.ndarray) -> None:
+        """a = column k + column k + 1, through the buffer b."""
+        term(k, counts[k], a)
+        term(k + 1, counts[k + 1], b)
+        a += b
+
+    t = np.empty(size) if N > 1 else None
+    if N == 8:  # ((r0+r1) + (r2+r3)) + ((r4+r5) + (r6+r7))
+        u, w = np.empty(size), np.empty(size)
+        pair(0, out, t)
+        pair(2, t, u)
+        out += t
+        pair(4, t, u)
+        pair(6, u, w)
+        t += u
+        out += t
+    else:
+        term(0, counts[0], out)
+        for k in range(1, N):
+            term(k, counts[k], t)
+            out += t
+    out += 0.0
+    return out
+
+
 def _path_sums(counts: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Per row of ``counts`` (compositions over the distinct ``values``),
-    the sum of log2 d along the path, in ``_reduce_rows``'s fixed order: a
-    matrix product would sum a row of many in another order than a single
-    composition, and the same path would get two sigmas an ulp apart."""
-    return _reduce_rows(np.add, counts * np.log2(values))
+    """Per column of ``counts`` (a (parts, atoms) array of compositions over
+    the distinct ``values``), the sum of log2 d along the path, in
+    ``_column_sum``'s fixed order: a matrix product would sum a row of
+    many in another order than a single composition, and the same path
+    would get two sigmas an ulp apart."""
+    log2_values = np.log2(values)
+    return _column_sum(counts, lambda k, c, out: np.multiply(
+        c, log2_values[k], out=out))
 
 
 @dataclass(frozen=True)

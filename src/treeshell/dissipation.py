@@ -8,8 +8,11 @@ and the fractions of a generation sum to one exactly.  The generation-n
 measure mu_n puts mass F_j at the path mean sigma_j; grouping nodes by the
 composition of distinct coefficient values along their path compresses the
 2**(dn) nodes into a lattice of at most C(n + D - 1, D - 1) atoms with
-multinomial multiplicities, read off one table of ln k! for k = 0..n.  All
-masses are accumulated by ``log2sumexp2``: they span 2**(-O(n)).
+multinomial multiplicities, read off one table of ln k! for k = 0..n.  The
+lattice is one narrow unsigned column per distinct value, and every
+per-atom sum is formed a column at a time, in the order a row-wise sum
+takes, so no (atoms, D) float array is held.  All masses are accumulated
+by ``log2sumexp2``: they span 2**(-O(n)).
 """
 
 from __future__ import annotations
@@ -20,8 +23,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .coefficients import (_LN2, RcmModel, _path_sums, _reduce_rows,
-                           log2sumexp2)
+from .coefficients import (_LN2, RcmModel, _column_sum, _path_sums,
+                           _row_blocks, log2sumexp2)
 from .spectra import cascade_rate, dim_D, rate_R
 from .tree import check_budget
 
@@ -42,28 +45,48 @@ __all__ = [
 
 
 def _compositions_matrix(n: int, parts: int) -> np.ndarray:
-    """All compositions of n into `parts` non-negative parts, as an int matrix.
+    """All compositions of n into `parts` non-negative parts, as the columns
+    of a (parts, atoms) C-order array of the smallest unsigned dtype that
+    holds n (``np.min_scalar_type``: uint8 up to 255).
 
-    Rows are in ascending lexicographic order of their parts (the last part
-    is the remainder), except for two parts, where the first part descends
-    from n to 0.  The lattice is built one part at a time: each row of the
-    previous level, with remainder r, spawns r + 1 rows whose new part runs
-    0..r, so each level is an ``np.repeat`` by r + 1 with no loop over rows.
+    Columns are in ascending lexicographic order of their parts (the last
+    part is the remainder), except for two parts, where the first part
+    descends from n to 0.  The lattice is built one part at a time: each
+    prefix of the previous level, with remainder r, spawns r + 1 prefixes
+    whose remainders run r..0.  A level's remainders are then one
+    cumulative sum of -1 steps that jump to r at each group's start, taken
+    modulo the dtype's range, which holds every true value; the new part
+    is the old remainder less the new one.  Each part is repeated straight
+    to its final length, once per completion of its prefix (C(r + m, m)
+    for remainder r and m parts after the next), and the last level's
+    part and remainder are written in place.
     """
+    dtype = np.min_scalar_type(n)
+    out = np.empty((parts, math.comb(n + parts - 1, parts - 1)), dtype)
+    if parts == 1:
+        out[0] = n
+        return out
     if parts == 2:
-        k = np.arange(n + 1, dtype=np.int64)
-        return np.column_stack([n - k, k])
-    rem = np.array([n], dtype=np.int64)
-    cols = []
-    for _ in range(parts - 1):
-        sizes = rem + 1
-        starts = np.cumsum(sizes) - sizes
-        part = np.arange(sizes.sum(), dtype=np.int64) - np.repeat(starts, sizes)
-        cols = [np.repeat(c, sizes) for c in cols]
-        cols.append(part)
-        rem = np.repeat(rem, sizes) - part
-    cols.append(rem)
-    return np.column_stack(cols)
+        out[1] = np.arange(n + 1)
+        out[0] = out[1, ::-1]
+        return out
+    rem = np.array([n], dtype)
+    for k in range(1, parts):
+        sizes = rem + np.intp(1)
+        steps = np.full(int(sizes.sum()), np.iinfo(dtype).max, dtype)  # -1
+        steps[0] = rem[0]
+        steps[np.cumsum(sizes[:-1])] = rem[1:]
+        new_rem = out[-1] if k == parts - 1 else np.empty(len(steps), dtype)
+        np.cumsum(steps, dtype=dtype, out=new_rem)
+        part = np.repeat(rem, sizes)
+        part -= new_rem
+        m = parts - 1 - k
+        if m:
+            completions = np.array([math.comb(r + m, m) for r in range(n + 1)])
+            part = np.repeat(part, completions[new_rem])
+        out[k - 1] = part
+        rem = new_rem
+    return out
 
 
 # ln k! comes from math.lgamma up to this k and from a Stirling series
@@ -91,9 +114,33 @@ def _ln_factorial(n: int) -> np.ndarray:
 
 
 def _log2_multinomial(n: int, counts: np.ndarray) -> np.ndarray:
-    """log2 of n! / prod(counts!) per row of ``counts``."""
+    """log2 of n! / prod(counts!) per column of the (parts, atoms) array
+    ``counts``, its ln k! summed by ``_column_sum``.  One part is the
+    composition (n), whose multinomial is 1 with no table of n + 1 entries.
+    """
+    if len(counts) == 1:
+        return np.zeros(counts.shape[1])
     ln_factorial = _ln_factorial(n)
-    return (ln_factorial[n] - _reduce_rows(np.add, ln_factorial[counts])) / _LN2
+    # every count is <= n, so "clip" never clips; it skips take's bounds
+    # check, which costs 6x the lookup
+    out = _column_sum(counts, lambda k, c, out: np.take(
+        ln_factorial, c, out=out, mode="clip"))
+    np.subtract(ln_factorial[n], out, out=out)
+    out /= _LN2
+    return out
+
+
+def _multiplicity_term(counts: np.ndarray, mults: np.ndarray) -> np.ndarray:
+    """log2 of the product of mults**counts per column of ``counts``: the
+    matrix product of the (atoms, parts) rows with log2(mults), a
+    ``_row_blocks`` block of rows at a time.  BLAS gives a row the same
+    bits in a block of any length but one, and no (atoms, parts) float copy
+    of the lattice is made at once."""
+    log2_mults = np.log2(mults)
+    out = np.empty(counts.shape[1])
+    for lo, hi in _row_blocks(len(out)):
+        np.matmul(counts[:, lo:hi].T, log2_mults, out=out[lo:hi])
+    return out
 
 
 @dataclass(frozen=True)
@@ -109,7 +156,10 @@ class DissipationMeasure:
     n: int
     values: np.ndarray        # distinct coefficient values, ascending
     multiplicities: np.ndarray
-    counts: np.ndarray        # (atoms, len(values)) integer matrix
+    # (atoms, len(values)) counts of each value along the atom's paths: the
+    # transposed view of the (len(values), atoms) C-order lattice, of the
+    # smallest unsigned dtype that holds n (uint8 up to n = 255)
+    counts: np.ndarray
     sigma: np.ndarray
     log2_count: np.ndarray
     log2_node_F: np.ndarray
@@ -140,12 +190,18 @@ def measure(model: RcmModel, n: int) -> DissipationMeasure:
     values, mults = model.coeffs.distinct()
     parts = len(values)
     check_budget("atoms", math.comb(n + parts - 1, parts - 1))
+    if n >= 2**63:  # only a flat model, one part, gets past the budget
+        raise ValueError(f"n must fit in int64, got {n}")
     counts = _compositions_matrix(n, parts)
+    log2_count = _log2_multinomial(n, counts)
+    # with every multiplicity 1 the product adds +0.0, which changes no bit
+    if np.any(mults != 1):
+        log2_count += _multiplicity_term(counts, mults)
     path = _path_sums(counts, values)
-    sigma = path / n
-    log2_count = _log2_multinomial(n, counts) + counts @ np.log2(mults)
-    log2_node_f = n * cascade_rate(model) + 1.5 * path
-    return DissipationMeasure(n, values, mults, counts, sigma, log2_count,
+    log2_node_f = 1.5 * path
+    log2_node_f += n * cascade_rate(model)
+    sigma = np.divide(path, n, out=path)
+    return DissipationMeasure(n, values, mults, counts.T, sigma, log2_count,
                               log2_node_f, log2_count + log2_node_f)
 
 

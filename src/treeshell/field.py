@@ -225,7 +225,9 @@ def _haar_structure_function(solution: ConstantSolution, depth: int,
         rows = max(1, _BLOCK_CELLS // len(G))
         for r in range(0, m, rows):
             blk = slice(r, min(r + rows, m))
-            incs = np.abs(A[blk, None] + B[blk, None] * G)
+            incs = B[blk, None] * G  # |A + B G|, built in one buffer
+            incs += A[blk, None]
+            np.abs(incs, out=incs)
             for i, p in enumerate(p_arr):
                 sums[i, blk] = (incs**p).sum(axis=1)
         for i, p in enumerate(p_arr):
@@ -307,9 +309,10 @@ def local_holder(solution: ConstantSolution, point, n_max: int) -> LocalHolder:
     [0,1)**d, read off the generation-n_max node whose cube holds it.
 
     The labels along that node's path are the point's binary digits.
-    Counted per distinct coefficient value, they give the path sum of log2
-    d in ``measure``'s order, so sigma, the sum over n_max, has the bits of
-    the matching atom's; log2 u of the node is log2 f + q (n_max + 1) +
+    Counted per distinct coefficient value, they are one column of
+    ``measure``'s lattice, whose path sum of log2 d goes through the same
+    column sum, so sigma, the sum over n_max, has the bits of the matching
+    atom's; log2 u of the node is log2 f + q (n_max + 1) +
     sum / 2, as in ``log2_u_rows``.
     """
     m = solution.model
@@ -324,7 +327,7 @@ def local_holder(solution: ConstantSolution, point, n_max: int) -> LocalHolder:
     value_of_label = np.searchsorted(values, m.deltas)
     counts = np.bincount(value_of_label[label_path(coords, n_max) - 1],
                          minlength=len(values))
-    path = float(_path_sums(counts[None, :], values)[0])
+    path = float(_path_sums(counts[:, None], values)[0])
     sig = path / n_max
     log2_u = math.log2(m.forcing) + solution.q * (n_max + 1) + 0.5 * path
     estimate = -m.d / 2.0 - log2_u / n_max

@@ -22,7 +22,11 @@ residual oracles reduce each parent's children with numpy's per-row
 ``max(axis=1)`` and ``sum(axis=1)``, where the library reduces whole
 columns in the same pairwise order.  The Haar tree sum oracle holds every
 row of a scale's increments in one matrix, where the library takes them a
-bounded block of rows at a time.
+bounded block of rows at a time.  The row lattice oracle forms mu_n on an
+(atoms, parts) int64 matrix of compositions read off their cut positions,
+with numpy's per-row sums and one matrix product, where the library sums
+the columns of a (parts, atoms) lattice of the narrowest unsigned dtype
+one at a time; both read the same table of ln k!.
 
 The per-node forms walk one ``TreeIndex`` at a time: its exact dyadic cube
 in ``Fraction`` arithmetic, the path of a point by repeated doubling of its
@@ -36,7 +40,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import combinations_with_replacement, islice
 from typing import Callable, Iterable, Iterator, Sequence
 
 import mpmath as mp
@@ -44,7 +48,7 @@ import numpy as np
 
 from treeshell.coefficients import (GeneralCoefficients, RcmModel,
                                     RepeatedCoefficients, log2sumexp2)
-from treeshell.dissipation import DissipationMeasure
+from treeshell.dissipation import DissipationMeasure, _ln_factorial
 from treeshell.dynamics import TruncatedState, _system
 from treeshell.field import _generations
 from treeshell.solution import ConstantSolution, PullbackRun
@@ -218,6 +222,42 @@ def measure_from_enumeration(model: RcmModel, n: int) -> DissipationMeasure:
         log2_mass[i] = log2sumexp2(log2_f_nodes[sel])
     return DissipationMeasure(n, values, mults, atom_counts, sigma,
                               log2_count, log2_node_f, log2_mass)
+
+
+def compositions_by_cuts(n: int, parts: int) -> np.ndarray:
+    """The compositions of n into `parts` parts as the int64 rows of an
+    (atoms, parts) matrix, by a loop over the cut positions, in the
+    library's order: ascending lexicographic, except that two parts have
+    the first part descending."""
+    if parts == 1:
+        return np.array([[n]], dtype=np.int64)
+    if parts == 2:
+        k = np.arange(n + 1, dtype=np.int64)
+        return np.column_stack([n - k, k])
+    rows = []
+    for cuts in combinations_with_replacement(range(n + 1), parts - 1):
+        prev, row = 0, []
+        for c in cuts:
+            row.append(c - prev)
+            prev = c
+        row.append(n - prev)
+        rows.append(row)
+    return np.asarray(rows, dtype=np.int64)
+
+
+def measure_by_rows(model: RcmModel, n: int) -> DissipationMeasure:
+    """mu_n on the (atoms, parts) int64 rows of :func:`compositions_by_cuts`:
+    path sums and ln k! sums by numpy's own ``np.add.reduce(axis=1)``, the
+    multiplicities by one matrix product ``counts @ log2(mults)``."""
+    values, mults = model.coeffs.distinct()
+    counts = compositions_by_cuts(n, len(values))
+    path = np.add.reduce(counts * np.log2(values), axis=1)
+    ln_factorial = _ln_factorial(n)
+    log2_count = (ln_factorial[n] - np.add.reduce(ln_factorial[counts], axis=1)
+                  ) / math.log(2.0) + counts @ np.log2(mults)
+    log2_node_f = n * cascade_rate(model) + 1.5 * path
+    return DissipationMeasure(n, values, mults, counts, path / n, log2_count,
+                              log2_node_f, log2_count + log2_node_f)
 
 
 def match_atoms(lattice: DissipationMeasure,

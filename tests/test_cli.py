@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
 import tempfile
@@ -1232,6 +1233,38 @@ class TestChunkedCsvWriter:
         want = csv_text_oracle(["# h"], columns).encode()
         assert to_file == want and to_stdout == want
 
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                        reason="the heap trimming is glibc's")
+    def test_chunks_reuse_their_memory_in_a_fresh_interpreter(self, tmp_path):
+        # past its first two chunks, `dissipation` of the d = 2, n = 100
+        # lattice (176,851 rows, 11 chunks) faults in almost no new pages.
+        # Its largest freed blocks, 1.4 MB, set glibc's trim threshold at
+        # 2.8 MB, so chunk-sized temporaries were trimmed and faulted in
+        # again each chunk: the last nine read 7 faults, against 9,342 when
+        # each chunk made every array anew and formatted all its values at
+        # once, 2,776 with no buffers kept from chunk to chunk and 4,259
+        # with a whole chunk made text at once
+        code = """
+import resource, sys
+from treeshell import cli
+faults, byte_chunk = [], cli._byte_chunk
+def counted(*args):
+    text = byte_chunk(*args)
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
+    return text
+cli._byte_chunk = counted
+assert cli.main(["dissipation", "--deltas", "1,2,3,5", "--dim", "2",
+                 "--n", "100", "--band", "auto", "--out", sys.argv[1]]) == 0
+print(len(faults), faults[-1] - faults[1])
+"""
+        proc = subprocess.run([sys.executable, "-c", code,
+                               str(tmp_path / "mu.csv")], capture_output=True,
+                              text=True, timeout=120, env=SUBPROCESS_ENV)
+        assert proc.returncode == 0, proc.stderr
+        chunks, faults = map(int, proc.stdout.split())
+        assert chunks == 11
+        assert faults < 450
+
     def test_dissipation_rows_span_chunks(self, tmp_path, capsys):
         # 4 distinct deltas at n = 50: C(53, 3) = 23,426 atoms, two chunks
         argv = ["dissipation", "--deltas", "1,2,3,5", "--dim", "2", "--n", "50"]
@@ -1273,8 +1306,8 @@ class TestChunkedCsvWriter:
 
 def float_texts(x) -> list[str]:
     """The text _format_floats gives each value of x, its padding dropped."""
-    slots = cli._format_floats(np.asarray(x, np.float64))
-    assert slots.shape == (len(x), cli._SLOT) and slots.dtype == np.uint8
+    slots = np.zeros((len(x), cli._SLOT), np.uint8)
+    assert cli._format_floats(np.asarray(x, np.float64), slots) is slots
     return [row.tobytes().translate(None, b"\xff").decode() for row in slots]
 
 
@@ -1287,6 +1320,19 @@ FAST_BITS = tuple(int(b) for b in np.array([1e-4, 1e16]).view(np.uint64))
 
 
 class TestFormatFloats:
+    def test_block_edges_keep_every_slot(self):
+        # values are formatted _FORMAT_BLOCK at a time: at each block edge,
+        # a value of the slow path ('%.17g' one by one) and one redone at
+        # E -/+ 1 keep their slots
+        block = cli._FORMAT_BLOCK
+        rng = np.random.default_rng(7)
+        x = rng.standard_normal(2 * block + 3) * 10.0 ** rng.integers(
+            -6, 18, 2 * block + 3)
+        for edge in (block - 1, block, 2 * block):
+            x[edge] = [0.0, math.inf, 5e-324][edge % 3]
+            x[edge + 1] = 9.999999999999999e15
+        assert float_texts(x) == printf_texts(x)
+
     @settings(max_examples=300, deadline=None, derandomize=True,
               database=None)
     @given(st.lists(st.integers(0, 2**64 - 1)

@@ -1,6 +1,6 @@
 import functools
 import math
-from itertools import combinations_with_replacement
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -13,10 +13,11 @@ from treeshell import dynamics as dyn
 from treeshell import spectra
 from treeshell.tree import ResourceLimitError
 
-from conftest import heap_index, subtree_mask
-from oracles import (TreeIndex, coefficient_of, dim_D_mpmath,
-                     enumerate_log2_F, log2_F, match_atoms,
-                     measure_from_enumeration, sigma_of, u_of_node)
+from conftest import heap_index, random_rcm, same_bits, subtree_mask
+from oracles import (TreeIndex, coefficient_of, compositions_by_cuts,
+                     dim_D_mpmath, enumerate_log2_F, log2_F, match_atoms,
+                     measure_by_rows, measure_from_enumeration, sigma_of,
+                     u_of_node)
 
 PHI32_D12 = 0.7387961250362586
 
@@ -52,25 +53,6 @@ def rate_gap_mpmath(model, a):
         mean = mp.fsum(mp.power(2, 1.5 * mp.mpf(float(v))) for v in x) / len(x)
         rate = model.d + mp.log(mean, 2) - 1.5 * mp.mpf(float(a))
         return float(rate - dim_D_mpmath(x, a))
-
-
-def compositions_oracle(n, parts):
-    """The composition lattice by a loop over the cut positions: the
-    reference for the part-by-part build of ``_compositions_matrix``."""
-    if parts == 1:
-        return np.array([[n]], dtype=np.int64)
-    if parts == 2:
-        k = np.arange(n + 1, dtype=np.int64)
-        return np.column_stack([n - k, k])
-    rows = []
-    for cuts in combinations_with_replacement(range(n + 1), parts - 1):
-        prev, row = 0, []
-        for c in cuts:
-            row.append(c - prev)
-            prev = c
-        row.append(n - prev)
-        rows.append(row)
-    return np.asarray(rows, dtype=np.int64)
 
 
 def band_around_phi32(model, below, above):
@@ -139,23 +121,38 @@ class TestSigma:
 
 
 class TestCompositionsMatrix:
+    """The lattice is (parts, atoms), C-order, of the narrowest unsigned
+    dtype holding n; its transpose is the oracle's (atoms, parts) rows."""
+
     @pytest.mark.parametrize("parts", range(1, 9))
     def test_matches_cut_loop_oracle(self, parts):
         for n in range(0, {1: 40, 2: 40, 3: 30, 4: 20}.get(parts, 10)):
             got = dp._compositions_matrix(n, parts)
-            want = compositions_oracle(n, parts)
-            assert got.dtype == want.dtype
-            assert np.array_equal(got, want), (n, parts)
+            assert got.dtype == np.min_scalar_type(n) == np.uint8
+            assert got.flags.c_contiguous
+            assert np.array_equal(got.T, compositions_by_cuts(n, parts)), (
+                n, parts)
 
     def test_two_parts_first_part_descends(self):
         assert dp._compositions_matrix(3, 2).tolist() == [
-            [3, 0], [2, 1], [1, 2], [0, 3]]
+            [3, 2, 1, 0], [0, 1, 2, 3]]
 
     def test_bulk_sizes_match_oracle(self):
         for n, parts in ((100, 4), (16, 8)):
             got = dp._compositions_matrix(n, parts)
-            assert len(got) == math.comb(n + parts - 1, parts - 1)
-            assert np.array_equal(got, compositions_oracle(n, parts))
+            assert got.shape == (parts, math.comb(n + parts - 1, parts - 1))
+            assert np.array_equal(got.T, compositions_by_cuts(n, parts))
+
+    @pytest.mark.parametrize("n, parts, dtype", [
+        (255, 3, np.uint8), (256, 3, np.uint16), (255, 2, np.uint8),
+        (256, 2, np.uint16), (65535, 2, np.uint16), (65536, 2, np.uint32),
+        (2**40, 1, np.uint64)])
+    def test_dtype_edges_hold_every_part(self, n, parts, dtype):
+        # the remainders are a cumulative sum taken modulo the dtype's
+        # range: at its edge every part must still come out exact
+        got = dp._compositions_matrix(n, parts)
+        assert got.dtype == dtype
+        assert np.array_equal(got.T, compositions_by_cuts(n, parts))
 
 
 class TestMeasure:
@@ -176,7 +173,7 @@ class TestMeasure:
         # two-part rows (every one up to n = 5000; past it, those with a part
         # below 600, across the Stirling cut-off, and 100 at random) and
         # random rows of 3, 4 and 8 parts by cut points
-        groups = [dp._compositions_matrix(n, 2)]
+        groups = [dp._compositions_matrix(n, 2).T]
         if n > 5000:
             k = np.concatenate([np.arange(600), rng.integers(0, n + 1, 100)])
             groups[0] = groups[0][np.concatenate([k, n - k])]
@@ -188,7 +185,7 @@ class TestMeasure:
                 lambda k: mp.loggamma(k + 1))
             tol = 4 * math.ulp(float(ln_factorial(n) / mp.log(2)))
             for counts in groups:
-                got = dp._log2_multinomial(n, counts)
+                got = dp._log2_multinomial(n, counts.T)
                 for row, value in zip(counts, got):
                     exact = (ln_factorial(n) - mp.fsum(
                         ln_factorial(int(c)) for c in row)) / mp.log(2)
@@ -260,6 +257,84 @@ class TestMeasure:
             H = -np.sum(np.where(p > 0, p * np.log2(np.where(p > 0, p, 1)), 0))
             assert log2c / n <= H + 1e-12
             assert log2c / n >= H - N * math.log2(n + 1) / n - 1e-12
+
+
+def _row_oracle_cases():
+    rng = np.random.default_rng(34)
+    for d, n in ((1, 300), (2, 40), (3, 9), (1, 57), (2, 23), (3, 12)):
+        yield random_rcm(rng, d_choices=(d,)), n
+    # repeated values: exact log2 multiplicities, then inexact ones (3 and
+    # 5), whose products and sums round
+    yield RcmModel.create(2, 2.0, [1.0, 2.0, 2.0, 3.0]), 60
+    yield RcmModel.create(3, 2.5, [1, 1, 1, 1, 2, 2, 3, 5]), 20
+    yield RcmModel.create(3, 2.5, [1, 1, 1, 2, 2, 2, 3, 3]), 40
+    yield RcmModel.create(3, 2.5, [1, 1, 1, 2, 2, 2, 2, 2]), 300
+    # more than 8 distinct values (numpy's row reduce, two row blocks), and
+    # four repeated ones with multiplicities 3, 5, 6 and 2
+    yield RcmModel.create(4, 3.0, np.exp(rng.uniform(-1, 1, 16))), 5
+    yield RcmModel.create(4, 3.0, [1] * 3 + [2] * 5 + [3] * 6 + [4] * 2), 12
+    # eight distinct values with inexact log2 multiplicities (3 and 2),
+    # three row blocks of the multiplicity product
+    yield RcmModel.create(4, 3.0, [1, 1, 1, 2, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6,
+                                   7, 8]), 10
+    yield RcmModel.create(3, 2.5, [1.5] * 8), 7
+    yield RcmModel.create(1, 1.5, [0.7, 0.7]), 1000
+    # n at each dtype edge: uint8 | uint16 | uint32
+    for n in (255, 256, 65535, 65536):
+        yield RcmModel.create(1, 1.5, [1.0, 3.0]), n
+    for n in (255, 256):
+        yield RcmModel.create(2, 2.0, [1.0, 2.0, 2.0, 3.0]), n
+
+
+class TestMeasureColumns:
+    """measure on the (parts, atoms) lattice of narrow columns against the
+    (atoms, parts) int64 rows it replaced, field by field, to the bit."""
+
+    @pytest.mark.parametrize("model, n", list(_row_oracle_cases()))
+    def test_every_field_matches_the_row_oracle(self, model, n):
+        got = dp.measure(model, n)
+        want = measure_by_rows(model, n)
+        assert got.n == want.n
+        assert np.array_equal(got.values, want.values)
+        assert np.array_equal(got.multiplicities, want.multiplicities)
+        assert got.counts.shape == want.counts.shape
+        assert np.array_equal(got.counts, want.counts)
+        for field in ("sigma", "log2_count", "log2_node_F", "log2_mass"):
+            assert same_bits(getattr(got, field), getattr(want, field)), field
+
+    @pytest.mark.parametrize("n", [16, 255, 256, 65536])
+    def test_counts_are_the_transposed_narrow_lattice(self, n):
+        model = lambda_family(0.2, d=3, alpha=2.5) if n == 16 \
+            else RcmModel.create(1, 1.5, [1.0, 2.0])
+        counts = dp.measure(model, n).counts
+        assert counts.dtype == np.min_scalar_type(n)
+        assert counts.T.flags.c_contiguous
+        assert (counts.sum(axis=1) == n).all()
+
+    def test_traced_peak_stays_below_ten_columns(self):
+        # the (atoms, parts) int64 rows and their float copies peaked at
+        # about 20 float64 columns of the atoms
+        model = lambda_family(0.2, d=3, alpha=2.5)
+        column = 8 * math.comb(16 + 7, 7)
+        dp.measure(model, 16)
+        tracemalloc.start()
+        try:
+            dp.measure(model, 16)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * column
+
+    def test_one_part_needs_no_factorial_table(self):
+        # the lone composition (n) has multinomial 1: no table of n + 1
+        # entries (8 TB here) is formed
+        model = RcmModel.create(2, 2.0, [1.5] * 4)
+        mu = dp.measure(model, 2**40)
+        assert mu.atoms == 1 and mu.counts.tolist() == [[2**40]]
+        assert mu.log2_count.tolist() == [2.0 * 2**40]
+        assert mu.sigma[0] == pytest.approx(math.log2(1.5), rel=1e-15)
+        with pytest.raises(ValueError, match="fit in int64"):
+            dp.measure(model, 2**63)
 
 
 class TestMassAndConcentration:

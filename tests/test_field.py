@@ -337,6 +337,20 @@ class TestHaarTreeSum:
             tracemalloc.stop()
         assert peak < 6 * deepest
 
+    def test_traced_peak_holds_one_increment_buffer(self, d12_solution):
+        # a block's increments A + B G and their abs in two buffers peaked
+        # at 4.51x the deepest field's bytes at depth 20; built in one, 3.51x
+        depth = 20
+        deepest = 8 * 2 ** (depth - 3)
+        fd.structure_function(d12_solution, depth, [1.0, 2.0, 3.0])
+        tracemalloc.start()
+        try:
+            fd.structure_function(d12_solution, depth, [1.0, 2.0, 3.0])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.75 * deepest
+
 
 class TestXi:
     def test_flat_closed_form(self, flat_d1_solution):
