@@ -581,6 +581,17 @@ def _number(key: str, value) -> float:
         raise ValueError(f"'{key}' is past the double range") from None
 
 
+def _integer(key: str, value, least: int = 0) -> int:
+    """The value of `key` as an int, if it is an integer >= `least`; an
+    integral float passes, as a config file may write 2 as 2.0, and a bool
+    does not, so every integer argument is refused by one ValueError."""
+    # inf % 1 and NaN % 1 are NaN, truthy
+    if not _is_number(value) or value % 1 or value < least:
+        raise ValueError(f"'{key}' must be an integer >= {least}, "
+                         f"got {value!r}")
+    return int(value)
+
+
 def _numbers(key: str, values) -> float | np.ndarray:
     """``_number`` of a scalar; anything else as a float array, where an
     integer past the double range is again a ValueError."""
@@ -598,10 +609,7 @@ def model_from_dict(cfg: dict) -> RcmModel:
     Accepts either ``{"d", "alpha", "f", "deltas": [...]}`` or
     ``{"d", "alpha", "f", "lambda": x}`` for the lambda family, not both.
     """
-    d = cfg["d"]
-    if not _is_number(d) or d % 1:  # inf % 1 and NaN % 1 are NaN, truthy
-        raise ValueError(f"'d' must be an integer, got {d!r}")
-    d = int(d)
+    d = _integer("d", cfg["d"], 1)
     alpha = _number("alpha", cfg["alpha"])
     forcing = _number("f", cfg.get("f", 1.0))
     if "deltas" in cfg and "lambda" in cfg:

@@ -6,7 +6,8 @@ The field u(x) = sum_{|j| < M} u_j psi_j(x) is sampled at the centers of the
 constant on level-(|j|+1) cells, so the sampled grid represents the
 synthesized field exactly and grid means are exact integrals.  Each
 generation's term, on the cells its wavelets vary on, takes the grid so far
-by one broadcast add.
+by one add; a Haar term is written as two half-slices, so the add runs
+along the cubes of the last axis, not the two cells of one cube.
 
 A continuous triangular mother ("hat") is also available for scaling
 studies; it keeps the supports and the common L2 norm but gives up
@@ -31,6 +32,11 @@ jump -2 v0 plus the wavelets of the two edges down to the pair.  The sums
 over s are taken a block of rows l at a time, at most 2**17 increments
 (one row when G is longer), so the increments held at once do not grow
 with the number of rows m.
+
+Both routes to S_p take |du|^p by one power rule, ``_power_sums``: p = 1
+sums |du| itself, p = 2, 3 and 4 are the products x x, (x x) x and
+(x x)(x x), and any other p goes through pow.  S_1 and S_2 have the bits of
+numpy's x**p; S_3 and S_4 can differ from them in the last digit.
 """
 
 from __future__ import annotations
@@ -40,7 +46,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .coefficients import _number, _numbers, _path_sums
+from .coefficients import _integer, _number, _numbers, _path_sums
 from .solution import ConstantSolution
 from .spectra import s0
 from .tree import check_budget, label_axes, label_path
@@ -104,7 +110,10 @@ def _generations(solution: ConstantSolution, depth: int, mother: str):
     the hat.  Axis 2a indexes the cubes along axis a and axis 2a+1 the
     cells inside, so node values broadcast against the mother pattern and
     the grid so far (one cell a cube, or the hat's own block) broadcasts
-    into the term, which becomes the new grid.  With the Haar mother the
+    into the term, which becomes the new grid.  A Haar term, and the next
+    node values of either mother, are written as the two halves of the last
+    in-cube axis, so each operation runs along the 2**g cubes of the last
+    axis rather than the 2 cells of one cube.  With the Haar mother the
     work is O(cells), with the hat O(depth * cells).
     """
     model = solution.model
@@ -118,26 +127,41 @@ def _generations(solution: ConstantSolution, depth: int, mother: str):
     # spatially-arranged node values, axis a of `vals` = cube index along axis a
     vals = np.full((1,) * dim, model.forcing * 2.0**q)
     # multiplier applied from parent to child, arranged in space
-    child_factor = label_axes(2.0**q * np.sqrt(model.deltas), dim)
+    child_factor = np.expand_dims(
+        label_axes(2.0**q * np.sqrt(model.deltas), dim), cell_axes)
 
     for g in range(depth):
         block = 2 if mother == "haar" else 2 ** (depth - g)
-        pattern = _mother_pattern(dim, block, mother) * 2.0 ** (dim * g / 2.0)
-        term = np.expand_dims(vals, cube_axes) * np.expand_dims(pattern, cell_axes)
-        term += grid.reshape((2**g, grid.shape[0] >> g) * dim)
+        pattern = np.expand_dims(
+            _mother_pattern(dim, block, mother) * 2.0 ** (dim * g / 2.0),
+            cell_axes)
+        by_cube = np.expand_dims(vals, cube_axes)
+        grid = grid.reshape((2**g, grid.shape[0] >> g) * dim)
+        if mother == "haar":
+            term = np.empty((2**g, 2) * dim)
+            for half in (0, 1):
+                out = term[..., half]
+                np.multiply(by_cube[..., 0], pattern[..., half], out=out)
+                out += grid[..., 0]
+        else:
+            term = by_cube * pattern
+            term += grid
         grid = term.reshape((2**g * block,) * dim)
         yield grid
         if g + 1 < depth:
             # split every cube axis in two for the next generation
-            vals = (np.expand_dims(vals, cube_axes)
-                    * np.expand_dims(child_factor, cell_axes)
-                    ).reshape((2 ** (g + 1),) * dim)
+            split = np.empty((2**g, 2) * dim)
+            for half in (0, 1):
+                np.multiply(by_cube[..., 0], child_factor[..., half],
+                            out=split[..., half])
+            vals = split.reshape((2 ** (g + 1),) * dim)
 
 
 def synthesize(solution: ConstantSolution, depth: int = 16,
                mother: str = "haar") -> WaveletField:
     """Sample sum_{|j| < depth} u_j psi_j on the level-`depth` cell grid of
     the model's d-dimensional unit cube, one generation's term at a time."""
+    depth = _integer("depth", depth)
     if mother not in MOTHERS:
         raise ValueError(f"mother must be one of {MOTHERS}")
     check_budget("cells", 2, depth * solution.model.d)
@@ -169,7 +193,11 @@ def fit_window(depth: int, m_range: tuple[int, int] | None = None
     hold at least two scales, m_lo < m_hi, within 1..depth-1, since a slope
     fitted to one scale is no estimate; the default is [3, depth - 4] (so it
     needs depth >= 8)."""
-    m_lo, m_hi = (3, depth - 4) if m_range is None else m_range
+    depth = _integer("depth", depth)
+    if m_range is not None and np.shape(m_range) != (2,):
+        raise ValueError(f"'m_range' must be a pair, got {m_range!r}")
+    m_lo, m_hi = (3, depth - 4) if m_range is None else (
+        _integer("m_range", m) for m in m_range)
     if not 1 <= m_lo < m_hi <= depth - 1:
         raise ValueError(f"fit window [{m_lo}, {m_hi}] has fewer than two "
                          f"scales or leaves 1..{depth - 1}")
@@ -187,6 +215,7 @@ def structure_function(solution: ConstantSolution, depth: int, p_grid,
     exponents do not depend on f."""
     if solution.model.d != 1:
         raise ValueError("the two-point increment average is defined for d = 1")
+    depth = _integer("depth", depth)
     m_lo, m_hi = fit_window(depth, m_range)
     p_arr = np.atleast_1d(_numbers("p", p_grid))
     if not np.all((p_arr > 0) & (p_arr < math.inf)):
@@ -219,22 +248,54 @@ def _haar_structure_function(solution: ConstantSolution, depth: int,
         m = depth - D
         if m > m_hi:
             continue
-        # row l - 1 holds the increments at the nodes of generation m - l,
-        # built _BLOCK_CELLS cells at a time (one row if G is longer)
-        sums = np.empty((len(p_arr), m))
-        rows = max(1, _BLOCK_CELLS // len(G))
-        for r in range(0, m, rows):
-            blk = slice(r, min(r + rows, m))
-            incs = B[blk, None] * G  # |A + B G|, built in one buffer
-            incs += A[blk, None]
-            np.abs(incs, out=incs)
+        # an S_p past the double range is flagged degenerate by _fit
+        with np.errstate(over="ignore", invalid="ignore"):
+            sums = _increment_power_sums(G, A[:m], B[:m], p_arr)
             for i, p in enumerate(p_arr):
-                sums[i, blk] = (incs**p).sum(axis=1)
-        for i, p in enumerate(p_arr):
-            weights = (k0**p + k1**p) ** np.arange(m - 1, -1, -1.0)
-            s = weights @ sums[i] / (2**depth - 2**D)
-            log2_S[i, m - m_lo] = math.log2(s) if s > 0 else -math.inf
+                weights = (k0**p + k1**p) ** np.arange(m - 1, -1, -1.0)
+                s = weights @ sums[i] / (2**depth - 2**D)
+                log2_S[i, m - m_lo] = math.log2(s) if s > 0 else -math.inf
     return _fit(p_arr, m_lo, m_hi, log2_S)
+
+
+def _increment_power_sums(G: np.ndarray, A: np.ndarray, B: np.ndarray,
+                          p_arr: np.ndarray) -> np.ndarray:
+    """(len(p), len(A)) sums over s of |A_l + B_l G(s)|^p.  Row l - 1 holds
+    the increments at the nodes of generation m - l, built _BLOCK_CELLS
+    cells at a time (one row if G is longer) in one buffer, whose powers
+    take one more; both go when the sums are done."""
+    rows = max(1, _BLOCK_CELLS // len(G))
+    incs = np.empty((min(rows, len(A)), len(G)))
+    powers = np.empty_like(incs)
+    sums = np.empty((len(p_arr), len(A)))
+    for r in range(0, len(A), rows):
+        blk = slice(r, min(r + rows, len(A)))
+        x = incs[:blk.stop - r]
+        np.multiply(B[blk, None], G, out=x)
+        x += A[blk, None]
+        np.abs(x, out=x)
+        for i, p in enumerate(p_arr):
+            sums[i, blk] = _power_sums(x, p, powers[:len(x)])
+    return sums
+
+
+def _power_sums(x: np.ndarray, p: float, out: np.ndarray) -> np.ndarray:
+    """Sums of x^p along the last axis of x >= 0, the powers formed in
+    `out`, x's shape.  An integer p up to 4 is taken by products, a few
+    times cheaper than pow: x itself for p = 1; x x, the bits of numpy's
+    x**2, for p = 2; (x x) x and (x x)(x x), within 2 and 3 ulp of the
+    rounded power, for p = 3 and 4."""
+    if p == 1.0:
+        return x.sum(axis=-1)
+    if p in (2.0, 3.0, 4.0):
+        np.multiply(x, x, out=out)
+        if p == 3.0:
+            out *= x
+        elif p == 4.0:
+            out *= out
+    else:
+        np.power(x, p, out=out)
+    return out.sum(axis=-1)
 
 
 def _grid_structure_function(field: WaveletField, p_arr: np.ndarray,
@@ -243,12 +304,19 @@ def _grid_structure_function(field: WaveletField, p_arr: np.ndarray,
     """:func:`structure_function` of any one-dimensional grid, as the mean
     over its increment pairs at each scale."""
     log2_S = np.full((len(p_arr), m_hi - m_lo + 1), -np.inf)
+    grid = field.grid
+    diffs = np.empty(len(grid))
+    powers = np.empty_like(diffs)
     for k, m in enumerate(range(m_lo, m_hi + 1)):
         off = 2 ** (field.depth - m)
-        diffs = np.abs(field.grid[off:] - field.grid[:-off])
-        for i, p in enumerate(p_arr):
-            s = float(np.mean(diffs**p))
-            log2_S[i, k] = math.log2(s) if s > 0 else -math.inf
+        x = diffs[:len(grid) - off]
+        np.subtract(grid[off:], grid[:-off], out=x)
+        np.abs(x, out=x)
+        # an S_p past the double range is flagged degenerate by _fit
+        with np.errstate(over="ignore"):
+            for i, p in enumerate(p_arr):
+                s = float(_power_sums(x, p, powers[:len(x)])) / len(x)
+                log2_S[i, k] = math.log2(s) if s > 0 else -math.inf
     return _fit(p_arr, m_lo, m_hi, log2_S)
 
 
@@ -288,8 +356,7 @@ def besov_epsilon(solution: ConstantSolution, s: float, p: float,
         raise ValueError(f"p must be positive or inf, got {p}")
     if not math.isfinite(s):
         raise ValueError(f"s must be finite, got {s}")
-    if n_max < 0:
-        raise ValueError(f"n_max must be >= 0, got {n_max}")
+    n_max = _integer("n_max", n_max)
     m = solution.model
     n = np.arange(n_max + 1, dtype=float)
     return m.forcing * 2.0**solution.q * np.exp2((s - s0(m, p)) * n)
@@ -321,8 +388,7 @@ def local_holder(solution: ConstantSolution, point, n_max: int) -> LocalHolder:
         raise ValueError(f"expected a {m.d}-vector, got {len(coords)} coordinates")
     if not all(0.0 <= x < 1.0 for x in coords):
         raise ValueError(f"point must lie in [0,1)^d, got {coords}")
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
+    n_max = _integer("n_max", n_max, 1)
     values, _ = m.coeffs.distinct()
     value_of_label = np.searchsorted(values, m.deltas)
     counts = np.bincount(value_of_label[label_path(coords, n_max) - 1],

@@ -50,7 +50,7 @@ from treeshell.coefficients import (GeneralCoefficients, RcmModel,
                                     RepeatedCoefficients, log2sumexp2)
 from treeshell.dissipation import DissipationMeasure, _ln_factorial
 from treeshell.dynamics import TruncatedState, _system
-from treeshell.field import _generations
+from treeshell.field import _generations, _power_sums
 from treeshell.solution import ConstantSolution, PullbackRun
 from treeshell.spectra import cascade_rate
 from treeshell.tree import ResourceLimitError, check_budget
@@ -393,7 +393,8 @@ def pull_row_oracle(coefficients: GeneralCoefficients, alpha: float, g: int,
 def haar_log2_S_oracle(solution: ConstantSolution, depth: int,
                        p_arr: np.ndarray, m_lo: int, m_hi: int) -> np.ndarray:
     """log2 S_p of the Haar tree sum with every row l of a scale's
-    increments held at once, one (m, len(G)) matrix per scale."""
+    increments held at once, one (m, len(G)) matrix per scale, its powers
+    taken by the library's power rule."""
     v0 = solution.model.forcing * 2.0**solution.q
     k0, k1 = 2.0 ** (solution.q + 0.5) * np.sqrt(solution.model.coeffs.deltas)
     P, Q = k1 * k0 ** np.arange(m_hi), k0 * k1 ** np.arange(m_hi)
@@ -407,7 +408,8 @@ def haar_log2_S_oracle(solution: ConstantSolution, depth: int,
         incs = np.abs(A[:m, None] + B[:m, None] * G)
         for i, p in enumerate(p_arr):
             weights = (k0**p + k1**p) ** np.arange(m - 1, -1, -1.0)
-            s = weights @ (incs**p).sum(axis=1) / (2**depth - 2**D)
+            sums = _power_sums(incs, p, np.empty_like(incs))
+            s = weights @ sums / (2**depth - 2**D)
             log2_S[i, m - m_lo] = math.log2(s) if s > 0 else -math.inf
     return log2_S
 

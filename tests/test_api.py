@@ -34,7 +34,8 @@ FAST_PATHS = {"measure", "dim_D", "phi_inverse",
               "step", "rhs", "integrate", "flux_terms", "energy_balance",
               "pullback", "_pull_row", "residual_max",
               "_row_reduction", "_reduce_rows", "local_holder",
-              "_haar_structure_function", "_column_sum", "_path_sums",
+              "_haar_structure_function", "_increment_power_sums",
+              "_column_sum", "_path_sums",
               "_compositions_matrix", "_log2_multinomial",
               "_multiplicity_term", "_format_block"}
 

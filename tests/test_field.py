@@ -1,6 +1,9 @@
 import math
+import sys
 import tracemalloc
+import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +15,7 @@ from treeshell import field as fd
 from treeshell import spectra
 from treeshell.tree import ResourceLimitError
 
-from conftest import same_bits
+from conftest import random_rcm, same_bits
 from oracles import (TreeIndex, coefficient_l2, haar_log2_S_oracle,
                      log2_u_of_node, path_of_point, sigma_of, u_of_node,
                      xi_from_generation_sums)
@@ -57,6 +60,11 @@ SYNTH_MODELS = [
     ([1.0, 2.0, 0.5, 1.5], 2, 6),
     ([1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0], 3, 4),
 ]
+# the depths past SYNTH_MODELS', where a Haar generation's half-slices run
+# along up to 2**13, 2**7 and 2**4 cubes
+DEEP_SYNTH_DEPTHS = [(1, 12, 14), (2, 7, 8), (3, 5, 5)]
+# each a bool, a non-integer or a negative value
+BAD_INTEGERS = [True, 2.5, -1, math.nan]
 
 
 class TestSynthesize:
@@ -124,6 +132,12 @@ class TestSynthesize:
         with pytest.raises(ValueError):
             fd.synthesize(d12_solution, depth=4, mother="daubechies")
 
+    @pytest.mark.parametrize("depth", BAD_INTEGERS)
+    def test_depth_must_be_a_non_negative_integer(self, d12_solution, depth):
+        # -1 gave a one-cell field of depth -1, 2.5 a TypeError
+        with pytest.raises(ValueError, match="'depth' must be an integer"):
+            fd.synthesize(d12_solution, depth)
+
     @pytest.mark.parametrize("mother", fd.MOTHERS)
     @pytest.mark.parametrize("deltas,d,max_depth", SYNTH_MODELS)
     def test_grid_bytes_match_full_resolution_oracle(self, deltas, d,
@@ -135,12 +149,23 @@ class TestSynthesize:
             assert got.shape == want.shape and got.dtype == want.dtype
             assert got.tobytes() == want.tobytes(), depth
 
+    @pytest.mark.parametrize("mother", fd.MOTHERS)
+    @pytest.mark.parametrize("d, lo, hi", DEEP_SYNTH_DEPTHS)
+    def test_grid_bytes_match_where_the_halves_run_long(self, d, lo, hi,
+                                                        mother):
+        deltas = next(m[0] for m in SYNTH_MODELS if m[1] == d)
+        sol = ConstantSolution(RcmModel.create(d, d / 2 + 1, deltas, 0.7))
+        for depth in range(lo, hi + 1):
+            got = fd.synthesize(sol, depth, mother).grid
+            want = synthesize_oracle(sol, depth, mother)
+            assert got.tobytes() == want.tobytes(), depth
+
     @pytest.mark.parametrize("d, depth, mother, limit", [
         (1, 20, "haar", 2.1), (2, 10, "haar", 2.1), (3, 7, "haar", 2.1),
         (1, 20, "hat", 3.75)])
     def test_traced_peak_over_the_final_grid(self, d, depth, mother, limit):
-        # each generation's term takes the grid so far by one broadcast
-        # add: a Haar synthesis holds its last term, the grid before it and
+        # each generation's term takes the grid so far by one add in
+        # place: a Haar synthesis holds its last term, the grid before it and
         # the last node values (2x at d = 1), with no refined copy of the
         # coarse grid (3.02x, 2.52x, 2.26x and the hat's 4.00x with one)
         deltas = np.exp(np.linspace(-1.0, 1.0, 2**d))
@@ -226,16 +251,47 @@ class TestStructureFunction:
     @pytest.mark.parametrize("mother", fd.MOTHERS)
     def test_matches_direct_mean_of_powers(self, d12_solution, mother):
         # the hat's S_p averages the synthesized grid's increments, so it
-        # gives the bits of the direct mean for every p, integer or not; the
-        # Haar tree sum takes another route and agrees to 1e-12 in log2 S_p
+        # gives the bits of the direct mean wherever both take x**p, every p
+        # but 3 and 4, whose powers are products; the Haar tree sum takes
+        # another route, and every row agrees to 1e-12 in log2 S_p
         M = 12
         est = fd.structure_function(d12_solution, M, TREE_PS,
                                     m_range=(1, M - 1), mother=mother)
         want = direct_log2_S(d12_solution, M, TREE_PS, est.m, mother)
+        pow_rows = ~np.isin(TREE_PS, [3.0, 4.0])
         if mother == "hat":
-            assert np.array_equal(est.log2_S, want)
-        else:
-            assert np.abs(est.log2_S - want).max() <= TREE_TOL
+            assert np.array_equal(est.log2_S[pow_rows], want[pow_rows])
+        assert np.abs(est.log2_S - want).max() <= TREE_TOL
+
+    @pytest.mark.parametrize("mother", fd.MOTHERS)
+    def test_overflowing_p_is_flagged_without_warnings(self, d12_solution,
+                                                       mother):
+        # S_p with p = 1e300 leaves the double range: its row is degenerate,
+        # and numpy's overflow and inf * 0 warnings stay inside the library
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = fd.structure_function(d12_solution, 12, [1e300, 2.0],
+                                        mother=mother)
+        assert est.degenerate.tolist() == [True, False]
+
+    @pytest.mark.parametrize("depth", BAD_INTEGERS)
+    def test_depth_must_be_an_integer(self, d12_solution, depth):
+        with pytest.raises(ValueError, match="'depth' must be an integer"):
+            fd.structure_function(d12_solution, depth, [2.0])
+
+    @pytest.mark.parametrize("bad", BAD_INTEGERS)
+    def test_fit_window_must_be_integers(self, d12_solution, bad):
+        # a float window gave a TypeError from the row slices
+        for window in ((bad, 9), (3, bad)):
+            with pytest.raises(ValueError, match="'m_range' must be an"):
+                fd.structure_function(d12_solution, 12, [2.0],
+                                      m_range=window)
+
+    @pytest.mark.parametrize("window", [5, (5,), (3, 6, 9), "36"])
+    def test_fit_window_must_be_a_pair(self, d12_solution, window):
+        # a bare 5 gave a TypeError from the unpacking
+        with pytest.raises(ValueError, match="'m_range' must be a pair"):
+            fd.structure_function(d12_solution, 12, [2.0], m_range=window)
 
 
 class TestForcingFactorsOut:
@@ -352,6 +408,77 @@ class TestHaarTreeSum:
         assert peak < 3.75 * deepest
 
 
+def pow_log2_S(solution, depth, p_arr, m_lo, m_hi):
+    """log2 S_p of the Haar tree sum as the library took it before its
+    power rule: every power by numpy's x**p, in the same row blocks."""
+    v0 = solution.model.forcing * 2.0**solution.q
+    k0, k1 = 2.0 ** (solution.q + 0.5) * np.sqrt(solution.model.coeffs.deltas)
+    P, Q = k1 * k0 ** np.arange(m_hi), k0 * k1 ** np.arange(m_hi)
+    A = v0 * (np.concatenate(([0.0], np.cumsum(P + Q)[:-1])) - 2.0)
+    B = P - Q
+    log2_S = np.full((len(p_arr), m_hi - m_lo + 1), -np.inf)
+    for D, G in enumerate(fd._generations(solution, depth - m_lo, "haar"), 1):
+        m = depth - D
+        if m > m_hi:
+            continue
+        sums = np.empty((len(p_arr), m))
+        rows = max(1, fd._BLOCK_CELLS // len(G))
+        for r in range(0, m, rows):
+            blk = slice(r, min(r + rows, m))
+            incs = np.abs(B[blk, None] * G + A[blk, None])
+            for i, p in enumerate(p_arr):
+                sums[i, blk] = (incs**p).sum(axis=1)
+        for i, p in enumerate(p_arr):
+            weights = (k0**p + k1**p) ** np.arange(m - 1, -1, -1.0)
+            s = weights @ sums[i] / (2**depth - 2**D)
+            log2_S[i, m - m_lo] = math.log2(s) if s > 0 else -math.inf
+    return log2_S
+
+
+class TestPowerRule:
+    """The powers of ``_power_sums`` against mpmath, and the S_p they give
+    against numpy's x**p."""
+
+    # ulps from the rounded power, fixed before the first run: the square
+    # is rounded once, (x x) x carries two roundings and (x x)(x x) three
+    ULPS = {1.0: 0, 2.0: 0, 3.0: 2, 4.0: 3}
+
+    @pytest.mark.parametrize("p", sorted(ULPS))
+    def test_products_within_fixed_ulps_of_mpmath(self, p):
+        rng = np.random.default_rng(int(p))
+        x = np.concatenate((10.0 ** rng.uniform(-300.0, 300.0, 2000),
+                            [1e-300, 1e300, 1.0, 2.0**-537, 2.0**511]))
+        with np.errstate(over="ignore"):  # past 1e308 the power is inf
+            got = fd._power_sums(x[:, None], p, np.empty((len(x), 1)))
+        biggest = mp.mpf(sys.float_info.max)
+        with mp.workprec(300):  # every product of 4 doubles is exact
+            for xi, ci in zip(x.tolist(), got.tolist()):
+                exact = mp.mpf(xi) ** int(p)
+                if exact > biggest:
+                    assert ci == math.inf, xi
+                    continue
+                # the spacing of doubles at the exact power, subnormal or not
+                exponent = max(mp.frexp(exact)[1] - 1, -1022) if exact else -1022
+                spacing = mp.ldexp(1, exponent - 52)
+                assert abs(mp.mpf(ci) - exact) <= (self.ULPS[p] + 0.5) * spacing, xi
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_pow_rows_keep_the_bits_of_numpy_powers(self, seed):
+        # S_1, S_2 and a p that goes through np.power keep the bits of the
+        # pow-based tree sum; depth 19 spreads a scale over row blocks
+        rng = np.random.default_rng(seed)
+        sol = ConstantSolution(random_rcm(rng, allow_flat=True,
+                                          d_choices=(1,)))
+        depth = 19 if seed == 0 else int(rng.integers(8, 17))
+        m_lo = int(rng.integers(1, 4))
+        p_arr = np.array([1.0, 2.0, 3.0, 4.0, float(rng.uniform(0.2, 5.0))])
+        got = fd._haar_structure_function(sol, depth, p_arr, m_lo, depth - 1)
+        want = pow_log2_S(sol, depth, p_arr, m_lo, depth - 1)
+        keep = [0, 1, 4]
+        assert same_bits(got.log2_S[keep], want[keep])
+        assert np.abs(got.log2_S - want).max() <= TREE_TOL
+
+
 class TestXi:
     def test_flat_closed_form(self, flat_d1_solution):
         for p in (0.5, 1.0, 2.0, 3.0, 7.0):
@@ -417,6 +544,12 @@ class TestBesovEpsilon:
         # each used to return NaN entries or an empty sequence
         with pytest.raises(ValueError):
             fd.besov_epsilon(d12_solution, s, p, n_max)
+
+    @pytest.mark.parametrize("n_max", BAD_INTEGERS)
+    def test_n_max_must_be_a_non_negative_integer(self, d12_solution, n_max):
+        # 2.5 gave 4 entries and True gave 2
+        with pytest.raises(ValueError, match="'n_max' must be an integer"):
+            fd.besov_epsilon(d12_solution, 0.0, 2.0, n_max)
 
 
 class TestLocalHolder:
@@ -520,6 +653,12 @@ class TestLocalHolderPath:
     def test_invalid_input_rejected(self, d12_solution, point, n_max):
         with pytest.raises(ValueError):
             fd.local_holder(d12_solution, point, n_max)
+
+    @pytest.mark.parametrize("n_max", BAD_INTEGERS)
+    def test_n_max_must_be_a_positive_integer(self, d12_solution, n_max):
+        # 2.5 gave a TypeError from the label path
+        with pytest.raises(ValueError, match="'n_max' must be an integer"):
+            fd.local_holder(d12_solution, [0.3], n_max)
 
 
 class TestScalingLemmas:
