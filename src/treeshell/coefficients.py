@@ -17,6 +17,14 @@ in one formula for scalar and array s, which keeps its digits as s -> 0;
 relative accuracy at large gamma.  One helper, ``_tilted_moments``, gives
 every phi-side quantity from one exp2, and ``phi_inverse`` runs Newton's
 method on the logit of phi from its two-point closed form, in about four.
+
+Every sum over a row of N entries, a parent's children or an atom's
+distinct values, runs in one order: from the first entry, adding the rest
+left to right by label, one flat ufunc call over a whole column at a time
+(``_row_reduction`` and ``_column_sum``).  numpy's per-row reduce would
+run one inner loop per row, about 20 ns each, which dominates at the
+tree's small N, and its order is its own, pairwise from 8 entries on.  A
+row of -0.0 sums to -0.0.
 """
 
 from __future__ import annotations
@@ -50,9 +58,8 @@ def log2sumexp2(x: np.ndarray, axis: int | None = None):
     """log2(sum 2**x), max-shifted.  ``axis=None`` reduces to a float, -inf
     for an empty or all -inf input.  ``axis`` may also name the last axis,
     along which every slice needs a finite entry; its rows are reduced
-    column by column (``_row_reduction``), in numpy's own pairwise order,
-    so the result has the bits of ``x.max(axis)`` and ``.sum(axis)``
-    without their per-row loop overhead."""
+    column by column, left to right (``_reduce_rows``), the row max
+    included."""
     if axis is None:
         if x.size == 0:
             return -math.inf
@@ -69,111 +76,51 @@ def log2sumexp2(x: np.ndarray, axis: int | None = None):
     return (m + np.log2(_reduce_rows(np.add, shifted))).reshape(x.shape[:-1])
 
 
-def _row_reduction(ufunc: np.ufunc, rows: np.ndarray, out: np.ndarray,
-                   signed_zeros: bool = False) -> list[tuple]:
+def _row_reduction(ufunc: np.ufunc, rows: np.ndarray,
+                   out: np.ndarray) -> list[tuple]:
     """The calls ``f(a, b, out=o)``, as tuples (f, a, b, o), that reduce the
-    (P, N) array `rows` over its last axis into `out` (P,), with the bits of
-    ``ufunc.reduce(rows, axis=1)``; `ufunc` is np.add or np.maximum, and
-    `out` must not overlap `rows`.
-
-    numpy's reduce runs one inner loop per row, about 20 ns each, which
-    dominates at the tree's small N.  Here each step is one flat ufunc over
-    whole columns, N - 1 of them, in numpy's own pairwise order: left to
-    right for N < 8, ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)) for N = 8.  A sum
-    ends with + 0.0, since numpy's starts from it (an all -0.0 row sums to
-    +0.0); with `signed_zeros` it does not, and such a row may sum to
-    -0.0.  Rows of one entry, or of more than 8, keep ``ufunc.reduce``:
-    the one has nothing to combine, the other's inner loop is no longer
-    overhead-bound.  Building the calls once lets a kernel rerun them.
-    """
-    P, N = rows.shape
-    if not 2 <= N <= 8:
-        return [(ufunc.reduce, rows, 1, out)]
-    col = [rows[:, k] for k in range(N)]
-    if N == 8:
-        t, u = np.empty(P), np.empty(P)
-        steps = [(col[0], col[1], out), (col[2], col[3], t), (out, t, out),
-                 (col[4], col[5], t), (col[6], col[7], u), (t, u, t),
-                 (out, t, out)]
-    else:
-        steps = [(col[0], col[1], out)] + [(out, c, out) for c in col[2:]]
-    if ufunc is np.add and not signed_zeros:
-        steps.append((out, 0.0, out))
-    return [(ufunc, a, b, o) for a, b, o in steps]
+    (P, N) array `rows` over its last axis into `out` (P,), left to right;
+    `ufunc` is np.add or np.maximum, and `out` must not overlap `rows`.  A
+    row of one entry is copied, by * 1.0.  Building the calls once lets a
+    kernel rerun them on the rows as they are then."""
+    col = [rows[:, k] for k in range(rows.shape[1])]
+    if len(col) == 1:
+        return [(np.multiply, col[0], 1.0, out)]
+    return [(ufunc, col[0], col[1], out)] + [(ufunc, out, c, out)
+                                             for c in col[2:]]
 
 
 def _reduce_rows(ufunc: np.ufunc, rows: np.ndarray) -> np.ndarray:
-    """``ufunc.reduce(rows, axis=1)`` of a 2-D array, by ``_row_reduction``."""
+    """Each row of a 2-D array reduced by `ufunc`, by ``_row_reduction``."""
     out = np.empty(len(rows))
     for f, a, b, o in _row_reduction(ufunc, rows, out):
         f(a, b, out=o)
     return out
 
 
-_ROW_BLOCK = 2**13  # rows a block where whole rows must be formed
-
-
-def _row_blocks(size: int) -> list[tuple[int, int]]:
-    """Bounds of ceil(size / _ROW_BLOCK) blocks of near-equal length that
-    cover range(size); none holds a single row unless size is 1 (numpy's
-    matmul takes one row by a dot, with other bits than a row of many)."""
-    k = -(-size // _ROW_BLOCK)
-    return [(size * i // k, size * (i + 1) // k) for i in range(k)]
-
-
 def _column_sum(counts: np.ndarray,
                 term: Callable[[int, np.ndarray, np.ndarray], object]
                 ) -> np.ndarray:
-    """``_reduce_rows(np.add, rows)`` of the (atoms, N) matrix whose column
-    k is ``term(k, counts[k], out)``, formed one column at a time from the
-    (N, atoms) array `counts`, with the bits of the matrix route.
-
-    For N <= 8 each column is written into one of four buffers just before
-    ``_row_reduction``'s step takes it: left to right, or pairwise for
-    N = 8, then + 0.0.  Past 8 numpy's own row reduce is the order, so the
-    rows are formed _ROW_BLOCK at a time.  No (atoms, N) float array is
-    held at once."""
+    """The row sums, left to right, of the (atoms, N) matrix whose column k
+    is ``term(k, counts[k], out)``, formed one column at a time from the
+    (N, atoms) array `counts` into one term buffer: no (atoms, N) float
+    array is held."""
     N, size = counts.shape
     out = np.empty(size)
-    if N > 8:
-        rows = np.empty((min(size, _ROW_BLOCK), N))
-        for lo, hi in _row_blocks(size):
-            block = rows[:hi - lo]
-            for k in range(N):
-                term(k, counts[k, lo:hi], block[:, k])
-            np.add.reduce(block, axis=1, out=out[lo:hi])
-        return out
-    def pair(k: int, a: np.ndarray, b: np.ndarray) -> None:
-        """a = column k + column k + 1, through the buffer b."""
-        term(k, counts[k], a)
-        term(k + 1, counts[k + 1], b)
-        a += b
-
-    t = np.empty(size) if N > 1 else None
-    if N == 8:  # ((r0+r1) + (r2+r3)) + ((r4+r5) + (r6+r7))
-        u, w = np.empty(size), np.empty(size)
-        pair(0, out, t)
-        pair(2, t, u)
+    term(0, counts[0], out)
+    t = np.empty(size)
+    for k in range(1, N):
+        term(k, counts[k], t)
         out += t
-        pair(4, t, u)
-        pair(6, u, w)
-        t += u
-        out += t
-    else:
-        term(0, counts[0], out)
-        for k in range(1, N):
-            term(k, counts[k], t)
-            out += t
-    out += 0.0
     return out
 
 
 def _path_sums(counts: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Per column of ``counts`` (a (parts, atoms) array of compositions over
-    the distinct ``values``), the sum of log2 d along the path, in
-    ``_column_sum``'s fixed order: a matrix product would sum a row of
-    many in another order than a single composition, and the same path
-    would get two sigmas an ulp apart."""
+    the distinct ``values``), the sum of c_k log2 values_k by
+    ``_column_sum``: the sum of log2 d along the path, or, over the
+    multiplicities, the log2 of their product.  One order for every column
+    gives one path the same sigma however many atoms are summed with it."""
     log2_values = np.log2(values)
     return _column_sum(counts, lambda k, c, out: np.multiply(
         c, log2_values[k], out=out))
@@ -454,9 +401,8 @@ class GeneralCoefficients:
                              f"{self.arity**generation} coefficients, or one "
                              f"of {self.arity} shared by every parent, got "
                              f"shape {log2_values.shape}")
-        eps = 1e-12
-        if not np.all((log2_values >= self.log2_min - eps)
-                      & (log2_values <= self.log2_max + eps)):
+        if not np.all((log2_values >= self.log2_min)
+                      & (log2_values <= self.log2_max)):
             raise ValueError("coefficient outside its declared log2 band")
         return log2_values
 

@@ -10,9 +10,10 @@ composition of distinct coefficient values along their path compresses the
 2**(dn) nodes into a lattice of at most C(n + D - 1, D - 1) atoms with
 multinomial multiplicities, read off one table of ln k! for k = 0..n.  The
 lattice is one narrow unsigned column per distinct value, and every
-per-atom sum is formed a column at a time, in the order a row-wise sum
-takes, so no (atoms, D) float array is held.  All masses are accumulated
-by ``log2sumexp2``: they span 2**(-O(n)).
+per-atom sum (of log2 d along the path, of ln k! and of the log2
+multiplicities) is formed a column at a time, left to right by value, so
+no (atoms, D) float array is held.  All masses are accumulated by
+``log2sumexp2``: they span 2**(-O(n)).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .coefficients import (_LN2, RcmModel, _column_sum, _path_sums,
-                           _row_blocks, log2sumexp2)
+                           log2sumexp2)
 from .spectra import cascade_rate, dim_D, rate_R
 from .tree import check_budget
 
@@ -130,19 +131,6 @@ def _log2_multinomial(n: int, counts: np.ndarray) -> np.ndarray:
     return out
 
 
-def _multiplicity_term(counts: np.ndarray, mults: np.ndarray) -> np.ndarray:
-    """log2 of the product of mults**counts per column of ``counts``: the
-    matrix product of the (atoms, parts) rows with log2(mults), a
-    ``_row_blocks`` block of rows at a time.  BLAS gives a row the same
-    bits in a block of any length but one, and no (atoms, parts) float copy
-    of the lattice is made at once."""
-    log2_mults = np.log2(mults)
-    out = np.empty(counts.shape[1])
-    for lo, hi in _row_blocks(len(out)):
-        np.matmul(counts[:, lo:hi].T, log2_mults, out=out[lo:hi])
-    return out
-
-
 @dataclass(frozen=True)
 class DissipationMeasure:
     """The measure mu_n as composition-weighted atoms.
@@ -196,7 +184,7 @@ def measure(model: RcmModel, n: int) -> DissipationMeasure:
     log2_count = _log2_multinomial(n, counts)
     # with every multiplicity 1 the product adds +0.0, which changes no bit
     if np.any(mults != 1):
-        log2_count += _multiplicity_term(counts, mults)
+        log2_count += _path_sums(counts, mults)
     path = _path_sums(counts, values)
     log2_node_f = 1.5 * path
     log2_node_f += n * cascade_rate(model)

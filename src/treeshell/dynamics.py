@@ -118,15 +118,14 @@ class _Rk4:
     stages 2-4 read `x`.  A stage reads its input through fixed views, the
     children as (parents, N) rows and the parents as a column, so stage 1
     reads the state without a copy and a step allocates nothing until it
-    clamps.  The offspring sums are N flat ufunc calls over the columns of
-    the child terms, built once by ``_row_reduction`` in numpy's own
-    pairwise order: the bits of ``np.add.reduce(terms, 1)`` without its
-    per-parent loop, which took over half of a stage at depth 7, d = 2.
-    They skip numpy's closing + 0.0, which only turns a sum of -0.0 terms
-    into +0.0: a sum enters k only as inflow - x * sum, and the inflow,
-    f^2 or c x_par^2, is +0.0 or positive, so either sign of a zero
-    product gives the same k.  The closure weights sit in the tail of
-    `sums` and f^2 in `inflow[0]` for the whole run.
+    clamps.  The offspring sums are the package's row sums, left to right
+    over the child labels: N - 1 flat ufunc calls over the columns of the
+    child terms, built once by ``_row_reduction``, without numpy's per-parent
+    reduce loop, which took over half of a stage at depth 7, d = 2.  A sum
+    of -0.0 terms stays -0.0; it enters k only as inflow - x * sum, and the
+    inflow, f^2 or c x_par^2, is +0.0 or positive, so either sign of a zero
+    gives the same k.  The closure weights sit in the tail of `sums` and
+    f^2 in `inflow[0]` for the whole run.
     """
 
     def __init__(self, model: RcmModel, depth: int, closure: str,
@@ -141,8 +140,7 @@ class _Rk4:
         self.inflow[0] = model.forcing * model.forcing
         self.child_terms = self.inflow[1:].reshape(parents, N)
         self.sum_children = _row_reduction(np.add, self.child_terms,
-                                           self.sums[:parents],
-                                           signed_zeros=True)
+                                           self.sums[:parents])
         self.square = np.empty((parents, 1))
         self.v = np.array(values, dtype=float)
         self.x = np.empty(size)

@@ -179,10 +179,10 @@ def pullback(coefficients: GeneralCoefficients, alpha: float, depth: int,
     N when its coefficient row is shared and its children are one value.
     The seed row is that one value, and each row's terms are built in one
     buffer.  The same pass checks the new row against the forward
-    identity.  A parent's log-sum-exp over its children runs column by
-    column, one flat ufunc per child label in numpy's own pairwise order
-    (``log2sumexp2``): the bits of a per-row reduce, without its
-    per-parent loop overhead at small N.
+    identity.  A parent's log-sum-exp over its children, and its residual
+    sum, run column by column, one flat ufunc per child label, left to
+    right (``log2sumexp2``, ``_reduce_rows``): no per-parent reduce loop
+    at small N.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")

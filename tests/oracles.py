@@ -17,16 +17,17 @@ stage into buffers it allocated once.  The flux oracle walks a ``set`` of
 ``TreeIndex`` nodes, checks prefix-closure node by node and forms each
 boundary coefficient c_k from ``coefficient_of`` and 2^(alpha |k|), where
 the dynamics reads c_k off its own coefficient array and takes the
-subtree as a boolean mask over the state layout.  The pull-back row and
-residual oracles reduce each parent's children with numpy's per-row
-``max(axis=1)`` and ``sum(axis=1)``, where the library reduces whole
-columns in the same pairwise order.  The Haar tree sum oracle holds every
-row of a scale's increments in one matrix, where the library takes them a
+subtree as a boolean mask over the state layout.  Every row sum and row
+max the oracles take goes through :func:`left_to_right`, numpy's
+sequential ``accumulate`` along each row, where the library runs one
+flat ufunc call per column in the same left-to-right order: the RK4
+offspring sums, the log-sum-exp of a row and the pull-back's residual,
+and the row lattice's sums.  The Haar tree sum oracle holds every row of
+a scale's increments in one matrix, where the library takes them a
 bounded block of rows at a time.  The row lattice oracle forms mu_n on an
 (atoms, parts) int64 matrix of compositions read off their cut positions,
-with numpy's per-row sums and one matrix product, where the library sums
-the columns of a (parts, atoms) lattice of the narrowest unsigned dtype
-one at a time; both read the same table of ln k!.
+where the library sums the columns of a (parts, atoms) lattice of the
+narrowest unsigned dtype one at a time; both read one table of ln k!.
 
 The per-node forms walk one ``TreeIndex`` at a time: its exact dyadic cube
 in ``Fraction`` arithmetic, the path of a point by repeated doubling of its
@@ -60,6 +61,19 @@ from treeshell.tree import ResourceLimitError, check_budget
 _ENUMERATION_NODES = 2**24
 
 _FLOAT = "%.17g"  # the CLI's 17 significant digits
+
+
+def left_to_right(ufunc: np.ufunc, rows: np.ndarray) -> np.ndarray:
+    """The reduce of each row of a 2-D array by `ufunc` from its first
+    entry, left to right: the last column of numpy's ``accumulate``."""
+    return ufunc.accumulate(rows, axis=1)[:, -1]
+
+
+def log2sumexp2_rows_oracle(rows: np.ndarray) -> np.ndarray:
+    """log2 sum 2**x of each row of a 2-D array, shifted by the row max, the
+    max and the sum each by :func:`left_to_right`."""
+    m = left_to_right(np.maximum, rows)
+    return m + np.log2(left_to_right(np.add, np.exp2(rows - m[:, None])))
 
 
 def entropy_max_oracle(coeffs: RepeatedCoefficients, a: float) -> float:
@@ -247,14 +261,15 @@ def compositions_by_cuts(n: int, parts: int) -> np.ndarray:
 
 def measure_by_rows(model: RcmModel, n: int) -> DissipationMeasure:
     """mu_n on the (atoms, parts) int64 rows of :func:`compositions_by_cuts`:
-    path sums and ln k! sums by numpy's own ``np.add.reduce(axis=1)``, the
-    multiplicities by one matrix product ``counts @ log2(mults)``."""
+    the path, ln k! and log2 multiplicity sums of whole rows, each by
+    :func:`left_to_right`."""
     values, mults = model.coeffs.distinct()
     counts = compositions_by_cuts(n, len(values))
-    path = np.add.reduce(counts * np.log2(values), axis=1)
+    path = left_to_right(np.add, counts * np.log2(values))
     ln_factorial = _ln_factorial(n)
-    log2_count = (ln_factorial[n] - np.add.reduce(ln_factorial[counts], axis=1)
-                  ) / math.log(2.0) + counts @ np.log2(mults)
+    log2_count = (ln_factorial[n] - left_to_right(np.add, ln_factorial[counts])
+                  ) / math.log(2.0)
+    log2_count += left_to_right(np.add, counts * np.log2(mults))
     log2_node_f = n * cascade_rate(model) + 1.5 * path
     return DissipationMeasure(n, values, mults, counts, path / n, log2_count,
                               log2_node_f, log2_count + log2_node_f)
@@ -318,7 +333,7 @@ def _rhs_core(model: RcmModel, system: tuple[np.ndarray, np.ndarray],
     c, weights = system
     N = model.N
     outflow = values * np.concatenate(
-        [(c * values[1:]).reshape(-1, N).sum(axis=1), weights])
+        [left_to_right(np.add, (c * values[1:]).reshape(-1, N)), weights])
     out = np.empty_like(values)
     out[0] = model.forcing * model.forcing - outflow[0]
     out[1:] = c * np.repeat(values[:-len(weights)], N) ** 2 - outflow[1:]
@@ -385,9 +400,7 @@ def pull_row_oracle(coefficients: GeneralCoefficients, alpha: float, g: int,
     """The generation-g row of the backward recursion from its children's."""
     log2d = coefficients.row_log2(g + 1)
     terms = (1.5 * log2d + children).reshape(-1, coefficients.arity)
-    m = terms.max(axis=1, keepdims=True)
-    lse = np.squeeze(m, 1) + np.log2(np.exp2(terms - m).sum(axis=1))
-    return -0.5 * alpha - 0.5 * lse
+    return -0.5 * alpha - 0.5 * log2sumexp2_rows_oracle(terms)
 
 
 def haar_log2_S_oracle(solution: ConstantSolution, depth: int,
@@ -422,7 +435,7 @@ def residual_max_oracle(run: PullbackRun) -> float:
         log2d = run.coefficients.row_log2(g + 1)
         terms = (1.5 * log2d + children).reshape(-1, run.coefficients.arity)
         shifted = terms + (2.0 * run.rows[g] + run.alpha)[:, None]
-        residual = np.log2(np.exp2(shifted).sum(axis=1))
+        residual = np.log2(left_to_right(np.add, np.exp2(shifted)))
         worst = max(worst, float(np.abs(residual).max()))
     return worst
 

@@ -176,6 +176,17 @@ class TestDissipationCommands:
         total = np.exp2([float(r["log2_mass"]) for r in rows]).sum()
         assert total == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("deltas, dim", [("0.5,1", "1"),
+                                             ("0.25,0.5,1,1", "2")])
+    def test_measure_writes_no_negative_zero(self, capsys, deltas, dim):
+        rc, out = run_cli(["dissipation", "--deltas", deltas, "--dim", dim,
+                           "--n", "12"], capsys)
+        assert rc == 0
+        rows = parse_csv(out)
+        assert any(float(r["sigma_atom"]) == 0 for r in rows)
+        assert [cell for r in rows for cell in r.values()
+                if cell.startswith("-") and float(cell) == 0] == []
+
     def test_concentration_auto_band_centers_at_phi32(self, capsys, d12):
         rc, out = run_cli(["concentration", "--deltas", "1,2", "--dim", "1",
                            "--alpha", "1.5", "--n-list", "20,40"], capsys)

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import mpmath as mp
 import numpy as np
@@ -11,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import same_bits
-from oracles import TreeIndex, coefficient_of
+from oracles import (TreeIndex, _rhs_core, coefficient_of, left_to_right,
+                     log2sumexp2_rows_oracle)
 
 from treeshell import (
     GeneralCoefficients,
@@ -20,7 +22,10 @@ from treeshell import (
     lambda_family,
     model_from_dict,
 )
-from treeshell.coefficients import _row_reduction, log2sumexp2
+from treeshell.coefficients import (_path_sums, _reduce_rows, _row_reduction,
+                                    log2sumexp2)
+from treeshell.dissipation import _ln_factorial, _log2_multinomial
+from treeshell.dynamics import TruncatedState, _system, rhs
 
 mp.mp.dps = 50
 
@@ -512,6 +517,19 @@ class TestGeneralCoefficients:
         with pytest.raises(ValueError):
             gc.row_log2(1)
 
+    @pytest.mark.parametrize("lo, hi", [(-1.0, 1.0), (-0.3, 0.7),
+                                        (2.0**-40, 3e-12)])
+    def test_band_is_exact(self, lo, hi):
+        # both ends are inside; one ulp past either end is outside
+        def gc(row):
+            return GeneralCoefficients(2, lambda g: np.asarray(row), lo, hi)
+
+        assert np.array_equal(gc([lo, hi]).row_log2(1), [lo, hi])
+        for row in ([np.nextafter(lo, -np.inf), hi],
+                    [lo, np.nextafter(hi, np.inf)]):
+            with pytest.raises(ValueError, match="declared log2 band"):
+                gc(row).row_log2(1)
+
     def test_root_is_one(self):
         gc = GeneralCoefficients(2, lambda g: np.full(2**g, 0.5),
                                  log2_min=-1.0, log2_max=1.0)
@@ -564,8 +582,9 @@ class TestGeneralCoefficients:
 
 
 class TestRowReduction:
-    """The column-by-column reduction has the bits of numpy's per-row
-    reduce at every width, signed zeros included."""
+    """The column-by-column reduction has the bits of numpy's sequential
+    reduce, the last column of ``accumulate`` (``left_to_right``), at every
+    width, signed zeros included."""
 
     @staticmethod
     def rows(rng, width):
@@ -588,12 +607,53 @@ class TestRowReduction:
         calls = _row_reduction(ufunc, x, out)
         for f, a, b, o in calls:
             f(a, b, out=o)
-        assert same_bits(out, ufunc.reduce(x, axis=1))
+        assert same_bits(out, left_to_right(ufunc, x))
+        assert np.signbit(out[0])  # a row of -0.0 reduces to -0.0
         # built once, the calls read the rows as they are when rerun
         x[3:] = self.rows(rng, width)[3:]
         for f, a, b, o in calls:
             f(a, b, out=o)
-        assert same_bits(out, ufunc.reduce(x, axis=1))
+        assert same_bits(out, left_to_right(ufunc, x))
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 7, 8, 9, 16])
+    def test_every_row_sum_is_left_to_right(self, rng, width):
+        # the row sums of the RK4 kernel, the pull-back's log-sum-exp and
+        # the lattice against the one oracle order
+        x = self.rows(rng, width)
+        for ufunc in (np.add, np.maximum):
+            assert same_bits(_reduce_rows(ufunc, x), left_to_right(ufunc, x))
+        assert same_bits(log2sumexp2(x.reshape(4, 16, width), axis=-1),
+                         log2sumexp2_rows_oracle(x).reshape(4, 16))
+        # compositions of 12 by cut points, the first of them all in one
+        # part, and values below, at and above 1: a part counted 0 times
+        # at a value below 1 adds -0.0
+        n = 12
+        cuts = np.sort(rng.integers(0, n + 1, (64, width - 1)), axis=1)
+        counts = np.diff(cuts, prepend=0, append=n, axis=1).astype(np.uint8)
+        counts[0] = 0
+        counts[0, -1] = n
+        values = rng.uniform(0.2, 3.0, width)
+        values[::3] = 1.0
+        values[1::3] = rng.uniform(0.2, 0.9, len(values[1::3]))
+        assert same_bits(_path_sums(counts.T, values),
+                         left_to_right(np.add, counts * np.log2(values)))
+        ln_factorial = _ln_factorial(n)
+        want = (ln_factorial[n] - left_to_right(
+            np.add, ln_factorial[counts])) / math.log(2.0)
+        assert same_bits(_log2_multinomial(n, counts.T), want)
+        # a composition of 0 over values below 1 sums its -0.0 terms to -0.0
+        zero = np.zeros((width, 1), np.uint8)
+        assert np.signbit(_path_sums(zero, np.full(width, 0.5))[0])
+        if width & (width - 1) == 0 and width > 1:
+            model = RcmModel.create(width.bit_length() - 1, 1.5,
+                                    rng.uniform(0.5, 2.0, width))
+            for closure in ("zero", "stationary"):
+                state = TruncatedState.zeros(model, 2, closure)
+                values = np.abs(self.rows(rng, len(state.values))[3])
+                values[1:width + 1] = -0.0  # the root's children
+                state = replace(state, values=values)
+                assert same_bits(rhs(state), _rhs_core(
+                    model, _system(model, 2, closure), values))
 
     def test_log2sumexp2_reduces_the_last_axis_only(self):
         x = np.zeros((2, 3))

@@ -269,12 +269,11 @@ def _row_oracle_cases():
     yield RcmModel.create(3, 2.5, [1, 1, 1, 1, 2, 2, 3, 5]), 20
     yield RcmModel.create(3, 2.5, [1, 1, 1, 2, 2, 2, 3, 3]), 40
     yield RcmModel.create(3, 2.5, [1, 1, 1, 2, 2, 2, 2, 2]), 300
-    # more than 8 distinct values (numpy's row reduce, two row blocks), and
-    # four repeated ones with multiplicities 3, 5, 6 and 2
+    # more than 8 distinct values, and four repeated ones with
+    # multiplicities 3, 5, 6 and 2
     yield RcmModel.create(4, 3.0, np.exp(rng.uniform(-1, 1, 16))), 5
     yield RcmModel.create(4, 3.0, [1] * 3 + [2] * 5 + [3] * 6 + [4] * 2), 12
-    # eight distinct values with inexact log2 multiplicities (3 and 2),
-    # three row blocks of the multiplicity product
+    # eight distinct values with inexact log2 multiplicities (3 and 2)
     yield RcmModel.create(4, 3.0, [1, 1, 1, 2, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6,
                                    7, 8]), 10
     yield RcmModel.create(3, 2.5, [1.5] * 8), 7
@@ -324,6 +323,17 @@ class TestMeasureColumns:
         finally:
             tracemalloc.stop()
         assert peak < 10 * column
+
+    @pytest.mark.parametrize("d, deltas", [(1, [0.5, 1.0]), (1, [1.0, 1.0]),
+                                           (2, [0.25, 0.5, 1.0, 1.0])])
+    @pytest.mark.parametrize("n", [1, 2, 7, 16])
+    def test_no_negative_zero(self, d, deltas, n):
+        # a value below 1 counted 0 times adds a -0.0 term, and log2 of 1
+        # adds +0.0: no sum starts from or ends at -0.0
+        mu = dp.measure(RcmModel.create(d, 1.5, deltas), n)
+        for field in ("sigma", "log2_count", "log2_mass"):
+            values = getattr(mu, field)
+            assert not np.any((values == 0) & np.signbit(values)), field
 
     def test_one_part_needs_no_factorial_table(self):
         # the lone composition (n) has multinomial 1: no table of n + 1

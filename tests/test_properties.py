@@ -12,6 +12,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from oracles import log2sumexp2_rows_oracle
+
 from treeshell import GeneralCoefficients, RcmModel, pullback
 from treeshell import dissipation as dp
 from treeshell import spectra
@@ -66,8 +68,13 @@ class TestLog2SumExp2:
         # every row needs a finite entry on the axis path
         x[:, 0] = np.where(np.isinf(x[:, 0]), 0.0, x[:, 0])
         got = log2sumexp2(x, axis=1)
-        want = np.array([log2sumexp2(row) for row in x])
+        # each row as a 1-D log-sum-exp summed left to right, the order of
+        # every row sum; numpy's own 1-D sum is in that order below 8 entries
+        want = np.concatenate([log2sumexp2_rows_oracle(row[None])
+                               for row in x])
         assert np.array_equal(got, want)
+        if x.shape[1] < 8:
+            assert np.array_equal(got, [log2sumexp2(row) for row in x])
 
 
 class TestModelInvariants:

@@ -378,7 +378,8 @@ class TestHugeExponents:
 
 
 class TestPullbackAgainstOracle:
-    """The column-wise pull-back gives the bits of the per-row reduce."""
+    """The column-wise pull-back gives the bits of the left-to-right row
+    oracle."""
 
     @pytest.mark.parametrize("d, depth", [(1, 10), (2, 5), (3, 4)])
     @pytest.mark.parametrize("seed", [0.0, -30.0, 7.25])
