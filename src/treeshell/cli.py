@@ -475,17 +475,24 @@ def cmd_simulate(args) -> int:
         raise ValueError(f"unknown init {args.init!r}")
     model = _model_from_args(args)
     u = dynamics.constant_values(ConstantSolution(model), args.depth)
-    state = dynamics.TruncatedState(model, args.depth, u * scale, args.closure)
+    with np.errstate(over="ignore"):  # TruncatedState refuses an inf start
+        start = u * scale
+    state = dynamics.TruncatedState(model, args.depth, start, args.closure)
     steps = int(round(args.t_end / args.dt))
     traj = dynamics.integrate(state, args.dt, steps,
                               record_every=args.record_every)
     config = {"model": model.to_dict(), "depth": args.depth, "dt": args.dt,
               "t_end": args.t_end, "closure": args.closure, "init": args.init}
+    # squares past the double range are reported below, in one line
+    with np.errstate(over="ignore"):
+        energy = (traj.states * traj.states).sum(axis=1)
+        distance = ((traj.states - u) ** 2).sum(axis=1)
+    if not (np.isfinite(energy).all() and np.isfinite(distance).all()):
+        raise ArithmeticError("an energy or distance_to_u is not finite: the "
+                              "state's squares leave the double range")
     _write_csv(args.out, _header(model, args.seed, config),
-               {"t": traj.times,
-                "energy": (traj.states * traj.states).sum(axis=1),
-                "v_root": traj.states[:, 0],
-                "distance_to_u": ((traj.states - u) ** 2).sum(axis=1),
+               {"t": traj.times, "energy": energy,
+                "v_root": traj.states[:, 0], "distance_to_u": distance,
                 "clamp_total": traj.clamp_total})
     return 0
 

@@ -19,10 +19,10 @@ whose parent lies inside.
 
 Integration is a fixed-step classical 4-stage Runge-Kutta scheme; no
 adaptivity, so residual tables are reproducible.  A run builds one kernel
-that owns the state and the stage buffers and runs the step loop itself,
-writing every stage in place: a step copies nothing and allocates nothing
-until it clamps.  Stiffness grows like
-2**(alpha n): shrink dt with depth (guideline dt <= 0.1 * 2**(-alpha n)).
+over three state buffers that steps by one prebuilt list of numpy calls:
+a step copies nothing and allocates nothing until it clamps.  Stiffness
+grows like 2**(alpha n): shrink dt with depth (guideline
+dt <= 0.1 * 2**(-alpha n)).
 """
 
 from __future__ import annotations
@@ -60,7 +60,8 @@ def constant_values(solution: ConstantSolution, depth: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TruncatedState:
-    """Non-negative node values on generations 0..depth plus the closure mode."""
+    """Finite non-negative node values on generations 0..depth plus the
+    closure mode."""
 
     model: RcmModel
     depth: int
@@ -76,8 +77,9 @@ class TruncatedState:
         expected = tree_size(self.model.N, self.depth)
         if len(self.values) != expected:
             raise ValueError(f"state needs {expected} values, got {len(self.values)}")
-        if not np.all(self.values >= 0):
-            raise ValueError("componentwise states are non-negative")
+        if not np.all((self.values >= 0) & (self.values < math.inf)):
+            raise ValueError("componentwise states are finite and "
+                             "non-negative")
 
     @classmethod
     def zeros(cls, model: RcmModel, depth: int, closure: str = "zero"):
@@ -111,21 +113,38 @@ def _system(model: RcmModel, depth: int, closure: str
     return c, factor * np.exp2(solution.log2_u_rows(depth)[-1])
 
 
-class _Rk4:
-    """One run's RK4 integrator: the system, every buffer and the step loop.
+def _lines(n: int, skip: int = 0) -> np.ndarray:
+    """n doubles whose entry `skip` starts a 64-byte cache line: numpy
+    writes a new output twice as fast there on an AVX-512 Xeon (8 vs 17 us
+    at 21,845 doubles), whose unaligned stores split lines."""
+    raw = np.empty(n + 7)
+    start = (-raw.ctypes.data // 8 - skip) % 8
+    return raw[start:start + n]
 
-    The state lives in the kernel's own buffer `v`, stepped in place, and
-    stages 2-4 read `x`.  A stage reads its input through fixed views, the
-    children as (parents, N) rows and the parents as a column, so stage 1
-    reads the state without a copy and a step allocates nothing until it
-    clamps.  The offspring sums are the package's row sums, left to right
-    over the child labels: N - 1 flat ufunc calls over the columns of the
-    child terms, built once by ``_row_reduction``, without numpy's per-parent
-    reduce loop, which took over half of a stage at depth 7, d = 2.  A sum
-    of -0.0 terms stays -0.0; it enters k only as inflow - x * sum, and the
-    inflow, f^2 or c x_par^2, is +0.0 or positive, so either sign of a zero
-    gives the same k.  The closure weights sit in the tail of `sums` and
-    f^2 in `inflow[0]` for the whole run.
+
+class _Rk4:
+    """One run's RK4 integrator: the system, three state buffers and a step
+    as one prebuilt list of calls ``f(a, b, out)``.
+
+    The buffers are the state `v`, stepped in place; `acc`, which gathers
+    k1 + 2 k2 + 2 k3 + k4 left to right as each stage ends; and `k`, a
+    stage's input, which its derivative overwrites: the child terms c_k
+    y_k, their row sums (``_row_reduction``) and the parents' squares are
+    formed before y * sums is written.  A sum of -0.0 terms stays -0.0 and
+    enters k only as inflow - y * sum, where the inflow, f^2 or c y_par^2,
+    is +0.0 or positive, so either zero gives the same k.  The inflow runs
+    along the long axis, a label-major (N, parents) copy of the c_j times
+    the parents' squares into the transposed child terms, so numpy's inner
+    loop runs over the parents, not the N children.  Fresh outputs start on
+    cache lines (``_lines``).  Every call is elementwise over fixed views
+    of the node axis, which a leading batch axis would only widen.
+
+    Stages 2 and 3 double their k in place (k + k) before it joins `acc`,
+    and form the next input v + h k as v + (h/2) (2k).  Scaling by a power
+    of two is exact, so (h/2) (2k) rounds like h k unless 2k overflows (h/2
+    is dt/4 or dt/2, exact for dt >= 2**-1020; below, it may round by
+    2**-1075).  If 2k overflows, so does the oracle's k1 + 2 k2 (+ 2 k3),
+    and the step fails with the same ``FloatingPointError`` at the same t.
     """
 
     def __init__(self, model: RcmModel, depth: int, closure: str,
@@ -133,48 +152,32 @@ class _Rk4:
         c, weights = _system(model, depth, closure)
         N, size = model.N, len(c) + 1
         parents = size - len(weights)
-        self.coef = c.reshape(parents, N)
-        self.sums = np.empty(size)
-        self.sums[parents:] = weights
-        self.inflow = np.empty(size)
-        self.inflow[0] = model.forcing * model.forcing
-        self.child_terms = self.inflow[1:].reshape(parents, N)
-        self.sum_children = _row_reduction(np.add, self.child_terms,
-                                           self.sums[:parents])
-        self.square = np.empty((parents, 1))
+        sums = _lines(size)
+        sums[parents:] = weights
+        del weights  # (N - 1)/N of a state, freed before the buffers
         self.v = np.array(values, dtype=float)
-        self.x = np.empty(size)
-        self.k = [np.empty(size) for _ in range(4)]
-        # per stage: its input, the input's children as rows and parents
-        # as a column, and its output
-        self.stages = [(y, y[1:].reshape(parents, N), y[:parents, None], k)
-                       for y, k in zip([self.v] + [self.x] * 3, self.k)]
+        self.acc, self.k, square = _lines(size), _lines(size), _lines(parents)
+        inflow = _lines(size, 1)
+        inflow[0] = model.forcing * model.forcing
+        terms = inflow[1:].reshape(parents, N)
+        coef_t = c.reshape(parents, N).T.copy()
+        reduction = _row_reduction(np.add, terms, sums[:parents])
 
-    def _stages(self, plan: list[tuple]) -> None:
-        """Each stage of `plan` in turn: k = the right-hand side at its input
-        (an RK4 stage may dip negative), then, given a factor h, the next
-        stage's input x = v + h k."""
-        coef, sums, inflow = self.coef, self.sums, self.inflow
-        terms, square, reduction = (self.child_terms, self.square,
-                                    self.sum_children)
-        v, x = self.v, self.x
-        add, multiply, subtract = np.add, np.multiply, np.subtract
-        for y, children, parents, k, h in plan:
-            multiply(coef, children, terms)
-            for f, a, b, o in reduction:
-                f(a, b, out=o)
-            multiply(y, sums, k)
-            multiply(parents, parents, square)
-            multiply(coef, square, terms)
-            subtract(inflow, k, k)
-            if h is not None:
-                multiply(k, h, x)
-                add(v, x, x)
+        def rhs_calls(y: np.ndarray, out: np.ndarray) -> list[tuple]:
+            return [(np.multiply, c, y[1:], inflow[1:]), *reduction,
+                    (np.multiply, y[:parents], y[:parents], square),
+                    (np.multiply, y, sums, out),
+                    (np.multiply, coef_t, square, terms.T),
+                    (np.subtract, inflow, out, out)]
+
+        self.first, self.again = rhs_calls(self.v, self.acc), rhs_calls(
+            self.k, self.k)
 
     def derivative(self) -> np.ndarray:
-        """The right-hand side at the state, in the first stage buffer."""
-        self._stages([self.stages[0] + (None,)])
-        return self.k[0]
+        """The right-hand side at the state, in `acc`."""
+        for f, a, b, o in self.first:
+            f(a, b, o)
+        return self.acc
 
     def run(self, t: float, dt: float, steps: int, record_every: int = 1,
             times: np.ndarray | None = None, records: np.ndarray | None = None
@@ -188,25 +191,21 @@ class _Rk4:
         discrete step are clamped to zero (the exact dynamics cannot cross
         zero: v_j = 0 gives v_j' >= 0).
         """
-        v, (k1, k2, k3, k4), stages = self.v, self.k, self._stages
+        v, acc, k = self.v, self.acc, self.k
         add, multiply, maximum = np.add, np.multiply, np.maximum
         lowest, highest = np.minimum.reduce, np.maximum.reduce
         # numpy scalars: a Python float is converted again on every call
-        half, whole, sixth = (np.float64(0.5 * dt), np.float64(dt),
-                              np.float64(dt / 6.0))
-        plan = [stage + (h,) for stage, h in zip(self.stages,
-                                                 (half, half, whole, None))]
-        clamp_total, scale = 0.0, float(np.abs(v).max())
+        half = np.float64(0.5 * dt)
+        calls = [*self.first, (multiply, acc, half, k), (add, v, k, k)]
+        for half_h in (half * 0.5, half):  # the next v + h k as v + (h/2) 2k
+            calls += [*self.again, (add, k, k, k), (add, acc, k, acc),
+                      (multiply, k, half_h, k), (add, v, k, k)]
+        calls += [*self.again, (add, acc, k, acc),
+                  (multiply, acc, np.float64(dt / 6.0), acc), (add, v, acc, v)]
+        clamp_total, scale = 0.0, float(highest(v))
         for i in range(1, steps + 1):
-            stages(plan)
-            # k1 + 2 k2 + 2 k3 + k4, summed left to right
-            add(k2, k2, k2)
-            add(k1, k2, k1)
-            add(k3, k3, k3)
-            add(k1, k3, k1)
-            add(k1, k4, k1)
-            multiply(k1, sixth, k1)
-            add(v, k1, v)
+            for f, a, b, o in calls:
+                f(a, b, o)
             lo, hi = lowest(v), highest(v)
             if not -math.inf < lo <= hi < math.inf:
                 raise FloatingPointError(f"non-finite state at t = {t + dt}")

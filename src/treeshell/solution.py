@@ -122,11 +122,6 @@ class PullbackRun:
     band: tuple[float, float]
     residual: float
 
-    def in_band(self) -> bool:
-        a, b = self.band
-        return all(row.min() >= a - 1e-12 and row.max() <= b + 1e-12
-                   for row in self.rows)
-
     def residual_max(self) -> float:
         """Max |log2| of sum_k d_k**(3/2) 2**(x_k + 2 x_g + alpha) over the
         children k of every interior node g: the forward identity

@@ -189,6 +189,7 @@ def test_every_library_raise_outside_the_numeric_sites_is_a_value_error():
                    if exc != "ValueError"]
     assert sorted(others) == [
         ("treeshell.cli", "_write_json", "ArithmeticError"),
+        ("treeshell.cli", "cmd_simulate", "ArithmeticError"),
         ("treeshell.cli", "cmd_structure", "ArithmeticError"),
         ("treeshell.dynamics", "_Rk4.run", "FloatingPointError"),
         ("treeshell.dynamics", "integrate", "RuntimeError"),

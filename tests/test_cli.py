@@ -303,6 +303,32 @@ class TestSimulateCommand:
             want_col = np.broadcast_to(np.asarray(column, float), got.shape)
             assert same_bits(got, want_col), name
 
+    def test_squares_beyond_the_double_range_exit_1_writing_nothing(
+            self, capsys, tmp_path):
+        # a finite start whose energy and distance_to_u overflow: these
+        # used to print as inf with exit 0
+        out = tmp_path / "s.csv"
+        rc = main(["simulate", "--deltas", "1,2", "--dim", "1", "--alpha",
+                   "1.5", "--depth", "3", "--dt", "1", "--t-end", "0.1",
+                   "--init", "perturbed:1e308", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.out == ""
+        assert captured.err == (
+            "numeric failure: an energy or distance_to_u is not finite: the "
+            "state's squares leave the double range\n")
+        assert not out.exists()
+
+    def test_a_start_past_the_double_range_is_a_configuration_error(
+            self, capsys):
+        # u (1 + EPS) overflows where u exceeds about 1.8
+        rc = main(["simulate", "--deltas", "1,2", "--dim", "1", "--alpha",
+                   "1.5", "--depth", "3", "--forcing", "10", "--init",
+                   "perturbed:1e308"])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert captured.err == ("configuration error: componentwise states "
+                                "are finite and non-negative\n")
+
 
 class TestStructureCommand:
     def test_json_summary_fields(self, capsys, tmp_path):

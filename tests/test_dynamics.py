@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 import warnings
 
@@ -139,6 +140,24 @@ class TestFlatLayout:
             finally:
                 tracemalloc.stop()
         assert peaks[2] <= peaks[1] + 1024
+
+    def test_traced_peak_holds_seven_state_sizes(self):
+        # a run holds the state, acc, k, the child terms, the offspring sums
+        # and the c_j twice (one label-major copy), plus the parents'
+        # squares: 7.25 state sizes at N = 4, beside its two records
+        model = RcmModel.create(2, 2.0, [1.0, 2.0, 3.0, 5.0])
+        st = dyn.TruncatedState.from_constant(ConstantSolution(model), 7,
+                                              "zero")
+        size = st.values.nbytes
+        peaks = []
+        for steps in (2, 10):  # the first run warms any cache
+            tracemalloc.start()
+            try:
+                dyn.integrate(st, 1e-6, steps, record_every=steps)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - 2 * size < 7.5 * size
 
     def test_zeros_checks_the_budget_before_allocating(self, monkeypatch):
         from treeshell import ResourceLimitError, lambda_family
@@ -296,6 +315,9 @@ class TestStep:
             dyn.TruncatedState(d12, 2, np.array([1.0] * 6 + [math.nan]))
         with pytest.raises(ValueError):
             dyn.TruncatedState(d12, 2, np.full(7, -1.0), "zero")
+        # an inf value gave a NaN rhs, and integrate(st, dt, 0) kept the inf
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            dyn.TruncatedState(d12, 2, np.array([1.0] * 6 + [math.inf]))
         with pytest.raises(ValueError):
             dyn.TruncatedState(d12, 2, np.zeros(5), "zero")
         with pytest.raises(ValueError):
@@ -406,6 +428,15 @@ class TestKernelAgainstOracle:
              steps=6, record_every=1, log2_dt=-4.0)
     @example(seed=3, d=3, depth=2, closure="stationary",
              start="negative zeros", steps=6, record_every=1, log2_dt=-4.0)
+    # the sizes the kernel's layout is tuned for: bulk's d = 2, depth 7
+    # (21,845 nodes), and d = 3, depth 4
+    @example(seed=4, d=2, depth=7, closure="zero", start="random",
+             steps=6, record_every=2, log2_dt=-3.0)
+    @example(seed=6, d=3, depth=4, closure="stationary", start="perturbed",
+             steps=8, record_every=3, log2_dt=-2.0)
+    # dt = 2**-1074 for this seed's alpha: dt/2 and dt/6 round to zero
+    @example(seed=5, d=2, depth=3, closure="zero", start="zero",
+             steps=5, record_every=1, log2_dt=-1054.21)
     def test_integrate_matches_oracle_steps(self, seed, d, depth, closure,
                                             start, steps, record_every,
                                             log2_dt):
@@ -439,6 +470,26 @@ class TestKernelAgainstOracle:
             assert same_bits(clamp, want_clamp)
             clamps.append(clamp)
         assert any(c > 0 for c in clamps)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_doubled_stage_overflow_matches_oracle(self):
+        # |k2| is within a factor 2 of the double maximum, so 2 k2
+        # overflows while k2 does not: the kernel doubles k2 in place, the
+        # oracle forms 2 * k2 in its sum, and both fail at the first step
+        m = RcmModel.create(1, 1.5, [1.0, 2.0])
+        st = dyn.TruncatedState(m, 1, np.array([1.0, 1.4e307, 1.4e307]),
+                                "zero")
+        dt = 1e-310
+        k1 = dyn.rhs(st)
+        x2 = dyn.TruncatedState(m, 1, st.values + 0.5 * dt * k1, "zero")
+        k2 = np.abs(dyn.rhs(x2)).max()
+        assert sys.float_info.max / 2 < k2 < sys.float_info.max
+        with pytest.raises(FloatingPointError) as want:
+            oracle_run(st, dt, 3, 1)
+        with pytest.raises(FloatingPointError) as got:
+            dyn.integrate(st, dt, 3)
+        assert str(got.value) == str(want.value)
+        assert str(got.value) == f"non-finite state at t = {dt}"
 
 
 class TestEnergyBalance:

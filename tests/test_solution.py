@@ -247,7 +247,7 @@ class TestPullback:
         assert a == pytest.approx(-(1.5 + 1) / 3 - hi + lo / 2, abs=1e-14)
         assert b == pytest.approx(-(1.5 + 1) / 3 - lo + hi / 2, abs=1e-14)
         assert a <= 0.0 <= b  # the seed is inside
-        assert run.in_band()
+        assert all(a <= row.min() and row.max() <= b for row in run.rows)
         assert run.residual_max() <= 1e-12
         # the boundary row is the seed alone, standing for its generation
         assert np.all(run.rows[10] == 0.0)
