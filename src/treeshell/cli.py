@@ -36,8 +36,8 @@ import sys
 import numpy as np
 
 from . import __version__, dissipation, dynamics, field, spectra
-from .coefficients import (GeneralCoefficients, RcmModel, _number,
-                           lambda_family, model_from_dict)
+from .coefficients import (GeneralCoefficients, RcmModel, _integer,
+                           _number, lambda_family, model_from_dict)
 from .solution import ConstantSolution, pullback
 from .tree import ResourceLimitError, check_budget
 
@@ -295,10 +295,7 @@ def _parse_floats(text: str, what: str) -> list[float]:
 
 
 def _parse_ints(text: str, what: str) -> list[int]:
-    values = _parse_floats(text, what)
-    if not all(v.is_integer() for v in values):
-        raise ValueError(f"{what} entries must be integers, got {text!r}")
-    return [int(v) for v in values]
+    return [_integer(what, v) for v in _parse_floats(text, what)]
 
 
 def _require_positive(values: dict) -> None:

@@ -18,13 +18,14 @@ relative accuracy at large gamma.  One helper, ``_tilted_moments``, gives
 every phi-side quantity from one exp2, and ``phi_inverse`` runs Newton's
 method on the logit of phi from its two-point closed form, in about four.
 
-Every sum over a row of N entries, a parent's children or an atom's
+Every row sum of a 2-D array, over a parent's children or an atom's
 distinct values, runs in one order: from the first entry, adding the rest
 left to right by label, one flat ufunc call over a whole column at a time
 (``_row_reduction`` and ``_column_sum``).  numpy's per-row reduce would
 run one inner loop per row, about 20 ns each, which dominates at the
 tree's small N, and its order is its own, pairwise from 8 entries on.  A
-row of -0.0 sums to -0.0.
+row of -0.0 sums to -0.0.  The sums over the multiset itself (``ell``,
+``ell_zero``, the matmul of ``_tilted_moments``) keep numpy's order.
 """
 
 from __future__ import annotations
@@ -56,10 +57,11 @@ _TINY, _HUGE = math.ulp(0.0), float(np.finfo(float).max)  # positive doubles
 
 def log2sumexp2(x: np.ndarray, axis: int | None = None):
     """log2(sum 2**x), max-shifted.  ``axis=None`` reduces to a float, -inf
-    for an empty or all -inf input.  ``axis`` may also name the last axis,
-    along which every slice needs a finite entry; its rows are reduced
-    column by column, left to right (``_reduce_rows``), the row max
-    included."""
+    for an empty or all -inf input, by numpy's sum, which is pairwise from
+    8 entries on: it can differ from ``axis=-1`` in the last bit there.
+    ``axis`` may also name the last axis, along which every slice needs a
+    finite entry; its rows are reduced column by column, left to right
+    (``_reduce_rows``), the row max included."""
     if axis is None:
         if x.size == 0:
             return -math.inf
@@ -255,12 +257,6 @@ class RepeatedCoefficients:
         top, _, above, below, _ = self._tilted_moments(gamma)
         return top - below if gamma >= 0 else top + above
 
-    def phi_derivative(self, gamma: float) -> float:
-        """Variance of log2 delta under the tilted weights; > 0 iff non-flat
-        at finite gamma.  The tilt is in base 2, so the slope of phi is
-        ln(2) times this value."""
-        return self._tilted_moments(_number("gamma", gamma))[4]
-
     def phi_inverse(self, a: float) -> float:
         """The gamma with phi(gamma) = a, by Newton's method on the logit
         L(gamma) = ln((phi - x_min) / (x_max - phi)), kept inside the bracket
@@ -378,21 +374,20 @@ class GeneralCoefficients:
     log2_max: float
 
     def __post_init__(self):
-        if self.arity < 2 or self.arity & (self.arity - 1):
-            raise ValueError(f"arity must be a power of two >= 2, got {self.arity}")
+        arity = _integer("arity", self.arity, 2)
+        if arity & (arity - 1):
+            raise ValueError(f"arity must be a power of two, got {arity}")
+        object.__setattr__(self, "arity", arity)
         if not self.log2_min <= self.log2_max:
             raise ValueError("empty declared band")
         if not math.isfinite(self.log2_min) or not math.isfinite(self.log2_max):
             raise ValueError("declared band must be finite")
 
-    @property
-    def bound_L(self) -> float:
-        return self.log2_max - self.log2_min
-
     def row_log2(self, generation: int) -> np.ndarray:
         """log2 coefficients of the generation: per node by packed code, or
         one row by child label shared by every parent, as ``log2_of`` gives
         them."""
+        generation = _integer("generation", generation)
         if generation == 0:
             return np.zeros(1)
         log2_values = np.asarray(self.log2_of(generation), dtype=float)
@@ -432,9 +427,10 @@ class RcmModel:
     forcing: float = 1.0
 
     def __post_init__(self):
-        if isinstance(self.d, bool) or self.d < 1 or int(self.d) != self.d:
-            raise ValueError("dimension d must be a positive integer")
-        # checked as floats, stored as given, so no hash or header changes
+        # d is stored as an int, so equal models hash alike; alpha and
+        # forcing are checked as floats and stored as given, so no hash or
+        # header changes
+        object.__setattr__(self, "d", _integer("d", self.d, 1))
         if not 0 < _number("alpha", self.alpha) < math.inf:
             raise ValueError("alpha must be positive and finite")
         if not 0 < _number("forcing", self.forcing) < math.inf:
@@ -473,6 +469,7 @@ class RcmModel:
         """Rows 0..depth of x_j = x_parent + const + c log2 d_j from x_root = x0,
         indexed by packed code and yielded one at a time (a caller that keeps
         only the last row holds two rows at most)."""
+        depth = _integer("depth", depth)
         row = np.array([float(x0)])
         log2d = self.coeffs.log2_deltas[None, :]
         for _ in range(depth):
@@ -498,6 +495,7 @@ def lambda_family(lam: float, d: int = 3, alpha: float | None = None,
     i = 0..7; lam = 0 is the flat model.  alpha defaults to the physical
     value d/2 + 1.
     """
+    d = _integer("d", d, 1)
     check_budget("coefficients", 2, d)
     _number("lambda", lam)
     if alpha is None:
@@ -555,7 +553,7 @@ def model_from_dict(cfg: dict) -> RcmModel:
     Accepts either ``{"d", "alpha", "f", "deltas": [...]}`` or
     ``{"d", "alpha", "f", "lambda": x}`` for the lambda family, not both.
     """
-    d = _integer("d", cfg["d"], 1)
+    d = cfg["d"]  # checked by the model, or the lambda family, it builds
     alpha = _number("alpha", cfg["alpha"])
     forcing = _number("f", cfg.get("f", 1.0))
     if "deltas" in cfg and "lambda" in cfg:

@@ -24,8 +24,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .coefficients import (_LN2, RcmModel, _column_sum, _path_sums,
-                           log2sumexp2)
+from .coefficients import (_LN2, RcmModel, _column_sum, _integer,
+                           _path_sums, log2sumexp2)
 from .spectra import cascade_rate, dim_D, rate_R
 from .tree import check_budget
 
@@ -173,8 +173,7 @@ class DissipationMeasure:
 
 def measure(model: RcmModel, n: int) -> DissipationMeasure:
     """Exact mu_n on the distinct-value composition lattice."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = _integer("n", n, 1)
     values, mults = model.coeffs.distinct()
     parts = len(values)
     check_budget("atoms", math.comb(n + parts - 1, parts - 1))
@@ -250,8 +249,8 @@ def concentration_curve(model: RcmModel, interval: tuple[float, float],
     lo, hi = interval
     if not lo < hi:
         raise ValueError("empty interval")
-    ns = sorted(n_list)
-    if ns and not -2**63 <= ns[0] <= ns[-1] < 2**63:
+    ns = sorted(_integer("n_list", n, 1) for n in n_list)
+    if ns and ns[-1] >= 2**63:
         raise ValueError(f"generations must fit in int64, got {list(n_list)}")
     ns = np.asarray(ns, dtype=int)
     if np.any(ns[1:] == ns[:-1]):
@@ -302,8 +301,7 @@ def lln_sample(model: RcmModel, n: int, samples: int,
     so only the label counts matter; they are drawn directly from the
     multinomial law, never through float geometry.
     """
-    if n < 1 or samples < 1:
-        raise ValueError("n and samples must be >= 1")
+    n, samples = _integer("n", n, 1), _integer("samples", samples, 1)
     if n >= 2**63:  # numpy's multinomial takes n as an int64
         raise ValueError(f"n must fit in int64, got {n}")
     check_budget("values", samples * model.N)

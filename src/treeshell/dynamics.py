@@ -33,7 +33,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .coefficients import RcmModel, _number, _row_reduction
+from .coefficients import RcmModel, _integer, _number, _row_reduction
 from .solution import ConstantSolution
 from .tree import check_budget, generation_start, tree_size
 
@@ -72,8 +72,7 @@ class TruncatedState:
     def __post_init__(self):
         if self.closure not in CLOSURES:
             raise ValueError(f"closure must be one of {CLOSURES}")
-        if self.depth < 0:
-            raise ValueError(f"depth must be >= 0, got {self.depth}")
+        object.__setattr__(self, "depth", _integer("depth", self.depth))
         expected = tree_size(self.model.N, self.depth)
         if len(self.values) != expected:
             raise ValueError(f"state needs {expected} values, got {len(self.values)}")
@@ -83,8 +82,7 @@ class TruncatedState:
 
     @classmethod
     def zeros(cls, model: RcmModel, depth: int, closure: str = "zero"):
-        if depth < 0:
-            raise ValueError(f"depth must be >= 0, got {depth}")
+        depth = _integer("depth", depth)
         return cls(model, depth, np.zeros(tree_size(model.N, depth)), closure)
 
     @classmethod
@@ -266,10 +264,8 @@ def integrate(state: TruncatedState, dt: float, steps: int,
     dt = _number("dt", dt)
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    if steps < 0:
-        raise ValueError(f"steps must be >= 0, got {steps}")
-    if record_every < 1:
-        raise ValueError(f"record_every must be >= 1, got {record_every}")
+    steps = _integer("steps", steps)
+    record_every = _integer("record_every", record_every, 1)
     rows, nodes = steps // record_every + 1, len(state.values)
     check_budget("values", rows * nodes)
     check_budget("node-steps", steps * nodes)
@@ -311,7 +307,7 @@ def flux_terms(model: RcmModel, depth: int, values: np.ndarray,
     normalised outflow is the dissipation fraction of its cube.  ``values``
     may carry a leading time axis, giving the fluxes along a trajectory.
     """
-    mask = np.asarray(subtree)
+    depth, mask = _integer("depth", depth), np.asarray(subtree)
     size = tree_size(model.N, depth)
     if mask.dtype != bool or mask.shape != (size,):
         raise ValueError(f"the subtree must be a boolean mask of {size} "

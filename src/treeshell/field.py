@@ -83,10 +83,6 @@ class WaveletField:
     def cells(self) -> int:
         return self.grid.size
 
-    def l2_norm(self) -> float:
-        """Grid L2 norm; exact for the Haar mother."""
-        return float(np.sqrt(np.mean(self.grid.astype(np.float64) ** 2)))
-
 
 def _mother_pattern(dim: int, block: int, mother: str) -> np.ndarray:
     """The mother wavelet sampled on a (block,)*dim sub-grid of one cube."""

@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coefficients import (_LN2, GeneralCoefficients, RcmModel, _number,
-                           _reduce_rows, log2sumexp2)
+from .coefficients import (_LN2, GeneralCoefficients, RcmModel, _integer,
+                           _number, _reduce_rows, log2sumexp2)
 from .spectra import fixed_point_q, s0
 from .tree import check_budget, tree_size
 
@@ -51,8 +51,7 @@ class ConstantSolution:
     def log2_u_rows(self, depth: int) -> list[np.ndarray]:
         """log2 u row arrays for generations 0..depth: node j holds
         log2 f + q (|j| + 1) + (1/2) sum of log2 d_k over j's path."""
-        if depth < 0:
-            raise ValueError(f"depth must be >= 0, got {depth}")
+        depth = _integer("depth", depth)
         model = self.model
         tree_size(model.N, depth)
         return list(model.path_sum_rows(math.log2(model.forcing) + self.q,
@@ -179,8 +178,7 @@ def pullback(coefficients: GeneralCoefficients, alpha: float, depth: int,
     right (``log2sumexp2``, ``_reduce_rows``): no per-parent reduce loop
     at small N.
     """
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
+    depth = _integer("depth", depth, 1)
     alpha, seed = _number("alpha", alpha), _number("seed", seed)
     if not math.isfinite(alpha):
         raise ValueError(f"alpha must be finite, got {alpha}")
@@ -226,13 +224,13 @@ class DivergenceWitness:
     def even_growth_ok(self) -> bool:
         n = np.arange(len(self.eps))
         even = n % 2 == 0
-        return bool(np.all(self.eps[even] >= self.lower_bounds[even] - 1e-9))
+        return bool(np.all(self.eps[even] >= self.lower_bounds[even]))
 
     def partial_sum_growth_ok(self) -> bool:
         n = np.arange(len(self.eps))
         even = n % 2 == 0
         bound = np.exp2(np.maximum(n - 1, 0).astype(float)) * self.eps0
-        return bool(np.all(self.partial_sums[even] >= bound[even] - 1e-9))
+        return bool(np.all(self.partial_sums[even] >= bound[even]))
 
     def violates_every_hs(self) -> bool:
         """Check u'_{j_n} >= 2**(lambda**n) numerically for even n, with
@@ -272,9 +270,10 @@ def divergence_witness(solution: ConstantSolution, eps0: float,
     eps0 = _number("eps0", eps0)
     if not 0 <= eps0 < math.inf:
         raise ValueError(f"eps0 must be finite and >= 0, got {eps0}")
-    if not 0 <= steps <= 1000:
-        raise ValueError(f"steps must be in 0..1000, got {steps}: the chain "
-                         "overflows double precision long before 1000")
+    steps = _integer("steps", steps)
+    if steps > 1000:
+        raise ValueError(f"steps must be at most 1000, got {steps}: the "
+                         "chain overflows double precision long before")
     m = solution.model
     n = np.arange(steps + 1)
     eps = eps0 * np.power(-2.0, n.astype(float))

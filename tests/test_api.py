@@ -2,18 +2,22 @@
 the library and the brute-force oracles in ``tests/oracles.py``."""
 
 import ast
+import dataclasses
 import importlib
 import importlib.util
+import math
 import pathlib
 import pkgutil
+import struct
 import sys
 
 import numpy as np
 import pytest
 
 import treeshell
-from treeshell import (ConstantSolution, RcmModel, dynamics, field, solution,
-                       spectra)
+from treeshell import (ConstantSolution, GeneralCoefficients, RcmModel,
+                       dissipation, dynamics, field, lambda_family,
+                       model_from_dict, solution, spectra)
 
 MODULES = ["treeshell"] + [f"treeshell.{m.name}"
                            for m in pkgutil.iter_modules(treeshell.__path__)]
@@ -167,6 +171,159 @@ def test_only_check_budget_raises_resource_limit_error():
     assert sites == [("treeshell.tree", True)]
 
 
+# every public integer argument, and every int field of the input
+# dataclasses, as (module.qualified name.parameter, least, a good value,
+# the call with that one integer set); coefficients._integer decides each,
+# so a bad value is its ValueError, naming the parameter
+M1, M2 = (RcmModel.create(1, 1.5, [1.0, 2.0]),
+          RcmModel.create(2, 2.0, [1.0, 2.0, 3.0, 5.0]))
+U1 = ConstantSolution(M1)
+PER_NODE = GeneralCoefficients(2, lambda g: np.full(2**g, 0.5), -1.0, 1.0)
+ZEROS = dynamics.TruncatedState.zeros(M1, 2)
+TREE = np.array([True, True, False, True, False, False, False])
+INTEGER_ARGUMENTS = [
+    ("coefficients.RcmModel.d", 1, 2,
+     lambda k: RcmModel(k, 2.0, M2.coeffs)),
+    ("coefficients.RcmModel.create.d", 1, 2,
+     lambda k: RcmModel.create(k, 2.0, M2.deltas)),
+    ("coefficients.RcmModel.path_sum_rows.depth", 0, 2,
+     lambda k: list(M2.path_sum_rows(0.0, -1.0, 0.5, k))),
+    ("coefficients.GeneralCoefficients.arity", 2, 2,
+     lambda k: GeneralCoefficients(k, PER_NODE.log2_of, -1.0, 1.0)),
+    ("coefficients.GeneralCoefficients.row_log2.generation", 0, 2,
+     lambda k: PER_NODE.row_log2(k)),
+    ("coefficients.lambda_family.d", 1, 2,
+     lambda k: lambda_family(0.2, k)),
+    ("coefficients.model_from_dict.d", 1, 2,
+     lambda k: model_from_dict({"d": k, "alpha": 2.0,
+                                "deltas": [1.0, 2.0, 3.0, 5.0]})),
+    ("dissipation.measure.n", 1, 2, lambda k: dissipation.measure(M1, k)),
+    ("dissipation.concentration_curve.n_list", 1, 2,
+     lambda k: dissipation.concentration_curve(M1, (0.3, 0.6), [k, 40])),
+    ("dissipation.lln_sample.n", 1, 2,
+     lambda k: dissipation.lln_sample(M1, k, 10)),
+    ("dissipation.lln_sample.samples", 1, 2,
+     lambda k: dissipation.lln_sample(M1, 100, k)),
+    ("dynamics.constant_values.depth", 0, 2,
+     lambda k: dynamics.constant_values(U1, k)),
+    ("dynamics.TruncatedState.depth", 0, 2,
+     lambda k: dynamics.TruncatedState(M1, k, np.ones(7))),
+    ("dynamics.TruncatedState.zeros.depth", 0, 2,
+     lambda k: dynamics.TruncatedState.zeros(M1, k)),
+    ("dynamics.TruncatedState.from_constant.depth", 0, 2,
+     lambda k: dynamics.TruncatedState.from_constant(U1, k)),
+    ("dynamics.integrate.steps", 0, 2,
+     lambda k: dynamics.integrate(ZEROS, 1e-3, k)),
+    ("dynamics.integrate.record_every", 1, 2,
+     lambda k: dynamics.integrate(ZEROS, 1e-3, 4, k)),
+    ("dynamics.flux_terms.depth", 0, 2,
+     lambda k: dynamics.flux_terms(M1, k, np.ones(7), TREE)),
+    ("field.synthesize.depth", 0, 2, lambda k: field.synthesize(U1, k)),
+    ("field.fit_window.depth", 0, 8, lambda k: field.fit_window(k)),
+    ("field.fit_window.m_range", 0, 2, lambda k: field.fit_window(8, (k, 4))),
+    ("field.structure_function.depth", 0, 8,
+     lambda k: field.structure_function(U1, k, [1.0, 2.0])),
+    ("field.structure_function.m_range", 0, 2,
+     lambda k: field.structure_function(U1, 8, [1.0, 2.0], (k, 4))),
+    ("field.besov_epsilon.n_max", 0, 2,
+     lambda k: field.besov_epsilon(U1, 0.1, 2.0, k)),
+    ("field.local_holder.n_max", 1, 2,
+     lambda k: field.local_holder(U1, [0.3], k)),
+    ("solution.ConstantSolution.log2_u_rows.depth", 0, 2,
+     lambda k: U1.log2_u_rows(k)),
+    ("solution.pullback.depth", 1, 2,
+     lambda k: solution.pullback(PER_NODE, 1.5, k)),
+    ("solution.divergence_witness.steps", 0, 2,
+     lambda k: solution.divergence_witness(U1, 0.01, k))]
+INTEGER_NAMES = [name for name, *_ in INTEGER_ARGUMENTS]
+# the input dataclasses, whose int fields are arguments too
+INPUT_CLASSES = ("RcmModel", "GeneralCoefficients", "TruncatedState")
+
+
+def _integer_parameters() -> set:
+    """module.qualified name.parameter of every parameter annotated int or
+    Sequence[int] of a public function or method outside tree.py, which
+    sits below coefficients, and module.class.field of every int field of
+    the input dataclasses."""
+    found = set()
+    for module, tree in SOURCES.items():
+        if module == "tree":
+            continue
+        scopes = [((), tree)] + [((c.name,), c) for c in tree.body if
+                                 isinstance(c, ast.ClassDef)
+                                 and not _private(c.name)]
+        for scope, node in scopes:
+            for f in node.body:
+                if isinstance(f, ast.FunctionDef) and not _private(f.name):
+                    args = f.args.posonlyargs + f.args.args + f.args.kwonlyargs
+                    found |= {".".join((module, *scope, f.name, a.arg))
+                              for a in args if a.annotation is not None and
+                              ast.unparse(a.annotation) in ("int",
+                                                            "Sequence[int]")}
+                elif (isinstance(f, ast.AnnAssign) and scope[0] in INPUT_CLASSES
+                      and ast.unparse(f.annotation) == "int"):
+                    found.add(".".join((module, *scope, f.target.id)))
+    return found
+
+
+def test_every_integer_argument_is_in_the_table():
+    # a new entry point or field must join the table, and so the rule
+    found = _integer_parameters()
+    assert {"dissipation.measure.n", "coefficients.RcmModel.d",
+            "coefficients.GeneralCoefficients.arity",
+            "dynamics.TruncatedState.depth"} <= found
+    assert found - set(INTEGER_NAMES) == set()
+
+
+@pytest.mark.parametrize("bad", [2.5, True, math.nan, math.inf, "3", None],
+                         ids=["2.5", "True", "nan", "inf", "str",
+                              "least-1"])
+@pytest.mark.parametrize("name, least, good, call", INTEGER_ARGUMENTS,
+                         ids=INTEGER_NAMES)
+def test_a_bad_integer_is_one_value_error(name, least, good, call, bad):
+    # each raised a TypeError, an OverflowError or a numpy error, or ran
+    # (lln n = 100.5, concentration n = 20.7 as 20, a 2.5-step chain)
+    bad = least - 1 if bad is None else bad
+    key = name.rsplit(".", 1)[1]
+    with pytest.raises(ValueError) as raised:
+        call(bad)
+    assert str(raised.value) == (f"'{key}' must be an integer >= {least}, "
+                                 f"got {bad!r}")
+
+
+def _same(a, b) -> bool:
+    """Whether two results are equal bit for bit, types included."""
+    if type(a) is not type(b):
+        return False
+    if dataclasses.is_dataclass(a):
+        return all(_same(getattr(a, f.name), getattr(b, f.name))
+                   for f in dataclasses.fields(a))
+    if isinstance(a, np.ndarray):
+        return a.dtype == b.dtype and a.shape == b.shape \
+            and a.tobytes() == b.tobytes()
+    if isinstance(a, (list, tuple)):
+        return len(a) == len(b) and all(map(_same, a, b))
+    if isinstance(a, float):
+        return struct.pack("d", a) == struct.pack("d", b)
+    return a is b or a == b
+
+
+@pytest.mark.parametrize("name, least, good, call", INTEGER_ARGUMENTS,
+                         ids=INTEGER_NAMES)
+def test_an_integral_float_or_numpy_int_is_the_int(name, least, good, call):
+    want = call(good)
+    assert _same(call(float(good)), want)
+    assert _same(call(np.int64(good)), want)
+
+
+@pytest.mark.parametrize("d", [1.0, np.int64(1)])
+def test_equal_models_hash_alike(d):
+    # a float d hashed differently, and np.int64 raised TypeError
+    model = RcmModel.create(d, 1.5, [1, 2])
+    assert model == M1 and type(model.d) is int
+    assert model.hash() == RcmModel.create(1, 1.5, [1, 2]).hash()
+
+
 def _raises(node, scope=()):
     """(qualified scope, exception name) of every ``raise`` under node."""
     for child in ast.iter_child_nodes(node):
@@ -293,7 +450,6 @@ BIG = 10**400  # an int past the double range
     lambda m, u: RcmModel.create(1, 1.5, ["1", "2"]),
     lambda m, u: m.coeffs.ell(BIG),
     lambda m, u: m.coeffs.phi(BIG),
-    lambda m, u: m.coeffs.phi_derivative(BIG),
     lambda m, u: m.coeffs.phi_inverse(BIG),
     lambda m, u: solution.divergence_witness(u, BIG),
     lambda m, u: dynamics.integrate(dynamics.TruncatedState.zeros(m, 2),
@@ -303,7 +459,7 @@ BIG = 10**400  # an int past the double range
          "dim_D", "zeta_derivative", "structure_function",
          "structure_function-array", "besov_epsilon-s", "besov_epsilon-p",
          "local_holder", "sobolev_norm-s", "sobolev_norm-p", "delta-bool",
-         "delta-str", "ell", "phi", "phi_derivative", "phi_inverse",
+         "delta-str", "ell", "phi", "phi_inverse",
          "divergence_witness", "integrate", "step"])
 def test_every_library_number_is_converted_alike(call):
     # an int past the double range raised OverflowError, and a bool or a

@@ -812,8 +812,34 @@ class TestCliContract:
                    "1.5", "--depth", "-5"])
         captured = capsys.readouterr()
         assert rc == 2 and captured.out == ""
-        assert captured.err == ("configuration error: depth must be >= 0, "
-                                "got -5\n")
+        assert captured.err == ("configuration error: 'depth' must be an "
+                                "integer >= 0, got -5\n")
+
+    @pytest.mark.parametrize("argv, config", [
+        ("concentration --n-list 20.7,40", None),
+        ("concentration --n-list nan,40", None),
+        ("concentration --n-list inf,40", None),
+        ("concentration --n-list 0,40", None),
+        ("structure --depth 10 --fit-window 2.5,6", None),
+        ("dissipation --n 0", None), ("lln --n 0", None),
+        ("lln --samples 0", None), ("solve --depth 0", None),
+        ("simulate --depth -1", None), ("solve --dim 0", None),
+        ("solve", "2.5"), ("solve", "true"), ("solve", '"3"'),
+        ("solve", "NaN"), ("solve", "Infinity"), ("solve", "0")])
+    def test_a_bad_integer_is_one_line(self, capsys, tmp_path, argv, config):
+        # each integer goes through the library's one integer check
+        if config is None:
+            argv += " --deltas 1,2"
+        else:
+            cfg = tmp_path / "model.json"
+            cfg.write_text(f'{{"d": {config}, "alpha": 1.5, "deltas": [1, 2]}}')
+            argv += f" --config {cfg}"
+        rc = main(argv.split())
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert captured.err.startswith("configuration error: '")
+        assert "' must be an integer >= " in captured.err
+        assert captured.err.count("\n") == 1
 
     @pytest.mark.parametrize("depth", ["0", "-2"])
     def test_structure_rejects_depth_below_one(self, capsys, depth):

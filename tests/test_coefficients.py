@@ -345,7 +345,7 @@ class TestPhiInverse:
             assert abs(c.phi_inverse(a) - want) <= 1e-13, a
 
     def test_evaluation_count(self, rng, monkeypatch):
-        # every phi, phi_derivative and Newton evaluation goes through the
+        # every phi and Newton evaluation goes through the
         # one tilted-moment helper, so counting it counts both methods' work
         calls = [0]
         moments = RepeatedCoefficients._tilted_moments
@@ -374,21 +374,24 @@ class TestPhiInverse:
 
 
 class TestPhiDerivative:
+    # the tilted variance, _tilted_moments(gamma)[4], is the slope that
+    # phi_inverse's Newton steps use
     def test_flat_is_zero(self):
-        assert RepeatedCoefficients([2.0, 2.0]).phi_derivative(1.0) == 0.0
+        assert RepeatedCoefficients([2.0, 2.0])._tilted_moments(1.0)[4] == 0.0
 
     def test_hand_variance(self):
         # log2 deltas are {0, 1} with equal weights at gamma = 0
         c = RepeatedCoefficients([1.0, 2.0])
-        assert c.phi_derivative(0.0) == pytest.approx(0.25, abs=1e-15)
+        assert c._tilted_moments(0.0)[4] == pytest.approx(0.25, abs=1e-15)
 
     def test_limits_at_infinity(self):
         c = RepeatedCoefficients([1.0, 2.0, 2.0, 3.0])
-        assert c.phi_derivative(math.inf) == c.phi_derivative(-math.inf) == 0.0
+        assert c._tilted_moments(math.inf)[4] == 0.0
+        assert c._tilted_moments(-math.inf)[4] == 0.0
 
     def test_nan_is_rejected(self):
         with pytest.raises(ValueError):
-            RepeatedCoefficients([1.0, 2.0]).phi_derivative(math.nan)
+            RepeatedCoefficients([1.0, 2.0])._tilted_moments(math.nan)
 
     def test_finite_difference_consistency(self, rng):
         # the tilt is in base 2, so d(phi)/d(gamma) = ln2 * bit-variance
@@ -397,8 +400,9 @@ class TestPhiDerivative:
         h = 1e-5
         for g in (-2.0, 0.0, 1.5, 4.0):
             fd = (c.phi(g + h) - c.phi(g - h)) / (2 * h)
-            assert c.phi_derivative(g) == pytest.approx(fd / math.log(2), abs=1e-6)
-            assert c.phi_derivative(g) > 0
+            var = c._tilted_moments(g)[4]
+            assert var == pytest.approx(fd / math.log(2), abs=1e-6)
+            assert var > 0
 
 
 class TestModelTypes:
@@ -513,7 +517,6 @@ class TestGeneralCoefficients:
     def test_band_checked_on_access(self):
         gc = GeneralCoefficients(2, lambda g: np.full(2**g, 2.0),
                                  log2_min=-1.0, log2_max=1.0)
-        assert gc.bound_L == 2.0
         with pytest.raises(ValueError):
             gc.row_log2(1)
 

@@ -325,7 +325,8 @@ class TestStep:
         # depth -1 gave an empty state that integrate failed on in numpy,
         # and -3 a TypeError from np.zeros of a negative size
         for depth in (-1, -3):
-            with pytest.raises(ValueError, match="depth must be >= 0"):
+            with pytest.raises(ValueError, match=(
+                    f"^'depth' must be an integer >= 0, got {depth}$")):
                 dyn.TruncatedState.zeros(d12, depth)
 
     @pytest.mark.parametrize("depth", [-1, -2, -5])
@@ -335,7 +336,8 @@ class TestStep:
             raise AssertionError("sized the state before the depth check")
 
         monkeypatch.setattr(dyn, "generation_start", fail)
-        with pytest.raises(ValueError, match=f"depth must be >= 0, got {depth}"):
+        with pytest.raises(ValueError, match=(
+                f"^'depth' must be an integer >= 0, got {depth}$")):
             dyn.TruncatedState.zeros(d12, depth)
 
     @pytest.mark.parametrize("dt, steps, record_every", [

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -92,7 +93,8 @@ class TestNodeValues:
 
     @pytest.mark.parametrize("depth", [-1, -3])
     def test_rows_reject_a_negative_depth(self, d12_solution, depth):
-        with pytest.raises(ValueError, match=f"depth must be >= 0, got {depth}"):
+        with pytest.raises(ValueError, match=(
+                f"^'depth' must be an integer >= 0, got {depth}$")):
             d12_solution.log2_u_rows(depth)
 
     def test_exact_autosimilarity(self, d12_solution, rng):
@@ -445,6 +447,18 @@ class TestDivergenceWitness:
     def test_partial_sum_growth(self, flat_d1_solution):
         w = divergence_witness(flat_d1_solution, 0.01, steps=60)
         assert w.partial_sum_growth_ok()
+
+    def test_growth_checks_have_no_window(self, flat_d1_solution):
+        # the chain is exact, so a witness 0.1% short of a bound fails it;
+        # an absolute 1e-9 window accepted both at eps0 = 1e-12, n <= 10
+        w = divergence_witness(flat_d1_solution, 1e-12, steps=10)
+        n = np.arange(11)
+        short = np.where(n % 2 == 0, 1 - 1e-3, 1.0)
+        sum_bound = np.exp2(np.maximum(n - 1, 0).astype(float)) * w.eps0
+        assert w.even_growth_ok() and w.partial_sum_growth_ok()
+        assert not dataclasses.replace(w, eps=w.eps * short).even_growth_ok()
+        assert not dataclasses.replace(
+            w, partial_sums=sum_bound * short).partial_sum_growth_ok()
 
     def test_escapes_every_hs(self, d12_solution):
         w = divergence_witness(d12_solution, 0.01, steps=80)
