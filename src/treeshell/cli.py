@@ -99,11 +99,11 @@ def _write_csv(path, header_lines: list[str], columns: dict) -> None:
 
 def _csv_chunks(header_lines: list[str], columns: dict):
     """The header, then the rows as byte rows (_byte_chunk), _CHUNK_ROWS a
-    chunk.  The chunks of a table share their two chunk-sized matrices,
-    and every other temporary is a block's worth: allocated anew each
-    chunk, chunk-sized arrays would be given back to the OS and faulted in
-    again every chunk (glibc trims its heap once the free top passes twice
-    the largest block it has unmapped)."""
+    chunk.  The chunks of a table share their chunk-sized matrices, and
+    every other temporary is a block's worth: allocated anew each chunk,
+    chunk-sized arrays would be given back to the OS and faulted in again
+    every chunk (glibc trims its heap once the free top passes twice the
+    largest block it has unmapped)."""
     arrays = [np.asarray(col) for col in columns.values()]
     n_rows = max((len(a) for a in arrays if a.ndim), default=1)
     yield "\n".join([*header_lines, ",".join(columns)]) + "\n"
@@ -113,7 +113,7 @@ def _csv_chunks(header_lines: list[str], columns: dict):
                                                    n_rows)), buffers)
 
 
-def _reused(buffers: dict, name: str, rows: int, width: int) -> np.ndarray:
+def _reused(buffers: dict, name: str | int, rows: int, width: int) -> np.ndarray:
     """A (rows, width) uint8 matrix on the bytes of buffers[name], which
     grows when it is too small."""
     buffer = buffers.get(name)
@@ -128,20 +128,15 @@ def _byte_chunk(arrays: list[np.ndarray], rows: slice,
     fixed width padded with 0xFF, a byte UTF-8 never uses, and the commas
     and newline in fixed columns; the padding is deleted as the matrix
     becomes text.  A scalar column is one row, repeated down the chunk.
-    Every double of the chunk, as float64, goes through one _format_floats
-    call; any other cell through ``str`` one value at a time.  The slots
-    and the byte matrix are laid on `buffers`, kept from chunk to chunk."""
-    cells = [a[rows] if a.ndim else a.reshape(1) for a in arrays]
-    floats = [c for c in cells if c.dtype.kind == "f"]
-    slots = []
-    if floats:
-        x = np.concatenate(floats, dtype=np.float64)
-        slots = np.split(
-            _format_floats(x, _reused(buffers, "slots", len(x), _SLOT)),
-            np.cumsum([len(c) for c in floats[:-1]]))
+    Each float column, as float64, goes through one _format_floats call
+    into its own slots, any other cell through ``str`` one value at a time;
+    the slots and the byte matrix lie on `buffers`, kept chunk to chunk."""
     parts = []
-    for c in cells:
-        parts.append(slots.pop(0) if c.dtype.kind == "f"
+    for j, a in enumerate(arrays):
+        c = a[rows] if a.ndim else a.reshape(1)
+        parts.append(_format_floats(c.astype(np.float64, copy=False),
+                                    _reused(buffers, j, len(c), _SLOT))
+                     if c.dtype.kind == "f"
                      else _text_slots(["%s" % v for v in c.tolist()]))
         parts.append(_COMMA)
     parts[-1:] = [_NEWLINE]  # the last comma, if any

@@ -294,14 +294,17 @@ class LlnReport:
 
 
 def lln_sample(model: RcmModel, n: int, samples: int,
-               seed: int | None = 0) -> LlnReport:
-    """Sample sigma at generation n along uniformly random paths.
+               seed: int | Sequence[int] | None = 0) -> LlnReport:
+    """Sample sigma at generation n along uniformly random paths, drawn
+    from `seed`: None, an integer >= 0 or a sequence of them.
 
     A uniform point of the cube makes the coefficient labels i.i.d. uniform,
     so only the label counts matter; they are drawn directly from the
-    multinomial law, never through float geometry.
-    """
+    multinomial law, never through float geometry."""
     n, samples = _integer("n", n, 1), _integer("samples", samples, 1)
+    if seed is not None:
+        seed = ([_integer("seed", s) for s in seed] if np.ndim(seed)
+                else _integer("seed", seed))
     if n >= 2**63:  # numpy's multinomial takes n as an int64
         raise ValueError(f"n must fit in int64, got {n}")
     check_budget("values", samples * model.N)

@@ -29,9 +29,9 @@ w_j (A_l + B_l G(s)), G the depth-(M - m) field and s one of its cells, so
 B_l = kappa_1 kappa_0^(l-1) - kappa_0 kappa_1^(l-1) and, with v0 = f 2**q,
 A_l = v0 (sum_{e<l-1} (kappa_1 kappa_0^e + kappa_0 kappa_1^e) - 2): j's own
 jump -2 v0 plus the wavelets of the two edges down to the pair.  The sums
-over s are taken a block of rows l at a time, at most 2**17 increments
-(one row when G is longer), so the increments held at once do not grow
-with the number of rows m.
+over s take every row l at once on aligned 2**13-cell blocks of G, whose
+sums are added in pairs: numpy's pairwise order over the row, so its bits,
+with at most 0.85 MB of increments held within the cells budget.
 
 Both routes to S_p take |du|^p by one power rule, ``_power_sums``: p = 1
 sums |du| itself, p = 2, 3 and 4 are the products x x, (x x) x and
@@ -63,7 +63,7 @@ __all__ = [
 ]
 
 MOTHERS = ("haar", "hat")
-_BLOCK_CELLS = 2**17  # increments held at once by the Haar tree sum
+_BLOCK_CELLS = 2**13  # cells a block of the Haar tree sum; 2**k >= 128
 
 
 @dataclass(frozen=True)
@@ -256,23 +256,23 @@ def _haar_structure_function(solution: ConstantSolution, depth: int,
 
 def _increment_power_sums(G: np.ndarray, A: np.ndarray, B: np.ndarray,
                           p_arr: np.ndarray) -> np.ndarray:
-    """(len(p), len(A)) sums over s of |A_l + B_l G(s)|^p.  Row l - 1 holds
-    the increments at the nodes of generation m - l, built _BLOCK_CELLS
-    cells at a time (one row if G is longer) in one buffer, whose powers
-    take one more; both go when the sums are done."""
-    rows = max(1, _BLOCK_CELLS // len(G))
-    incs = np.empty((min(rows, len(A)), len(G)))
+    """(len(p), len(A)) sums over s of |A_l + B_l G(s)|^p, row l - 1 at the
+    nodes of generation m - l, every row formed on one _BLOCK_CELLS block of
+    G at a time: 2**k >= 128 cells, a subtree of numpy's pairwise sum over
+    the 2**D-cell row, so the block sums added in pairs keep its bits."""
+    block = min(len(G), _BLOCK_CELLS)
+    incs = np.empty((len(A), block))
     powers = np.empty_like(incs)
-    sums = np.empty((len(p_arr), len(A)))
-    for r in range(0, len(A), rows):
-        blk = slice(r, min(r + rows, len(A)))
-        x = incs[:blk.stop - r]
-        np.multiply(B[blk, None], G, out=x)
-        x += A[blk, None]
-        np.abs(x, out=x)
+    sums = np.empty((len(p_arr), len(A), len(G) // block))
+    for b, cells in enumerate(G.reshape(-1, block)):
+        np.multiply(B[:, None], cells, out=incs)
+        incs += A[:, None]
+        np.abs(incs, out=incs)
         for i, p in enumerate(p_arr):
-            sums[i, blk] = _power_sums(x, p, powers[:len(x)])
-    return sums
+            sums[i, :, b] = _power_sums(incs, p, powers)
+    while sums.shape[-1] > 1:
+        sums = sums[..., 0::2] + sums[..., 1::2]
+    return sums[..., 0]
 
 
 def _power_sums(x: np.ndarray, p: float, out: np.ndarray) -> np.ndarray:

@@ -204,6 +204,8 @@ INTEGER_ARGUMENTS = [
      lambda k: dissipation.lln_sample(M1, k, 10)),
     ("dissipation.lln_sample.samples", 1, 2,
      lambda k: dissipation.lln_sample(M1, 100, k)),
+    ("dissipation.lln_sample.seed", 0, 2,
+     lambda k: dissipation.lln_sample(M1, 100, 10, k)),
     ("dynamics.constant_values.depth", 0, 2,
      lambda k: dynamics.constant_values(U1, k)),
     ("dynamics.TruncatedState.depth", 0, 2,

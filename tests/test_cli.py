@@ -1346,8 +1346,8 @@ print(len(faults), faults[-1] - faults[1])
                                         2 * CHUNK + 1])
     def test_large_double_columns_go_through_the_kernel(self, n_rows, pooled):
         # every double of a chunk, a scalar one and a float32 one included,
-        # reaches _format_floats once, in one call a chunk and in column
-        # order, at any row count
+        # reaches _format_floats once, in one call per float column a chunk
+        # and in column order, at any row count
         rng = np.random.default_rng(n_rows)
         x = rng.standard_normal(n_rows) * 1e3
         if pooled:
@@ -1358,9 +1358,10 @@ print(len(faults), faults[-1] - faults[1])
                                wraps=cli._format_floats) as kernel:
             to_file, _ = written_bytes(["# h"], columns)
         assert to_file == csv_text_oracle(["# h"], columns).encode()
-        want = [np.concatenate([x[rows], [-1 / 3], columns["y"][rows]])
-                for rows in (slice(start, start + CHUNK)
-                             for start in range(0, n_rows, CHUNK))]
+        want = [column for rows in (slice(start, start + CHUNK)
+                                    for start in range(0, n_rows, CHUNK))
+                for column in (x[rows], np.array([-1 / 3]),
+                               columns["y"][rows].astype(np.float64))]
         got = [c.args[0] for c in kernel.call_args_list]
         # written twice: to a file and to stdout
         assert len(got) == 2 * len(want)

@@ -493,6 +493,27 @@ class TestLln:
         b = dp.lln_sample(d12, 1000, 100, seed=3)
         assert a == b
 
+    @pytest.mark.parametrize("seed", [[7, 0, 3], (7, 0, 3), [7.0, 0, 3],
+                                      np.array([7, 0, 3]), 5])
+    def test_seed_is_numpys_entropy_for_the_draw(self, d12, seed):
+        # an integer, or a sequence of them as the benchmark's sweep passes,
+        # draws what numpy draws from the same ints
+        rep = dp.lln_sample(d12, 1000, 50, seed=seed)
+        entropy = list(map(int, seed)) if np.ndim(seed) else seed
+        counts = np.random.default_rng(entropy).multinomial(
+            1000, [0.5, 0.5], size=50)
+        sigma = counts @ d12.coeffs.log2_deltas / 1000
+        assert rep.sigma_mean == float(sigma.mean())
+        assert rep.sigma_std == float(sigma.std(ddof=1))
+
+    @pytest.mark.parametrize("seed", [2.5, True, -1, "1", [1, 2.5], [1, -1],
+                                      [1, "2"]])
+    def test_a_bad_seed_is_one_value_error(self, d12, seed):
+        # 2.5, "1" and [1, 2.5] were numpy's TypeErrors, -1 and [1, -1]
+        # numpy's own ValueError; True ran as seed 1 and [1, "2"] ran
+        with pytest.raises(ValueError, match="^'seed' must be an integer"):
+            dp.lln_sample(d12, 100, 10, seed=seed)
+
     @pytest.mark.parametrize("n,samples", [(0, 10), (10, 0)])
     def test_empty_sample_rejected(self, d12, n, samples):
         with pytest.raises(ValueError):

@@ -354,13 +354,20 @@ class TestHaarTreeSum:
         assert depths == [(11, "haar")]
         assert np.all(np.isfinite(est.zeta_hat))
 
-    @pytest.mark.parametrize("block", [1, 40, 2**10, 2**17])
+    def test_the_block_is_a_power_of_two_from_numpys_pairwise_leaf(self):
+        # numpy sums 128 doubles or fewer in one unrolled leaf and halves a
+        # longer row, so only such a block is a subtree of the row's sum
+        block = fd._BLOCK_CELLS
+        assert block >= 128 and block & (block - 1) == 0
+
+    @pytest.mark.parametrize("block", [128, 256, 2**10, 2**17])
     @pytest.mark.parametrize("seed", range(4))
-    def test_row_blocks_keep_the_bits_of_the_whole_matrix(self, monkeypatch,
-                                                          block, seed):
-        # a small block spreads each scale's rows over several blocks (one
-        # row a block at 1): each row sum and the weighted sum over rows
-        # keep the bits of the one-matrix form
+    def test_cell_blocks_keep_the_bits_of_the_whole_row(self, monkeypatch,
+                                                        block, seed):
+        # a small block spreads each scale's cells over several blocks, a
+        # large one holds all of G: each row sum, its block sums added in
+        # pairs, and the weighted sum over rows keep the bits of the
+        # one-matrix form
         rng = np.random.default_rng(seed)
         model = RcmModel.create(1, float(rng.uniform(0.8, 3.0)),
                                 np.exp(rng.uniform(-1.5, 1.5, 2)))
@@ -373,8 +380,11 @@ class TestHaarTreeSum:
         want = haar_log2_S_oracle(sol, depth, p_arr, m_lo, depth - 1)
         assert same_bits(est.log2_S, want)
 
-    def test_row_blocks_at_depth_19_keep_the_bits(self, d12_solution):
-        # the first depth whose default window needs more than one block
+    def test_a_scale_over_eight_cell_blocks_keeps_the_bits(self,
+                                                           d12_solution):
+        # at depth 19 with m_lo = 3 the deepest G has 2**16 cells, eight
+        # blocks whose sums are added in three rounds of pairs
+        assert 2**16 // fd._BLOCK_CELLS >= 8
         p_arr = np.array([1.0, 2.0, 3.0, 0.7])
         est = fd._haar_structure_function(d12_solution, 19, p_arr, 3, 15)
         want = haar_log2_S_oracle(d12_solution, 19, p_arr, 3, 15)
@@ -383,7 +393,7 @@ class TestHaarTreeSum:
     def test_traced_peak_stays_within_a_few_deepest_fields(self,
                                                            d12_solution):
         # the one-matrix form peaks at 9.5x the deepest field's bytes at
-        # depth 20; the row blocks at 4.5x
+        # depth 20; the blocks of rows at 4.5x, the cell blocks at 2.0x
         depth = 20
         deepest = 8 * 2 ** (depth - 3)
         fd.structure_function(d12_solution, depth, [1.0, 2.0, 3.0])
@@ -397,7 +407,8 @@ class TestHaarTreeSum:
 
     def test_traced_peak_holds_one_increment_buffer(self, d12_solution):
         # a block's increments A + B G and their abs in two buffers peaked
-        # at 4.51x the deepest field's bytes at depth 20; built in one, 3.51x
+        # at 4.51x the deepest field's bytes at depth 20; built in one, 3.51x;
+        # on 2**13-cell blocks, 2.01x
         depth = 20
         deepest = 8 * 2 ** (depth - 3)
         fd.structure_function(d12_solution, depth, [1.0, 2.0, 3.0])
@@ -412,7 +423,8 @@ class TestHaarTreeSum:
 
 def pow_log2_S(solution, depth, p_arr, m_lo, m_hi):
     """log2 S_p of the Haar tree sum as the library took it before its
-    power rule: every power by numpy's x**p, in the same row blocks."""
+    power rule: every power by numpy's x**p, one (m, len(G)) matrix of
+    increments per scale."""
     v0 = solution.model.forcing * 2.0**solution.q
     k0, k1 = 2.0 ** (solution.q + 0.5) * np.sqrt(solution.model.coeffs.deltas)
     P, Q = k1 * k0 ** np.arange(m_hi), k0 * k1 ** np.arange(m_hi)
@@ -423,16 +435,10 @@ def pow_log2_S(solution, depth, p_arr, m_lo, m_hi):
         m = depth - D
         if m > m_hi:
             continue
-        sums = np.empty((len(p_arr), m))
-        rows = max(1, fd._BLOCK_CELLS // len(G))
-        for r in range(0, m, rows):
-            blk = slice(r, min(r + rows, m))
-            incs = np.abs(B[blk, None] * G + A[blk, None])
-            for i, p in enumerate(p_arr):
-                sums[i, blk] = (incs**p).sum(axis=1)
+        incs = np.abs(B[:m, None] * G + A[:m, None])
         for i, p in enumerate(p_arr):
             weights = (k0**p + k1**p) ** np.arange(m - 1, -1, -1.0)
-            s = weights @ sums[i] / (2**depth - 2**D)
+            s = weights @ (incs**p).sum(axis=1) / (2**depth - 2**D)
             log2_S[i, m - m_lo] = math.log2(s) if s > 0 else -math.inf
     return log2_S
 
@@ -467,7 +473,7 @@ class TestPowerRule:
     @pytest.mark.parametrize("seed", range(6))
     def test_pow_rows_keep_the_bits_of_numpy_powers(self, seed):
         # S_1, S_2 and a p that goes through np.power keep the bits of the
-        # pow-based tree sum; depth 19 spreads a scale over row blocks
+        # pow-based tree sum; depth 19 spreads a scale over cell blocks
         rng = np.random.default_rng(seed)
         sol = ConstantSolution(random_rcm(rng, allow_flat=True,
                                           d_choices=(1,)))
