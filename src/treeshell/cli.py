@@ -5,11 +5,11 @@ structure, lln.  Every output file starts with comment lines carrying the
 model hash, seed, package version and the echoed configuration, and floats
 are printed with 17 significant digits, so outputs are byte-identical
 across runs with the same seed and configuration.  CSV rows are formatted
-and written in chunks, so only one chunk's text is in memory at a time.
-Every chunk is laid out as a byte matrix, one fixed-width slot a cell
-(``_byte_chunk``); all the doubles of a chunk get '%.17g''s exact text from
-one call of numpy arithmetic (``_format_floats``), every other cell is
-formatted one value at a time.  ``main`` builds only the invoked
+and written in chunks of 2**13 rows, so only one chunk's text is in memory
+at a time.  Every chunk is laid out as a byte matrix, one fixed-width slot
+a cell (``_byte_chunk``); each float column of a chunk gets '%.17g''s exact
+text from one call of numpy arithmetic (``_format_floats``), every other
+cell is formatted one value at a time.  ``main`` builds only the invoked
 subcommand's parser (every one when the first argument names none), ~0.3 ms
 a call where all seven take ~1.6 ms.
 
@@ -42,8 +42,7 @@ from .solution import ConstantSolution, pullback
 from .tree import ResourceLimitError, check_budget
 
 _FLOAT = "%.17g"
-_CHUNK_ROWS = 2**14  # rows per formatted chunk: bounds the live text
-_FORMAT_BLOCK = 2**13  # doubles formatted, or rows made text, at once
+_CHUNK_ROWS = 2**13  # rows per formatted chunk: bounds every temporary
 
 # _format_floats: for 1e-4 <= |x| < 1e16, '%.17g' is fixed notation of the
 # 17-digit significand N = round(|x| * 10**(16 - E)) in [1e16, 1e17), E the
@@ -99,11 +98,12 @@ def _write_csv(path, header_lines: list[str], columns: dict) -> None:
 
 def _csv_chunks(header_lines: list[str], columns: dict):
     """The header, then the rows as byte rows (_byte_chunk), _CHUNK_ROWS a
-    chunk.  The chunks of a table share their chunk-sized matrices, and
-    every other temporary is a block's worth: allocated anew each chunk,
-    chunk-sized arrays would be given back to the OS and faulted in again
-    every chunk (glibc trims its heap once the free top passes twice the
-    largest block it has unmapped)."""
+    chunk.  The chunks of a table share their slot and byte matrices, and
+    every other temporary is a chunk's worth, a few hundred kB: the heap
+    they are freed to serves the next chunk.  Allocated anew each chunk,
+    the matrices would be given back to the OS and faulted in again every
+    chunk (glibc trims its heap once the free top passes twice the largest
+    block it has unmapped)."""
     arrays = [np.asarray(col) for col in columns.values()]
     n_rows = max((len(a) for a in arrays if a.ndim), default=1)
     yield "\n".join([*header_lines, ",".join(columns)]) + "\n"
@@ -146,10 +146,7 @@ def _byte_chunk(arrays: list[np.ndarray], rows: slice,
     for part in parts:
         out[:, col:col + part.shape[-1]] = part
         col += part.shape[-1]
-    # a block of rows at a time: the bytes of the whole chunk and their
-    # translation would be two chunk-sized transients, which the heap trims
-    return "".join(out[i:i + _FORMAT_BLOCK].tobytes().translate(None, b"\xff")
-                   .decode() for i in range(0, len(out), _FORMAT_BLOCK))
+    return out.tobytes().translate(None, b"\xff").decode()
 
 
 def _text_slots(strings: list[str], width: int | None = None) -> np.ndarray:
@@ -226,18 +223,10 @@ def _format_floats(x: np.ndarray, slots: np.ndarray) -> np.ndarray:
     significand N, then its lead digit and four groups of four digits as
     digit words, ORed into the layout that the sign, E and N's last nonzero
     digit select.  Zeros, subnormals, inf, NaN and the values printed in
-    exponent notation go through '%.17g' one by one.  The values are taken
-    _FORMAT_BLOCK at a time (_format_block), so the temporaries stay a few
-    hundred kB whatever the length of x: they stay in cache, and the heap
-    they are freed to serves the next block and the next chunk."""
-    for start in range(0, len(x), _FORMAT_BLOCK):
-        block = slice(start, start + _FORMAT_BLOCK)
-        _format_block(x[block], slots[block])
-    return slots
-
-
-def _format_block(x: np.ndarray, slots: np.ndarray) -> None:
-    """_format_floats of x, written into the (len(x), _SLOT) rows slots."""
+    exponent notation go through '%.17g' one by one.  x is at most one
+    chunk (_CHUNK_ROWS values) long, so the temporaries stay a few hundred
+    kB: they stay in cache, and the heap they are freed to serves the next
+    chunk."""
     layouts, digit_words, trailing_zeros = _slot_tables()
     a = np.abs(x)
     fast = (a >= 1e-4) & (a < 1e16)
@@ -271,6 +260,7 @@ def _format_block(x: np.ndarray, slots: np.ndarray) -> None:
     if len(slow):
         slots[slow] = _text_slots([_FLOAT % v for v in x[slow].tolist()],
                                   _SLOT)
+    return slots
 
 
 def _write_json(path, payload) -> None:
@@ -362,10 +352,13 @@ def cmd_spectra(args) -> int:
     models = [lambda_family(lam, d=3, alpha=2.5) for lam in lams]
     names = [f"rcm_lambda={lam:g}" for lam in lams]
     names += spectra.REFERENCE_MODELS
-    # np.arange's length as a float, so that an endless grid fails too
-    n_p = np.ceil((args.p_max + 1e-9 - args.p_min) / args.p_step)
+    # the p count: the whole steps in [p_min, p_max], with a relative 1e-9
+    # for the quotient's rounding, plus one; a float, so that an endless
+    # grid fails too.  np.arange's values, its stop half a step past the last
+    n_p = np.floor((args.p_max - args.p_min) / args.p_step * (1 + 1e-9)) + 1
     check_budget("rows", len(names) * n_p)
-    p_grid = np.arange(args.p_min, args.p_max + 1e-9, args.p_step)
+    p_grid = np.arange(args.p_min, args.p_min + (n_p - 0.5) * args.p_step,
+                       args.p_step)
     curves = [spectra.zeta(model, p_grid, check_h=False) for model in models]
     curves += [spectra.reference_zeta(name, p_grid, mu=args.mu, D=args.D)
                for name in spectra.REFERENCE_MODELS]

@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .coefficients import (_LN2, RcmModel, _column_sum, _integer,
+from .coefficients import (_LN2, RcmModel, _column_sum, _integer, _number,
                            _path_sums, log2sumexp2)
 from .spectra import cascade_rate, dim_D, rate_R
 from .tree import check_budget
@@ -162,13 +162,19 @@ class DissipationMeasure:
 
     def mass_in(self, lo: float, hi: float) -> float:
         """mu_n of the open interval (lo, hi); boundary atoms excluded."""
-        sel = (self.sigma > lo) & (self.sigma < hi)
-        return 2.0 ** log2sumexp2(self.log2_mass[sel])
+        return 2.0 ** log2sumexp2(self.log2_mass[self._inside(lo, hi)])
 
     def tail_outside(self, lo: float, hi: float) -> float:
         """log2 mu_n of the complement of the open interval (lo, hi)."""
-        sel = (self.sigma > lo) & (self.sigma < hi)
-        return log2sumexp2(self.log2_mass[~sel])
+        return log2sumexp2(self.log2_mass[~self._inside(lo, hi)])
+
+    def _inside(self, lo: float, hi: float) -> np.ndarray:
+        """Which atoms lie in the open interval (lo, hi), whose ends are
+        numbers and not NaN: a NaN end would hold no atom and leave all."""
+        lo, hi = _number("lo", lo), _number("hi", hi)
+        if math.isnan(lo) or math.isnan(hi):
+            raise ValueError(f"an interval end is NaN: ({lo}, {hi})")
+        return (self.sigma > lo) & (self.sigma < hi)
 
 
 def measure(model: RcmModel, n: int) -> DissipationMeasure:
@@ -204,7 +210,11 @@ def theoretical_tail_rate(model: RcmModel, lo: float, hi: float) -> float:
     phi(3/2): on each closed complement segment, [a_min, min(lo, a_max)] or
     [max(hi, a_min), a_max], the infimum sits at the point nearest phi(3/2),
     a band edge itself if that is nearest, and is 0 when it holds phi(3/2).
+    lo < hi are numbers; NaN, which no comparison holds, is refused.
     """
+    lo, hi = _number("lo", lo), _number("hi", hi)
+    if not lo < hi:
+        raise ValueError(f"empty interval ({lo}, {hi})")
     cs = model.coeffs
     a_min, a_max = cs.ell_neg_inf(), cs.ell_pos_inf()
     segments = []
@@ -247,15 +257,14 @@ class ConcentrationCurve:
 def concentration_curve(model: RcmModel, interval: tuple[float, float],
                         n_list: Sequence[int]) -> ConcentrationCurve:
     lo, hi = interval
-    if not lo < hi:
-        raise ValueError("empty interval")
     ns = sorted(_integer("n_list", n, 1) for n in n_list)
     if ns and ns[-1] >= 2**63:
         raise ValueError(f"generations must fit in int64, got {list(n_list)}")
     ns = np.asarray(ns, dtype=int)
     if np.any(ns[1:] == ns[:-1]):
         raise ValueError(f"repeated generation in {list(n_list)}")
-    # before any lattice: it rejects a band that leaves no sigma outside
+    # before any lattice: it rejects an empty band, a NaN or non-number end
+    # and a band that leaves no sigma outside
     rate = theoretical_tail_rate(model, lo, hi)
     masses, tails = [], []
     for n in ns:

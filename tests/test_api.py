@@ -40,7 +40,7 @@ FAST_PATHS = {"measure", "dim_D", "phi_inverse",
               "_row_reduction", "_reduce_rows", "local_holder",
               "_haar_structure_function", "_increment_power_sums",
               "_column_sum", "_path_sums",
-              "_compositions_matrix", "_log2_multinomial", "_format_block"}
+              "_compositions_matrix", "_log2_multinomial"}
 
 
 # the package's layers, lowest first: a module imports only from lower
@@ -109,6 +109,38 @@ def test_private_attributes_are_read_only_at_home():
                     and n.attr not in defined
                     and getattr(n.value, "id", None) not in ("self", "cls")]
     assert foreign == []
+
+
+def _private_definitions(tree) -> list:
+    """(kind, name) of the module's private top-level functions, classes
+    and constants, and of its classes' private methods."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found.append((type(node).__name__, node.name))
+        if isinstance(node, ast.ClassDef):
+            found += [("method", f"{node.name}.{f.name}") for f in node.body
+                      if isinstance(f, ast.FunctionDef)]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            found += [("constant", n.id) for t in targets for n in ast.walk(t)
+                      if isinstance(n, ast.Name)]
+    return [(kind, name) for kind, name in found
+            if _private(name.rpartition(".")[2])]
+
+
+def test_every_private_definition_is_read_in_the_package():
+    # a private name that nothing in src/ loads, as a name or an attribute,
+    # is dead code: its tests would keep it alive after its last caller left
+    loaded = {n.id for tree in SOURCES.values() for n in ast.walk(tree)
+              if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)} | {
+        n.attr for tree in SOURCES.values() for n in ast.walk(tree)
+        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    defined = [(module, kind, name) for module, tree in SOURCES.items()
+               for kind, name in _private_definitions(tree)]
+    assert len(defined) > 50
+    assert [d for d in defined if d[2].rpartition(".")[2] not in loaded] == []
 
 
 def test_private_names_cross_modules_only_out_of_coefficients():

@@ -94,6 +94,19 @@ class TestSpectraCommand:
         payload = json.loads(summary.read_text())
         assert all(abs(v["zeta3"] - 1.0) <= 1e-12 for v in payload.values())
 
+    @pytest.mark.parametrize("p_max, p_step, count", [
+        ("1e-10", "1e-11", 11), ("1e10", "1e8", 101), ("0.3", "0.1", 4)])
+    def test_p_grid_ends_at_p_max_at_any_scale(self, capsys, p_max, p_step,
+                                               count):
+        # the grid's end is relative to the step: no pad in units of p
+        rc, out = run_cli(["spectra", "--lambdas", "0.2", "--p-max", p_max,
+                           "--p-step", p_step], capsys)
+        assert rc == 0
+        rows = parse_csv(out)
+        for name in ("rcm_lambda=0.2", "k41", "she_leveque"):
+            p = [float(r["p"]) for r in rows if r["model_name"] == name]
+            assert p == (np.arange(count) * float(p_step)).tolist()
+            assert p[-1] == pytest.approx(float(p_max), rel=1e-15)
 
     @pytest.mark.parametrize("extra", [["--mu", "nan"], ["--D", "nan"],
                                        ["--lambdas", "nan"],
@@ -1207,6 +1220,10 @@ class TestCsvWriter:
 
 
 CHUNK = cli._CHUNK_ROWS
+# row counts at the edges of one, two, four and eight chunks
+CHUNK_EDGES = [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK - 1, 2 * CHUNK,
+               2 * CHUNK + 1, 4 * CHUNK - 1, 4 * CHUNK, 4 * CHUNK + 1,
+               8 * CHUNK + 1]
 # cell values the writer must render as str or '%.17g' does, '%' and
 # multi-byte UTF-8 included
 CELLS = {"float": st.floats(allow_nan=True, allow_infinity=True)
@@ -1258,13 +1275,16 @@ class TestChunkedCsvWriter:
         want = csv_text_oracle(header, columns).encode()
         assert to_file == want and to_stdout == want
 
-    @pytest.mark.parametrize("n_rows", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1,
-                                        2 * CHUNK - 1, 2 * CHUNK,
-                                        2 * CHUNK + 1, 4 * CHUNK + 1])
+    @pytest.mark.parametrize("n_rows", [0, 1, *CHUNK_EDGES])
     def test_bytes_match_the_oracle_at_the_chunk_size(self, n_rows):
         rng = np.random.default_rng(n_rows)
         special = np.array([-0.0, math.inf, -math.inf, math.nan, 0.1])
-        columns = {"x": rng.standard_normal(n_rows) * 1e3,
+        # at the chunk edges, a value of the slow path ('%.17g' one by one)
+        # and one redone at E - 1 keep their slots
+        edges = [r for r in (CHUNK - 1, CHUNK, 2 * CHUNK) if r < n_rows]
+        x, redo = rng.standard_normal((2, n_rows)) * 1e3
+        x[edges], redo[edges] = 5e-324, 9.999999999999999e15
+        columns = {"x": x, "redo": redo,
                    "edge": np.resize(special, n_rows),
                    "k": rng.integers(-10**12, 10**12, n_rows),
                    "b": rng.random(n_rows) < 0.5,
@@ -1274,9 +1294,7 @@ class TestChunkedCsvWriter:
         want = csv_text_oracle(["# h %s"], columns).encode()
         assert to_file == want and to_stdout == want
 
-    @pytest.mark.parametrize("n_rows", [CHUNK - 1, CHUNK, CHUNK + 1,
-                                        2 * CHUNK - 1, 2 * CHUNK,
-                                        2 * CHUNK + 1, 4 * CHUNK + 1])
+    @pytest.mark.parametrize("n_rows", CHUNK_EDGES)
     def test_repeated_floats_match_the_oracle(self, n_rows):
         # pooled columns repeat values: 0.0 and -0.0, and two NaN payloads,
         # must print apart wherever they repeat
@@ -1300,13 +1318,12 @@ class TestChunkedCsvWriter:
                         reason="the heap trimming is glibc's")
     def test_chunks_reuse_their_memory_in_a_fresh_interpreter(self, tmp_path):
         # past its first two chunks, `dissipation` of the d = 2, n = 100
-        # lattice (176,851 rows, 11 chunks) faults in almost no new pages.
-        # Its largest freed blocks, 1.4 MB, set glibc's trim threshold at
-        # 2.8 MB, so chunk-sized temporaries were trimmed and faulted in
-        # again each chunk: the last nine read 7 faults, against 9,342 when
-        # each chunk made every array anew and formatted all its values at
-        # once, 2,776 with no buffers kept from chunk to chunk and 4,259
-        # with a whole chunk made text at once
+        # lattice (176,851 rows, 22 chunks) faults in almost no new pages:
+        # every temporary is a 2**13-row chunk's worth, a few hundred kB,
+        # and the heap it is freed to serves the next chunk.  The last 20
+        # read 0 faults, against 8 with 2**14-row chunks cut into 2**13-row
+        # blocks and 4,742 with 2**14-row chunks made text in one pass,
+        # whose temporaries glibc trims and faults in again each chunk
         code = """
 import resource, sys
 from treeshell import cli
@@ -1325,13 +1342,13 @@ print(len(faults), faults[-1] - faults[1])
                               text=True, timeout=120, env=SUBPROCESS_ENV)
         assert proc.returncode == 0, proc.stderr
         chunks, faults = map(int, proc.stdout.split())
-        assert chunks == 11
+        assert chunks == 22
         assert faults < 450
 
     def test_dissipation_rows_span_chunks(self, tmp_path, capsys):
-        # 4 distinct deltas at n = 50: C(53, 3) = 23,426 atoms, two chunks
-        argv = ["dissipation", "--deltas", "1,2,3,5", "--dim", "2", "--n", "50"]
-        atoms = math.comb(53, 3)
+        # 4 distinct deltas at n = 36: C(39, 3) = 9,139 atoms, two chunks
+        argv = ["dissipation", "--deltas", "1,2,3,5", "--dim", "2", "--n", "36"]
+        atoms = math.comb(39, 3)
         assert CHUNK < atoms < 2 * CHUNK
         path = tmp_path / "mu.csv"
         assert main(argv + ["--out", str(path)]) == 0
@@ -1339,11 +1356,11 @@ print(len(faults), faults[-1] - faults[1])
         assert rc == 0 and path.read_bytes() == out.encode()
         rows = parse_csv(out)
         assert len(rows) == atoms
-        assert {r["n"] for r in rows} == {"50"}
+        assert {r["n"] for r in rows} == {"36"}
 
     @pytest.mark.parametrize("pooled", [False, True])
     @pytest.mark.parametrize("n_rows", [1, 2, 71, 72, 255, 256, CHUNK + 1,
-                                        2 * CHUNK + 1])
+                                        2 * CHUNK + 1, 4 * CHUNK + 1])
     def test_large_double_columns_go_through_the_kernel(self, n_rows, pooled):
         # every double of a chunk, a scalar one and a float32 one included,
         # reaches _format_floats once, in one call per float column a chunk
@@ -1384,19 +1401,6 @@ FAST_BITS = tuple(int(b) for b in np.array([1e-4, 1e16]).view(np.uint64))
 
 
 class TestFormatFloats:
-    def test_block_edges_keep_every_slot(self):
-        # values are formatted _FORMAT_BLOCK at a time: at each block edge,
-        # a value of the slow path ('%.17g' one by one) and one redone at
-        # E -/+ 1 keep their slots
-        block = cli._FORMAT_BLOCK
-        rng = np.random.default_rng(7)
-        x = rng.standard_normal(2 * block + 3) * 10.0 ** rng.integers(
-            -6, 18, 2 * block + 3)
-        for edge in (block - 1, block, 2 * block):
-            x[edge] = [0.0, math.inf, 5e-324][edge % 3]
-            x[edge + 1] = 9.999999999999999e15
-        assert float_texts(x) == printf_texts(x)
-
     @settings(max_examples=300, deadline=None, derandomize=True,
               database=None)
     @given(st.lists(st.integers(0, 2**64 - 1)

@@ -245,6 +245,36 @@ class TestMeasure:
         with pytest.raises(ValueError):
             dp.theoretical_tail_rate(d12, -1.0, 2.0)
 
+    @pytest.mark.parametrize("call", [
+        lambda m, mu: dp.theoretical_tail_rate(m, 0.2, math.nan),
+        lambda m, mu: dp.theoretical_tail_rate(m, math.nan, 0.5),
+        lambda m, mu: dp.theoretical_tail_rate(m, 0.5, 0.2),
+        lambda m, mu: dp.theoretical_tail_rate(m, 0.2, 10**400),
+        lambda m, mu: mu.mass_in(math.nan, 1.0),
+        lambda m, mu: mu.mass_in(0.0, math.nan),
+        lambda m, mu: mu.mass_in(True, 1.0),
+        lambda m, mu: mu.tail_outside(math.nan, 1.0),
+        lambda m, mu: mu.tail_outside(0.0, "1"),
+        lambda m, mu: dp.concentration_curve(m, ("a", "b"), [5]),
+        lambda m, mu: dp.concentration_curve(m, (math.nan, 0.5), [5]),
+        lambda m, mu: dp.concentration_curve(m, (0.5, 0.5), [5])],
+        ids=["rate-nan-hi", "rate-nan-lo", "rate-empty", "rate-huge-int",
+             "mass_in-nan-lo", "mass_in-nan-hi", "mass_in-bool",
+             "tail-nan-lo", "tail-str", "curve-str", "curve-nan",
+             "curve-empty"])
+    def test_band_ends_follow_the_scalar_rule(self, d12, monkeypatch, call):
+        # a NaN end held no atom in the band and left every atom in its
+        # tail, with a finite rate; a string end raised a TypeError
+        mu = dp.measure(d12, 10)
+
+        def fail(*args):
+            raise AssertionError("a lattice was built before the band check")
+
+        monkeypatch.setattr(dp, "measure", fail)
+        with pytest.raises(ValueError) as raised:
+            call(d12, mu)
+        assert len(str(raised.value)) < 100
+
     def test_stirling_sandwich(self, rng):
         # |(1/n) log2 multinomial - H| <= N log2(n+1) / n on random compositions
         for _ in range(50):
