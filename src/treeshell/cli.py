@@ -7,11 +7,11 @@ are printed with 17 significant digits, so outputs are byte-identical
 across runs with the same seed and configuration.  CSV rows are formatted
 and written in chunks of 2**13 rows, so only one chunk's text is in memory
 at a time.  Every chunk is laid out as a byte matrix, one fixed-width slot
-a cell (``_byte_chunk``); each float column of a chunk gets '%.17g''s exact
-text from one call of numpy arithmetic (``_format_floats``), every other
-cell is formatted one value at a time.  ``main`` builds only the invoked
-subcommand's parser (every one when the first argument names none), ~0.3 ms
-a call where all seven take ~1.6 ms.
+a cell (``_byte_chunk``); a float column of more than _FEW values gets
+'%.17g''s exact text from one call of numpy arithmetic (``_format_floats``),
+a shorter one '%.17g' a value, any other ``str`` once a distinct value.
+``main`` builds only the invoked subcommand's parser (every one when the
+first argument names none), ~0.3 ms a call where all seven take ~1.6 ms.
 
 Exit codes: 0 success, 1 numeric failure, 2 configuration error.  The
 exception type decides which: every ``ValueError`` the library or the flag
@@ -43,6 +43,9 @@ from .tree import ResourceLimitError, check_budget
 
 _FLOAT = "%.17g"
 _CHUNK_ROWS = 2**13  # rows per formatted chunk: bounds every temporary
+# float columns of at most _FEW values get '%.17g' a value: on a 2-core Xeon
+# one ~50 us _format_floats call breaks even at 75 (hot caches) to 125 values
+_FEW = 128
 
 # _format_floats: for 1e-4 <= |x| < 1e16, '%.17g' is fixed notation of the
 # 17-digit significand N = round(|x| * 10**(16 - E)) in [1e16, 1e17), E the
@@ -127,17 +130,22 @@ def _byte_chunk(arrays: list[np.ndarray], rows: slice,
     """The rows' text as one uint8 matrix: each column's cells in a slot of
     fixed width padded with 0xFF, a byte UTF-8 never uses, and the commas
     and newline in fixed columns; the padding is deleted as the matrix
-    becomes text.  A scalar column is one row, repeated down the chunk.
-    Each float column, as float64, goes through one _format_floats call
-    into its own slots, any other cell through ``str`` one value at a time;
-    the slots and the byte matrix lie on `buffers`, kept chunk to chunk."""
+    becomes text.  A scalar column is one row, repeated down the chunk.  A
+    float column of more than _FEW values goes through one _format_floats
+    call as float64, a shorter one through '%.17g' a value, an int, bool or
+    str one through '%s' once a distinct value; the float slots and the byte
+    matrix lie on `buffers`, kept chunk to chunk."""
     parts = []
     for j, a in enumerate(arrays):
         c = a[rows] if a.ndim else a.reshape(1)
-        parts.append(_format_floats(c.astype(np.float64, copy=False),
-                                    _reused(buffers, j, len(c), _SLOT))
-                     if c.dtype.kind == "f"
-                     else _text_slots(["%s" % v for v in c.tolist()]))
+        if c.dtype.kind != "f":
+            parts.append(_distinct_slots(c.tolist()))
+        elif len(c) > _FEW:
+            parts.append(_format_floats(c.astype(np.float64, copy=False),
+                                        _reused(buffers, j, len(c), _SLOT)))
+        else:
+            parts.append(_text_slots([_FLOAT % v for v in
+                                      c.astype(np.float64).tolist()]))
         parts.append(_COMMA)
     parts[-1:] = [_NEWLINE]  # the last comma, if any
     out = _reused(buffers, "rows", rows.stop - rows.start,
@@ -157,6 +165,13 @@ def _text_slots(strings: list[str], width: int | None = None) -> np.ndarray:
         width = max(map(len, data), default=0)
     return np.frombuffer(b"".join(d.ljust(width, b"\xff") for d in data),
                          np.uint8).reshape(len(data), width)
+
+
+def _distinct_slots(cells: list) -> np.ndarray:
+    """_text_slots of the cells' '%s' text, formatted once a distinct cell."""
+    index = {}
+    rows = [index.setdefault(v, len(index)) for v in cells]
+    return _text_slots(["%s" % v for v in index]).take(rows, axis=0)
 
 
 def _divmod(a: np.ndarray, b: int) -> tuple[np.ndarray, np.ndarray]:

@@ -36,7 +36,7 @@ FAST_PATHS = {"measure", "dim_D", "phi_inverse",
               "zeta_raw", "synthesize", "_write_csv", "_csv_chunks",
               "_byte_chunk", "_format_floats", "_Rk4", "run", "derivative",
               "step", "rhs", "integrate", "flux_terms", "energy_balance",
-              "pullback", "_pull_row", "residual_max",
+              "pullback", "_pull_row", "residual_max", "_distinct_slots",
               "_row_reduction", "_reduce_rows", "local_holder",
               "_haar_structure_function", "_increment_power_sums",
               "_column_sum", "_path_sums",

@@ -1220,6 +1220,7 @@ class TestCsvWriter:
 
 
 CHUNK = cli._CHUNK_ROWS
+FEW = cli._FEW
 # row counts at the edges of one, two, four and eight chunks
 CHUNK_EDGES = [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK - 1, 2 * CHUNK,
                2 * CHUNK + 1, 4 * CHUNK - 1, 4 * CHUNK, 4 * CHUNK + 1,
@@ -1230,8 +1231,10 @@ CELLS = {"float": st.floats(allow_nan=True, allow_infinity=True)
          | st.sampled_from([-0.0, math.inf, -math.inf, math.nan]),
          "float_pool": st.sampled_from([-0.0, 0.0, 1 / 3]),
          "int": st.integers(-2**63, 2**63 - 1),
+         "int_pool": st.sampled_from([0, -1, 7, 2**63 - 1]),
          "bool": st.booleans(),
-         "str": st.text(alphabet="a%s.,= σ")}
+         "str": st.text(alphabet="a%s.,= σ"),
+         "str_pool": st.sampled_from(["", "%", "%s", "σ", "a%σ"])}
 
 
 def written_bytes(header, columns) -> tuple[bytes, bytes]:
@@ -1248,9 +1251,11 @@ def written_bytes(header, columns) -> tuple[bytes, bytes]:
 
 @st.composite
 def tables(draw):
-    """A chunk size and columns of every kind, scalar or not, whose row
-    count sits on a chunk boundary or anywhere up to three chunks."""
+    """A chunk size, a float column length past which the kernel formats
+    it, and columns of every kind, scalar or not, whose row count sits on a
+    chunk boundary or anywhere up to three chunks."""
     chunk = draw(st.integers(1, 4))
+    few = draw(st.integers(0, chunk + 1))
     n_rows = draw(st.sampled_from([0, 1, chunk - 1, chunk, chunk + 1,
                                    2 * chunk + 1]) | st.integers(0, 3 * chunk))
     names = draw(st.lists(st.text(alphabet="xy%,", min_size=1), min_size=1,
@@ -1261,7 +1266,7 @@ def tables(draw):
         columns[name] = (draw(cells) if draw(st.booleans())
                          else draw(st.lists(cells, min_size=n_rows,
                                             max_size=n_rows)))
-    return chunk, columns
+    return chunk, few, columns
 
 
 class TestChunkedCsvWriter:
@@ -1269,8 +1274,11 @@ class TestChunkedCsvWriter:
               database=None)
     @given(tables(), st.lists(st.text(alphabet="# %s"), max_size=2))
     def test_bytes_match_the_oracle(self, table, header):
-        chunk, columns = table
-        with mock.patch.object(cli, "_CHUNK_ROWS", chunk):
+        # both float routes, '%.17g' a value and the kernel, and the
+        # distinct-value route of repeated int, bool and str cells
+        chunk, few, columns = table
+        with mock.patch.object(cli, "_CHUNK_ROWS", chunk), \
+                mock.patch.object(cli, "_FEW", few):
             to_file, to_stdout = written_bytes(header, columns)
         want = csv_text_oracle(header, columns).encode()
         assert to_file == want and to_stdout == want
@@ -1359,12 +1367,14 @@ print(len(faults), faults[-1] - faults[1])
         assert {r["n"] for r in rows} == {"36"}
 
     @pytest.mark.parametrize("pooled", [False, True])
-    @pytest.mark.parametrize("n_rows", [1, 2, 71, 72, 255, 256, CHUNK + 1,
-                                        2 * CHUNK + 1, 4 * CHUNK + 1])
+    @pytest.mark.parametrize("n_rows", sorted({
+        1, 2, 71, 72, FEW - 1, FEW, FEW + 1, 255, 256, CHUNK + FEW,
+        CHUNK + FEW + 1, *CHUNK_EDGES[:-1]}))
     def test_large_double_columns_go_through_the_kernel(self, n_rows, pooled):
-        # every double of a chunk, a scalar one and a float32 one included,
-        # reaches _format_floats once, in one call per float column a chunk
-        # and in column order, at any row count
+        # a chunk's float column, a float32 one included, reaches
+        # _format_floats once, as float64 and in column order, when it has
+        # more than _FEW values, and never at _FEW or fewer; a scalar float
+        # column never does
         rng = np.random.default_rng(n_rows)
         x = rng.standard_normal(n_rows) * 1e3
         if pooled:
@@ -1373,16 +1383,44 @@ print(len(faults), faults[-1] - faults[1])
                    "y": (x / 7).astype(np.float32)}
         with mock.patch.object(cli, "_format_floats",
                                wraps=cli._format_floats) as kernel:
-            to_file, _ = written_bytes(["# h"], columns)
-        assert to_file == csv_text_oracle(["# h"], columns).encode()
-        want = [column for rows in (slice(start, start + CHUNK)
+            to_file, to_stdout = written_bytes(["# h"], columns)
+        text = csv_text_oracle(["# h"], columns).encode()
+        assert to_file == text and to_stdout == text
+        want = [column for rows in (slice(start, min(start + CHUNK, n_rows))
                                     for start in range(0, n_rows, CHUNK))
-                for column in (x[rows], np.array([-1 / 3]),
-                               columns["y"][rows].astype(np.float64))]
+                if rows.stop - rows.start > FEW
+                for column in (x[rows], columns["y"][rows].astype(np.float64))]
         got = [c.args[0] for c in kernel.call_args_list]
         # written twice: to a file and to stdout
         assert len(got) == 2 * len(want)
         assert all(same_bits(g, w) for g, w in zip(got, want + want))
+
+    def test_readme_outputs_do_not_depend_on_the_float_route(self, tmp_path,
+                                                             capsys):
+        # the seven README commands, to a file and to stdout, with every
+        # float column through the kernel (_FEW = 0), none (_FEW = CHUNK) and
+        # as routed, where only spectra's two 1,407-row columns reach it
+        runs, calls = {}, {}
+        for few in (0, FEW, CHUNK):
+            out = tmp_path / str(few)
+            out.mkdir()
+            runs[few] = {}
+            with mock.patch.object(cli, "_FEW", few), mock.patch.object(
+                    cli, "_format_floats", wraps=cli._format_floats) as kernel:
+                for name, cmd in THREAD_RUNS.items():
+                    if name == "simulate_d2":  # bulk's, not the README's
+                        continue
+                    argv = cmd.format(dir=out).split()
+                    assert main(argv + ["--out", str(out / name)]) == 0
+                    rc, text = run_cli(argv, capsys)
+                    assert rc == 0
+                    assert text.encode() == (out / name).read_bytes()
+                    runs[few][name] = text
+            calls[few] = kernel.call_count
+            runs[few] |= {f.name: f.read_bytes() for f in out.glob("*.json")}
+        assert runs[0] == runs[FEW] == runs[CHUNK]
+        # each command writes its table twice: to a file and to stdout
+        assert calls == {0: 2 * 28, FEW: 2 * 2, CHUNK: 0}
 
 
 def float_texts(x) -> list[str]:
